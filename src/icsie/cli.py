@@ -12,14 +12,14 @@ import itertools
 import json
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import click
 
 from .codeset import oracle_decodable
 from .decoder import decode_receiver
-from .encoder import (independent_columns, minrank, optimal_length,
-                      parse_generator, serialize_generator)
+from .encoder import (core_length, independent_columns, minrank,
+                      optimal_length, parse_generator, serialize_generator)
 from .errors import (BudgetExceededError, DegenerateError, IcsieError,
                      InconsistentError, NoSolutionError, ParseError)
 from .linalg import Matrix
@@ -113,16 +113,24 @@ def search(instance: str, method: str, as_json: bool) -> None:
         spec = _load_instance(instance)
         results = {}
         if method in ("minrank", "both"):
-            N, completed = minrank(spec)
+            # minrank knows no channel errors: "both" checks it on the
+            # delta_c = 0 core, and "minrank" alone rejects delta_c > 0
+            mr_spec = replace(spec, delta_c=0) if method == "both" else spec
+            N, completed = minrank(mr_spec)
             results["minrank"] = (N, independent_columns(completed))
         if method in ("brute", "both"):
             results["brute"] = optimal_length(spec)
-        if method == "both" and results["minrank"][0] != results["brute"][0]:
-            click.echo(
-                f"MISMATCH: minrank {results['minrank'][0]} != "
-                f"brute {results['brute'][0]}", err=True)
-            sys.exit(EXIT_DOMAIN)
-        N, G = results[method if method != "both" else "minrank"]
+        if method == "both":
+            core = (results["brute"][0] if spec.delta_c == 0
+                    else core_length(spec))
+            if results["minrank"][0] != core:
+                click.echo(
+                    f"MISMATCH: minrank {results['minrank'][0]} != "
+                    f"brute {core}", err=True)
+                sys.exit(EXIT_DOMAIN)
+        shown = method if method != "both" else (
+            "minrank" if spec.delta_c == 0 else "brute")
+        N, G = results[shown]
         _emit(as_json,
               {"N": N, "method": method,
                "G": json.loads(serialize_generator(G))},

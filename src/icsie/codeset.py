@@ -68,19 +68,27 @@ def enum_interference(spec: ProblemSpec,
             yield z, i
 
 
-def _receiver_masks(spec: ProblemSpec) -> tuple[list[int], list[int], list[int]]:
-    """(fmasks, xmasks, caps) bitmask views for the q = 2 fast paths."""
+def interference_supports(spec: ProblemSpec) -> bytearray:
+    """Interference as a lookup over support masks.
+
+    Entry s is 1 iff the vectors whose support mask is s interfere.
+    Interference depends only on which coordinates are nonzero, so one
+    table of 2^n entries serves every q; over F_2 a vector is its own
+    support mask.  Masks put coordinate 1 in the highest bit, as the
+    kernels do.  Receivers with the same demand and cache are tested once.
+    """
     g = spec.graph
     n = g.n
-    fmasks, xmasks = [], []
     cap = spec.side_weight_cap()
-    for i in range(g.m):
-        fmasks.append(1 << (n - g.f[i]))
-        xm = 0
-        for j in g.X[i]:
-            xm |= 1 << (n - j)
-        xmasks.append(xm)
-    return fmasks, xmasks, [cap] * g.m
+    receivers = {(1 << (n - g.f[i]), sum(1 << (n - j) for j in g.X[i]))
+                 for i in range(g.m)}
+    table = bytearray(1 << n)
+    for z in range(1, 1 << n):
+        for fm, xm in receivers:
+            if z & fm and (z & xm).bit_count() <= cap:
+                table[z] = 1
+                break
+    return table
 
 
 def interference_masks(spec: ProblemSpec,
@@ -88,15 +96,7 @@ def interference_masks(spec: ProblemSpec,
     """All interference vectors as packed bitmasks, ascending (q = 2 only)."""
     assert spec.q == 2
     _check_enum_budget(spec, budget_bits)
-    n = spec.graph.n
-    fmasks, xmasks, caps = _receiver_masks(spec)
-    out = []
-    for z in range(1, 1 << n):
-        for r in range(len(fmasks)):
-            if z & fmasks[r] and (z & xmasks[r]).bit_count() <= caps[r]:
-                out.append(z)
-                break
-    return out
+    return [z for z, hit in enumerate(interference_supports(spec)) if hit]
 
 
 def in_support_family(spec: ProblemSpec, K) -> bool:

@@ -7,9 +7,18 @@ Two exact routes to the optimal length are implemented and must agree:
   per receiver per choice of 2*delta_s cache positions forced to zero).
 * ``optimal_length`` -- direct search for the shortest valid generator.
   With no channel errors, validity of G depends only on its column
-  space, so the search enumerates column spaces via their orthogonal
-  complements; with channel errors, codeword weights matter and the
-  search runs over multisets of projective columns instead.
+  space, so the search looks for the largest subspace avoiding the
+  interference set (G's null space).  It walks RREF bases depth first,
+  one row at a time, keeping the span of the rows chosen so far and
+  cutting a partial basis, with all its completions, as soon as its
+  span meets the interference set; membership is one lookup in a table
+  over support masks, built once per search.  The F_2 / F_q difference
+  is only how vectors are packed and added (_F2Vectors, _FqVectors).
+  With channel errors, codeword weights matter and the search runs over
+  multisets of projective columns instead.
+
+``minrank`` covers the error-free channel only; with delta_c > 0 it is
+compared against ``core_length``, the optimum of the delta_c = 0 core.
 
 Also here: the bidiagonal cycle code, the parity-check-transpose
 construction for cliques, and the classical-code quantities l_q and
@@ -25,9 +34,10 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from . import kernels
-from .codeset import interference_masks, is_valid_generator
+from .codeset import (interference_masks, interference_supports,
+                      is_valid_generator)
 from .errors import (BudgetExceededError, CycleTooSmallError,
-                     DistanceTooSmallError, ParseError)
+                     DistanceTooSmallError, IcsieError, ParseError)
 from .gfield import Field, field_for
 from .linalg import Matrix, hamming_weight, mask_of
 from .sigraph import ProblemSpec, clique_graph
@@ -153,7 +163,9 @@ def minrank(spec: ProblemSpec,
     Depth-first over columns in template order, free values assigned
     lexicographically; a branch is cut as soon as its partial column
     span already reaches the best rank found.  Returns the minimum and
-    the first completion attaining it.
+    the first completion attaining it.  The template knows nothing of
+    channel errors, so delta_c > 0 is rejected once the budget check has
+    passed: compare the delta_c = 0 core with core_length instead.
     """
     tmpl = fitting_template(spec)
     field = spec.field
@@ -162,6 +174,10 @@ def minrank(spec: ProblemSpec,
         raise BudgetExceededError(
             f"{nfree} free positions over F_{spec.q} exceed the "
             f"{budget_bits}-bit budget")
+    if spec.delta_c > 0:
+        raise IcsieError(
+            f"minrank requires delta_c = 0 (got {spec.delta_c}); "
+            "channel errors need optimal_length")
     n = tmpl.n
     cols = tmpl.columns
     best = n + 1
@@ -203,43 +219,99 @@ def gaussian_binomial(n: int, d: int, q: int) -> int:
     return num // den
 
 
-def _rref_bases(q: int, n: int, d: int):
-    """Yield every d-dimensional subspace of F_q^n as its RREF basis rows."""
-    if d == 0:
-        yield []
-        return
+class _F2Vectors:
+    """F_2 vectors as int masks, coordinate 1 in the highest bit.
+
+    Addition is XOR, the only nonzero multiple of a vector is itself, and
+    a mask is its own support, so it indexes the support table directly.
+    """
+
+    zero = 0
+
+    def __init__(self, table: bytearray):
+        self.table = table
+
+    def pack(self, row: tuple[int, ...]) -> int:
+        return mask_of(row)
+
+    def extend(self, span: list[int], v: int) -> list[int] | None:
+        coset = [v ^ s for s in span]
+        if any(map(self.table.__getitem__, coset)):
+            return None
+        return span + coset
+
+
+class _FqVectors:
+    """F_q vectors as tuples, added and scaled through precomputed tables.
+
+    Interference is closed under nonzero scaling, so only the coset
+    v + span needs testing; its other multiples join the span unchecked.
+    """
+
+    def __init__(self, field: Field, n: int, table: bytearray):
+        q = field.q
+        self.zero = (0,) * n
+        self.table = table
+        self.add = [[field.add(a, b) for b in range(q)] for a in range(q)]
+        self.scale = [[field.mul(c, a) for a in range(q)] for c in range(2, q)]
+        self.bits = [1 << (n - 1 - j) for j in range(n)]
+
+    def pack(self, row: tuple[int, ...]) -> tuple[int, ...]:
+        return row
+
+    def extend(self, span: list[tuple[int, ...]],
+               v: tuple[int, ...]) -> list[tuple[int, ...]] | None:
+        add, table, bits = self.add, self.table, self.bits
+        coset = [tuple([add[a][b] for a, b in zip(v, s)]) for s in span]
+        for z in coset:
+            if table[sum(bit for a, bit in zip(z, bits) if a)]:
+                return None
+        return span + coset + [tuple([m[a] for a in z])
+                               for m in self.scale for z in coset]
+
+
+def _first_avoiding_basis(vectors, q: int, n: int, d: int, rows_of: dict):
+    """RREF rows of the first d-dimensional subspace of F_q^n whose span
+    avoids the interference set, or None.
+
+    Subspaces are taken in the order of their RREF bases: pivot sets in
+    lexicographic order, then each row's free values lexicographically,
+    row 0 most significant.  The walk chooses rows depth first and keeps
+    the span of the rows chosen so far; a prefix whose span meets the
+    interference set is cut with all its completions.  rows_of caches
+    each row's candidates, which depend only on its pivot and the later
+    pivots.
+    """
+    def candidates(p: int, later: tuple[int, ...]):
+        key = (p, later)
+        if key not in rows_of:
+            free = [c for c in range(p + 1, n) if c not in later]
+            rows = []
+            for vals in itertools.product(range(q), repeat=len(free)):
+                row = [0] * n
+                row[p] = 1
+                for c, v in zip(free, vals):
+                    row[c] = v
+                rows.append((tuple(row), vectors.pack(tuple(row))))
+            rows_of[key] = rows
+        return rows_of[key]
+
+    def walk(pivots, k, span):
+        if k == d:
+            return []
+        for row, vec in candidates(pivots[k], pivots[k + 1:]):
+            grown = vectors.extend(span, vec)
+            if grown is not None:
+                rest = walk(pivots, k + 1, grown)
+                if rest is not None:
+                    return [row] + rest
+        return None
+
     for pivots in itertools.combinations(range(n), d):
-        pivot_set = set(pivots)
-        free_cells = [(r, c) for r in range(d)
-                      for c in range(pivots[r] + 1, n) if c not in pivot_set]
-        for vals in itertools.product(range(q), repeat=len(free_cells)):
-            rows = [[0] * n for _ in range(d)]
-            for r, p in enumerate(pivots):
-                rows[r][p] = 1
-            for (r, c), v in zip(free_cells, vals):
-                rows[r][c] = v
-            yield [tuple(r) for r in rows]
-
-
-def _span_avoids_interference(spec: ProblemSpec, basis) -> bool:
-    """No nonzero combination of basis rows is an interference vector."""
-    from .codeset import first_witness, _receiver_masks
-    if spec.q == 2:
-        fmasks, xmasks, caps = _receiver_masks(spec)
-        masks = [mask_of(b) for b in basis]
-        return kernels.gf2_span_intersects(masks, fmasks, xmasks, caps) == 0
-    field = spec.field
-    d = len(basis)
-    for coeffs in itertools.product(range(spec.q), repeat=d):
-        if not any(coeffs):
-            continue
-        z = [0] * spec.graph.n
-        for c, row in zip(coeffs, basis):
-            if c:
-                z = [field.add(a, field.mul(c, b)) for a, b in zip(z, row)]
-        if first_witness(spec, tuple(z)) is not None:
-            return False
-    return True
+        basis = walk(pivots, 0, [vectors.zero])
+        if basis is not None:
+            return basis
+    return None
 
 
 def _optimal_length_icsie(spec: ProblemSpec,
@@ -250,23 +322,38 @@ def _optimal_length_icsie(spec: ProblemSpec,
     it encodes to zero avoids the interference set; that null set is the
     orthogonal complement of the column space.  So: find the largest
     subspace W avoiding the interference set and emit a basis of its
-    complement as columns.
+    complement as columns.  The interference lookup is built once, after
+    the first length is within budget.
     """
     n, q = spec.graph.n, spec.q
     field = spec.field
+    vectors = None
+    rows_of: dict = {}
     for N in range(1, n + 1):
         d = n - N
         if gaussian_binomial(n, d, q) > subspace_budget:
             raise BudgetExceededError(
                 f"{gaussian_binomial(n, d, q)} subspaces of dimension {d} "
                 f"exceed the search budget")
-        for basis in _rref_bases(q, n, d):
-            if _span_avoids_interference(spec, basis):
-                W = Matrix(field, basis, ncols=n)
-                G = W.null_space_basis().transpose()  # n x N, rank N
-                assert G.ncols == N
-                return N, G
+        if vectors is None:
+            table = interference_supports(spec)
+            vectors = (_F2Vectors(table) if q == 2
+                       else _FqVectors(field, n, table))
+        basis = _first_avoiding_basis(vectors, q, n, d, rows_of)
+        if basis is not None:
+            W = Matrix(field, basis, ncols=n)
+            G = W.null_space_basis().transpose()  # n x N, rank N
+            assert G.ncols == N
+            return N, G
     raise AssertionError("the identity generator is always valid")
+
+
+def core_length(spec: ProblemSpec,
+                subspace_budget: int = DEFAULT_SUBSPACE_BUDGET) -> int:
+    """Optimal length of the delta_c = 0 core: the same instance over an
+    error-free channel.  The channel-error search starts from it, and it
+    is the length minrank computes."""
+    return _optimal_length_icsie(replace(spec, delta_c=0), subspace_budget)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +385,7 @@ def _optimal_length_gecic(spec: ProblemSpec, subspace_budget: int,
     """
     n, q = spec.graph.n, spec.q
     field = spec.field
-    n0, _ = _optimal_length_icsie(replace(spec, delta_c=0), subspace_budget)
+    n0 = core_length(spec, subspace_budget)
     start = n0 + 2 * spec.delta_c
     cap = l_q(q, n0, 2 * spec.delta_c + 1)
     need = 2 * spec.delta_c + 1

@@ -4,6 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from icsie.cli import main, run_simulation, SimulationConfig
+from icsie.codeset import oracle_decodable
 from icsie.encoder import optimal_length, serialize_generator
 from icsie.gfield import field_for
 from icsie.linalg import Matrix
@@ -80,6 +81,42 @@ def test_search_budget_exit_code(runner, tmp_path):
     p.write_text(serialize_instance(big))
     res = runner.invoke(main, ["search", str(p), "--method", "minrank"])
     assert res.exit_code == 3
+
+
+@pytest.fixture()
+def clique4_dc1_file(tmp_path):
+    spec = ProblemSpec(graph=clique_graph(4), q=2, delta_s=1, delta_c=1)
+    p = tmp_path / "c4dc1.json"
+    p.write_text(serialize_instance(spec))
+    return str(p), spec
+
+
+def test_search_both_channel_errors_checks_core(runner, clique4_dc1_file):
+    # minrank is compared on the delta_c = 0 core; brute's answer is shown
+    inst, spec = clique4_dc1_file
+    res = runner.invoke(main, ["search", inst, "--json"])
+    assert res.exit_code == 0, res.output
+    doc = json.loads(res.output)
+    assert doc["N"] == 6
+    G = Matrix(F2, doc["G"]["rows"], ncols=6)
+    assert oracle_decodable(spec, G)
+
+
+def test_search_minrank_rejects_channel_errors(runner, clique4_dc1_file):
+    inst, _ = clique4_dc1_file
+    res = runner.invoke(main, ["search", inst, "--method", "minrank"])
+    assert res.exit_code == 1
+    assert "delta_c = 0" in res.output
+    assert "N =" not in res.output
+
+
+def test_search_brute_channel_errors(runner, clique4_dc1_file):
+    inst, spec = clique4_dc1_file
+    res = runner.invoke(main, ["search", inst, "--method", "brute", "--json"])
+    assert res.exit_code == 0
+    doc = json.loads(res.output)
+    assert doc["N"] == 6
+    assert oracle_decodable(spec, Matrix(F2, doc["G"]["rows"], ncols=6))
 
 
 def test_search_deterministic(runner, clique4_files):

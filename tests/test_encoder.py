@@ -4,14 +4,14 @@ import random
 
 import pytest
 
-from icsie.codeset import is_valid_generator
-from icsie.encoder import (clique_from_parity, complete_template, cycle_code,
-                           fitting_template, gaussian_binomial, ind_q,
+from icsie.codeset import first_witness, is_valid_generator, oracle_decodable
+from icsie.encoder import (clique_from_parity, complete_template, core_length,
+                           cycle_code, fitting_template, gaussian_binomial, ind_q,
                            independent_columns, l_q, min_distance_from_parity,
                            minrank, optimal_length, parse_generator,
                            serialize_generator)
 from icsie.errors import (BudgetExceededError, CycleTooSmallError,
-                          DistanceTooSmallError, ParseError)
+                          DistanceTooSmallError, IcsieError, ParseError)
 from icsie.gfield import field_for
 from icsie.linalg import Matrix
 from icsie.sigraph import ProblemSpec, SideInfoGraph, clique_graph
@@ -136,6 +136,131 @@ def test_witness_rank_equals_length_on_random_instances():
         N, G = optimal_length(spec)
         assert G.rank() == G.ncols == N
         assert is_valid_generator(spec, G)[0]
+
+
+def test_minrank_rejects_channel_errors():
+    spec = ProblemSpec(graph=clique_graph(4), q=2, delta_s=1, delta_c=1)
+    with pytest.raises(IcsieError, match="delta_c = 0"):
+        minrank(spec)
+    # the budget check comes first, so an over-budget template still
+    # reports the budget
+    big = ProblemSpec(graph=clique_graph(10), q=2, delta_s=1, delta_c=1)
+    with pytest.raises(BudgetExceededError):
+        minrank(big)
+
+
+def test_core_length_is_the_error_free_optimum():
+    spec = ProblemSpec(graph=clique_graph(4), q=2, delta_s=1, delta_c=1)
+    assert core_length(spec) == minrank(CLIQUE4)[0] == 3
+
+
+# -- the pruned subspace walk against other routes ---------------------------
+
+def _random_unipartite(rng, n):
+    X = [frozenset(j for j in range(1, n + 1) if j != i and rng.random() < .6)
+         for i in range(1, n + 1)]
+    return SideInfoGraph.make(n, range(1, n + 1), X)
+
+
+def _reference_witness(spec):
+    """The search without pruning: every RREF basis of every dimension in
+    enumeration order, each span tested element by element."""
+    n, q, field = spec.graph.n, spec.q, spec.field
+    for N in range(1, n + 1):
+        d = n - N
+        for pivots in itertools.combinations(range(n), d):
+            cells = [(r, c) for r in range(d) for c in range(pivots[r] + 1, n)
+                     if c not in pivots]
+            for vals in itertools.product(range(q), repeat=len(cells)):
+                rows = [[int(c == p) for c in range(n)] for p in pivots]
+                for (r, c), v in zip(cells, vals):
+                    rows[r][c] = v
+                W = Matrix(field, rows, ncols=n)
+                if all(first_witness(spec, W.vec_mul(coeffs)) is None
+                       for coeffs in itertools.product(range(q), repeat=d)
+                       if any(coeffs)):
+                    return N, W.null_space_basis().transpose()
+    raise AssertionError("the identity generator is always valid")
+
+
+@pytest.mark.parametrize("q, sizes, count", [(2, (3, 4, 5, 6), 12),
+                                             (3, (3, 4), 6), (4, (3, 4), 4),
+                                             (5, (3, 4), 4)])
+def test_optimal_witness_is_first_in_enumeration_order(q, sizes, count):
+    rng = random.Random(100 + q)
+    for k in range(count):
+        g = _random_unipartite(rng, sizes[k % len(sizes)])
+        for ds in (0, 1):
+            spec = ProblemSpec(graph=g, q=q, delta_s=ds)
+            assert optimal_length(spec) == _reference_witness(spec)
+
+
+@pytest.mark.parametrize("q, sizes, count", [(2, (4, 5, 6), 9), (3, (3, 4), 4),
+                                             (4, (3, 4), 3), (5, (3, 4), 3)])
+def test_optimal_length_agrees_with_minrank_and_oracle(q, sizes, count):
+    rng = random.Random(200 + q)
+    for k in range(count):
+        g = _random_unipartite(rng, sizes[k % len(sizes)])
+        for ds in (0, 1):
+            spec = ProblemSpec(graph=g, q=q, delta_s=ds)
+            N, G = optimal_length(spec)
+            assert G.ncols == G.rank() == N
+            assert oracle_decodable(spec, G)
+            try:
+                assert minrank(spec)[0] == N
+            except BudgetExceededError:
+                pass
+
+
+# (N, G) as the unpruned enumeration returned them; the walk must keep the
+# enumeration order, so the witness may not drift
+PINNED_WITNESSES = {
+    (2, 6): [[0, 1, 1, 1], [1, 0, 1, 1], [1, 0, 0, 0], [0, 1, 0, 0],
+             [0, 0, 1, 0], [0, 0, 0, 1]],
+    (2, 7): [[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 0, 0, 0],
+             [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    (2, 8): [[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0],
+             [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    (3, 5): [[0, 2, 2, 2], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
+             [0, 0, 0, 1]],
+    (4, 4): [[1, 1, 1], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
+}
+
+
+@pytest.mark.parametrize("q, n", sorted(PINNED_WITNESSES))
+def test_pinned_clique_witnesses(q, n):
+    spec = ProblemSpec(graph=clique_graph(n), q=q, delta_s=1)
+    N, G = optimal_length(spec)
+    assert (N, G.to_lists()) == (len(PINNED_WITNESSES[q, n][0]),
+                                 PINNED_WITNESSES[q, n])
+
+
+def test_optimal_many_receivers_past_64():
+    # 70 receivers on 6 packets: more than a 64-bit receiver mask holds,
+    # which once crashed the compiled span kernel
+    rng = random.Random(70)
+    f, X = [], []
+    for i in range(70):
+        want = i % 6 + 1
+        others = [j for j in range(1, 7) if j != want]
+        f.append(want)
+        X.append(rng.sample(others, rng.randrange(2, 6)))
+    spec = ProblemSpec(graph=SideInfoGraph.make(6, f, X), q=2, delta_s=1)
+    N, G = optimal_length(spec)
+    assert G.ncols == G.rank() == N
+    assert is_valid_generator(spec, G)[0]
+    assert oracle_decodable(spec, G)
+
+
+def test_optimal_budget_checked_before_the_lookup_is_built():
+    # 2^23 - 1 hyperplanes exceed the default budget; the check must fire
+    # before any 2^23-entry interference table is built
+    spec = ProblemSpec(graph=clique_graph(23), q=2, delta_s=0)
+    with pytest.raises(BudgetExceededError):
+        optimal_length(spec)
+    with pytest.raises(BudgetExceededError):
+        optimal_length(ProblemSpec(graph=clique_graph(9), q=2, delta_s=1),
+                       subspace_budget=1 << 12)
 
 
 def test_gaussian_binomial():
