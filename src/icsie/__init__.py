@@ -16,6 +16,7 @@ from .kernels import BACKEND as KERNEL_BACKEND
 from .linalg import Matrix
 from .sigraph import (ProblemSpec, SideInfoGraph, clique_graph,
                       parse_instance, serialize_instance)
+from .simulation import SimulationConfig, SimulationReport, run_simulation
 from .structure import (bounds_report, delta_s_mais, find_cycles, gamma,
                         is_acyclic, max_disjoint_cycles)
 
@@ -28,6 +29,7 @@ __all__ = [
     "minrank", "optimal_length", "cycle_code", "ind_q", "l_q",
     "serialize_generator", "parse_generator",
     "decode_receiver", "decode_all",
+    "SimulationConfig", "SimulationReport", "run_simulation",
     "find_cycles", "is_acyclic", "max_disjoint_cycles", "gamma",
     "delta_s_mais", "bounds_report",
     "KERNEL_BACKEND", "__version__",

@@ -8,11 +8,9 @@ to machine-readable JSON.
 
 from __future__ import annotations
 
-import itertools
 import json
-import random
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import click
 
@@ -20,10 +18,11 @@ from .codeset import oracle_decodable
 from .decoder import decode_receiver
 from .encoder import (core_length, independent_columns, minrank,
                       optimal_length, parse_generator, serialize_generator)
-from .errors import (BudgetExceededError, DegenerateError, IcsieError,
-                     InconsistentError, NoSolutionError, ParseError)
+from .errors import (BudgetExceededError, IcsieError, InconsistentError,
+                     NoSolutionError, ParseError)
 from .linalg import Matrix
 from .sigraph import ProblemSpec, parse_instance
+from .simulation import SimulationConfig, run_simulation
 from .structure import bounds_report, find_cycles, gamma, max_disjoint_cycles
 
 EXIT_OK = 0
@@ -284,111 +283,6 @@ def analyze(instance: str, as_json: bool) -> None:
     _run(go)
 
 
-# ---------------------------------------------------------------------------
-# simulation
-
-@dataclass(frozen=True)
-class SimulationConfig:
-    trials: int | str                  # count, or "exhaustive"
-    seed: int = 0
-    error_mode: str = "random"         # "random" | "adversarial-exhaustive"
-
-
-@dataclass(frozen=True)
-class SimulationReport:
-    per_receiver: dict[int, tuple[int, int]]   # receiver -> (ok, total)
-    witnesses: tuple[tuple, ...]               # failing (receiver, x, x_hat)
-
-    @property
-    def ok(self) -> bool:
-        return not self.witnesses
-
-    def rates(self) -> dict[int, float]:
-        return {i: ok / total if total else 1.0
-                for i, (ok, total) in sorted(self.per_receiver.items())}
-
-
-def _side_error_variants(spec: ProblemSpec, i: int):
-    """All admissible corrupted caches as offsets: list of index/value dicts."""
-    q = spec.q
-    cache = sorted(spec.graph.X[i - 1])
-    out: list[dict[int, int]] = [{}]
-    for t in range(1, spec.delta_s + 1):
-        for positions in itertools.combinations(range(len(cache)), t):
-            for vals in itertools.product(range(1, q), repeat=t):
-                out.append(dict(zip(positions, vals)))
-    return out
-
-
-def _trial(spec: ProblemSpec, G: Matrix, i: int, x, offsets) -> bool:
-    field = spec.field
-    cache = sorted(spec.graph.X[i - 1])
-    x_hat = [x[j - 1] for j in cache]
-    for pos, delta in offsets.items():
-        x_hat[pos] = field.add(x_hat[pos], delta)
-    y = G.vec_mul(x)
-    try:
-        value, _ = decode_receiver(G, spec.graph, i, y, x_hat, spec.delta_s)
-    except (NoSolutionError, InconsistentError, DegenerateError):
-        return False
-    return value == x[spec.graph.f[i - 1] - 1]
-
-
-def run_simulation(spec: ProblemSpec, G: Matrix,
-                   config: SimulationConfig,
-                   budget_bits: int = 24) -> SimulationReport:
-    """Exercise the decoder against injected cache errors.
-
-    Exhaustive/adversarial mode walks every (receiver, message,
-    side-error) triple; random mode samples them with a seeded
-    stdlib Mersenne Twister (portable across platforms).
-    Only the error-free channel is simulated end to end.
-    """
-    if spec.delta_c != 0:
-        raise IcsieError(
-            "decoder-backed simulation requires delta_c = 0; "
-            "use sphere feasibility for channel errors")
-    g = spec.graph
-    n, q = g.n, spec.q
-    per: dict[int, list[int]] = {i: [0, 0] for i in range(1, g.m + 1)}
-    witnesses: list[tuple] = []
-    exhaustive = (config.trials == "exhaustive"
-                  or config.error_mode == "adversarial-exhaustive")
-    if exhaustive:
-        if n * (q.bit_length() - 1 if q & (q - 1) == 0 else 2) > budget_bits:
-            raise BudgetExceededError("exhaustive message sweep over budget")
-        for i in range(1, g.m + 1):
-            variants = _side_error_variants(spec, i)
-            for x in itertools.product(range(q), repeat=n):
-                for offsets in variants:
-                    per[i][1] += 1
-                    if _trial(spec, G, i, x, offsets):
-                        per[i][0] += 1
-                    elif len(witnesses) < 10:
-                        witnesses.append((i, x, dict(offsets)))
-    else:
-        rng = random.Random(config.seed)
-        for _ in range(int(config.trials)):
-            i = rng.randrange(1, g.m + 1)
-            x = tuple(rng.randrange(q) for _ in range(n))
-            variants = _side_error_variants(spec, i)
-            offsets = variants[rng.randrange(len(variants))]
-            per[i][1] += 1
-            if _trial(spec, G, i, x, offsets):
-                per[i][0] += 1
-            elif len(witnesses) < 10:
-                witnesses.append((i, x, dict(offsets)))
-    return SimulationReport(
-        per_receiver={i: (ok, tot) for i, (ok, tot) in per.items()},
-        witnesses=tuple(witnesses))
-
-
-def sphere_feasibility(spec: ProblemSpec, G: Matrix) -> bool:
-    """Channel-error feasibility check (no decoder run): decodability by
-    Hamming-sphere disjointness, straight from the definition."""
-    return oracle_decodable(spec, G)
-
-
 @main.command()
 @click.argument("instance", type=click.Path())
 @click.argument("generator", type=click.Path())
@@ -404,21 +298,23 @@ def simulate(instance: str, generator: str, trials: str, seed: int,
     def go():
         spec = _load_instance(instance)
         G = _load_generator(generator)
+        count = trials
+        if trials != "exhaustive":
+            try:
+                count = int(trials)
+            except ValueError:
+                count = 0
+            if count < 1:
+                raise ParseError(
+                    '--trials must be a positive integer or "exhaustive"')
         if spec.delta_c > 0:
-            ok = sphere_feasibility(spec, G)
+            ok = oracle_decodable(spec, G)
             _emit(as_json, {"feasible": ok},
                   [f"sphere feasibility: {'ok' if ok else 'FAIL'}"])
             if not ok:
                 sys.exit(EXIT_DOMAIN)
             return
-        if trials != "exhaustive":
-            try:
-                int(trials)
-            except ValueError as exc:
-                raise ParseError('--trials must be an integer or "exhaustive"') from exc
-        config = SimulationConfig(
-            trials="exhaustive" if trials == "exhaustive" else int(trials),
-            seed=seed, error_mode=mode)
+        config = SimulationConfig(trials=count, seed=seed, error_mode=mode)
         report = run_simulation(spec, G, config)
         doc = {
             "rates": {str(i): r for i, r in report.rates().items()},

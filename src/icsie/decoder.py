@@ -8,16 +8,44 @@ cache errors); subtracting that correction leaves the demand visible
 through a second matrix H_e that annihilates only the interference rows.
 Which admissible correction is found does not matter: all of them differ
 by interference-row combinations only, which H_e removes.
+
+Only the received word and the cache snapshot change from one decode to
+the next, so the rest is built once per (G, graph, receiver, delta_s),
+as a ReceiverDecoder:
+
+* the receiver's context (H, H_e and the rows it needs), from
+  ``build_context``;
+* the field's add, sub and mul as lookup tables, so a decode makes no
+  Field method calls;
+* the syndrome -> (correction, suspected packets) table: the coset
+  leaders of the syndrome decoding of Dau, Skachek & Chee, "Error
+  correction for index coding with side information" (IEEE Trans. IT
+  59(3), 2013, Sec. V).  It is filled in ``find_correction``'s search
+  order -- support size, then supports lexicographically, then
+  coefficients -- and the first correction to reach a syndrome keeps
+  it, so a lookup returns exactly the correction the search would find.
+
+``decode_receiver`` takes its decoder from a bounded LRU cache keyed by
+the value of (G, graph, i, delta_s), so repeated decodes at a receiver
+cost one lookup, two small matrix-vector products and the projection.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 from .errors import DegenerateError, InconsistentError, NoSolutionError
-from .linalg import Matrix, vec_sub
+from .gfield import Field
+from .linalg import Matrix
 from .sigraph import SideInfoGraph
+
+DECODER_CACHE_SIZE = 128     # receivers whose decoders stay built
+
+# Fields up to this size get full q x q tables; larger ones are read
+# through the Field on demand (a 2^16-element table would not fit).
+_TABLE_Q_LIMIT = 256
 
 
 @dataclass(frozen=True)
@@ -65,6 +93,68 @@ def build_context(G: Matrix, graph: SideInfoGraph, i: int) -> ReceiverContext:
         demand_row=demand_row, G_cache=G.submatrix_rows(cache), H=H, H_e=H_e)
 
 
+class _FieldOp:
+    """A binary Field operation read as op[a][b], for fields too large
+    to tabulate."""
+
+    __slots__ = ("op", "a")
+
+    def __init__(self, op, a=None):
+        self.op = op
+        self.a = a
+
+    def __getitem__(self, b):
+        if self.a is None:
+            return _FieldOp(self.op, b)
+        return self.op(self.a, b)
+
+
+@functools.lru_cache(maxsize=16)
+def _arithmetic(field: Field):
+    """The field's (add, sub, mul), each indexed as op[a][b]."""
+    ops = (field.add, field.sub, field.mul)
+    if field.q > _TABLE_Q_LIMIT:
+        return tuple(_FieldOp(op) for op in ops)
+    elements = range(field.q)
+    return tuple([[op(a, b) for b in elements] for a in elements] for op in ops)
+
+
+def _dot(add, mul, a, b) -> int:
+    acc = 0
+    for x, y in zip(a, b, strict=True):
+        acc = add[acc][mul[x][y]]
+    return acc
+
+
+def _mul_col(add, mul, M: Matrix, v) -> tuple[int, ...]:
+    """M times the column vector v, like Matrix.mul_col."""
+    return tuple(_dot(add, mul, row, v) for row in M.rows)
+
+
+def _candidate_corrections(ctx: ReceiverContext, delta_s: int, add, mul):
+    """Every combination of at most delta_s cache rows with nonzero
+    coefficients, with the cache packets it blames, in search order:
+    support size, then supports lexicographically, then coefficients."""
+    rows = ctx.G_cache.rows
+    zero = (0,) * ctx.G_cache.ncols
+    units = range(1, ctx.G_cache.field.q)
+    for t in range(delta_s + 1):
+        for support in itertools.combinations(range(len(rows)), t):
+            suspected = tuple(ctx.cache[j] for j in support)
+            for coeffs in itertools.product(units, repeat=t):
+                p = zero
+                for j, c in zip(support, coeffs):
+                    mc = mul[c]
+                    p = tuple(add[a][mc[b]] for a, b in zip(p, rows[j]))
+                yield p, suspected
+
+
+def _no_solution(ctx: ReceiverContext, delta_s: int) -> NoSolutionError:
+    return NoSolutionError(
+        f"receiver {ctx.receiver}: no correction with support <= {delta_s}; "
+        f"more cache errors than allowed, or an invalid generator")
+
+
 def find_correction(ctx: ReceiverContext, syndrome, delta_s: int
                     ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """A combination of at most delta_s cache rows matching the syndrome.
@@ -73,23 +163,102 @@ def find_correction(ctx: ReceiverContext, syndrome, delta_s: int
     coefficients, so the result is deterministic.  Returns the
     correction vector and the blamed cache packet indices.
     """
-    field = ctx.G_cache.field
-    q = field.q
-    rows = ctx.G_cache.rows
+    add, _, mul = _arithmetic(ctx.G_cache.field)
     syndrome = tuple(syndrome)
-    zero = tuple([0] * ctx.G_cache.ncols)
-    for t in range(0, delta_s + 1):
-        for support in itertools.combinations(range(len(rows)), t):
-            for coeffs in itertools.product(range(1, q), repeat=t):
-                p = zero
-                for j, c in zip(support, coeffs):
-                    p = tuple(field.add(a, field.mul(c, b))
-                              for a, b in zip(p, rows[j]))
-                if tuple(ctx.H.mul_col(p)) == syndrome:
-                    return p, tuple(ctx.cache[j] for j in support)
-    raise NoSolutionError(
-        f"receiver {ctx.receiver}: no correction with support <= {delta_s}; "
-        f"more cache errors than allowed, or an invalid generator")
+    for p, suspected in _candidate_corrections(ctx, delta_s, add, mul):
+        if _mul_col(add, mul, ctx.H, p) == syndrome:
+            return p, suspected
+    raise _no_solution(ctx, delta_s)
+
+
+class ReceiverDecoder:
+    """Receiver i's decoder under G with at most delta_s cache errors,
+    built once and then applied to any number of received words."""
+
+    def __init__(self, G: Matrix, graph: SideInfoGraph, i: int, delta_s: int):
+        ctx = build_context(G, graph, i)
+        field = G.field
+        add, sub, mul = _arithmetic(field)
+        self.ctx = ctx
+        self.delta_s = delta_s
+        self._add, self._sub, self._mul = add, sub, mul
+        self._q = field.q
+        # each H_e row with its view of the demand row and that view's inverse
+        self._projection = []
+        for h in ctx.H_e.rows:
+            a = _dot(add, mul, h, ctx.demand_row)
+            self._projection.append((h, a, field.inv(a) if a else 0))
+        # first writer wins; once every syndrome has a writer the rest
+        # of the candidates cannot change the table
+        table: dict[tuple[int, ...], tuple] = {}
+        syndromes = field.q ** ctx.H.nrows
+        for p, suspected in _candidate_corrections(ctx, delta_s, add, mul):
+            table.setdefault(_mul_col(add, mul, ctx.H, p), (p, suspected))
+            if len(table) == syndromes:
+                break
+        self._table = table
+
+    def decode(self, y, x_hat, forced_correction=None) -> tuple[int, DecodeTrace]:
+        """decode_receiver at this decoder's receiver."""
+        ctx = self.ctx
+        add, sub, mul = self._add, self._sub, self._mul
+        if len(x_hat) != len(ctx.cache):
+            raise ValueError(
+                f"receiver {ctx.receiver} caches {len(ctx.cache)} packets, "
+                f"got {len(x_hat)}")
+        for v in (y, x_hat):
+            if v and (min(v) < 0 or max(v) >= self._q):
+                raise ValueError(f"y and x_hat entries must be elements of F_{self._q}")
+        # y minus the cache contribution x_hat . G_cache
+        gx = [0] * ctx.G_cache.ncols
+        for c, row in zip(x_hat, ctx.G_cache.rows):
+            if c:
+                mc = mul[c]
+                for k, v in enumerate(row):
+                    if v:
+                        gx[k] = add[gx[k]][mc[v]]
+        corrected = tuple(sub[a][b] for a, b in zip(y, gx, strict=True))
+        syndrome = _mul_col(add, mul, ctx.H, corrected)
+        if forced_correction is not None:
+            p = tuple(forced_correction)
+            if _mul_col(add, mul, ctx.H, p) != syndrome:
+                raise InconsistentError("forced correction does not match the syndrome")
+            suspected: tuple[int, ...] = ()
+        else:
+            hit = self._table.get(syndrome)
+            if hit is None:
+                raise _no_solution(ctx, self.delta_s)
+            p, suspected = hit
+        cleaned = tuple(sub[a][b] for a, b in zip(corrected, p, strict=True))
+        # cleaned = x_f * demand_row + (interference combination); project by H_e
+        value = None
+        for h, a, a_inv in self._projection:
+            b = _dot(add, mul, h, cleaned)
+            if a != 0:
+                v = mul[b][a_inv]
+                if value is None:
+                    value = v
+                elif value != v:
+                    raise InconsistentError(
+                        f"receiver {ctx.receiver}: projection rows disagree "
+                        f"on the demand value")
+            elif b != 0:
+                raise InconsistentError(
+                    f"receiver {ctx.receiver}: cleaned word not in the "
+                    f"expected row span")
+        if value is None:
+            raise DegenerateError(
+                f"receiver {ctx.receiver}: no projection row sees the demand row")
+        return value, DecodeTrace(syndrome=syndrome, correction=p,
+                                  suspected=suspected, value=value)
+
+
+@functools.lru_cache(maxsize=DECODER_CACHE_SIZE)
+def receiver_decoder(G: Matrix, graph: SideInfoGraph, i: int,
+                     delta_s: int) -> ReceiverDecoder:
+    """The decoder of receiver i, built once per value of (G, graph, i,
+    delta_s) while it stays among the DECODER_CACHE_SIZE most recent."""
+    return ReceiverDecoder(G, graph, i, delta_s)
 
 
 def decode_receiver(G: Matrix, graph: SideInfoGraph, i: int, y, x_hat,
@@ -100,50 +269,12 @@ def decode_receiver(G: Matrix, graph: SideInfoGraph, i: int, y, x_hat,
 
     Requires an error-free channel (y = xG exactly) and at most delta_s
     wrong cache entries.  forced_correction bypasses the search, for
-    exercising alternative admissible corrections.
+    exercising alternative admissible corrections.  The receiver's
+    decoder is built on the first call for this (G, graph, i, delta_s)
+    and reused while it stays in receiver_decoder's cache.
     """
-    ctx = build_context(G, graph, i)
-    field = G.field
-    if len(x_hat) != len(ctx.cache):
-        raise ValueError(
-            f"receiver {i} caches {len(ctx.cache)} packets, got {len(x_hat)}")
-    corrected = vec_sub(field, y, ctx.G_cache.vec_mul(x_hat))
-    syndrome = tuple(ctx.H.mul_col(corrected))
-    if forced_correction is not None:
-        p = tuple(forced_correction)
-        if tuple(ctx.H.mul_col(p)) != syndrome:
-            raise InconsistentError("forced correction does not match the syndrome")
-        suspected: tuple[int, ...] = ()
-    else:
-        p, suspected = find_correction(ctx, syndrome, delta_s)
-    cleaned = vec_sub(field, corrected, p)
-    # cleaned = x_f * demand_row + (interference combination); project by H_e
-    value = None
-    for h in ctx.H_e.rows:
-        a = _dot(field, h, ctx.demand_row)
-        b = _dot(field, h, cleaned)
-        if a != 0:
-            v = field.mul(b, field.inv(a))
-            if value is None:
-                value = v
-            elif value != v:
-                raise InconsistentError(
-                    f"receiver {i}: projection rows disagree on the demand value")
-        elif b != 0:
-            raise InconsistentError(
-                f"receiver {i}: cleaned word not in the expected row span")
-    if value is None:
-        raise DegenerateError(
-            f"receiver {i}: no projection row sees the demand row")
-    return value, DecodeTrace(syndrome=syndrome, correction=p,
-                              suspected=suspected, value=value)
-
-
-def _dot(field, a, b):
-    acc = 0
-    for x, y in zip(a, b, strict=True):
-        acc = field.add(acc, field.mul(x, y))
-    return acc
+    return receiver_decoder(G, graph, i, delta_s).decode(
+        y, x_hat, forced_correction)
 
 
 def decode_all(G: Matrix, graph: SideInfoGraph, y, x_hat_by_receiver: dict,

@@ -8,7 +8,7 @@ integer mod p.
 
 from __future__ import annotations
 
-from .errors import FieldMismatchError, FieldTooLargeError, NotPrimePowerError
+from .errors import FieldTooLargeError, NotPrimePowerError
 
 MAX_Q = 1 << 16
 
@@ -244,9 +244,3 @@ def field_for(q: int) -> Field:
         f = Field(q)
         _field_cache[q] = f
     return f
-
-
-def same_field(a: Field, b: Field) -> Field:
-    if a != b:
-        raise FieldMismatchError(f"mixed fields F_{a.q} and F_{b.q}")
-    return a

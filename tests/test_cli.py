@@ -3,13 +3,14 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from icsie.cli import main, run_simulation, SimulationConfig
+from icsie.cli import main
 from icsie.codeset import oracle_decodable
 from icsie.encoder import optimal_length, serialize_generator
 from icsie.gfield import field_for
 from icsie.linalg import Matrix
 from icsie.sigraph import (ProblemSpec, SideInfoGraph, clique_graph,
                            serialize_instance)
+from icsie.simulation import SimulationConfig, run_simulation
 
 F2 = field_for(2)
 
@@ -226,6 +227,16 @@ def test_simulate_random_seeded_reproducible(runner, clique4_files):
     assert runner.invoke(main, args).output == runner.invoke(main, args).output
 
 
+@pytest.mark.parametrize("trials", ["0", "-5", "many"])
+def test_simulate_rejects_non_positive_trials(runner, clique4_files, trials):
+    inst, gen, _, _ = clique4_files
+    res = runner.invoke(main, ["simulate", inst, gen, "--mode", "random",
+                               "--trials", trials])
+    assert res.exit_code == 2
+    assert "positive integer" in res.output
+    assert "PASS" not in res.output
+
+
 def test_run_simulation_api_full_recovery(clique4_files):
     _, _, spec, G = clique4_files
     report = run_simulation(spec, G, SimulationConfig(trials="exhaustive"))
@@ -243,3 +254,5 @@ def test_simulate_gecic_sphere_feasibility(runner, tmp_path):
     res = runner.invoke(main, ["simulate", str(inst), str(gen)])
     assert res.exit_code == 0
     assert "feasibility: ok" in res.output
+    res = runner.invoke(main, ["simulate", str(inst), str(gen), "--trials", "0"])
+    assert res.exit_code == 2
