@@ -7,6 +7,10 @@ must be able to see on the channel: z hits the receiver's demand
 A generator matrix works exactly when every such z maps to a codeword
 of weight at least 2*delta_c + 1.
 
+Every routine here works over any F_q through one seam,
+``linalg.vector_space``: int masks and the GF(2) kernel over F_2, tuples
+and the field's tables otherwise.  No function here tests q itself.
+
 ``oracle_decodable`` deliberately does NOT reuse that criterion: it
 enumerates message pairs and intersects explicit Hamming spheres, so it
 can serve as an independent oracle for the validity test.
@@ -18,9 +22,8 @@ import itertools
 import math
 from collections.abc import Iterator
 
-from . import kernels
-from .errors import BudgetExceededError
-from .linalg import Matrix, hamming_weight, subvector, vec_of_mask
+from .errors import BudgetExceededError, FieldMismatchError
+from .linalg import Matrix, hamming_weight, subvector, vector_space
 from .sigraph import ProblemSpec
 
 DEFAULT_ENUM_BITS = 24
@@ -92,11 +95,16 @@ def interference_supports(spec: ProblemSpec) -> bytearray:
 
 
 def interference_masks(spec: ProblemSpec,
-                       budget_bits: int = DEFAULT_ENUM_BITS) -> list[int]:
-    """All interference vectors as packed bitmasks, ascending (q = 2 only)."""
-    assert spec.q == 2
+                       budget_bits: int = DEFAULT_ENUM_BITS) -> list:
+    """The interference vectors with first nonzero entry 1 (over F_2, all
+    of them), ascending, packed by ``linalg.vector_space``.  Interference
+    and wt(zG) are invariant under nonzero scaling, and the first failing
+    z in lexicographic order is such a representative."""
     _check_enum_budget(spec, budget_bits)
-    return [z for z, hit in enumerate(interference_supports(spec)) if hit]
+    vectors = vector_space(spec.field, spec.graph.n)
+    table = interference_supports(spec)
+    points = vectors.projective()
+    return [z for z, s in zip(points, vectors.supports(points)) if table[s]]
 
 
 def in_support_family(spec: ProblemSpec, K) -> bool:
@@ -117,38 +125,42 @@ def in_support_family(spec: ProblemSpec, K) -> bool:
     return False
 
 
+def _check_generator(spec: ProblemSpec, G: Matrix) -> None:
+    if G.nrows != spec.graph.n:
+        raise ValueError(f"G must have n = {spec.graph.n} rows")
+    if G.field != spec.field:
+        raise FieldMismatchError(
+            f"G is over F_{G.field.q}, the instance over F_{spec.q}")
+
+
 def is_valid_generator(spec: ProblemSpec, G: Matrix,
                        budget_bits: int = DEFAULT_ENUM_BITS
                        ) -> tuple[bool, tuple[int, ...] | None]:
     """Does G encode the instance?  Returns (ok, first failing z).
 
     The criterion: wt(zG) >= 2*delta_c + 1 for every interference
-    vector z (for delta_c = 0 this is just zG != 0).
+    vector z (for delta_c = 0 this is just zG != 0).  The witness is the
+    lexicographically first failing z.
     """
-    if G.nrows != spec.graph.n:
-        raise ValueError(f"G must have n = {spec.graph.n} rows")
-    need = 2 * spec.delta_c + 1
-    if spec.q == 2:
-        zs = interference_masks(spec, budget_bits)
-        idx = kernels.gf2_first_failing(zs, G.col_masks(), need)
-        if idx < 0:
-            return True, None
-        return False, vec_of_mask(zs[idx], spec.graph.n)
-    for z, _ in enum_interference(spec, budget_bits):
-        if hamming_weight(G.vec_mul(z)) < need:
-            return False, z
-    return True, None
+    _check_generator(spec, G)
+    vectors = vector_space(spec.field, spec.graph.n)
+    zs = interference_masks(spec, budget_bits)
+    idx = vectors.first_failing(zs, [vectors.pack(c) for c in G.columns()],
+                                2 * spec.delta_c + 1)
+    if idx < 0:
+        return True, None
+    return False, vectors.unpack(zs[idx])
 
 
 def oracle_decodable(spec: ProblemSpec, G: Matrix,
                      budget_bits: int = DEFAULT_PAIR_BITS) -> bool:
     """Brute-force decodability straight from the decoding contract.
 
-    For every receiver and every message pair that the receiver cannot
-    tell apart through its (possibly corrupted) cache but must tell
-    apart on the demand, the radius-delta_c spheres around the two
-    codewords have to be disjoint.  Spheres are materialized as sets;
-    no weight shortcut is taken.
+    For every message pair that some receiver cannot tell apart through
+    its (possibly corrupted) cache but must tell apart on the demand,
+    the radius-delta_c spheres around the two codewords have to be
+    disjoint.  Spheres are materialized as sets; no weight shortcut is
+    taken, and the interference set is not consulted.
     """
     g = spec.graph
     n, q = g.n, spec.q
@@ -156,78 +168,32 @@ def oracle_decodable(spec: ProblemSpec, G: Matrix,
         raise BudgetExceededError(
             f"pair enumeration over F_{q}^{n} x F_{q}^{n} exceeds "
             f"the {budget_bits}-bit budget")
+    _check_generator(spec, G)
     field = spec.field
     cap = spec.side_weight_cap()
-
-    if q == 2:
-        # same literal pair loop, integer-packed for speed
-        msg_ints = list(range(1 << n))
-        cols = G.col_masks()
-        cw = []
-        for x in msg_ints:
-            w = 0
-            for k, c in enumerate(cols):
-                if (x & c).bit_count() & 1:
-                    w |= 1 << (len(cols) - 1 - k)
-            cw.append(w)
-
-        def sphere2(c):
-            out = {c}
-            for t in range(1, spec.delta_c + 1):
-                for positions in itertools.combinations(range(G.ncols), t):
-                    e = 0
-                    for p in positions:
-                        e |= 1 << p
-                    out.add(c ^ e)
-            return frozenset(out)
-
-        spheres2 = [sphere2(c) for c in cw] if spec.delta_c > 0 else None
-        for i in range(1, g.m + 1):
-            fbit = 1 << (n - g.f[i - 1])
-            xmask = 0
-            for j in g.X[i - 1]:
-                xmask |= 1 << (n - j)
-            for a in msg_ints:
-                for b in range(a + 1, len(msg_ints)):
-                    d = a ^ b
-                    if not d & fbit or (d & xmask).bit_count() > cap:
-                        continue
-                    if spec.delta_c == 0:
-                        if cw[a] == cw[b]:
-                            return False
-                    elif not spheres2[a].isdisjoint(spheres2[b]):
-                        return False
-        return True
-
-    messages = list(itertools.product(range(q), repeat=n))
-    codewords = [G.vec_mul(x) for x in messages]
-
-    def sphere(c):
-        out = {c}
-        for t in range(1, spec.delta_c + 1):
-            for positions in itertools.combinations(range(G.ncols), t):
-                for vals in itertools.product(range(1, q), repeat=t):
-                    y = list(c)
-                    for p, v in zip(positions, vals):
-                        y[p] = field.add(y[p], v)
-                    out.add(tuple(y))
-        return frozenset(out)
-
-    spheres = [sphere(c) for c in codewords] if spec.delta_c > 0 else None
-    for i in range(1, g.m + 1):
-        fpos = g.f[i - 1] - 1
-        xset = g.X[i - 1]
-        for a, x in enumerate(messages):
-            for b in range(a + 1, len(messages)):
-                xp = messages[b]
-                if x[fpos] == xp[fpos]:
-                    continue
-                diff = sum(1 for j in xset if x[j - 1] != xp[j - 1])
-                if diff > cap:
-                    continue
-                if spec.delta_c == 0:
-                    if codewords[a] == codewords[b]:
-                        return False
-                elif not spheres[a].isdisjoint(spheres[b]):
+    # (demand mask, cache mask) of each distinct receiver
+    receivers = {(1 << (n - f), sum(1 << (n - j) for j in X))
+                 for f, X in zip(g.f, g.X)}
+    msgs = vector_space(field, n)
+    words = vector_space(field, G.ncols)
+    cols = [msgs.pack(c) for c in G.columns()]
+    messages = msgs.vectors()
+    # every nonzero channel error of weight <= delta_c
+    errors = [words.pack([dict(zip(at, vals)).get(k, 0) for k in range(G.ncols)])
+              for t in range(1, spec.delta_c + 1)
+              for at in itertools.combinations(range(G.ncols), t)
+              for vals in itertools.product(range(1, q), repeat=t)]
+    spheres = [frozenset([c, *words.translate(c, errors)])
+               for c in (msgs.codeword(x, cols) for x in messages)]
+    minus_one = field.neg(1)
+    for a, x in enumerate(messages):
+        # where x differs from each later message
+        diffs = msgs.supports(msgs.translate(msgs.scale(minus_one, x),
+                                             messages[a + 1:]))
+        for fm, xm in receivers:
+            for b, d in enumerate(diffs, a + 1):
+                # the receiver must tell x from message b apart
+                if (d & fm and (d & xm).bit_count() <= cap
+                        and not spheres[a].isdisjoint(spheres[b])):
                     return False
     return True

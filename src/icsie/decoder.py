@@ -15,8 +15,8 @@ as a ReceiverDecoder:
 
 * the receiver's context (H, H_e and the rows it needs), from
   ``build_context``;
-* the field's add, sub and mul as lookup tables, so a decode makes no
-  Field method calls;
+* the field's add, sub and mul as lookup tables (``gfield.arithmetic``),
+  so a decode makes no Field method calls;
 * the syndrome -> (correction, suspected packets) table: the coset
   leaders of the syndrome decoding of Dau, Skachek & Chee, "Error
   correction for index coding with side information" (IEEE Trans. IT
@@ -37,15 +37,11 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import DegenerateError, InconsistentError, NoSolutionError
-from .gfield import Field
-from .linalg import Matrix
+from .gfield import arithmetic
+from .linalg import Matrix, table_dot
 from .sigraph import SideInfoGraph
 
 DECODER_CACHE_SIZE = 128     # receivers whose decoders stay built
-
-# Fields up to this size get full q x q tables; larger ones are read
-# through the Field on demand (a 2^16-element table would not fit).
-_TABLE_Q_LIMIT = 256
 
 
 @dataclass(frozen=True)
@@ -93,42 +89,9 @@ def build_context(G: Matrix, graph: SideInfoGraph, i: int) -> ReceiverContext:
         demand_row=demand_row, G_cache=G.submatrix_rows(cache), H=H, H_e=H_e)
 
 
-class _FieldOp:
-    """A binary Field operation read as op[a][b], for fields too large
-    to tabulate."""
-
-    __slots__ = ("op", "a")
-
-    def __init__(self, op, a=None):
-        self.op = op
-        self.a = a
-
-    def __getitem__(self, b):
-        if self.a is None:
-            return _FieldOp(self.op, b)
-        return self.op(self.a, b)
-
-
-@functools.lru_cache(maxsize=16)
-def _arithmetic(field: Field):
-    """The field's (add, sub, mul), each indexed as op[a][b]."""
-    ops = (field.add, field.sub, field.mul)
-    if field.q > _TABLE_Q_LIMIT:
-        return tuple(_FieldOp(op) for op in ops)
-    elements = range(field.q)
-    return tuple([[op(a, b) for b in elements] for a in elements] for op in ops)
-
-
-def _dot(add, mul, a, b) -> int:
-    acc = 0
-    for x, y in zip(a, b, strict=True):
-        acc = add[acc][mul[x][y]]
-    return acc
-
-
 def _mul_col(add, mul, M: Matrix, v) -> tuple[int, ...]:
     """M times the column vector v, like Matrix.mul_col."""
-    return tuple(_dot(add, mul, row, v) for row in M.rows)
+    return tuple(table_dot(add, mul, row, v) for row in M.rows)
 
 
 def _candidate_corrections(ctx: ReceiverContext, delta_s: int, add, mul):
@@ -163,7 +126,7 @@ def find_correction(ctx: ReceiverContext, syndrome, delta_s: int
     coefficients, so the result is deterministic.  Returns the
     correction vector and the blamed cache packet indices.
     """
-    add, _, mul = _arithmetic(ctx.G_cache.field)
+    add, _, mul = arithmetic(ctx.G_cache.field)
     syndrome = tuple(syndrome)
     for p, suspected in _candidate_corrections(ctx, delta_s, add, mul):
         if _mul_col(add, mul, ctx.H, p) == syndrome:
@@ -178,7 +141,7 @@ class ReceiverDecoder:
     def __init__(self, G: Matrix, graph: SideInfoGraph, i: int, delta_s: int):
         ctx = build_context(G, graph, i)
         field = G.field
-        add, sub, mul = _arithmetic(field)
+        add, sub, mul = arithmetic(field)
         self.ctx = ctx
         self.delta_s = delta_s
         self._add, self._sub, self._mul = add, sub, mul
@@ -186,7 +149,7 @@ class ReceiverDecoder:
         # each H_e row with its view of the demand row and that view's inverse
         self._projection = []
         for h in ctx.H_e.rows:
-            a = _dot(add, mul, h, ctx.demand_row)
+            a = table_dot(add, mul, h, ctx.demand_row)
             self._projection.append((h, a, field.inv(a) if a else 0))
         # first writer wins; once every syndrome has a writer the rest
         # of the candidates cannot change the table
@@ -233,7 +196,7 @@ class ReceiverDecoder:
         # cleaned = x_f * demand_row + (interference combination); project by H_e
         value = None
         for h, a, a_inv in self._projection:
-            b = _dot(add, mul, h, cleaned)
+            b = table_dot(add, mul, h, cleaned)
             if a != 0:
                 v = mul[b][a_inv]
                 if value is None:
@@ -253,12 +216,30 @@ class ReceiverDecoder:
                                   suspected=suspected, value=value)
 
 
+class _FailedDecoder:
+    """Receiver i under a G that is degenerate there: every decode
+    raises the build's error again, without rebuilding."""
+
+    def __init__(self, error: DegenerateError):
+        # type and message only: the traceback would keep the build's frames
+        self._error = (type(error), error.args)
+
+    def decode(self, *args):
+        kind, message = self._error
+        raise kind(*message)
+
+
 @functools.lru_cache(maxsize=DECODER_CACHE_SIZE)
 def receiver_decoder(G: Matrix, graph: SideInfoGraph, i: int,
-                     delta_s: int) -> ReceiverDecoder:
+                     delta_s: int) -> ReceiverDecoder | _FailedDecoder:
     """The decoder of receiver i, built once per value of (G, graph, i,
-    delta_s) while it stays among the DECODER_CACHE_SIZE most recent."""
-    return ReceiverDecoder(G, graph, i, delta_s)
+    delta_s) while it stays among the DECODER_CACHE_SIZE most recent.
+    A failed build is kept too, as a decoder that raises its
+    DegenerateError on every decode."""
+    try:
+        return ReceiverDecoder(G, graph, i, delta_s)
+    except DegenerateError as exc:
+        return _FailedDecoder(exc)
 
 
 def decode_receiver(G: Matrix, graph: SideInfoGraph, i: int, y, x_hat,

@@ -12,10 +12,14 @@ Two exact routes to the optimal length are implemented and must agree:
   one row at a time, keeping the span of the rows chosen so far and
   cutting a partial basis, with all its completions, as soon as its
   span meets the interference set; membership is one lookup in a table
-  over support masks, built once per search.  The F_2 / F_q difference
-  is only how vectors are packed and added (_F2Vectors, _FqVectors).
-  With channel errors, codeword weights matter and the search runs over
-  multisets of projective columns instead.
+  over support masks, built once per search.  With channel errors,
+  codeword weights matter and the search runs over multisets of
+  projective columns instead, testing each against the interference
+  list built once per search.
+
+Both searches, and l_q's code search, work over any F_q through one
+seam, ``linalg.vector_space``: how vectors are packed, added, scaled and
+multiplied is decided there, once, and nothing here tests q itself.
 
 ``minrank`` covers the error-free channel only; with delta_c > 0 it is
 compared against ``core_length``, the optimum of the delta_c = 0 core.
@@ -33,13 +37,12 @@ import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
-from . import kernels
 from .codeset import (interference_masks, interference_supports,
                       is_valid_generator)
 from .errors import (BudgetExceededError, CycleTooSmallError,
                      DistanceTooSmallError, IcsieError, ParseError)
 from .gfield import Field, field_for
-from .linalg import Matrix, hamming_weight, mask_of
+from .linalg import Matrix, vector_space
 from .sigraph import ProblemSpec, clique_graph
 
 DEFAULT_FREE_BITS = 24
@@ -219,58 +222,7 @@ def gaussian_binomial(n: int, d: int, q: int) -> int:
     return num // den
 
 
-class _F2Vectors:
-    """F_2 vectors as int masks, coordinate 1 in the highest bit.
-
-    Addition is XOR, the only nonzero multiple of a vector is itself, and
-    a mask is its own support, so it indexes the support table directly.
-    """
-
-    zero = 0
-
-    def __init__(self, table: bytearray):
-        self.table = table
-
-    def pack(self, row: tuple[int, ...]) -> int:
-        return mask_of(row)
-
-    def extend(self, span: list[int], v: int) -> list[int] | None:
-        coset = [v ^ s for s in span]
-        if any(map(self.table.__getitem__, coset)):
-            return None
-        return span + coset
-
-
-class _FqVectors:
-    """F_q vectors as tuples, added and scaled through precomputed tables.
-
-    Interference is closed under nonzero scaling, so only the coset
-    v + span needs testing; its other multiples join the span unchecked.
-    """
-
-    def __init__(self, field: Field, n: int, table: bytearray):
-        q = field.q
-        self.zero = (0,) * n
-        self.table = table
-        self.add = [[field.add(a, b) for b in range(q)] for a in range(q)]
-        self.scale = [[field.mul(c, a) for a in range(q)] for c in range(2, q)]
-        self.bits = [1 << (n - 1 - j) for j in range(n)]
-
-    def pack(self, row: tuple[int, ...]) -> tuple[int, ...]:
-        return row
-
-    def extend(self, span: list[tuple[int, ...]],
-               v: tuple[int, ...]) -> list[tuple[int, ...]] | None:
-        add, table, bits = self.add, self.table, self.bits
-        coset = [tuple([add[a][b] for a, b in zip(v, s)]) for s in span]
-        for z in coset:
-            if table[sum(bit for a, bit in zip(z, bits) if a)]:
-                return None
-        return span + coset + [tuple([m[a] for a in z])
-                               for m in self.scale for z in coset]
-
-
-def _first_avoiding_basis(vectors, q: int, n: int, d: int, rows_of: dict):
+def _first_avoiding_basis(vectors, table: bytearray, d: int, rows_of: dict):
     """RREF rows of the first d-dimensional subspace of F_q^n whose span
     avoids the interference set, or None.
 
@@ -282,6 +234,8 @@ def _first_avoiding_basis(vectors, q: int, n: int, d: int, rows_of: dict):
     each row's candidates, which depend only on its pivot and the later
     pivots.
     """
+    q, n = vectors.q, vectors.n
+
     def candidates(p: int, later: tuple[int, ...]):
         key = (p, later)
         if key not in rows_of:
@@ -300,15 +254,16 @@ def _first_avoiding_basis(vectors, q: int, n: int, d: int, rows_of: dict):
         if k == d:
             return []
         for row, vec in candidates(pivots[k], pivots[k + 1:]):
-            grown = vectors.extend(span, vec)
+            grown = vectors.extend(span, vec, table)
             if grown is not None:
                 rest = walk(pivots, k + 1, grown)
                 if rest is not None:
                     return [row] + rest
         return None
 
+    zero = vectors.pack([0] * n)
     for pivots in itertools.combinations(range(n), d):
-        basis = walk(pivots, 0, [vectors.zero])
+        basis = walk(pivots, 0, [zero])
         if basis is not None:
             return basis
     return None
@@ -327,7 +282,8 @@ def _optimal_length_icsie(spec: ProblemSpec,
     """
     n, q = spec.graph.n, spec.q
     field = spec.field
-    vectors = None
+    vectors = vector_space(field, n)
+    table = None
     rows_of: dict = {}
     for N in range(1, n + 1):
         d = n - N
@@ -335,11 +291,9 @@ def _optimal_length_icsie(spec: ProblemSpec,
             raise BudgetExceededError(
                 f"{gaussian_binomial(n, d, q)} subspaces of dimension {d} "
                 f"exceed the search budget")
-        if vectors is None:
+        if table is None:
             table = interference_supports(spec)
-            vectors = (_F2Vectors(table) if q == 2
-                       else _FqVectors(field, n, table))
-        basis = _first_avoiding_basis(vectors, q, n, d, rows_of)
+        basis = _first_avoiding_basis(vectors, table, d, rows_of)
         if basis is not None:
             W = Matrix(field, basis, ncols=n)
             G = W.null_space_basis().transpose()  # n x N, rank N
@@ -359,18 +313,6 @@ def core_length(spec: ProblemSpec,
 # ---------------------------------------------------------------------------
 # optimal length: projective column-multiset search (with channel errors)
 
-def _projective_points(field: Field, n: int) -> list[tuple[int, ...]]:
-    """One representative per projective point: first nonzero entry is 1."""
-    out = []
-    for v in itertools.product(range(field.q), repeat=n):
-        for x in v:
-            if x != 0:
-                if x == 1:
-                    out.append(v)
-                break
-    return out
-
-
 def _optimal_length_gecic(spec: ProblemSpec, subspace_budget: int,
                           combo_budget: int) -> tuple[int, Matrix]:
     """Shortest valid generator when delta_c > 0.
@@ -386,28 +328,19 @@ def _optimal_length_gecic(spec: ProblemSpec, subspace_budget: int,
     n, q = spec.graph.n, spec.q
     field = spec.field
     n0 = core_length(spec, subspace_budget)
-    start = n0 + 2 * spec.delta_c
-    cap = l_q(q, n0, 2 * spec.delta_c + 1)
     need = 2 * spec.delta_c + 1
-    points = _projective_points(field, n)
-    if q == 2:
-        zs = interference_masks(spec)
-        point_masks = [mask_of(p) for p in points]
-    for N in range(start, cap + 1):
+    cap = l_q(q, n0, need)
+    vectors = vector_space(field, n)
+    points = vectors.projective()
+    zs = interference_masks(spec)
+    for N in range(n0 + need - 1, cap + 1):
         ncombos = math.comb(len(points) + N - 1, N)
         if ncombos > combo_budget:
             raise BudgetExceededError(
                 f"{ncombos} column multisets at length {N} exceed the budget")
-        for combo in itertools.combinations_with_replacement(range(len(points)), N):
-            if q == 2:
-                cols = [point_masks[k] for k in combo]
-                if kernels.gf2_first_failing(zs, cols, need) < 0:
-                    return N, Matrix(field, zip(*(points[k] for k in combo)), ncols=N)
-            else:
-                G = Matrix(field, zip(*(points[k] for k in combo)), ncols=N)
-                ok, _ = is_valid_generator(spec, G)
-                if ok:
-                    return N, G
+        for cols in itertools.combinations_with_replacement(points, N):
+            if vectors.first_failing(zs, cols, need) < 0:
+                return N, Matrix(field, zip(*map(vectors.unpack, cols)), ncols=N)
     raise AssertionError(
         "the classical-code upper bound guarantees a hit by the cap")
 
@@ -456,14 +389,11 @@ def min_distance_from_parity(H: Matrix, budget_bits: int = DEFAULT_IND_BITS) -> 
         raise ValueError("trivial code: H has full column rank")
     if k * math.log2(field.q) > budget_bits:
         raise BudgetExceededError(f"codebook of size {field.q}^{k} too large")
-    best = None
-    for coeffs in itertools.product(range(field.q), repeat=k):
-        if not any(coeffs):
-            continue
-        w = hamming_weight(basis.vec_mul(coeffs))
-        if best is None or w < best:
-            best = w
-    return best
+    # weights are invariant under scaling: projective messages suffice
+    vectors = vector_space(field, k)
+    cols = [vectors.pack(c) for c in basis.columns()]
+    return min(vectors.weight(vectors.codeword(m, cols))
+               for m in vectors.projective())
 
 
 def clique_from_parity(H: Matrix, delta_s: int) -> tuple[Matrix, ProblemSpec]:
@@ -487,13 +417,6 @@ def clique_from_parity(H: Matrix, delta_s: int) -> tuple[Matrix, ProblemSpec]:
 
 # ---------------------------------------------------------------------------
 # k-wise independent sets and shortest classical codes
-
-def _all_subsets_independent(field: Field, vectors, size: int) -> bool:
-    for sub in itertools.combinations(vectors, size):
-        if Matrix(field, sub).rank() < size:
-            return False
-    return True
-
 
 def _max_kindep_containing_basis(field: Field, r: int, k: int) -> int:
     """Largest k-wise independent set in F_q^r containing the standard basis.
@@ -545,43 +468,15 @@ def ind_q(q: int, N: int, k: int,
 
 def _systematic_code_exists(q: int, n: int, a: int, d: int) -> bool:
     """Is there an [n, a, >= d] linear code over F_q?  Up to coordinate
-    permutation every such code has a systematic generator, so trying
-    all parity parts is exhaustive."""
-    field = field_for(q)
-    r = n - a
-    msgs = [m for m in itertools.product(range(q), repeat=a) if any(m)]
-    if q == 2:
-        for pbits in range(1 << (a * r)):
-            prows = [(pbits >> (i * r)) & ((1 << r) - 1) for i in range(a)]
-            good = True
-            for m in msgs:
-                acc = 0
-                w = 0
-                for i, mi in enumerate(m):
-                    if mi:
-                        w += 1
-                        acc ^= prows[i]
-                if w + acc.bit_count() < d:
-                    good = False
-                    break
-            if good:
-                return True
-        return False
-    for pcells in itertools.product(range(q), repeat=a * r):
-        prows = [pcells[i * r:(i + 1) * r] for i in range(a)]
-        good = True
-        for m in msgs:
-            acc = [0] * r
-            w = 0
-            for i, mi in enumerate(m):
-                if mi:
-                    w += 1
-                    acc = [field.add(x, field.mul(mi, y))
-                           for x, y in zip(acc, prows[i])]
-            if w + hamming_weight(acc) < d:
-                good = False
-                break
-        if good:
+    permutation every such code has a systematic generator [I | P], so
+    trying all parity columns is exhaustive.  Weights are invariant
+    under scaling, so only projective messages are checked."""
+    vectors = vector_space(field_for(q), a)
+    # m [I | P] has weight wt(m) + wt(mP)
+    msgs = [(m, vectors.weight(m)) for m in vectors.projective()]
+    for parity in itertools.product(vectors.vectors(), repeat=n - a):
+        if all(w + vectors.weight(vectors.codeword(m, parity)) >= d
+               for m, w in msgs):
             return True
     return False
 

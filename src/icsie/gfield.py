@@ -8,12 +8,14 @@ integer mod p.
 
 from __future__ import annotations
 
+import functools
+
 from .errors import FieldTooLargeError, NotPrimePowerError
 
 MAX_Q = 1 << 16
 
-# Lookup tables are built eagerly for small fields; larger fields fall
-# back to on-the-fly polynomial arithmetic.
+# Lookup tables are built for fields up to this size; larger fields fall
+# back to on-the-fly arithmetic (a 2^16 x 2^16 table would not fit).
 _TABLE_Q_LIMIT = 256
 
 _field_cache: dict[int, "Field"] = {}
@@ -219,12 +221,6 @@ class Field:
             k >>= 1
         return result
 
-    def elements(self):
-        return range(self.q)
-
-    def units(self):
-        return range(1, self.q)
-
     # -- identity --------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -244,3 +240,30 @@ def field_for(q: int) -> Field:
         f = Field(q)
         _field_cache[q] = f
     return f
+
+
+class _FieldOp:
+    """A binary Field operation read as op[a][b], for fields too large
+    to tabulate."""
+
+    __slots__ = ("op", "a")
+
+    def __init__(self, op, a=None):
+        self.op = op
+        self.a = a
+
+    def __getitem__(self, b):
+        if self.a is None:
+            return _FieldOp(self.op, b)
+        return self.op(self.a, b)
+
+
+@functools.lru_cache(maxsize=16)
+def arithmetic(field: Field):
+    """The field's (add, sub, mul), each indexed as op[a][b]: q x q
+    tables, or views calling the Field when q is too large to tabulate."""
+    ops = (field.add, field.sub, field.mul)
+    if field.q > _TABLE_Q_LIMIT:
+        return tuple(_FieldOp(op) for op in ops)
+    elements = range(field.q)
+    return tuple([[op(a, b) for b in elements] for a in elements] for op in ops)

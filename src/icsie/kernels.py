@@ -4,9 +4,9 @@ The hot GF(2) loops (rank, validity sweeps, span tests) exist twice:
 a Cython extension ``_gf2fast`` and a pure-Python fallback ``_gf2pure``
 with the same interface.  The compiled one is used when it imported
 successfully; set ICSIE_PURE_KERNELS=1 to force the fallback.
-``gf2_span_intersects`` has no caller in the library since the
-error-free search tests spans through a lookup table; it stays exported
-because the benchmark's tracer wraps it by name.
+``gf2_span_intersects`` has no caller in the library and ``gf2_rank``
+serves only ``Matrix.rank``; both stay exported under these names
+because the benchmark's tracer wraps them by name.
 """
 
 from __future__ import annotations

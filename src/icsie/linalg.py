@@ -10,11 +10,13 @@ ranks, echelon forms and null-space bases are reproducible.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterable, Sequence
 
 from . import kernels
+from ._gf2pure import gf2_mul_vec
 from .errors import FieldMismatchError
-from .gfield import Field
+from .gfield import Field, arithmetic
 
 
 def subvector(x: Sequence[int], indices: Iterable[int]) -> tuple[int, ...]:
@@ -48,6 +50,15 @@ def dot(field: Field, a: Sequence[int], b: Sequence[int]) -> int:
     return acc
 
 
+def table_dot(add, mul, a: Sequence[int], b: Sequence[int]) -> int:
+    """dot(field, a, b) through the field's tables from gfield.arithmetic."""
+    acc = 0
+    for x, y in zip(a, b, strict=True):
+        if x and y:
+            acc = add[acc][mul[x][y]]
+    return acc
+
+
 def mask_of(vec: Sequence[int]) -> int:
     """Pack an F_2 vector into an int, coordinate 1 at the highest bit."""
     m = 0
@@ -58,6 +69,129 @@ def mask_of(vec: Sequence[int]) -> int:
 
 def vec_of_mask(mask: int, n: int) -> tuple[int, ...]:
     return tuple((mask >> (n - 1 - k)) & 1 for k in range(n))
+
+
+# ---------------------------------------------------------------------------
+# packed vectors: the one place that tells F_2 from F_q
+
+def vector_space(field: Field, n: int):
+    """F_q^n packed for bulk work: int masks over F_2, tuples otherwise.
+
+    Both packings list vectors in the lexicographic order of their
+    coordinate tuples and share one interface: pack / unpack; vectors()
+    and projective() (first nonzero entry 1); translate(v, vs), the
+    v + s for s in vs; scale(c, v); supports(vs), masks with coordinate 1
+    in the highest bit; weight(v); codeword(x, cols), x times the matrix
+    with these packed columns, packed in F_q^len(cols); and
+    first_failing(zs, cols, need), the index of the first z with
+    wt(z * G) < need, or -1.  extend(span, v, table) serves the subspace
+    walk: the span of span + {v}, or None when the coset v + span meets
+    the interference table (indexed by support mask); interference is
+    closed under scaling, so only that coset is tested.
+    """
+    return _F2Vectors(n) if field.q == 2 else _FqVectors(field, n)
+
+
+class _F2Vectors:
+    """F_2^n as int masks: adding is XOR and a mask is its own support.
+    first_failing is the selected GF(2) kernel; codeword the pure one,
+    which takes any number of columns (the compiled one holds 64)."""
+
+    q = 2
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def pack(self, vec: Sequence[int]) -> int:
+        return mask_of(vec)
+
+    def unpack(self, v: int) -> tuple[int, ...]:
+        return vec_of_mask(v, self.n)
+
+    def vectors(self) -> range:
+        return range(1 << self.n)
+
+    def projective(self) -> range:
+        return range(1, 1 << self.n)
+
+    def translate(self, v: int, vs) -> list[int]:
+        return [v ^ s for s in vs]
+
+    def scale(self, c: int, v: int) -> int:
+        return v if c else 0
+
+    def extend(self, span: list[int], v: int, table) -> list[int] | None:
+        coset = [v ^ s for s in span]
+        if any(map(table.__getitem__, coset)):
+            return None
+        return span + coset
+
+    def supports(self, vs):
+        return vs
+
+    def weight(self, v: int) -> int:
+        return v.bit_count()
+
+    def codeword(self, x: int, cols: list[int]) -> int:
+        return gf2_mul_vec(x, cols)
+
+    def first_failing(self, zs: list[int], cols: list[int], need: int) -> int:
+        return kernels.gf2_first_failing(zs, cols, need)
+
+
+class _FqVectors:
+    """F_q^n as tuples of field elements, added, scaled and multiplied
+    through the field's tables."""
+
+    def __init__(self, field: Field, n: int):
+        self.n = n
+        self.q = field.q
+        self._add, _, self._mul = arithmetic(field)
+        self._scales = [self._mul[c] for c in range(2, self.q)]
+        self._bits = [1 << (n - 1 - j) for j in range(n)]
+
+    def pack(self, vec: Sequence[int]) -> tuple[int, ...]:
+        return tuple(vec)
+
+    def unpack(self, v: tuple[int, ...]) -> tuple[int, ...]:
+        return v
+
+    def vectors(self) -> list[tuple[int, ...]]:
+        return list(itertools.product(range(self.q), repeat=self.n))
+
+    def projective(self) -> list[tuple[int, ...]]:
+        return [v for v in self.vectors() if next((a for a in v if a), 0) == 1]
+
+    def translate(self, v, vs) -> list[tuple[int, ...]]:
+        add = self._add
+        return [tuple([add[a][b] for a, b in zip(v, s)]) for s in vs]
+
+    def scale(self, c: int, v) -> tuple[int, ...]:
+        m = self._mul[c]
+        return tuple([m[a] for a in v])
+
+    def extend(self, span: list, v, table) -> list | None:
+        coset, bits = self.translate(v, span), self._bits
+        for z in coset:
+            if table[sum(bit for a, bit in zip(z, bits) if a)]:
+                return None
+        return span + coset + [tuple([m[a] for a in z])
+                               for m in self._scales for z in coset]
+
+    def supports(self, vs):
+        bits = self._bits
+        return [sum([bit for a, bit in zip(v, bits) if a]) for v in vs]
+
+    def weight(self, v) -> int:
+        return len(v) - v.count(0)
+
+    def codeword(self, x, cols) -> tuple[int, ...]:
+        add, mul = self._add, self._mul
+        return tuple([table_dot(add, mul, x, c) for c in cols])
+
+    def first_failing(self, zs, cols, need: int) -> int:
+        return next((idx for idx, z in enumerate(zs)
+                     if self.weight(self.codeword(z, cols)) < need), -1)
 
 
 class Matrix:
@@ -219,15 +353,3 @@ class Matrix:
 
     def to_lists(self) -> list[list[int]]:
         return [list(r) for r in self.rows]
-
-    def row_masks(self) -> list[int]:
-        """Rows as packed bitmasks (F_2 only)."""
-        if self.field.q != 2:
-            raise ValueError("bitmask view requires q = 2")
-        return [mask_of(r) for r in self.rows]
-
-    def col_masks(self) -> list[int]:
-        """Columns as packed bitmasks over row positions (F_2 only)."""
-        if self.field.q != 2:
-            raise ValueError("bitmask view requires q = 2")
-        return [mask_of(c) for c in self.columns()]

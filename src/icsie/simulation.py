@@ -28,6 +28,7 @@ from .sigraph import ProblemSpec
 
 DEFAULT_TRIAL_BITS = 24
 MAX_WITNESSES = 10
+_BLOCK = 1 << 12   # exhaustive mode encodes this many messages at a time
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,9 @@ def run_simulation(spec: ProblemSpec, G: Matrix,
     """Exercise the decoder against injected cache errors.
 
     Exhaustive/adversarial mode walks every (receiver, message,
-    side-error) triple, receiver by receiver; random mode samples them.
+    side-error) triple and encodes each message once; its witnesses come
+    receiver by receiver, each receiver's in message order.  Random mode
+    samples the triples and keeps witnesses in trial order.
     Raises BudgetExceededError, before any trial, when the run would
     make more than 2^budget_bits trials.
     """
@@ -110,7 +113,6 @@ def run_simulation(spec: ProblemSpec, G: Matrix,
         raise BudgetExceededError(
             f"{trials} simulation trials exceed the {budget_bits}-bit budget")
     per: dict[int, list[int]] = {i: [0, 0] for i in range(1, g.m + 1)}
-    witnesses: list[tuple] = []
     setups: dict[int, tuple] = {}
 
     def setup(i: int):
@@ -119,7 +121,7 @@ def run_simulation(spec: ProblemSpec, G: Matrix,
             setups[i] = (sorted(g.X[i - 1]), _side_error_variants(spec, i))
         return setups[i]
 
-    def tally(i: int, x, y, clean, offsets) -> None:
+    def tally(i: int, x, y, clean, offsets, witnesses: list) -> None:
         x_hat = list(clean)
         for pos, delta in offsets.items():
             x_hat[pos] = field.add(x_hat[pos], delta)
@@ -130,21 +132,30 @@ def run_simulation(spec: ProblemSpec, G: Matrix,
             witnesses.append((i, x, dict(offsets)))
 
     if exhaustive:
-        for i in range(1, g.m + 1):
-            cache, variants = setup(i)
-            for x in itertools.product(range(q), repeat=n):
-                y = G.vec_mul(x)
-                clean = [x[j - 1] for j in cache]
-                for offsets in variants:
-                    tally(i, x, y, clean, offsets)
+        # each message encoded once, in blocks so memory stays bounded and
+        # each receiver's cached decoder serves a whole block; receivers
+        # keep their own witnesses, joined receiver by receiver
+        found: dict[int, list[tuple]] = {i: [] for i in per}
+        messages = itertools.product(range(q), repeat=n)
+        while block := list(itertools.islice(messages, _BLOCK)):
+            coded = [(x, G.vec_mul(x)) for x in block]
+            for i in per:
+                cache, variants = setup(i)
+                for x, y in coded:
+                    clean = [x[j - 1] for j in cache]
+                    for offsets in variants:
+                        tally(i, x, y, clean, offsets, found[i])
+        witnesses = [w for i in per for w in found[i]][:MAX_WITNESSES]
     else:
+        witnesses = []
         rng = random.Random(config.seed)
         for _ in range(trials):
             i = rng.randrange(1, g.m + 1)
             x = tuple(rng.randrange(q) for _ in range(n))
             cache, variants = setup(i)
             offsets = variants[rng.randrange(len(variants))]
-            tally(i, x, G.vec_mul(x), [x[j - 1] for j in cache], offsets)
+            tally(i, x, G.vec_mul(x), [x[j - 1] for j in cache], offsets,
+                  witnesses)
     return SimulationReport(
         per_receiver={i: (ok, tot) for i, (ok, tot) in per.items()},
         witnesses=tuple(witnesses))

@@ -2,11 +2,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icsie.codeset import (enum_interference, first_witness, in_interference,
                            in_support_family, interference_masks,
                            is_valid_generator, oracle_decodable)
-from icsie.errors import BudgetExceededError
+from icsie.errors import BudgetExceededError, FieldMismatchError
 from icsie.gfield import field_for
 from icsie.linalg import Matrix, hamming_weight, mask_of
 from icsie.sigraph import ProblemSpec, SideInfoGraph, clique_graph
@@ -131,6 +133,16 @@ def test_validity_counts_codeword_weight_for_channel_errors():
     assert is_valid_generator(spec, rep)[0]
 
 
+def test_generator_must_match_the_instance():
+    # an F_3 generator under an F_2 instance would be read as its support
+    G3 = Matrix(field_for(3), [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 2, 0]])
+    for check in (is_valid_generator, oracle_decodable):
+        with pytest.raises(FieldMismatchError):
+            check(CLIQUE4, G3)
+        with pytest.raises(ValueError):
+            check(CLIQUE4, Matrix.identity(F2, 3))
+
+
 def test_oracle_known_cases():
     assert oracle_decodable(CLIQUE4, PAPER_G4)
     assert oracle_decodable(CLIQUE4, Matrix.identity(F2, 4))
@@ -157,3 +169,72 @@ def test_theorem1_equivalence_sampled():
         N = rng.randrange(1, g.n + 2 * spec.delta_c + 1)
         G = random_generator(rng, 2, g.n, N)
         assert is_valid_generator(spec, G)[0] == oracle_decodable(spec, G)
+
+
+# -- properties over q in {2, 3, 4, 5} and multi-receiver graphs ---------------
+
+@st.composite
+def instances_with_generators(draw):
+    """A random instance (any receivers, possibly several per packet) and
+    a random generator over its field."""
+    q = draw(st.sampled_from((2, 3, 4, 5)))
+    n = draw(st.integers(2, 4 if q == 2 else 3))
+    m = draw(st.integers(1, n + 2))
+    f = [draw(st.integers(1, n)) for _ in range(m)]
+    X = [draw(st.sets(st.sampled_from([j for j in range(1, n + 1) if j != fi])))
+         for fi in f]
+    spec = ProblemSpec(graph=SideInfoGraph.make(n, f, X), q=q,
+                       delta_s=draw(st.integers(0, 1)),
+                       delta_c=draw(st.integers(0, 1)),
+                       side_error_model=draw(st.sampled_from(("error", "erasure"))))
+    N = draw(st.integers(1, n + 2 * spec.delta_c + 1))
+    rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=N, max_size=N),
+                         min_size=n, max_size=n))
+    return spec, Matrix(field_for(q), rows, ncols=N)
+
+
+def _lex_first_failing(spec, G):
+    """The reference witness: the first z of the tuple enumeration with
+    wt(zG) < 2*delta_c + 1."""
+    need = 2 * spec.delta_c + 1
+    for z, _ in enum_interference(spec):
+        if hamming_weight(G.vec_mul(z)) < need:
+            return z
+    return None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(instances_with_generators())
+def test_validity_agrees_with_oracle_and_reference_witness(case):
+    spec, G = case
+    ok, witness = is_valid_generator(spec, G)
+    assert ok == oracle_decodable(spec, G)
+    assert witness == _lex_first_failing(spec, G)
+    assert ok == (witness is None)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_interference_masks_are_projective_representatives(q):
+    for g in (clique_graph(3), SideInfoGraph.make(3, [1, 2, 1], [{2}, {3}, set()])):
+        for ds in (0, 1):
+            spec = ProblemSpec(graph=g, q=q, delta_s=ds)
+            reps = [z for z, _ in enum_interference(spec)
+                    if next(a for a in z if a) == 1]
+            assert interference_masks(spec) == reps
+
+
+# -- answers pinned from the per-field implementations these replace -----------
+
+def test_budget_messages_pinned():
+    big2 = ProblemSpec(graph=clique_graph(25), q=2, delta_s=0)
+    with pytest.raises(BudgetExceededError,
+                       match=r"^enumerating F_2\^25 exceeds the 24-bit budget$"):
+        interference_masks(big2)
+    with pytest.raises(BudgetExceededError,
+                       match=r"^enumerating F_3\^16 exceeds the 24-bit budget$"):
+        is_valid_generator(ProblemSpec(graph=clique_graph(16), q=3, delta_s=0),
+                           Matrix.identity(field_for(3), 16))
+    with pytest.raises(BudgetExceededError, match=(
+            r"^pair enumeration over F_3\^8 x F_3\^8 exceeds the 24-bit budget$")):
+        oracle_decodable(ProblemSpec(graph=clique_graph(8), q=3, delta_s=0),
+                         Matrix.identity(field_for(3), 8))

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from icsie import decoder
 from icsie.decoder import (DECODER_CACHE_SIZE, DecodeTrace, build_context,
                            decode_all, decode_receiver, find_correction,
                            receiver_decoder)
@@ -12,7 +13,8 @@ from icsie.errors import (DegenerateError, InconsistentError,
 from icsie.gfield import field_for
 from icsie.linalg import Matrix, dot, vec_sub
 from icsie.sigraph import ProblemSpec, SideInfoGraph, clique_graph
-from icsie.simulation import SimulationConfig, run_simulation
+from icsie.simulation import (SimulationConfig, SimulationReport,
+                              run_simulation)
 
 F2 = field_for(2)
 
@@ -412,18 +414,49 @@ def test_cache_is_bounded():
 
 # -- simulation reports pinned from the per-trial decoder ----------------------
 
-def test_simulation_pin_clique4_broken_generator():
-    spec = ProblemSpec(graph=clique_graph(4), q=2, delta_s=1)
-    broken = Matrix(F2, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]])
-    report = run_simulation(spec, broken, SimulationConfig(trials="exhaustive"))
-    assert report.per_receiver == {1: (64, 64), 2: (64, 64), 3: (64, 64),
-                                   4: (0, 64)}
-    assert report.witnesses == (
+CLIQUE4_BROKEN = Matrix(F2, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]])
+CLIQUE4_BROKEN_REPORT = SimulationReport(
+    per_receiver={1: (64, 64), 2: (64, 64), 3: (64, 64), 4: (0, 64)},
+    witnesses=(
         (4, (0, 0, 0, 0), {}), (4, (0, 0, 0, 0), {0: 1}),
         (4, (0, 0, 0, 0), {1: 1}), (4, (0, 0, 0, 0), {2: 1}),
         (4, (0, 0, 0, 1), {}), (4, (0, 0, 0, 1), {0: 1}),
         (4, (0, 0, 0, 1), {1: 1}), (4, (0, 0, 0, 1), {2: 1}),
-        (4, (0, 0, 1, 0), {}), (4, (0, 0, 1, 0), {0: 1}))
+        (4, (0, 0, 1, 0), {}), (4, (0, 0, 1, 0), {0: 1})))
+
+
+def test_simulation_pin_clique4_broken_generator():
+    spec = ProblemSpec(graph=clique_graph(4), q=2, delta_s=1)
+    report = run_simulation(spec, CLIQUE4_BROKEN,
+                            SimulationConfig(trials="exhaustive"))
+    assert report == CLIQUE4_BROKEN_REPORT
+
+
+def test_failed_build_is_kept(monkeypatch):
+    # receiver 4's demand row is zero, so its build fails; the failure is
+    # cached like a decoder and re-raised without building again
+    built = []
+    real = decoder.build_context
+
+    def counting(G, graph, i):
+        built.append(i)
+        return real(G, graph, i)
+
+    monkeypatch.setattr(decoder, "build_context", counting)
+    receiver_decoder.cache_clear()
+    spec = ProblemSpec(graph=clique_graph(4), q=2, delta_s=1)
+    report = run_simulation(spec, CLIQUE4_BROKEN,
+                            SimulationConfig(trials="exhaustive"))
+    assert report == CLIQUE4_BROKEN_REPORT
+    assert built == [1, 2, 3, 4]
+    with pytest.raises(DegenerateError) as direct:
+        real(CLIQUE4_BROKEN, spec.graph, 4)
+    for _ in range(2):
+        with pytest.raises(DegenerateError) as cached:
+            decode_receiver(CLIQUE4_BROKEN, spec.graph, 4, (0, 0, 0), (0, 0, 0), 1)
+        assert type(cached.value) is DegenerateError
+        assert str(cached.value) == str(direct.value)
+    assert built == [1, 2, 3, 4]
 
 
 def test_simulation_pin_random_mode():

@@ -125,6 +125,39 @@ def test_optimal_gecic_classical_case():
     assert optimal_length(spec)[0] == 3
 
 
+# (N, G) of the channel-error search over F_3 / F_4, as the per-field
+# search (a Matrix and a full F_q^n sweep per candidate) returned them
+PINNED_GECIC = [
+    (3, clique_graph(3), 0, [[1, 1, 1], [1, 1, 1], [1, 1, 1]]),
+    (3, clique_graph(3), 1, [[0, 0, 0, 1, 1, 1], [0, 0, 1, 0, 1, 2],
+                             [1, 1, 0, 0, 0, 1]]),
+    (3, SideInfoGraph.make(3, [1, 2, 3], [{2}, {3}, set()]), 0,
+     [[0, 0, 0, 1, 1, 1], [0, 0, 1, 0, 1, 2], [1, 1, 0, 0, 0, 1]]),
+    (3, SideInfoGraph.make(2, [1, 2, 1], [{2}, {1}, set()]), 0,
+     [[0, 1, 1, 1], [1, 0, 1, 2]]),
+    (4, clique_graph(3), 0, [[1, 1, 1], [1, 1, 1], [1, 1, 1]]),
+    (4, clique_graph(2), 1, [[0, 1, 1, 1], [1, 0, 1, 2]]),
+    (4, SideInfoGraph.make(3, [1, 2, 3], [{2}, {3}, {1}]), 0,
+     [[0, 1, 1, 1], [1, 0, 1, 2], [1, 1, 0, 3]]),
+]
+
+
+@pytest.mark.parametrize("q, graph, ds, rows", PINNED_GECIC)
+def test_pinned_gecic_witnesses_over_fq(q, graph, ds, rows):
+    spec = ProblemSpec(graph=graph, q=q, delta_s=ds, delta_c=1)
+    N, G = optimal_length(spec)
+    assert (N, G.to_lists()) == (len(rows[0]), rows)
+    assert oracle_decodable(spec, G)
+
+
+def test_gecic_budget_messages_pinned():
+    for q, n, msg in ((2, 6, "109453344 column multisets at length 6 exceed the budget"),
+                      (3, 4, "1086008 column multisets at length 5 exceed the budget")):
+        spec = ProblemSpec(graph=clique_graph(n), q=q, delta_s=1, delta_c=1)
+        with pytest.raises(BudgetExceededError, match=f"^{msg}$"):
+            optimal_length(spec, combo_budget=1000)
+
+
 def test_witness_rank_equals_length_on_random_instances():
     rng = random.Random(11)
     for _ in range(25):
@@ -372,6 +405,31 @@ def test_l2_values():
 
 def test_l3_repetition():
     assert l_q(3, 1, 3) == 3
+
+
+# l_q(q, a, d) as the per-field systematic searches found them
+PINNED_L_Q = {
+    (2, 1, 3): 3, (2, 2, 3): 5, (2, 2, 4): 6, (2, 2, 5): 8, (2, 3, 2): 4,
+    (2, 3, 3): 6, (2, 3, 4): 7, (2, 4, 2): 5, (2, 4, 3): 7, (2, 4, 4): 8,
+    (3, 1, 4): 4, (3, 2, 3): 4, (3, 2, 4): 6, (3, 2, 5): 7, (3, 3, 2): 4,
+    (3, 3, 3): 6, (3, 4, 2): 5,
+    (4, 1, 5): 5, (4, 2, 3): 4, (4, 2, 4): 5, (4, 3, 2): 4, (4, 3, 3): 5,
+    (4, 4, 2): 5,
+    (5, 2, 3): 4, (5, 2, 4): 5, (5, 3, 2): 4, (5, 3, 3): 5, (5, 4, 2): 5,
+}
+
+
+def test_l_q_pinned():
+    assert {key: l_q(*key) for key in PINNED_L_Q} == PINNED_L_Q
+
+
+def test_l_q_budget_messages_pinned():
+    with pytest.raises(BudgetExceededError,
+                       match="^systematic search at length 8 exceeds the budget$"):
+        l_q(5, 4, 5)
+    with pytest.raises(BudgetExceededError,
+                       match="^systematic search at length 13 exceeds the budget$"):
+        l_q(2, 6, 5)
 
 
 def test_l_q_respects_griesmer():

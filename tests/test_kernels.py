@@ -1,18 +1,28 @@
-"""The compiled and pure GF(2) kernels must be interchangeable."""
+"""The compiled and pure GF(2) kernels must be interchangeable.
+
+The compiled twin is built from _gf2fast.c by the session fixture
+``gf2fast`` (conftest.py); these tests skip only without a C compiler or
+Python.h.
+"""
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from icsie import _gf2pure as pure
 from icsie import kernels
+from icsie.codeset import is_valid_generator
+from icsie.encoder import optimal_length
+from icsie.gfield import field_for
+from icsie.linalg import Matrix
+from icsie.sigraph import ProblemSpec, clique_graph
 
-try:
-    from icsie import _gf2fast as fast
-except ImportError:
-    fast = None
+from conftest import all_unipartite_graphs, random_generator
 
-needs_fast = pytest.mark.skipif(fast is None, reason="compiled kernels not built")
+F2 = field_for(2)
+KERNELS = ("BACKEND", "gf2_rank", "gf2_mul_vec", "gf2_first_failing",
+           "gf2_span_intersects")
 
 
 def test_selected_backend_known():
@@ -28,33 +38,29 @@ def _random_cases(seed):
         yield n, rows, rng
 
 
-@needs_fast
-def test_rank_agrees():
+def test_rank_agrees(gf2fast):
     for n, rows, _ in _random_cases(1):
-        assert pure.gf2_rank(rows) == fast.gf2_rank(rows)
+        assert pure.gf2_rank(rows) == gf2fast.gf2_rank(rows)
 
 
-@needs_fast
-def test_mul_vec_agrees():
+def test_mul_vec_agrees(gf2fast):
     for n, rows, rng in _random_cases(2):
         ncols = rng.randrange(1, 10)
         cols = [rng.randrange(1 << n) for _ in range(ncols)]
         for z in rows:
-            assert pure.gf2_mul_vec(z, cols) == fast.gf2_mul_vec(z, cols)
+            assert pure.gf2_mul_vec(z, cols) == gf2fast.gf2_mul_vec(z, cols)
 
 
-@needs_fast
-def test_first_failing_agrees():
+def test_first_failing_agrees(gf2fast):
     for n, zs, rng in _random_cases(3):
         ncols = rng.randrange(1, 8)
         cols = [rng.randrange(1 << n) for _ in range(ncols)]
         for need in (1, 2, 3):
             assert (pure.gf2_first_failing(zs, cols, need)
-                    == fast.gf2_first_failing(zs, cols, need))
+                    == gf2fast.gf2_first_failing(zs, cols, need))
 
 
-@needs_fast
-def test_span_intersects_agrees():
+def test_span_intersects_agrees(gf2fast):
     rng = random.Random(4)
     for _ in range(200):
         n = rng.randrange(1, 9)
@@ -65,7 +71,7 @@ def test_span_intersects_agrees():
         xmasks = [rng.randrange(1 << n) for _ in range(m)]
         caps = [rng.randrange(0, 4) for _ in range(m)]
         assert (pure.gf2_span_intersects(basis, fmasks, xmasks, caps)
-                == fast.gf2_span_intersects(basis, fmasks, xmasks, caps))
+                == gf2fast.gf2_span_intersects(basis, fmasks, xmasks, caps))
 
 
 def test_pure_rank_small_known():
@@ -90,3 +96,67 @@ def test_env_override_forces_pure(monkeypatch):
     finally:
         monkeypatch.delenv("ICSIE_PURE_KERNELS")
         importlib.reload(kernels)
+
+
+# -- the library on either backend ---------------------------------------------
+
+def _use(monkeypatch, backend) -> None:
+    """Point icsie.kernels at the given backend; callers look the kernels
+    up there at call time."""
+    for name in KERNELS:
+        monkeypatch.setattr(kernels, name, getattr(backend, name))
+
+
+def _family_answers():
+    """optimal_length at delta_c = 1 and is_valid_generator at delta_c in
+    {0, 1} on every n = 3 unipartite graph, delta_s in {0, 1}."""
+    rng = random.Random(33)
+    out = []
+    for g in all_unipartite_graphs(3):
+        for ds in (0, 1):
+            spec = ProblemSpec(graph=g, q=2, delta_s=ds, delta_c=1)
+            N, G = optimal_length(spec)
+            checks = [is_valid_generator(s, H)
+                      for H in (G, random_generator(rng, 2, 3, rng.randrange(1, 8)))
+                      for s in (spec, replace(spec, delta_c=0))]
+            out.append((N, G, checks))
+    return out
+
+
+def test_backends_agree_on_the_n3_family(gf2fast, monkeypatch):
+    _use(monkeypatch, pure)
+    expected = _family_answers()
+    _use(monkeypatch, gf2fast)
+    assert kernels.BACKEND == "compiled"
+    assert _family_answers() == expected
+
+
+# ROADMAP item 5: the compiled kernels hold a vector in 64 bits, so past 64
+# columns they raise where the pure ones answer.  strict: a fix must drop
+# the mark.
+
+WIDE = 70
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError,
+                   reason="compiled gf2_first_failing takes at most 64 "
+                          "columns (ROADMAP item 5)")
+def test_backends_agree_on_a_70_column_generator(gf2fast, monkeypatch):
+    spec = ProblemSpec(graph=clique_graph(3), q=2, delta_s=1, delta_c=1)
+    G = Matrix(F2, [[1] * WIDE, [0, 1] * (WIDE // 2), [1, 1, 0] * 23 + [0]])
+    _use(monkeypatch, pure)
+    expected = is_valid_generator(spec, G)
+    assert expected == (True, None)
+    _use(monkeypatch, gf2fast)
+    assert is_valid_generator(spec, G) == expected
+
+
+@pytest.mark.xfail(strict=True, raises=OverflowError,
+                   reason="compiled gf2_rank takes rows of at most 64 bits "
+                          "(ROADMAP item 5)")
+def test_backends_agree_on_the_rank_of_70_bit_rows(gf2fast, monkeypatch):
+    M = Matrix(F2, [[1] * WIDE, [0, 1] * (WIDE // 2), [1, 1, 0] * 23 + [0]])
+    _use(monkeypatch, pure)
+    assert M.rank() == 3
+    _use(monkeypatch, gf2fast)
+    assert M.rank() == 3

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from icsie.errors import FieldMismatchError
 from icsie.gfield import field_for
 from icsie.linalg import (Matrix, dot, hamming_weight, mask_of, subvector,
-                          vec_add, vec_of_mask, vec_scale, vec_sub)
+                          vec_add, vec_of_mask, vec_scale, vec_sub,
+                          vector_space)
 
 F2 = field_for(2)
 F3 = field_for(3)
@@ -169,9 +170,29 @@ def test_submatrix_rows_known_generator():
                         (0, 0, 1, 1, 1, 0), (0, 0, 0, 1, 1, 1))
 
 
-def test_row_col_masks():
-    m = Matrix(F2, [[1, 0], [1, 1]])
-    assert m.row_masks() == [0b10, 0b11]
-    assert m.col_masks() == [0b11, 0b01]
-    with pytest.raises(ValueError):
-        Matrix(F3, [[1]]).row_masks()
+@pytest.mark.parametrize("field", [F2, F3, F4], ids=["F2", "F3", "F4"])
+def test_vector_space_packing(field):
+    # both packings agree with tuple arithmetic and keep lexicographic order
+    q, n = field.q, 3
+    vs = vector_space(field, n)
+    tuples = list(itertools.product(range(q), repeat=n))
+    packed = [vs.pack(t) for t in tuples]
+    assert list(vs.vectors()) == packed
+    assert [vs.unpack(v) for v in packed] == tuples
+    assert list(vs.projective()) == [vs.pack(t) for t in tuples
+                                     if any(t) and next(a for a in t if a) == 1]
+    assert vs.supports(packed) == [mask_of(t) for t in tuples]
+    assert [vs.weight(v) for v in packed] == [hamming_weight(t) for t in tuples]
+    rng = random.Random(q)
+    G = Matrix(field, [[rng.randrange(q) for _ in range(4)] for _ in range(n)])
+    cols = [vs.pack(c) for c in G.columns()]
+    words = vector_space(field, 4)
+    for x, t in zip(packed, tuples):
+        assert vs.unpack(vs.translate(x, [vs.pack((1, 0, 1))])[0]) == \
+            vec_add(field, t, (1, 0, 1))
+        assert vs.unpack(vs.scale(q - 1, x)) == vec_scale(field, q - 1, t)
+        assert words.unpack(vs.codeword(x, cols)) == G.vec_mul(t)
+    for need in (1, 2, 3):
+        first = next((k for k, t in enumerate(tuples)
+                      if hamming_weight(G.vec_mul(t)) < need), -1)
+        assert vs.first_failing(packed, cols, need) == first

@@ -1,5 +1,8 @@
+import itertools
+
 import pytest
 
+from icsie import simulation
 from icsie.errors import BudgetExceededError, IcsieError
 from icsie.gfield import field_for
 from icsie.linalg import Matrix
@@ -53,3 +56,50 @@ def test_random_mode_trials_within_budget():
 def test_trial_count_must_be_positive(trials):
     with pytest.raises(IcsieError, match="positive count"):
         SimulationConfig(trials=trials)
+
+
+# -- exhaustive mode encodes each message once, witnesses stay in order ------
+
+F3_CLIQUE4 = ProblemSpec(graph=clique_graph(4), q=3, delta_s=1)
+F3_G = Matrix(field_for(3), [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 2, 0]])
+
+
+def test_exhaustive_report_pinned():
+    # receivers 1, 2 and 4 fail; the report is the receiver-by-receiver one
+    report = run_simulation(F3_CLIQUE4, F3_G, SimulationConfig(trials="exhaustive"))
+    assert report.per_receiver == {1: (405, 567), 2: (405, 567), 3: (567, 567),
+                                   4: (405, 567)}
+    assert report.witnesses == tuple(
+        (1, x, {2: e}) for x in ((0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 2),
+                                 (0, 0, 1, 0), (0, 0, 1, 1)) for e in (1, 2))
+
+
+def test_exhaustive_witnesses_in_receiver_then_message_order(monkeypatch):
+    monkeypatch.setattr(simulation, "MAX_WITNESSES", 10 ** 6)
+    report = run_simulation(F3_CLIQUE4, F3_G, SimulationConfig(trials="exhaustive"))
+    expected = []
+    for i in range(1, 5):
+        cache = sorted(F3_CLIQUE4.graph.X[i - 1])
+        for x in itertools.product(range(3), repeat=4):
+            for offsets in simulation._side_error_variants(F3_CLIQUE4, i):
+                x_hat = [x[j - 1] for j in cache]
+                for pos, delta in offsets.items():
+                    x_hat[pos] = (x_hat[pos] + delta) % 3
+                if not simulation._trial(F3_CLIQUE4, F3_G, i, x,
+                                         F3_G.vec_mul(x), x_hat):
+                    expected.append((i, x, offsets))
+    assert report.witnesses == tuple(expected)
+    assert {w[0] for w in expected} == {1, 2, 4}
+
+
+def test_exhaustive_encodes_each_message_once(monkeypatch):
+    encoded = []
+    real = Matrix.vec_mul
+
+    def counting(self, z):
+        encoded.append(tuple(z))
+        return real(self, z)
+
+    monkeypatch.setattr(Matrix, "vec_mul", counting)
+    run_simulation(F3_CLIQUE4, F3_G, SimulationConfig(trials="exhaustive"))
+    assert encoded == list(itertools.product(range(3), repeat=4))
