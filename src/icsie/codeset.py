@@ -12,8 +12,11 @@ Every routine here works over any F_q through one seam,
 and the field's tables otherwise.  No function here tests q itself.
 
 ``oracle_decodable`` deliberately does NOT reuse that criterion: it
-enumerates message pairs and intersects explicit Hamming spheres, so it
-can serve as an independent oracle for the validity test.
+materializes explicit Hamming spheres around every codeword and tests
+the message pairs whose spheres share a word, found through an index
+from word to messages, so it can serve as an independent oracle for the
+validity test.  It takes no weight shortcut and never reads the
+interference set; its budget still counts all pairs, the worst case.
 """
 
 from __future__ import annotations
@@ -159,8 +162,12 @@ def oracle_decodable(spec: ProblemSpec, G: Matrix,
     For every message pair that some receiver cannot tell apart through
     its (possibly corrupted) cache but must tell apart on the demand,
     the radius-delta_c spheres around the two codewords have to be
-    disjoint.  Spheres are materialized as sets; no weight shortcut is
-    taken, and the interference set is not consulted.
+    disjoint.  Spheres are materialized as sets and indexed by the words
+    they hold, so only the pairs whose spheres share a word are tested
+    against the receivers: a pair with disjoint spheres never breaks the
+    contract.  No weight shortcut is taken, and the interference set is
+    not consulted.  The budget counts all pairs, the worst case (an
+    all-zero G puts every message in one sphere).
     """
     g = spec.graph
     n, q = g.n, spec.q
@@ -185,15 +192,21 @@ def oracle_decodable(spec: ProblemSpec, G: Matrix,
               for vals in itertools.product(range(1, q), repeat=t)]
     spheres = [frozenset([c, *words.translate(c, errors)])
                for c in (msgs.codeword(x, cols) for x in messages)]
+    # word -> the messages whose sphere holds it
+    holders: dict = {}
+    for b, sphere in enumerate(spheres):
+        for w in sphere:
+            holders.setdefault(w, []).append(b)
     minus_one = field.neg(1)
     for a, x in enumerate(messages):
-        # where x differs from each later message
+        # the later messages whose spheres meet x's
+        near = {b for w in spheres[a] for b in holders[w] if b > a}
+        # where x differs from each of them
         diffs = msgs.supports(msgs.translate(msgs.scale(minus_one, x),
-                                             messages[a + 1:]))
+                                             [messages[b] for b in near]))
         for fm, xm in receivers:
-            for b, d in enumerate(diffs, a + 1):
-                # the receiver must tell x from message b apart
-                if (d & fm and (d & xm).bit_count() <= cap
-                        and not spheres[a].isdisjoint(spheres[b])):
+            for d in diffs:
+                # the receiver must tell x from that message apart
+                if d & fm and (d & xm).bit_count() <= cap:
                     return False
     return True

@@ -41,7 +41,7 @@ from .codeset import (interference_masks, interference_supports,
                       is_valid_generator)
 from .errors import (BudgetExceededError, CycleTooSmallError,
                      DistanceTooSmallError, IcsieError, ParseError)
-from .gfield import Field, field_for
+from .gfield import Field, arithmetic, field_for
 from .linalg import Matrix, vector_space
 from .sigraph import ProblemSpec, clique_graph
 
@@ -120,10 +120,16 @@ def complete_template(spec: ProblemSpec, assignment) -> Matrix:
 # incremental rank tracking for the minrank search
 
 class _SpanTracker:
-    """Incremental rank of a growing set of F_q^n vectors, with undo."""
+    """Incremental rank of a growing set of F_q^n vectors, with undo.
+
+    Vectors are reduced through the field's sub and mul tables from
+    ``gfield.arithmetic`` (views calling the Field above its table
+    limit); each accepted pivot costs one ``Field.inv``.
+    """
 
     def __init__(self, field: Field):
         self.field = field
+        _, self._sub, self._mul = arithmetic(field)
         self.pivots: list[tuple[int, tuple[int, ...]]] = []  # (pivot position, reduced vector)
 
     def rank(self) -> int:
@@ -131,16 +137,17 @@ class _SpanTracker:
 
     def push(self, vec) -> bool:
         """Add a vector; True if it increased the rank (then pop() undoes it)."""
-        f = self.field
+        sub, mul = self._sub, self._mul
         v = list(vec)
         for pos, pv in self.pivots:
             c = v[pos]
             if c != 0:
-                v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, pv)]
+                mc = mul[c]
+                v = [sub[a][mc[b]] for a, b in zip(v, pv)]
         for pos, val in enumerate(v):
             if val != 0:
-                inv = f.inv(val)
-                self.pivots.append((pos, tuple(f.mul(inv, a) for a in v)))
+                m_inv = mul[self.field.inv(val)]
+                self.pivots.append((pos, tuple([m_inv[a] for a in v])))
                 return True
         return False
 
@@ -197,8 +204,12 @@ def minrank(spec: ProblemSpec,
             best_assign = tuple(assign)
             return
         col = cols[k]
-        for vals in itertools.product(range(spec.q), repeat=len(col.free_pos)):
-            vec = template_column_vector(field, n, col, vals)
+        vec = list(template_column_vector(field, n, col, [0] * len(col.free_pos)))
+        at = [pos - 1 for pos in col.free_pos]
+        # values come from range(q), so they need no Field.check
+        for vals in itertools.product(range(spec.q), repeat=len(at)):
+            for pos, val in zip(at, vals):
+                vec[pos] = val
             grew = tracker.push(vec)
             assign.extend(vals)
             walk(k + 1)
@@ -468,13 +479,17 @@ def ind_q(q: int, N: int, k: int,
 
 def _systematic_code_exists(q: int, n: int, a: int, d: int) -> bool:
     """Is there an [n, a, >= d] linear code over F_q?  Up to coordinate
-    permutation every such code has a systematic generator [I | P], so
-    trying all parity columns is exhaustive.  Weights are invariant
-    under scaling, so only projective messages are checked."""
+    permutation every such code has a systematic generator [I | P].
+    Permuting or scaling parity columns keeps every codeword weight, and
+    a zero column can be swapped for any other without lowering one, so
+    trying each multiset of projective parity columns is exhaustive.
+    Weights are invariant under scaling, so only projective messages are
+    checked."""
     vectors = vector_space(field_for(q), a)
+    points = vectors.projective()
     # m [I | P] has weight wt(m) + wt(mP)
-    msgs = [(m, vectors.weight(m)) for m in vectors.projective()]
-    for parity in itertools.product(vectors.vectors(), repeat=n - a):
+    msgs = [(m, vectors.weight(m)) for m in points]
+    for parity in itertools.combinations_with_replacement(points, n - a):
         if all(w + vectors.weight(vectors.codeword(m, parity)) >= d
                for m, w in msgs):
             return True

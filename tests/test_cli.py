@@ -3,7 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from icsie.cli import main
+from icsie.cli import EXIT_DOMAIN, EXIT_OK, main
 from icsie.codeset import oracle_decodable
 from icsie.encoder import optimal_length, serialize_generator
 from icsie.gfield import field_for
@@ -256,3 +256,20 @@ def test_simulate_gecic_sphere_feasibility(runner, tmp_path):
     assert "feasibility: ok" in res.output
     res = runner.invoke(main, ["simulate", str(inst), str(gen), "--trials", "0"])
     assert res.exit_code == 2
+
+
+def test_simulate_sphere_feasibility_over_f3(runner, tmp_path):
+    # delta_c = 1 over F_3: simulate answers through oracle_decodable
+    g = SideInfoGraph.make(3, [1, 2, 3], [{2}, {3}, {1}])
+    spec = ProblemSpec(graph=g, q=3, delta_s=0, delta_c=1)
+    inst = tmp_path / "cycle3.json"
+    inst.write_text(serialize_instance(spec))
+    _, G = optimal_length(spec)
+    for name, gen, code, feasible in (
+            ("witness", G, EXIT_OK, True),
+            ("zero", Matrix.zero(field_for(3), 3, G.ncols), EXIT_DOMAIN, False)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(serialize_generator(gen))
+        res = runner.invoke(main, ["simulate", str(inst), str(path), "--json"])
+        assert res.exit_code == code
+        assert json.loads(res.output) == {"feasible": feasible}

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icsie.codeset import (enum_interference, first_witness, in_interference,
-                           in_support_family, interference_masks,
-                           is_valid_generator, oracle_decodable)
+from icsie.codeset import (_check_generator, _log2_q, enum_interference,
+                           first_witness, in_interference, in_support_family,
+                           interference_masks, is_valid_generator,
+                           oracle_decodable)
 from icsie.errors import BudgetExceededError, FieldMismatchError
 from icsie.gfield import field_for
-from icsie.linalg import Matrix, hamming_weight, mask_of
+from icsie.encoder import optimal_length
+from icsie.linalg import Matrix, hamming_weight, mask_of, vector_space
 from icsie.sigraph import ProblemSpec, SideInfoGraph, clique_graph
 
 from conftest import all_unipartite_graphs, random_generator
@@ -238,3 +240,121 @@ def test_budget_messages_pinned():
             r"^pair enumeration over F_3\^8 x F_3\^8 exceeds the 24-bit budget$")):
         oracle_decodable(ProblemSpec(graph=clique_graph(8), q=3, delta_s=0),
                          Matrix.identity(field_for(3), 8))
+
+
+# -- the sphere-indexed oracle against the all-pairs reference -----------------
+
+def _all_pairs_oracle(spec, G, budget_bits=24):
+    """The oracle as one loop over every message pair: per message, the
+    supports of its differences with every later message, then each
+    distinct receiver, spheres intersected pair by pair."""
+    g = spec.graph
+    n, q = g.n, spec.q
+    if 2 * n * _log2_q(q) > budget_bits:
+        raise BudgetExceededError(
+            f"pair enumeration over F_{q}^{n} x F_{q}^{n} exceeds "
+            f"the {budget_bits}-bit budget")
+    _check_generator(spec, G)
+    field = spec.field
+    cap = spec.side_weight_cap()
+    receivers = {(1 << (n - f), sum(1 << (n - j) for j in X))
+                 for f, X in zip(g.f, g.X)}
+    msgs = vector_space(field, n)
+    words = vector_space(field, G.ncols)
+    cols = [msgs.pack(c) for c in G.columns()]
+    messages = msgs.vectors()
+    errors = [words.pack([dict(zip(at, vals)).get(k, 0) for k in range(G.ncols)])
+              for t in range(1, spec.delta_c + 1)
+              for at in itertools.combinations(range(G.ncols), t)
+              for vals in itertools.product(range(1, q), repeat=t)]
+    spheres = [frozenset([c, *words.translate(c, errors)])
+               for c in (msgs.codeword(x, cols) for x in messages)]
+    minus_one = field.neg(1)
+    for a, x in enumerate(messages):
+        diffs = msgs.supports(msgs.translate(msgs.scale(minus_one, x),
+                                             messages[a + 1:]))
+        for fm, xm in receivers:
+            for b, d in enumerate(diffs, a + 1):
+                if (d & fm and (d & xm).bit_count() <= cap
+                        and not spheres[a].isdisjoint(spheres[b])):
+                    return False
+    return True
+
+
+def _outcome(check, spec, G):
+    try:
+        return check(spec, G)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _assert_oracle_matches_reference(spec, G):
+    assert _outcome(oracle_decodable, spec, G) == _outcome(_all_pairs_oracle, spec, G)
+
+
+@st.composite
+def oracle_cases(draw):
+    """A random instance with delta_c up to 2, and a generator that is
+    random or degenerate: all zero, one column repeated, or N = 1."""
+    q = draw(st.sampled_from((2, 3, 4, 5)))
+    n = draw(st.integers(1, 6 if q == 2 else 4))
+    m = draw(st.integers(1, n + 2))
+    f = [draw(st.integers(1, n)) for _ in range(m)]
+    X = [draw(st.sets(st.sampled_from([j for j in range(1, n + 1) if j != fi])))
+         if n > 1 else set() for fi in f]
+    spec = ProblemSpec(graph=SideInfoGraph.make(n, f, X), q=q,
+                       delta_s=draw(st.integers(0, 1)),
+                       delta_c=draw(st.integers(0, 2)),
+                       side_error_model=draw(st.sampled_from(("error", "erasure"))))
+    kind = draw(st.sampled_from(("random", "zero", "repeated", "single")))
+    N = 1 if kind == "single" else draw(st.integers(1, n + 2 * spec.delta_c + 1))
+    entry = st.integers(0, q - 1)
+    if kind == "zero":
+        rows = [[0] * N for _ in range(n)]
+    elif kind == "repeated":
+        rows = [[v] * N for v in draw(st.lists(entry, min_size=n, max_size=n))]
+    else:
+        rows = draw(st.lists(st.lists(entry, min_size=N, max_size=N),
+                             min_size=n, max_size=n))
+    return spec, Matrix(field_for(q), rows, ncols=N)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(oracle_cases())
+def test_oracle_matches_all_pairs_reference(case):
+    _assert_oracle_matches_reference(*case)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_oracle_matches_all_pairs_reference_on_optimal_witnesses(q):
+    rng = random.Random(500 + q)
+    for _ in range(8):
+        n = rng.randint(2, 4 if q == 2 else 3)
+        g = SideInfoGraph.make(n, range(1, n + 1), [
+            {j for j in range(1, n + 1) if j != i and rng.random() < .6}
+            for i in range(1, n + 1)])
+        for ds, dc in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            spec = ProblemSpec(graph=g, q=q, delta_s=ds, delta_c=dc,
+                               side_error_model=rng.choice(("error", "erasure")))
+            _, G = optimal_length(spec)
+            assert oracle_decodable(spec, G)
+            _assert_oracle_matches_reference(spec, G)
+            # the witness with one column dropped, or with a row zeroed
+            if G.ncols > 1:
+                _assert_oracle_matches_reference(
+                    spec, Matrix(G.field, [r[1:] for r in G.rows], ncols=G.ncols - 1))
+            rows = G.to_lists()
+            rows[rng.randrange(n)] = [0] * G.ncols
+            _assert_oracle_matches_reference(spec, Matrix(G.field, rows, ncols=G.ncols))
+
+
+def test_oracle_matches_all_pairs_reference_on_errors():
+    F3 = field_for(3)
+    for spec, G in (
+            (ProblemSpec(graph=clique_graph(13), q=2, delta_s=0), Matrix.identity(F2, 13)),
+            (ProblemSpec(graph=clique_graph(8), q=3, delta_s=0), Matrix.identity(F3, 8)),
+            (CLIQUE4, Matrix.identity(F3, 4)),
+            (CLIQUE4, Matrix.identity(F2, 3))):
+        outcome = _outcome(oracle_decodable, spec, G)
+        assert isinstance(outcome, tuple)
+        assert outcome == _outcome(_all_pairs_oracle, spec, G)

@@ -1,18 +1,20 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
 from icsie.codeset import first_witness, is_valid_generator, oracle_decodable
-from icsie.encoder import (clique_from_parity, complete_template, core_length,
-                           cycle_code, fitting_template, gaussian_binomial, ind_q,
+from icsie.encoder import (_systematic_code_exists, clique_from_parity,
+                           complete_template, core_length, cycle_code,
+                           fitting_template, gaussian_binomial, ind_q,
                            independent_columns, l_q, min_distance_from_parity,
                            minrank, optimal_length, parse_generator,
                            serialize_generator)
 from icsie.errors import (BudgetExceededError, CycleTooSmallError,
                           DistanceTooSmallError, IcsieError, ParseError)
-from icsie.gfield import field_for
+from icsie.gfield import _FieldOp, arithmetic, field_for
 from icsie.linalg import Matrix
 from icsie.sigraph import ProblemSpec, SideInfoGraph, clique_graph
 
@@ -185,6 +187,81 @@ def test_minrank_rejects_channel_errors():
 def test_core_length_is_the_error_free_optimum():
     spec = ProblemSpec(graph=clique_graph(4), q=2, delta_s=1, delta_c=1)
     assert core_length(spec) == minrank(CLIQUE4)[0] == 3
+
+
+# minrank's (N, completed G) as the Field-call rank tracker found them
+PINNED_MINRANK = [
+    (clique_graph(4), 3, 1, 24, 3,
+     [[1, 1, 1, 0, 0, 1, 0, 0, 1, 0, 0, 1], [0, 0, 1, 1, 1, 1, 0, 2, 0, 0, 2, 0],
+      [0, 1, 0, 0, 2, 0, 1, 1, 1, 2, 0, 0], [1, 0, 0, 2, 0, 0, 2, 0, 0, 1, 1, 1]]),
+    (clique_graph(4), 4, 1, 24, 3,
+     [[1, 1, 1, 0, 0, 1, 0, 0, 1, 0, 0, 1], [0, 0, 1, 1, 1, 1, 0, 1, 0, 0, 1, 0],
+      [0, 1, 0, 0, 1, 0, 1, 1, 1, 1, 0, 0], [1, 0, 0, 1, 0, 0, 1, 0, 0, 1, 1, 1]]),
+    # 12 free positions over F_5 need 28 bits
+    (clique_graph(4), 5, 1, 28, 3,
+     [[1, 1, 1, 0, 0, 1, 0, 0, 1, 0, 0, 1], [0, 0, 1, 1, 1, 1, 0, 4, 0, 0, 4, 0],
+      [0, 1, 0, 0, 4, 0, 1, 1, 1, 4, 0, 0], [1, 0, 0, 4, 0, 0, 4, 0, 0, 1, 1, 1]]),
+    (SideInfoGraph.make(4, [1, 2, 3, 4, 2], [{2, 3}, {1, 4}, {1, 2}, {3}, {3, 4}]),
+     3, 0, 24, 3, [[1, 0, 0, 0, 0], [0, 1, 1, 0, 1], [0, 0, 1, 2, 0], [0, 1, 0, 1, 1]]),
+    (SideInfoGraph.make(4, [1, 2, 3, 4], [{2, 3, 4}, {1, 3}, {1, 2, 4}, {1, 2}]),
+     4, 1, 24, 4, [[1, 1, 1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0, 0, 0],
+                   [0, 0, 0, 0, 1, 1, 1, 0], [0, 0, 0, 0, 0, 0, 0, 1]]),
+    (SideInfoGraph.make(4, [1, 2, 3, 4], [{2, 4}, {3}, {1, 4}, {1, 2}]),
+     5, 0, 24, 2, [[1, 0, 4, 1], [1, 1, 0, 1], [0, 1, 1, 0], [1, 0, 4, 1]]),
+]
+
+
+@pytest.mark.parametrize("graph, q, ds, bits, N, rows", PINNED_MINRANK)
+def test_minrank_pinned(graph, q, ds, bits, N, rows):
+    spec = ProblemSpec(graph=graph, q=q, delta_s=ds)
+    assert minrank(spec, budget_bits=bits) == (N, Matrix(field_for(q), rows))
+
+
+def test_minrank_over_an_untabulated_field():
+    # F_257 is past the table limit: the rank tracker reads the field
+    # through the views that call the Field
+    f = field_for(257)
+    assert all(isinstance(op, _FieldOp) for op in arithmetic(f))
+    spec = ProblemSpec(graph=clique_graph(2), q=257, delta_s=0)
+    assert minrank(spec) == (1, Matrix(f, [[1, 1], [1, 1]]))
+    acyclic = SideInfoGraph.make(2, [1, 2], [{2}, set()])
+    assert minrank(ProblemSpec(graph=acyclic, q=257, delta_s=0)) == (
+        2, Matrix(f, [[1, 0], [0, 1]]))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 257])
+def test_independent_columns_keeps_each_column_that_raises_the_rank(q):
+    # the rank tracker against Matrix.rank, first-come order
+    f = field_for(q)
+    rng = random.Random(q)
+    for _ in range(30):
+        n, N = rng.randint(1, 4), rng.randint(1, 6)
+        pool = [rng.randrange(q) for _ in range(3)]
+        M = Matrix(f, [[rng.choice(pool) for _ in range(N)] for _ in range(n)], ncols=N)
+        keep = []
+        for c in M.columns():
+            if Matrix(f, keep + [c]).rank() > len(keep):
+                keep.append(c)
+        assert independent_columns(M) == Matrix(f, zip(*keep), ncols=len(keep))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_minrank_equals_core_length_on_random_graphs(q):
+    rng = random.Random(300 + q)
+    checked = 0
+    while checked < 15:
+        n = rng.randint(2, 5 if q == 2 else 4)
+        f = [rng.randint(1, n) for _ in range(rng.randint(1, n + 1))]
+        X = [{j for j in range(1, n + 1) if j != fi and rng.random() < .5}
+             for fi in f]
+        spec = ProblemSpec(graph=SideInfoGraph.make(n, f, X), q=q,
+                           delta_s=rng.randint(0, 1),
+                           delta_c=rng.randint(0, 2))
+        # within minrank's budget, and small enough to stay quick
+        if fitting_template(spec).free_count() * math.log2(q) > 16:
+            continue
+        assert minrank(replace(spec, delta_c=0))[0] == core_length(spec)
+        checked += 1
 
 
 # -- the pruned subspace walk against other routes ---------------------------
@@ -430,6 +507,29 @@ def test_l_q_budget_messages_pinned():
     with pytest.raises(BudgetExceededError,
                        match="^systematic search at length 13 exceeds the budget$"):
         l_q(2, 6, 5)
+
+
+def _code_exists_reference(q, n, a, d):
+    """Every systematic generator [I | P], P taken column by column as
+    an ordered tuple, every nonzero message checked."""
+    f = field_for(q)
+    msgs = [m for m in itertools.product(range(q), repeat=a) if any(m)]
+    for P in itertools.product(itertools.product(range(q), repeat=a), repeat=n - a):
+        G = Matrix(f, [[int(i == j) for j in range(a)] + [c[i] for c in P]
+                       for i in range(a)], ncols=n)
+        if all(sum(1 for v in G.vec_mul(m) if v) >= d for m in msgs):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("q, cases", [
+    (2, [(n, a, d) for a in (1, 2, 3) for n in range(a, a + 5) for d in (2, 3, 4, 5)]),
+    (3, [(n, a, d) for a in (1, 2) for n in range(a, a + 4) for d in (2, 3, 4)]),
+    (4, [(n, a, d) for a in (1, 2) for n in range(a, a + 3) for d in (2, 3)]),
+    (5, [(3, 1, 3), (3, 2, 2), (4, 2, 3), (4, 2, 4)])])
+def test_systematic_code_search_matches_every_ordered_parity(q, cases):
+    for n, a, d in cases:
+        assert _systematic_code_exists(q, n, a, d) == _code_exists_reference(q, n, a, d)
 
 
 def test_l_q_respects_griesmer():
