@@ -27,7 +27,7 @@ as a ReceiverDecoder:
 
 ``decode_receiver`` takes its decoder from a bounded LRU cache keyed by
 the value of (G, graph, i, delta_s), so repeated decodes at a receiver
-cost one lookup, two small matrix-vector products and the projection.
+cost one lookup, two small matrix-vector products and one dot product.
 """
 
 from __future__ import annotations
@@ -136,7 +136,21 @@ def find_correction(ctx: ReceiverContext, syndrome, delta_s: int
 
 class ReceiverDecoder:
     """Receiver i's decoder under G with at most delta_s cache errors,
-    built once and then applied to any number of received words."""
+    built once and then applied to any number of received words.
+
+    One H_e row h with a = h . demand_row != 0 gives the demand value;
+    the other rows would always agree with it.  Proof: the rows of H
+    span the null space of G_{Y u {f}}, so the vectors H annihilates are
+    exactly the row space of G_{Y u {f}}.  A correction p whose syndrome
+    matches (found or forced) gives H (corrected - p) = 0, whatever y
+    and x_hat are, so cleaned = corrected - p = c * demand_row + w with
+    w in the row space of G_Y.  c is unique, because build_context
+    rejects a demand row in that span.  Every H_e row annihilates w, so
+    h . cleaned = c * (h . demand_row) for each of them: a row with a != 0
+    yields c = (h . cleaned) / a, and a row with a = 0 sees 0.  The same
+    rejection guarantees a row with a != 0, since the vectors H_e
+    annihilates are exactly the row space of G_Y.
+    """
 
     def __init__(self, G: Matrix, graph: SideInfoGraph, i: int, delta_s: int):
         ctx = build_context(G, graph, i)
@@ -146,11 +160,10 @@ class ReceiverDecoder:
         self.delta_s = delta_s
         self._add, self._sub, self._mul = add, sub, mul
         self._q = field.q
-        # each H_e row with its view of the demand row and that view's inverse
-        self._projection = []
-        for h in ctx.H_e.rows:
-            a = table_dot(add, mul, h, ctx.demand_row)
-            self._projection.append((h, a, field.inv(a) if a else 0))
+        # the first H_e row that sees the demand row (one exists: see above)
+        self._h, a = next((h, a) for h in ctx.H_e.rows
+                          if (a := table_dot(add, mul, h, ctx.demand_row)))
+        self._a_inv = field.inv(a)
         # first writer wins; once every syndrome has a writer the rest
         # of the candidates cannot change the table
         table: dict[tuple[int, ...], tuple] = {}
@@ -193,25 +206,9 @@ class ReceiverDecoder:
                 raise _no_solution(ctx, self.delta_s)
             p, suspected = hit
         cleaned = tuple(sub[a][b] for a, b in zip(corrected, p, strict=True))
-        # cleaned = x_f * demand_row + (interference combination); project by H_e
-        value = None
-        for h, a, a_inv in self._projection:
-            b = table_dot(add, mul, h, cleaned)
-            if a != 0:
-                v = mul[b][a_inv]
-                if value is None:
-                    value = v
-                elif value != v:
-                    raise InconsistentError(
-                        f"receiver {ctx.receiver}: projection rows disagree "
-                        f"on the demand value")
-            elif b != 0:
-                raise InconsistentError(
-                    f"receiver {ctx.receiver}: cleaned word not in the "
-                    f"expected row span")
-        if value is None:
-            raise DegenerateError(
-                f"receiver {ctx.receiver}: no projection row sees the demand row")
+        # cleaned = x_f * demand_row + (interference combination), so
+        # h . cleaned = x_f * (h . demand_row) for the kept H_e row h
+        value = mul[table_dot(add, mul, self._h, cleaned)][self._a_inv]
         return value, DecodeTrace(syndrome=syndrome, correction=p,
                                   suspected=suspected, value=value)
 

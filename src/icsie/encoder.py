@@ -500,14 +500,17 @@ def _systematic_code_exists(q: int, n: int, a: int, d: int) -> bool:
 def l_q(q: int, a: int, d: int, max_len: int = DEFAULT_LEN_CAP,
         budget_bits: int = DEFAULT_FREE_BITS) -> int:
     """Shortest length of a linear code over F_q with dimension a and
-    minimum distance at least d; exhaustive from the Griesmer bound up."""
+    minimum distance at least d; exhaustive from the Griesmer bound up.
+    A length is searched only if its multisets of n - a projective
+    parity columns number at most 2^budget_bits."""
     if a < 1 or d < 1:
         raise ValueError("need a >= 1 and d >= 1")
     if d == 1:
         return a
     griesmer = sum(-(-d // q ** i) for i in range(a))
+    points = (q ** a - 1) // (q - 1)
     for n in range(max(griesmer, a), max_len + 1):
-        if a * (n - a) * math.log2(q) > budget_bits:
+        if math.comb(points + n - a - 1, n - a) > 1 << budget_bits:
             raise BudgetExceededError(
                 f"systematic search at length {n} exceeds the budget")
         if _systematic_code_exists(q, n, a, d):

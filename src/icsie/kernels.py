@@ -1,33 +1,83 @@
-"""Kernel backend selection.
+"""GF(2) bitmask kernels.
 
-The hot GF(2) loops (rank, validity sweeps, span tests) exist twice:
-a Cython extension ``_gf2fast`` and a pure-Python fallback ``_gf2pure``
-with the same interface.  The compiled one is used when it imported
-successfully; set ICSIE_PURE_KERNELS=1 to force the fallback.
-``gf2_span_intersects`` has no caller in the library and ``gf2_rank``
-serves only ``Matrix.rank``; both stay exported under these names
-because the benchmark's tracer wraps them by name.
+Vectors over F_2 of length n are packed into Python ints with the
+convention that coordinate 1 occupies the highest bit (bit n-1), so the
+integer ordering of masks equals the lexicographic ordering of the
+corresponding coordinate tuples.  Python ints grow, so every kernel
+takes any number of columns.
+
+Callers look the kernels up as attributes of this module
+(``kernels.gf2_rank``), never by importing the functions, so the
+benchmark's tracer can wrap ``gf2_first_failing`` and ``gf2_rank`` here
+by name.  ``gf2_span_intersects`` has no caller in the library; it
+stays only because that tracer still wraps it by name.
 """
 
 from __future__ import annotations
 
-import os
 
-if os.environ.get("ICSIE_PURE_KERNELS"):
-    from ._gf2pure import (BACKEND, gf2_first_failing, gf2_mul_vec, gf2_rank,
-                           gf2_span_intersects)
-else:
-    try:
-        from ._gf2fast import (BACKEND, gf2_first_failing, gf2_mul_vec,
-                               gf2_rank, gf2_span_intersects)
-    except ImportError:
-        from ._gf2pure import (BACKEND, gf2_first_failing, gf2_mul_vec,
-                               gf2_rank, gf2_span_intersects)
+def gf2_rank(rows: list[int]) -> int:
+    """Rank of the matrix whose rows are the given bitmasks."""
+    rank = 0
+    pivots: list[int] = []
+    for row in rows:
+        for p in pivots:
+            if row & p & -p:
+                row ^= p
+        if row:
+            # keep pivots reduced against the new row's lowest set bit
+            low = row & -row
+            pivots = [p ^ row if p & low else p for p in pivots]
+            pivots.append(row)
+            rank += 1
+    return rank
 
-__all__ = [
-    "BACKEND",
-    "gf2_rank",
-    "gf2_mul_vec",
-    "gf2_first_failing",
-    "gf2_span_intersects",
-]
+
+def gf2_mul_vec(z: int, cols: list[int]) -> int:
+    """Row vector z times the matrix with the given column masks.
+
+    Output bit k (0 = first output coordinate, stored at the high end)
+    is the parity of z & cols[k].
+    """
+    ncols = len(cols)
+    out = 0
+    for k in range(ncols):
+        if (z & cols[k]).bit_count() & 1:
+            out |= 1 << (ncols - 1 - k)
+    return out
+
+
+def gf2_first_failing(zs: list[int], cols: list[int], need: int) -> int:
+    """Index of the first z in zs with wt(z * G) < need, or -1.
+
+    G is given by its column masks.  Used as the hot loop of generator
+    validity checks.
+    """
+    for idx, z in enumerate(zs):
+        w = 0
+        for c in cols:
+            w += (z & c).bit_count() & 1
+        if w < need:
+            return idx
+    return -1
+
+
+def gf2_span_intersects(basis: list[int], fmasks: list[int],
+                        xmasks: list[int], caps: list[int]) -> int:
+    """Whether the span of ``basis`` contains a nonzero interference vector.
+
+    A vector z is interfering when for some receiver index r,
+    z & fmasks[r] != 0 and popcount(z & xmasks[r]) <= caps[r].
+    Returns the first such span element (by Gray-code walk) or 0.
+    """
+    d = len(basis)
+    nrecv = len(fmasks)
+    z = 0
+    for code in range(1, 1 << d):
+        # Gray-code walk over the span: flip one basis row per step.
+        gray_bit = (code ^ (code >> 1)) ^ ((code - 1) ^ ((code - 1) >> 1))
+        z ^= basis[gray_bit.bit_length() - 1]
+        for r in range(nrecv):
+            if z & fmasks[r] and (z & xmasks[r]).bit_count() <= caps[r]:
+                return z
+    return 0

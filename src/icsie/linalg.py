@@ -14,7 +14,6 @@ import itertools
 from collections.abc import Iterable, Sequence
 
 from . import kernels
-from ._gf2pure import gf2_mul_vec
 from .errors import FieldMismatchError
 from .gfield import Field, arithmetic
 
@@ -93,9 +92,8 @@ def vector_space(field: Field, n: int):
 
 
 class _F2Vectors:
-    """F_2^n as int masks: adding is XOR and a mask is its own support.
-    first_failing is the selected GF(2) kernel; codeword the pure one,
-    which takes any number of columns (the compiled one holds 64)."""
+    """F_2^n as int masks: adding is XOR and a mask is its own support;
+    codeword and first_failing are the GF(2) kernels."""
 
     q = 2
 
@@ -133,7 +131,7 @@ class _F2Vectors:
         return v.bit_count()
 
     def codeword(self, x: int, cols: list[int]) -> int:
-        return gf2_mul_vec(x, cols)
+        return kernels.gf2_mul_vec(x, cols)
 
     def first_failing(self, zs: list[int], cols: list[int], need: int) -> int:
         return kernels.gf2_first_failing(zs, cols, need)

@@ -346,8 +346,7 @@ def test_pinned_clique_witnesses(q, n):
 
 
 def test_optimal_many_receivers_past_64():
-    # 70 receivers on 6 packets: more than a 64-bit receiver mask holds,
-    # which once crashed the compiled span kernel
+    # 70 receivers on 6 packets: more than a 64-bit receiver mask holds
     rng = random.Random(70)
     f, X = [], []
     for i in range(70):
@@ -507,6 +506,17 @@ def test_l_q_budget_messages_pinned():
     with pytest.raises(BudgetExceededError,
                        match="^systematic search at length 13 exceeds the budget$"):
         l_q(2, 6, 5)
+
+
+def test_l_q_budget_counts_multisets():
+    # length 11 has C(21, 7) = 116280 parity multisets, well inside the
+    # budget; 11 is the Griesmer bound, so a binary [11, 4, 5] code shows
+    # the answer is right
+    G = Matrix(field_for(2), [map(int, r) for r in (
+        "10000001111", "01000110011", "00101010101", "00011101010")])
+    assert min(sum(G.vec_mul(m)) for m in itertools.product((0, 1), repeat=4)
+               if any(m)) == 5
+    assert l_q(2, 4, 5) == 11
 
 
 def _code_exists_reference(q, n, a, d):
