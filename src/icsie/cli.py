@@ -39,12 +39,17 @@ def _load_instance(path: str) -> ProblemSpec:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_generator(path: str) -> Matrix:
+def _load_generator(path: str, spec: ProblemSpec) -> Matrix:
     try:
         with open(path) as fh:
-            return parse_generator(fh.read())
+            G = parse_generator(fh.read())
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    if G.field.q != spec.q or G.nrows != spec.graph.n:
+        raise ParseError(
+            f"generator is {G.nrows} rows over F_{G.field.q}, "
+            f"instance needs {spec.graph.n} rows over F_{spec.q}")
+    return G
 
 
 def _parse_vector(text: str, q: int, what: str) -> tuple[int, ...]:
@@ -148,11 +153,7 @@ def encode(instance: str, generator: str, x_text: str, as_json: bool) -> None:
     """Encode a message vector with a generator matrix."""
     def go():
         spec = _load_instance(instance)
-        G = _load_generator(generator)
-        if G.field.q != spec.q or G.nrows != spec.graph.n:
-            raise ParseError(
-                f"generator is {G.nrows} rows over F_{G.field.q}, "
-                f"instance needs {spec.graph.n} rows over F_{spec.q}")
+        G = _load_generator(generator, spec)
         x = _parse_vector(x_text, spec.q, "--x")
         if len(x) != spec.graph.n:
             raise ParseError(f"--x must have n = {spec.graph.n} entries")
@@ -200,7 +201,7 @@ def decode(instance: str, generator: str, y_text: str,
         spec = _load_instance(instance)
         if spec.delta_c != 0:
             raise IcsieError("decoding requires delta_c = 0 (error-free channel)")
-        G = _load_generator(generator)
+        G = _load_generator(generator, spec)
         y = _parse_vector(y_text, spec.q, "--y")
         if len(y) != G.ncols:
             raise ParseError(f"--y must have {G.ncols} entries")
@@ -297,7 +298,7 @@ def simulate(instance: str, generator: str, trials: str, seed: int,
     """Decode under injected cache errors and report recovery rates."""
     def go():
         spec = _load_instance(instance)
-        G = _load_generator(generator)
+        G = _load_generator(generator, spec)
         count = trials
         if trials != "exhaustive":
             try:

@@ -197,6 +197,10 @@ class ReceiverDecoder:
         syndrome = _mul_col(add, mul, ctx.H, corrected)
         if forced_correction is not None:
             p = tuple(forced_correction)
+            if len(p) != len(corrected) or p and (min(p) < 0 or max(p) >= self._q):
+                raise ValueError(
+                    f"forced_correction must be {len(corrected)} elements "
+                    f"of F_{self._q}")
             if _mul_col(add, mul, ctx.H, p) != syndrome:
                 raise InconsistentError("forced correction does not match the syndrome")
             suspected: tuple[int, ...] = ()

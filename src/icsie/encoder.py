@@ -76,11 +76,11 @@ class FittingTemplate:
 def fitting_template(spec: ProblemSpec) -> FittingTemplate:
     """Column descriptors of the structured matrices fitting the graph.
 
-    Receiver i contributes one column per way of choosing 2*delta_s of
-    its cached packets (a single column when the cache is smaller).
+    Receiver i contributes one column per way of choosing side_weight_cap()
+    of its cached packets (a single column when the cache is smaller).
     """
     g = spec.graph
-    t = 2 * spec.delta_s
+    t = spec.side_weight_cap()
     cols = []
     for i in range(1, g.m + 1):
         cache = sorted(g.X[i - 1])

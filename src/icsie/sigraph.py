@@ -14,8 +14,6 @@ from dataclasses import dataclass, replace
 from .errors import IcsieError, ParseError
 from .gfield import field_for
 
-SIDE_ERROR_MODELS = ("error", "erasure")
-
 
 @dataclass(frozen=True)
 class SideInfoGraph:
@@ -115,13 +113,10 @@ class ProblemSpec:
     q: int
     delta_s: int
     delta_c: int = 0
-    side_error_model: str = "error"
 
     def __post_init__(self):
         if self.delta_s < 0 or self.delta_c < 0:
             raise ValueError("delta_s and delta_c must be nonnegative")
-        if self.side_error_model not in SIDE_ERROR_MODELS:
-            raise ValueError(f"unknown side_error_model {self.side_error_model!r}")
         field_for(self.q)  # raises on non-prime-power q
 
     @property
@@ -129,15 +124,16 @@ class ProblemSpec:
         return field_for(self.q)
 
     def side_weight_cap(self) -> int:
-        """Cache-weight budget for interference vectors: 2*delta_s for the
-        error model, delta_s when side information is erased instead."""
-        if self.side_error_model == "erasure":
-            return self.delta_s
+        """The one cache-weight cap, 2*delta_s: with up to delta_s wrong
+        cached symbols at unknown positions, two messages differing in at
+        most 2*delta_s cached positions can look alike to a receiver."""
         return 2 * self.delta_s
 
 
 def parse_instance(text: str) -> ProblemSpec:
-    """Parse the JSON instance document; see serialize_instance for the schema."""
+    """Parse the JSON instance document; see serialize_instance for the
+    schema.  A "side_error_model" key, kept by older documents, must be
+    "error", the one cache-error model."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -162,9 +158,8 @@ def parse_instance(text: str) -> ProblemSpec:
     delta_c = need("delta_c", int)
     f = need("f", list)
     X = need("X", list)
-    model = doc.get("side_error_model", "error")
-    if model not in SIDE_ERROR_MODELS:
-        raise ParseError(f"side_error_model must be one of {SIDE_ERROR_MODELS}")
+    if doc.get("side_error_model", "error") != "error":
+        raise ParseError('side_error_model must be "error" when given')
     if len(f) != m:
         raise ParseError(f"f has {len(f)} entries, expected m = {m}")
     if len(X) != m:
@@ -176,8 +171,7 @@ def parse_instance(text: str) -> ProblemSpec:
             raise ParseError(f"X[{i}] must be strictly ascending")
     try:
         graph = SideInfoGraph.make(n, f, X)
-        return ProblemSpec(graph=graph, q=q, delta_s=delta_s, delta_c=delta_c,
-                           side_error_model=model)
+        return ProblemSpec(graph=graph, q=q, delta_s=delta_s, delta_c=delta_c)
     except (IcsieError, ValueError, IndexError) as exc:
         raise ParseError(str(exc)) from exc
 
@@ -191,7 +185,6 @@ def serialize_instance(spec: ProblemSpec) -> str:
         "q": spec.q,
         "delta_s": spec.delta_s,
         "delta_c": spec.delta_c,
-        "side_error_model": spec.side_error_model,
         "f": list(g.f),
         "X": [sorted(s) for s in g.X],
     }

@@ -20,6 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 
+from .codeset import _check_generator
 from .decoder import decode_receiver
 from .errors import (BudgetExceededError, DegenerateError, IcsieError,
                      InconsistentError, NoSolutionError)
@@ -97,12 +98,14 @@ def run_simulation(spec: ProblemSpec, G: Matrix,
     receiver by receiver, each receiver's in message order.  Random mode
     samples the triples and keeps witnesses in trial order.
     Raises BudgetExceededError, before any trial, when the run would
-    make more than 2^budget_bits trials.
+    make more than 2^budget_bits trials, and FieldMismatchError when G
+    is over another field than the instance.
     """
     if spec.delta_c != 0:
         raise IcsieError(
             "decoder-backed simulation requires delta_c = 0; "
             "use oracle_decodable for channel errors")
+    _check_generator(spec, G)
     g = spec.graph
     n, q, field = g.n, spec.q, spec.field
     exhaustive = (config.trials == "exhaustive"

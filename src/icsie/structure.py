@@ -1,10 +1,10 @@
 """Cycle structure of an instance and the bounds ledger.
 
 A packet set B is compressible ("cycle-like") when every receiver
-demanding inside B also caches strictly more than the cache-error
-budget inside B; the instance is acyclic exactly when no such set
-exists, which in turn happens exactly when the code cannot beat the
-uncoded length n.
+demanding inside B also caches more than 2*delta_s packets of B, the
+cap ``ProblemSpec.side_weight_cap`` that every rule here reads; the
+instance is acyclic exactly when no such set exists, which in turn
+happens exactly when the code cannot beat the uncoded length n.
 
 The bounds report gathers every bound the library knows how to compute
 for one instance, each tagged with its provenance and whether it was
@@ -37,9 +37,11 @@ class CycleSet:
     receivers: tuple[int, ...]   # all i with f(i) in packets
 
 
-def _cycle_condition(graph: SideInfoGraph, delta_s: int, B: frozenset[int]) -> bool:
+def _cycle_condition(graph: SideInfoGraph, cap: int, B: frozenset[int]) -> bool:
+    """Does every receiver demanding inside B cache more than
+    cap = side_weight_cap() packets of B?  Then B compresses."""
     for i in range(1, graph.m + 1):
-        if graph.f[i - 1] in B and len(graph.X[i - 1] & B) < 2 * delta_s + 1:
+        if graph.f[i - 1] in B and len(graph.X[i - 1] & B) <= cap:
             return False
     return True
 
@@ -54,6 +56,7 @@ def find_cycles(spec: ProblemSpec,
     """All minimal compressible packet sets, by size then lexicographically."""
     g = spec.graph
     _check_subset_budget(g.n, budget_bits)
+    cap = spec.side_weight_cap()
     members: list[frozenset[int]] = []
     packets = list(range(1, g.n + 1))
     for size in range(1, g.n + 1):
@@ -61,7 +64,7 @@ def find_cycles(spec: ProblemSpec,
             Bf = frozenset(B)
             if any(m <= Bf for m in members):
                 continue
-            if _cycle_condition(g, spec.delta_s, Bf):
+            if _cycle_condition(g, cap, Bf):
                 members.append(Bf)
     return [CycleSet(packets=B,
                      receivers=tuple(i for i in range(1, g.m + 1)
@@ -73,11 +76,12 @@ def is_acyclic(spec: ProblemSpec, budget_bits: int = DEFAULT_SUBSET_BITS) -> boo
     return not find_cycles(spec, budget_bits)
 
 
-def _acyclic_on_subset(graph: SideInfoGraph, delta_s: int, Q: frozenset[int]) -> bool:
-    """Is the sub-instance induced on packet set Q free of compressible sets?"""
-    for size in range(2 * delta_s + 2, len(Q) + 1):
+def _acyclic_on_subset(graph: SideInfoGraph, cap: int, Q: frozenset[int]) -> bool:
+    """Is the sub-instance induced on packet set Q free of compressible
+    sets?  Each has a demand plus more than cap cached packets."""
+    for size in range(cap + 2, len(Q) + 1):
         for B in itertools.combinations(sorted(Q), size):
-            if _cycle_condition(graph, delta_s, frozenset(B)):
+            if _cycle_condition(graph, cap, frozenset(B)):
                 return False
     return True
 
@@ -129,17 +133,20 @@ def delta_s_mais(spec: ProblemSpec,
                  budget_bits: int = DEFAULT_SUBSET_BITS) -> int:
     """Largest packet subset whose induced sub-instance is acyclic.
 
-    Defined for the unipartite case (m = n, receiver i demands packet i),
-    where it must coincide with gamma().
+    Defined for the unipartite case (m = n, f(i) = i), where it coincides
+    with gamma(): Q is acyclic iff every nonempty K within Q has a
+    receiver demanding in K that caches at most side_weight_cap()
+    packets of K, i.e. K is in the support family.
     """
     g = spec.graph
     if not g.is_unipartite():
         raise NotUnipartiteError("maximum acyclic induced subgraph needs m = n, f(i) = i")
     _check_subset_budget(g.n, budget_bits)
+    cap = spec.side_weight_cap()
     packets = list(range(1, g.n + 1))
     for size in range(g.n, 0, -1):
         for Q in itertools.combinations(packets, size):
-            if _acyclic_on_subset(g, spec.delta_s, frozenset(Q)):
+            if _acyclic_on_subset(g, cap, frozenset(Q)):
                 return size
     return 0
 
@@ -173,9 +180,12 @@ class BoundsReport:
         return min(vals) if vals else None
 
     def consistent(self) -> bool:
+        """lower <= upper per target, with n_opt between the icsie bounds."""
         for target in ("icsie", "gecic"):
-            lo, hi = self.lower(target), self.upper(target)
-            if lo is not None and hi is not None and lo > hi:
+            exact = self.n_opt if target == "icsie" else None
+            known = [v for v in (self.lower(target), exact, self.upper(target))
+                     if v is not None]
+            if known != sorted(known):
                 return False
         return True
 
@@ -192,30 +202,21 @@ class BoundsReport:
         return json.dumps(doc, indent=1)
 
 
-def _edge_deletion_choices(graph: SideInfoGraph, delta_s: int):
-    """Per-receiver ways of deleting min(2*delta_s, |X_i|) cache edges."""
-    per_receiver = []
-    for i in range(1, graph.m + 1):
-        cache = sorted(graph.X[i - 1])
-        t = min(2 * delta_s, len(cache))
-        per_receiver.append([frozenset(c) for c in itertools.combinations(cache, t)])
-    return per_receiver
-
-
 def edge_deletion_bound(spec: ProblemSpec,
                         exhaustive_cap: int = EDGE_DELETION_EXHAUSTIVE_CAP,
                         samples: int = EDGE_DELETION_SAMPLES,
                         seed: int = EDGE_DELETION_SEED) -> tuple[int, bool]:
     """Best error-free-conventional lower bound over cache-edge deletions.
 
-    Every way of deleting min(2*delta_s, |X_i|) cache edges per receiver
-    yields a conventional instance whose optimum lower-bounds ours, so
-    the maximum over deletions is wanted.  Exhaustive when the choice
+    Every way of deleting min(side_weight_cap(), |X_i|) cache edges per
+    receiver yields a conventional instance whose optimum lower-bounds
+    ours, so the maximum over deletions is wanted.  Exhaustive when the choice
     space is small; otherwise a deterministic sample, still a valid
     lower bound but flagged uncertified.
     """
-    g = spec.graph
-    per_receiver = _edge_deletion_choices(g, spec.delta_s)
+    g, cap = spec.graph, spec.side_weight_cap()
+    per_receiver = [list(itertools.combinations(sorted(X), min(cap, len(X))))
+                    for X in g.X]
     total = math.prod(len(c) for c in per_receiver)
     if total <= exhaustive_cap:
         choice_iter = itertools.product(*per_receiver)
@@ -226,14 +227,10 @@ def edge_deletion_bound(spec: ProblemSpec,
                         for choices in per_receiver]
                        for _ in range(samples))
         certified = False
-    best = 0
-    for choices in choice_iter:
-        reduced = g.delete_side_edges({i + 1: set(c) for i, c in enumerate(choices)})
-        sub = ProblemSpec(graph=reduced, q=spec.q, delta_s=0, delta_c=0,
-                          side_error_model=spec.side_error_model)
-        val, _ = optimal_length(sub)
-        if val > best:
-            best = val
+    reduced = (g.delete_side_edges({i + 1: set(c) for i, c in enumerate(choices)})
+               for choices in choice_iter)
+    best = max(optimal_length(ProblemSpec(graph=r, q=spec.q, delta_s=0))[0]
+               for r in reduced)
     return best, certified
 
 
@@ -280,16 +277,17 @@ def bounds_report(spec: ProblemSpec,
     entries["gamma"] = BoundEntry(
         "lower", gam, "icsie", "independence-number lower bound")
 
-    S = {g.f[i - 1] for i in range(1, g.m + 1)
-         if len(g.X[i - 1]) <= 2 * spec.delta_s}
-    if g.n > len(S):
+    cap = spec.side_weight_cap()
+    S = {g.f[i - 1] for i in range(1, g.m + 1) if len(g.X[i - 1]) <= cap}
+    # an undemanded packet may get a zero row: only a demanded one adds a dimension
+    if set(g.f) - S:
         entries["S_plus_1"] = BoundEntry(
             "lower", len(S) + 1, "icsie",
             "receivers with caches within the error budget force "
             "independent rows")
     else:
         entries["S_plus_1"] = BoundEntry(
-            "exact", g.n, "icsie", "every demand row independent: uncoded")
+            "exact", len(S), "icsie", "every demand row independent: uncoded")
 
     beta, packing = max_disjoint_cycles(base)
     acyclic = beta == 0

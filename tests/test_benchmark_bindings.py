@@ -1,9 +1,11 @@
-"""The library names the benchmark binds to must exist.
+"""The library names and formats the benchmark binds to must hold.
 
 perfbench/spans.py wraps the functions listed in its SPANNED table by
-module and attribute, and perfbench/worker.py records
-icsie.KERNEL_BACKEND.  Renaming or deleting one of them breaks the
-benchmark; this test makes it break the test suite first.
+module and attribute, perfbench/worker.py records icsie.KERNEL_BACKEND,
+and perfbench/workloads.py writes instance documents for the program to
+parse.  Renaming or deleting one of those names, or changing the
+instance format under them, breaks the benchmark; these tests make it
+break the test suite first.  perfbench is only imported, never changed.
 """
 
 import functools
@@ -11,6 +13,7 @@ import importlib
 from pathlib import Path
 
 import icsie
+from icsie.sigraph import ProblemSpec, clique_graph, parse_instance
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -27,3 +30,12 @@ def test_every_traced_name_resolves(monkeypatch):
 
 def test_kernel_backend_is_recorded():
     assert isinstance(icsie.KERNEL_BACKEND, str)
+
+
+def test_benchmark_instances_parse(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    path = workloads.Plan(tmp_path).instance(
+        "clique3", workloads.clique_caches(3), q=3, delta_s=1, delta_c=1)
+    assert parse_instance(Path(path).read_text()) == ProblemSpec(
+        graph=clique_graph(3), q=3, delta_s=1, delta_c=1)

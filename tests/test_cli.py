@@ -176,6 +176,48 @@ def test_decode_wrong_truth_flags_failure(runner, clique4_files):
     assert "receiver 2" in res.output
 
 
+
+def _no_traceback(res):
+    return res.exception is None or isinstance(res.exception, SystemExit)
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("encode", ["--x", "1,0,1,1"]),
+    ("decode", ["--y", "0,0,0", "--xhat", "1=0,0,0"]),
+    ("simulate", []),
+])
+@pytest.mark.parametrize("kind", ["three rows", "over F_3"])
+def test_generator_must_fit_the_instance(runner, clique4_files, tmp_path,
+                                         command, extra, kind):
+    inst, _, _, G = clique4_files
+    wrong = (Matrix(F2, G.rows[:3], ncols=G.ncols) if kind == "three rows"
+             else Matrix(field_for(3), G.rows, ncols=G.ncols))
+    p = tmp_path / "wrong.json"
+    p.write_text(serialize_generator(wrong))
+    res = runner.invoke(main, [command, inst, str(p), *extra])
+    assert res.exit_code == 2, res.output
+    assert _no_traceback(res)
+    assert "instance needs 4 rows over F_2" in res.output
+    assert "PASS" not in res.output
+
+
+@pytest.mark.parametrize("command", ["search", "analyze", "simulate"])
+def test_erasure_document_is_a_parse_error(runner, tmp_path, command):
+    # the 3-packet clique at delta_s = 1 under the withdrawn erasure model
+    spec = ProblemSpec(graph=clique_graph(3), q=2, delta_s=1)
+    doc = json.loads(serialize_instance(spec))
+    doc["side_error_model"] = "erasure"
+    inst = tmp_path / "c3.json"
+    inst.write_text(json.dumps(doc))
+    gen = tmp_path / "id3.json"
+    gen.write_text(serialize_generator(Matrix.identity(F2, 3)))
+    args = [command, str(inst)] + ([str(gen)] if command == "simulate" else [])
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert _no_traceback(res)
+    assert res.output.startswith("parse error: side_error_model")
+
+
 def test_analyze(runner, clique4_files):
     inst, _, _, _ = clique4_files
     res = runner.invoke(main, ["analyze", inst])

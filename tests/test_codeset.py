@@ -98,17 +98,6 @@ def test_monotone_in_delta_s():
     assert small <= large
 
 
-def test_erasure_mode_halves_the_cap():
-    spec_err = ProblemSpec(graph=clique_graph(4), q=2, delta_s=1)
-    spec_era = ProblemSpec(graph=clique_graph(4), q=2, delta_s=1,
-                           side_error_model="erasure")
-    era = {z for z, _ in enum_interference(spec_era)}
-    err = {z for z, _ in enum_interference(spec_err)}
-    assert era < err
-    assert era == {z for z in itertools.product((0, 1), repeat=4)
-                   if 1 <= hamming_weight(z) <= 2}
-
-
 def test_paper_clique4_generator_valid():
     ok, z = is_valid_generator(CLIQUE4, PAPER_G4)
     assert ok and z is None
@@ -187,8 +176,7 @@ def instances_with_generators(draw):
          for fi in f]
     spec = ProblemSpec(graph=SideInfoGraph.make(n, f, X), q=q,
                        delta_s=draw(st.integers(0, 1)),
-                       delta_c=draw(st.integers(0, 1)),
-                       side_error_model=draw(st.sampled_from(("error", "erasure"))))
+                       delta_c=draw(st.integers(0, 1)))
     N = draw(st.integers(1, n + 2 * spec.delta_c + 1))
     rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=N, max_size=N),
                          min_size=n, max_size=n))
@@ -304,8 +292,7 @@ def oracle_cases(draw):
          if n > 1 else set() for fi in f]
     spec = ProblemSpec(graph=SideInfoGraph.make(n, f, X), q=q,
                        delta_s=draw(st.integers(0, 1)),
-                       delta_c=draw(st.integers(0, 2)),
-                       side_error_model=draw(st.sampled_from(("error", "erasure"))))
+                       delta_c=draw(st.integers(0, 2)))
     kind = draw(st.sampled_from(("random", "zero", "repeated", "single")))
     N = 1 if kind == "single" else draw(st.integers(1, n + 2 * spec.delta_c + 1))
     entry = st.integers(0, q - 1)
@@ -334,8 +321,7 @@ def test_oracle_matches_all_pairs_reference_on_optimal_witnesses(q):
             {j for j in range(1, n + 1) if j != i and rng.random() < .6}
             for i in range(1, n + 1)])
         for ds, dc in ((0, 0), (1, 0), (0, 1), (1, 1)):
-            spec = ProblemSpec(graph=g, q=q, delta_s=ds, delta_c=dc,
-                               side_error_model=rng.choice(("error", "erasure")))
+            spec = ProblemSpec(graph=g, q=q, delta_s=ds, delta_c=dc)
             _, G = optimal_length(spec)
             assert oracle_decodable(spec, G)
             _assert_oracle_matches_reference(spec, G)

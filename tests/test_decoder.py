@@ -368,6 +368,21 @@ def test_non_field_entries_rejected():
         decode_receiver(G9, GRAPH9, 9, Y9, (0, 0, -1, 0, 0, 0), 1)
 
 
+
+@pytest.mark.parametrize("q,n,forced", [(2, 4, (7, 0, 0)), (4, 3, (-1, 0, 0))])
+def test_forced_correction_entries_rejected(q, n, forced):
+    # F_2 clique-4 (N = 3) and F_4 clique-3 (uncoded, N = 3)
+    spec = ProblemSpec(graph=clique_graph(n), q=q, delta_s=1)
+    _, G = optimal_length(spec)
+    y = G.vec_mul((0,) * n)
+    with pytest.raises(ValueError, match=f"forced_correction must be 3 elements of F_{q}"):
+        decode_receiver(G, spec.graph, 1, y, (0,) * (n - 1), 1,
+                        forced_correction=forced)
+    with pytest.raises(ValueError, match="forced_correction"):
+        decode_receiver(G, spec.graph, 1, y, (0,) * (n - 1), 1,
+                        forced_correction=(0, 0))
+
+
 # -- the decoder cache ---------------------------------------------------------
 
 def test_cache_keeps_generators_and_graphs_apart():

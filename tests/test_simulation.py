@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from icsie import simulation
-from icsie.errors import BudgetExceededError, IcsieError
+from icsie.errors import BudgetExceededError, FieldMismatchError, IcsieError
 from icsie.gfield import field_for
 from icsie.linalg import Matrix
 from icsie.sigraph import ProblemSpec, SideInfoGraph, clique_graph
@@ -56,6 +56,15 @@ def test_random_mode_trials_within_budget():
 def test_trial_count_must_be_positive(trials):
     with pytest.raises(IcsieError, match="positive count"):
         SimulationConfig(trials=trials)
+
+
+
+def test_generator_over_another_field_rejected():
+    # an F_3 identity would decode every F_2 trial: the run must not start
+    spec = ProblemSpec(graph=clique_graph(4), q=2, delta_s=1)
+    for config in (EXHAUSTIVE, SimulationConfig(trials=10)):
+        with pytest.raises(FieldMismatchError, match="F_3"):
+            run_simulation(spec, Matrix.identity(field_for(3), 4), config)
 
 
 # -- exhaustive mode encodes each message once, witnesses stay in order ------

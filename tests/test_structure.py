@@ -1,14 +1,18 @@
 import json
+import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from icsie.codeset import is_valid_generator
 from icsie.encoder import optimal_length
 from icsie.errors import BudgetExceededError, NotUnipartiteError
 from icsie.sigraph import ProblemSpec, SideInfoGraph, clique_graph
-from icsie.structure import (bounds_report, delta_s_mais, edge_deletion_bound,
-                             find_cycles, gamma, is_acyclic,
-                             max_disjoint_cycles, packing_generator)
+from icsie.structure import (BoundEntry, BoundsReport, bounds_report,
+                             delta_s_mais, edge_deletion_bound, find_cycles,
+                             gamma, is_acyclic, max_disjoint_cycles,
+                             packing_generator)
 
 from conftest import all_unipartite_graphs, sampled_unipartite_graphs
 
@@ -195,3 +199,41 @@ def test_sandwich_on_family():
             assert N is not None
             assert report.lower("icsie") <= N <= report.upper("icsie")
             assert report.consistent()
+
+
+def test_consistent_checks_the_exact_optimum():
+    entries = {"n": BoundEntry("exact", 3, "icsie", "uncoded"),
+               "gecic_lower": BoundEntry("lower", 5, "gecic", "channel")}
+    assert not BoundsReport(entries=entries, n_opt=2).consistent()
+    assert not BoundsReport(entries=entries, n_opt=4).consistent()
+    assert BoundsReport(entries=entries, n_opt=3).consistent()
+    assert BoundsReport(entries=entries).consistent()
+
+
+@st.composite
+def bounds_cases(draw):
+    """A random instance with delta_c = 0 (a packet may have several
+    receivers or none), whose edge-deletion choice space stays small."""
+    q = draw(st.sampled_from((2, 3, 4, 5)))
+    n = draw(st.integers(2, 5 if q == 2 else 4))
+    ds = draw(st.integers(0, 1))
+    m = draw(st.integers(1, n + 1))
+    f = [draw(st.integers(1, n)) for _ in range(m)]
+    X = [draw(st.sets(st.sampled_from([j for j in range(1, n + 1) if j != fi])))
+         for fi in f]
+    assume(math.prod(math.comb(len(c), min(2 * ds, len(c))) for c in X) <= 16)
+    return ProblemSpec(graph=SideInfoGraph.make(n, f, X), q=q, delta_s=ds)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(bounds_cases())
+def test_bounds_sandwich_the_optimum(spec):
+    N, _ = optimal_length(spec)
+    report = bounds_report(spec)
+    assert report.n_opt == N
+    for name, e in report.entries.items():
+        if e.kind in ("lower", "exact"):
+            assert e.value <= N, (name, e)
+        if e.kind in ("upper", "exact"):
+            assert N <= e.value, (name, e)
+    assert report.consistent()
