@@ -25,7 +25,7 @@ import itertools
 import math
 from collections.abc import Iterator
 
-from .errors import BudgetExceededError, FieldMismatchError
+from .errors import BudgetExceededError, DimensionError, FieldMismatchError
 from .linalg import Matrix, hamming_weight, subvector, vector_space
 from .sigraph import ProblemSpec
 
@@ -130,7 +130,7 @@ def in_support_family(spec: ProblemSpec, K) -> bool:
 
 def _check_generator(spec: ProblemSpec, G: Matrix) -> None:
     if G.nrows != spec.graph.n:
-        raise ValueError(f"G must have n = {spec.graph.n} rows")
+        raise DimensionError(f"G must have n = {spec.graph.n} rows")
     if G.field != spec.field:
         raise FieldMismatchError(
             f"G is over F_{G.field.q}, the instance over F_{spec.q}")

@@ -15,19 +15,22 @@ as a ReceiverDecoder:
 
 * the receiver's context (H, H_e and the rows it needs), from
   ``build_context``;
-* the field's add, sub and mul as lookup tables (``gfield.arithmetic``),
-  so a decode makes no Field method calls;
-* the syndrome -> (correction, suspected packets) table: the coset
-  leaders of the syndrome decoding of Dau, Skachek & Chee, "Error
-  correction for index coding with side information" (IEEE Trans. IT
-  59(3), 2013, Sec. V).  It is filled in ``find_correction``'s search
-  order -- support size, then supports lexicographically, then
+* the linear map (y, x_hat) -> A (y - x_hat G_X), A stacking H over the
+  one H_e row h that is kept: a column of A for each codeword symbol and
+  -A g_j for each cache row g_j, packed by ``linalg.vector_space`` with
+  every scaling precomputed;
+* the syndrome -> (syndrome, correction, suspected packets, h . correction)
+  table: the coset leaders of the syndrome decoding of Dau, Skachek &
+  Chee, "Error correction for index coding with side information" (IEEE
+  Trans. IT 59(3), 2013, Sec. V).  It is filled in ``find_correction``'s
+  search order -- support size, then supports lexicographically, then
   coefficients -- and the first correction to reach a syndrome keeps
   it, so a lookup returns exactly the correction the search would find.
 
 ``decode_receiver`` takes its decoder from a bounded LRU cache keyed by
-the value of (G, graph, i, delta_s), so repeated decodes at a receiver
-cost one lookup, two small matrix-vector products and one dot product.
+the value of (G, graph, i, delta_s), so a repeated decode at a receiver
+costs one accumulate of packed columns (one XOR each over F_2) at the
+nonzero entries of y and x_hat, and one table lookup.
 """
 
 from __future__ import annotations
@@ -35,10 +38,12 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import DegenerateError, InconsistentError, NoSolutionError
+from .errors import (DegenerateError, DimensionError, InconsistentError,
+                     NoSolutionError)
 from .gfield import arithmetic
-from .linalg import Matrix, table_dot
+from .linalg import Matrix, table_dot, vector_space
 from .sigraph import SideInfoGraph
 
 DECODER_CACHE_SIZE = 128     # receivers whose decoders stay built
@@ -56,8 +61,7 @@ class ReceiverContext:
     H_e: Matrix                       # annihilates interference rows only
 
 
-@dataclass(frozen=True)
-class DecodeTrace:
+class DecodeTrace(NamedTuple):
     syndrome: tuple[int, ...]
     correction: tuple[int, ...]
     suspected: tuple[int, ...]        # cache packet indices blamed by the correction
@@ -72,7 +76,7 @@ def build_context(G: Matrix, graph: SideInfoGraph, i: int) -> ReceiverContext:
     row spaces, not entries.
     """
     if G.nrows != graph.n:
-        raise ValueError(f"G must have n = {graph.n} rows")
+        raise DimensionError(f"G must have n = {graph.n} rows")
     fpkt = graph.f[i - 1]
     cache = tuple(sorted(graph.X[i - 1]))
     interf = tuple(sorted(graph.y_set(i)))
@@ -134,6 +138,12 @@ def find_correction(ctx: ReceiverContext, syndrome, delta_s: int
     raise _no_solution(ctx, delta_s)
 
 
+@functools.lru_cache(maxsize=8)
+def _elements(q: int) -> frozenset[int]:
+    """The elements of F_q, shared by the decoders of one field."""
+    return frozenset(range(q))
+
+
 class ReceiverDecoder:
     """Receiver i's decoder under G with at most delta_s cache errors,
     built once and then applied to any number of received words.
@@ -150,6 +160,17 @@ class ReceiverDecoder:
     yields c = (h . cleaned) / a, and a row with a = 0 sees 0.  The same
     rejection guarantees a row with a != 0, since the vectors H_e
     annihilates are exactly the row space of G_Y.
+
+    Both the syndrome H . corrected and h . corrected come from one
+    linear map.  With A = [H; h] and corrected = y - x_hat G_X, where
+    G_X stacks the cache rows g_j,
+
+        A corrected = A y - A (G_X^T x_hat) = sum_k y_k A_k - sum_j x_hat_j A g_j,
+
+    A_k being column k of A.  So z = A corrected is the sum, over the
+    nonzero y_k and x_hat_j, of y_k A_k and x_hat_j (-A g_j): its first
+    rows are the syndrome and its last is h . corrected.  Then
+    h . cleaned = h . corrected - h . p, and h . p is stored with p.
     """
 
     def __init__(self, G: Matrix, graph: SideInfoGraph, i: int, delta_s: int):
@@ -164,57 +185,63 @@ class ReceiverDecoder:
         self._h, a = next((h, a) for h in ctx.H_e.rows
                           if (a := table_dot(add, mul, h, ctx.demand_row)))
         self._a_inv = field.inv(a)
+        # z = A (y - x_hat G_X), A = [H; h]: every scaling of A's columns
+        # and of the -A g_j, packed
+        A = Matrix(field, [*ctx.H.rows, self._h], ncols=G.ncols)
+        self._space = space = vector_space(field, A.nrows)
+        self._syndromes = vector_space(field, ctx.H.nrows)
+        self._ycols = [space.multiples(space.pack(col)) for col in A.columns()]
+        self._xcols = [space.multiples(space.pack(
+            [field.neg(e) for e in _mul_col(add, mul, A, g)]))
+            for g in ctx.G_cache.rows]
+        self._elements = _elements(field.q)
         # first writer wins; once every syndrome has a writer the rest
         # of the candidates cannot change the table
-        table: dict[tuple[int, ...], tuple] = {}
+        table: dict = {}
         syndromes = field.q ** ctx.H.nrows
         for p, suspected in _candidate_corrections(ctx, delta_s, add, mul):
-            table.setdefault(_mul_col(add, mul, ctx.H, p), (p, suspected))
-            if len(table) == syndromes:
-                break
+            s = _mul_col(add, mul, ctx.H, p)
+            key = self._syndromes.pack(s)
+            if key not in table:
+                table[key] = (s, p, suspected, table_dot(add, mul, self._h, p))
+                if len(table) == syndromes:
+                    break
         self._table = table
 
     def decode(self, y, x_hat, forced_correction=None) -> tuple[int, DecodeTrace]:
         """decode_receiver at this decoder's receiver."""
         ctx = self.ctx
-        add, sub, mul = self._add, self._sub, self._mul
         if len(x_hat) != len(ctx.cache):
             raise ValueError(
                 f"receiver {ctx.receiver} caches {len(ctx.cache)} packets, "
                 f"got {len(x_hat)}")
-        for v in (y, x_hat):
-            if v and (min(v) < 0 or max(v) >= self._q):
-                raise ValueError(f"y and x_hat entries must be elements of F_{self._q}")
-        # y minus the cache contribution x_hat . G_cache
-        gx = [0] * ctx.G_cache.ncols
-        for c, row in zip(x_hat, ctx.G_cache.rows):
-            if c:
-                mc = mul[c]
-                for k, v in enumerate(row):
-                    if v:
-                        gx[k] = add[gx[k]][mc[v]]
-        corrected = tuple(sub[a][b] for a, b in zip(y, gx, strict=True))
-        syndrome = _mul_col(add, mul, ctx.H, corrected)
+        if not (self._elements.issuperset(y) and self._elements.issuperset(x_hat)):
+            raise ValueError(f"y and x_hat entries must be elements of F_{self._q}")
+        # z = A (y - x_hat G_X): syndrome on top, h . corrected last
+        key, hc = self._space.split(self._space.total(
+            [col[v] for v, col in zip(y, self._ycols, strict=True) if v]
+            + [col[c] for c, col in zip(x_hat, self._xcols) if c]))
         if forced_correction is not None:
+            add, mul = self._add, self._mul
             p = tuple(forced_correction)
-            if len(p) != len(corrected) or p and (min(p) < 0 or max(p) >= self._q):
+            if len(p) != len(y) or not self._elements.issuperset(p):
                 raise ValueError(
-                    f"forced_correction must be {len(corrected)} elements "
+                    f"forced_correction must be {len(y)} elements "
                     f"of F_{self._q}")
+            syndrome = self._syndromes.unpack(key)
             if _mul_col(add, mul, ctx.H, p) != syndrome:
                 raise InconsistentError("forced correction does not match the syndrome")
             suspected: tuple[int, ...] = ()
+            hp = table_dot(add, mul, self._h, p)
         else:
-            hit = self._table.get(syndrome)
+            hit = self._table.get(key)
             if hit is None:
                 raise _no_solution(ctx, self.delta_s)
-            p, suspected = hit
-        cleaned = tuple(sub[a][b] for a, b in zip(corrected, p, strict=True))
+            syndrome, p, suspected, hp = hit
         # cleaned = x_f * demand_row + (interference combination), so
-        # h . cleaned = x_f * (h . demand_row) for the kept H_e row h
-        value = mul[table_dot(add, mul, self._h, cleaned)][self._a_inv]
-        return value, DecodeTrace(syndrome=syndrome, correction=p,
-                                  suspected=suspected, value=value)
+        # h . cleaned = h . corrected - h . p = x_f * (h . demand_row)
+        value = self._mul[self._sub[hc][hp]][self._a_inv]
+        return value, DecodeTrace(syndrome, p, suspected, value)
 
 
 class _FailedDecoder:

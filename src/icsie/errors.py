@@ -37,6 +37,11 @@ class DegenerateError(IcsieError):
     pass
 
 
+class DimensionError(IcsieError, ValueError):
+    """A generator with the wrong number of rows for the instance.  It
+    is a ValueError too, the type callers of these checks catch."""
+
+
 class CycleTooSmallError(IcsieError):
     pass
 

@@ -16,7 +16,7 @@ MAX_Q = 1 << 16
 
 # Lookup tables are built for fields up to this size; larger fields fall
 # back to on-the-fly arithmetic (a 2^16 x 2^16 table would not fit).
-_TABLE_Q_LIMIT = 256
+TABLE_Q_LIMIT = 256
 
 _field_cache: dict[int, "Field"] = {}
 
@@ -131,7 +131,7 @@ class Field:
         self.modulus: tuple[int, ...] = () if e == 1 else _smallest_irreducible(p, e)
         self._mul_table = None
         self._inv_table = None
-        if q <= _TABLE_Q_LIMIT and e > 1:
+        if q <= TABLE_Q_LIMIT and e > 1:
             self._build_tables()
 
     # -- encoding helpers ------------------------------------------------
@@ -263,7 +263,7 @@ def arithmetic(field: Field):
     """The field's (add, sub, mul), each indexed as op[a][b]: q x q
     tables, or views calling the Field when q is too large to tabulate."""
     ops = (field.add, field.sub, field.mul)
-    if field.q > _TABLE_Q_LIMIT:
+    if field.q > TABLE_Q_LIMIT:
         return tuple(_FieldOp(op) for op in ops)
     elements = range(field.q)
     return tuple([[op(a, b) for b in elements] for a in elements] for op in ops)

@@ -10,12 +10,14 @@ ranks, echelon forms and null-space bases are reproducible.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from collections.abc import Iterable, Sequence
 
 from . import kernels
 from .errors import FieldMismatchError
-from .gfield import Field, arithmetic
+from .gfield import TABLE_Q_LIMIT, Field, arithmetic
 
 
 def subvector(x: Sequence[int], indices: Iterable[int]) -> tuple[int, ...]:
@@ -79,7 +81,10 @@ def vector_space(field: Field, n: int):
     Both packings list vectors in the lexicographic order of their
     coordinate tuples and share one interface: pack / unpack; vectors()
     and projective() (first nonzero entry 1); translate(v, vs), the
-    v + s for s in vs; scale(c, v); supports(vs), masks with coordinate 1
+    v + s for s in vs; scale(c, v); multiples(v), the c * v indexed by
+    c in F_q; total(vs), the sum of the vs;
+    split(v), v's first n - 1 coordinates packed in F_q^(n-1) and its
+    last coordinate; supports(vs), masks with coordinate 1
     in the highest bit; weight(v); codeword(x, cols), x times the matrix
     with these packed columns, packed in F_q^len(cols); and
     first_failing(zs, cols, need), the index of the first z with
@@ -117,6 +122,15 @@ class _F2Vectors:
 
     def scale(self, c: int, v: int) -> int:
         return v if c else 0
+
+    def multiples(self, v: int) -> list[int]:
+        return [0, v]
+
+    def total(self, vs) -> int:
+        return functools.reduce(operator.xor, vs, 0)
+
+    def split(self, v: int) -> tuple[int, int]:
+        return v >> 1, v & 1
 
     def extend(self, span: list[int], v: int, table) -> list[int] | None:
         coset = [v ^ s for s in span]
@@ -168,6 +182,21 @@ class _FqVectors:
         m = self._mul[c]
         return tuple([m[a] for a in v])
 
+    def multiples(self, v) -> Sequence[tuple[int, ...]]:
+        if self.q > TABLE_Q_LIMIT:
+            return _Multiples(self.scale, v)
+        return [self.scale(c, v) for c in range(self.q)]
+
+    def total(self, vs) -> tuple[int, ...]:
+        add = self._add
+        acc = (0,) * self.n
+        for v in vs:
+            acc = [add[a][b] for a, b in zip(acc, v)]
+        return tuple(acc)
+
+    def split(self, v) -> tuple[tuple[int, ...], int]:
+        return v[:-1], v[-1]
+
     def extend(self, span: list, v, table) -> list | None:
         coset, bits = self.translate(v, span), self._bits
         for z in coset:
@@ -192,10 +221,24 @@ class _FqVectors:
                      if self.weight(self.codeword(z, cols)) < need), -1)
 
 
+class _Multiples:
+    """The c * v read as multiples[c], computed on demand: a field too
+    large to tabulate has too many multiples to list."""
+
+    __slots__ = ("scale", "v")
+
+    def __init__(self, scale, v):
+        self.scale = scale
+        self.v = v
+
+    def __getitem__(self, c: int):
+        return self.scale(c, self.v)
+
+
 class Matrix:
     """An immutable r x c matrix over a finite field."""
 
-    __slots__ = ("field", "rows", "nrows", "ncols")
+    __slots__ = ("field", "rows", "nrows", "ncols", "_hash")
 
     def __init__(self, field: Field, rows: Iterable[Iterable[int]], ncols: int | None = None):
         rows = tuple(tuple(field.check(v) for v in r) for r in rows)
@@ -343,7 +386,13 @@ class Matrix:
                 and self.ncols == other.ncols and self.rows == other.rows)
 
     def __hash__(self) -> int:
-        return hash((self.field, self.ncols, self.rows))
+        # computed once: a Matrix is immutable, and the decoder cache
+        # hashes its G on every decode
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.field, self.ncols, self.rows))
+            return self._hash
 
     def __repr__(self) -> str:
         body = "; ".join("".join(str(v) for v in r) for r in self.rows)

@@ -34,6 +34,15 @@ class SideInfoGraph:
             if bad:
                 raise IndexError(f"X_{i + 1} contains out-of-range packets {bad}")
 
+    def __hash__(self) -> int:
+        # computed once: the graph is immutable, and the decoder cache
+        # hashes it on every decode
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.n, self.m, self.f, self.X))
+            object.__setattr__(self, "_hash", h)
+        return h
+
     @staticmethod
     def make(n: int, f, X) -> "SideInfoGraph":
         return SideInfoGraph(n=n, m=len(f), f=tuple(f),
@@ -45,14 +54,16 @@ class SideInfoGraph:
             raise IndexError(f"receiver {i} out of range")
         return frozenset(range(1, self.n + 1)) - ({self.f[i - 1]} | self.X[i - 1])
 
+    def demands_in_side_info(self) -> list[str]:
+        """validate()'s message for each receiver caching its own demand."""
+        return [f"demand-in-side-info: receiver {i} demands packet {f} "
+                f"which it already caches"
+                for i, (f, X) in enumerate(zip(self.f, self.X), start=1)
+                if f in X]
+
     def validate(self) -> list[str]:
         """All semantic invariants, one message per violation; empty when ok."""
-        problems = []
-        for i in range(1, self.m + 1):
-            if self.f[i - 1] in self.X[i - 1]:
-                problems.append(
-                    f"demand-in-side-info: receiver {i} demands packet "
-                    f"{self.f[i - 1]} which it already caches")
+        problems = self.demands_in_side_info()
         demanded = set(self.f)
         for j in range(1, self.n + 1):
             if j not in demanded:
@@ -117,6 +128,11 @@ class ProblemSpec:
     def __post_init__(self):
         if self.delta_s < 0 or self.delta_c < 0:
             raise ValueError("delta_s and delta_c must be nonnegative")
+        # a receiver that caches its demand has nothing to decode, and
+        # the searches and bounds assume none does
+        own = self.graph.demands_in_side_info()
+        if own:
+            raise ValueError(own[0])
         field_for(self.q)  # raises on non-prime-power q
 
     @property

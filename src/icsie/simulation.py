@@ -24,6 +24,7 @@ from .codeset import _check_generator
 from .decoder import decode_receiver
 from .errors import (BudgetExceededError, DegenerateError, IcsieError,
                      InconsistentError, NoSolutionError)
+from .gfield import arithmetic
 from .linalg import Matrix
 from .sigraph import ProblemSpec
 
@@ -107,7 +108,8 @@ def run_simulation(spec: ProblemSpec, G: Matrix,
             "use oracle_decodable for channel errors")
     _check_generator(spec, G)
     g = spec.graph
-    n, q, field = g.n, spec.q, spec.field
+    n, q = g.n, spec.q
+    add = arithmetic(spec.field)[0]
     exhaustive = (config.trials == "exhaustive"
                   or config.error_mode == "adversarial-exhaustive")
     trials = (q ** n * sum(_variant_count(spec, len(X)) for X in g.X)
@@ -127,7 +129,7 @@ def run_simulation(spec: ProblemSpec, G: Matrix,
     def tally(i: int, x, y, clean, offsets, witnesses: list) -> None:
         x_hat = list(clean)
         for pos, delta in offsets.items():
-            x_hat[pos] = field.add(x_hat[pos], delta)
+            x_hat[pos] = add[x_hat[pos]][delta]
         per[i][1] += 1
         if _trial(spec, G, i, x, y, x_hat):
             per[i][0] += 1

@@ -39,7 +39,7 @@ def test_validate_ok(runner, clique4_files):
 
 
 def test_validate_domain_failure(runner, tmp_path):
-    bad = ProblemSpec(graph=SideInfoGraph.make(2, [1, 1], [{2}, {1}]),
+    bad = ProblemSpec(graph=SideInfoGraph.make(2, [1, 1], [{2}, set()]),
                       q=2, delta_s=0)
     p = tmp_path / "bad.json"
     p.write_text(serialize_instance(bad))
@@ -199,6 +199,19 @@ def test_generator_must_fit_the_instance(runner, clique4_files, tmp_path,
     assert _no_traceback(res)
     assert "instance needs 4 rows over F_2" in res.output
     assert "PASS" not in res.output
+
+
+@pytest.mark.parametrize("command", ["analyze", "search", "validate"])
+def test_demand_in_side_info_is_a_parse_error(runner, tmp_path, command):
+    # the one receiver caches the packet it demands
+    inst = tmp_path / "own.json"
+    inst.write_text(json.dumps({"n": 1, "m": 1, "q": 2, "delta_s": 0,
+                                "delta_c": 0, "f": [1], "X": [[1]]}))
+    res = runner.invoke(main, [command, str(inst)])
+    assert res.exit_code == 2, res.output
+    assert _no_traceback(res)
+    assert "demand-in-side-info: receiver 1 demands packet 1" in res.output
+    assert "MISMATCH" not in res.output
 
 
 @pytest.mark.parametrize("command", ["search", "analyze", "simulate"])

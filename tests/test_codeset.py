@@ -9,11 +9,13 @@ from icsie.codeset import (_check_generator, _log2_q, enum_interference,
                            first_witness, in_interference, in_support_family,
                            interference_masks, is_valid_generator,
                            oracle_decodable)
-from icsie.errors import BudgetExceededError, FieldMismatchError
+from icsie.errors import (BudgetExceededError, DimensionError,
+                          FieldMismatchError, IcsieError)
 from icsie.gfield import field_for
 from icsie.encoder import optimal_length
 from icsie.linalg import Matrix, hamming_weight, mask_of, vector_space
 from icsie.sigraph import ProblemSpec, SideInfoGraph, clique_graph
+from icsie.simulation import SimulationConfig, run_simulation
 
 from conftest import all_unipartite_graphs, random_generator
 
@@ -344,3 +346,18 @@ def test_oracle_matches_all_pairs_reference_on_errors():
         outcome = _outcome(oracle_decodable, spec, G)
         assert isinstance(outcome, tuple)
         assert outcome == _outcome(_all_pairs_oracle, spec, G)
+
+
+def test_wrong_row_count_is_a_dimension_error():
+    # a 3-row G for the 4-packet clique, through every library entry point
+    # that checks the generator first
+    three_rows = Matrix(F2, PAPER_G4.rows[:3])
+    calls = (lambda: is_valid_generator(CLIQUE4, three_rows),
+             lambda: oracle_decodable(CLIQUE4, three_rows),
+             lambda: run_simulation(CLIQUE4, three_rows,
+                                    SimulationConfig(trials="exhaustive")))
+    for call in calls:
+        with pytest.raises(DimensionError, match="G must have n = 4 rows") as exc:
+            call()
+        assert isinstance(exc.value, IcsieError)
+        assert isinstance(exc.value, ValueError)

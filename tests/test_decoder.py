@@ -331,6 +331,47 @@ def test_decoder_matches_uncached_reference():
         assert seen.get(key, 0) >= 5, (key, seen)
 
 
+# the F_2 clique-6 generator the benchmark's decode workload simulates (N = 4)
+CLIQUE6_G = Matrix(F2, [[0, 1, 1, 1], [1, 0, 1, 1], [1, 0, 0, 0],
+                        [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+
+
+def _corruptions(q, size, weight):
+    """Every offset of weight <= weight on a cache of the given size."""
+    for t in range(weight + 1):
+        for at in itertools.combinations(range(size), t):
+            for vals in itertools.product(range(1, q), repeat=t):
+                yield dict(zip(at, vals))
+
+
+@pytest.mark.parametrize("n,q", [(6, 2), (4, 3)], ids=["F2-clique6", "F3-clique4"])
+def test_decoder_matches_reference_exhaustively(n, q):
+    # every receiver, message and cache corruption of weight <= delta_s + 1:
+    # one past the guarantee, where NoSolutionError and wrong values occur.
+    # Decoding for delta_s + 1 as well makes candidate syndromes collide,
+    # so the table must keep the first writer
+    spec = ProblemSpec(graph=clique_graph(n), q=q, delta_s=1)
+    G = CLIQUE6_G if q == 2 else optimal_length(spec)[1]
+    field, g = G.field, spec.graph
+    outcomes = set()
+    for i in range(1, g.m + 1):
+        cache = sorted(g.X[i - 1])
+        for x in itertools.product(range(q), repeat=n):
+            y = G.vec_mul(x)
+            for offsets in _corruptions(q, len(cache), spec.delta_s + 1):
+                x_hat = [x[j - 1] for j in cache]
+                for pos, e in offsets.items():
+                    x_hat[pos] = field.add(x_hat[pos], e)
+                for delta_s in (spec.delta_s, spec.delta_s + 1):
+                    want = _outcome(_reference_decode, G, g, i, y, x_hat, delta_s)
+                    got = _outcome(decode_receiver, G, g, i, y, x_hat, delta_s)
+                    assert got == want, (i, x, offsets, delta_s)
+                    outcomes.add(want[0] if want[0] != "ok"
+                                 else want[1] == x[i - 1])
+    # right and wrong values both occur, and syndromes no correction reaches
+    assert outcomes == {True, False, NoSolutionError}
+
+
 def test_find_correction_matches_reference_search():
     rng = random.Random(59)
     for _ in range(400):
@@ -384,6 +425,27 @@ def test_forced_correction_entries_rejected(q, n, forced):
 
 
 # -- the decoder cache ---------------------------------------------------------
+
+def test_equal_values_hash_equal_before_and_after_use():
+    rows = [list(r) for r in G9.rows]
+    caches = [sorted(s) for s in GRAPH9.X]
+    G_a, G_b = Matrix(F2, rows), Matrix(F2, rows)
+    g_a = SideInfoGraph.make(9, GRAPH9.f, caches)
+    g_b = SideInfoGraph.make(9, GRAPH9.f, caches)
+    assert G_a is not G_b and g_a is not g_b
+    assert hash(G_a) == hash(G_b) and hash(g_a) == hash(g_b)
+    # decode with the first pair only: it is hashed as the cache key
+    decode_receiver(G_a, g_a, 9, Y9, (1, 1, 0, 0, 0, 1), 1)
+    G_c, g_c = Matrix(F2, rows), SideInfoGraph.make(9, GRAPH9.f, caches)
+    assert hash(G_a) == hash(G_b) == hash(G_c)
+    assert hash(g_a) == hash(g_b) == hash(g_c)
+    assert G_a == G_c and g_a == g_c
+    # a different value still gets a different key
+    other = SideInfoGraph.make(9, GRAPH9.f, caches[:-1] + [caches[-1][1:]])
+    assert other != g_a
+    assert (receiver_decoder(G_a, other, 9, 1)
+            is not receiver_decoder(G_a, g_a, 9, 1))
+
 
 def test_cache_keeps_generators_and_graphs_apart():
     # two invertible generators of one shape, two graphs, decoded

@@ -94,6 +94,16 @@ def test_problem_spec_checks():
         ProblemSpec(graph=clique_graph(2), q=2, delta_s=-1)
     with pytest.raises(Exception):
         ProblemSpec(graph=clique_graph(2), q=6, delta_s=0)
+    # receiver 2 caches the packet it demands
+    g = SideInfoGraph.make(3, [1, 2], [{2}, {1, 2}])
+    with pytest.raises(ValueError) as exc:
+        ProblemSpec(graph=g, q=2, delta_s=0)
+    assert str(exc.value) == g.validate()[0]
+    assert str(exc.value).startswith("demand-in-side-info: receiver 2")
+    doc = {"n": 1, "m": 1, "q": 2, "delta_s": 0, "delta_c": 0,
+           "f": [1], "X": [[1]]}
+    with pytest.raises(ParseError, match="demand-in-side-info"):
+        parse_instance(json.dumps(doc))
 
 
 def test_side_weight_cap():

@@ -112,3 +112,31 @@ def test_exhaustive_encodes_each_message_once(monkeypatch):
     monkeypatch.setattr(Matrix, "vec_mul", counting)
     run_simulation(F3_CLIQUE4, F3_G, SimulationConfig(trials="exhaustive"))
     assert encoded == list(itertools.product(range(3), repeat=4))
+
+
+# -- one decode_receiver call per trial ----------------------------------------
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("config", [EXHAUSTIVE, SimulationConfig(trials=300, seed=11)],
+                         ids=["exhaustive", "random"])
+def test_one_decode_receiver_call_per_trial(monkeypatch, q, config):
+    # the traced benchmark checks decode_receiver calls against the trials
+    # simulate reports; a batched shortcut must fail here first.  Over F_2
+    # receiver 4's build fails (a zero demand row); over F_3 receivers
+    # 1, 2 and 4 decode wrongly.  Failing trials count too.
+    G = (Matrix(field_for(2), [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]])
+         if q == 2 else F3_G)
+    spec = ProblemSpec(graph=clique_graph(4), q=q, delta_s=1)
+    calls = []
+    real = simulation.decode_receiver
+
+    def counting(G, graph, i, *args, **kwargs):
+        calls.append(i)
+        return real(G, graph, i, *args, **kwargs)
+
+    monkeypatch.setattr(simulation, "decode_receiver", counting)
+    report = run_simulation(spec, G, config)
+    assert not report.ok
+    assert {i: calls.count(i) for i in report.per_receiver} == {
+        i: total for i, (_, total) in report.per_receiver.items()}
+    assert len(calls) == sum(t for _, t in report.per_receiver.values())
