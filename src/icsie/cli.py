@@ -208,6 +208,8 @@ def decode(instance: str, generator: str, y_text: str,
         xhats = _parse_xhat(spec, xhat_pairs)
         truth = (_parse_vector(truth_text, spec.q, "--truth")
                  if truth_text is not None else None)
+        if truth is not None and len(truth) != spec.graph.n:
+            raise ParseError(f"--truth must have n = {spec.graph.n} entries")
         doc, lines, failed = {}, [], False
         for i, x_hat in sorted(xhats.items()):
             try:

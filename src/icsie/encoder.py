@@ -5,6 +5,10 @@ Two exact routes to the optimal length are implemented and must agree:
 * ``minrank`` -- minimum rank over all completions of the structured
   column template derived from the side-information graph (one column
   per receiver per choice of 2*delta_s cache positions forced to zero).
+  It walks the completions depth first, column by column, cutting a
+  branch whose span already reaches the best rank; at rank best - 1 it
+  stops branching and settles the rest column by column, each taking
+  its first completion inside the current span.
 * ``optimal_length`` -- direct search for the shortest valid generator.
   With no channel errors, validity of G depends only on its column
   space, so the search looks for the largest subspace avoiding the
@@ -135,8 +139,8 @@ class _SpanTracker:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def push(self, vec) -> bool:
-        """Add a vector; True if it increased the rank (then pop() undoes it)."""
+    def _reduce(self, vec) -> list[int]:
+        """vec minus its projection on the pivots: zero iff vec is in the span."""
         sub, mul = self._sub, self._mul
         v = list(vec)
         for pos, pv in self.pivots:
@@ -144,6 +148,16 @@ class _SpanTracker:
             if c != 0:
                 mc = mul[c]
                 v = [sub[a][mc[b]] for a, b in zip(v, pv)]
+        return v
+
+    def contains(self, vec) -> bool:
+        """Is vec in the span?  Leaves the tracker unchanged."""
+        return not any(self._reduce(vec))
+
+    def push(self, vec) -> bool:
+        """Add a vector; True if it increased the rank (then pop() undoes it)."""
+        mul = self._mul
+        v = self._reduce(vec)
         for pos, val in enumerate(v):
             if val != 0:
                 m_inv = mul[self.field.inv(val)]
@@ -176,6 +190,22 @@ def minrank(spec: ProblemSpec,
     the first completion attaining it.  The template knows nothing of
     channel errors, so delta_c > 0 is rejected once the budget check has
     passed: compare the delta_c = 0 core with core_length instead.
+
+    At rank best - 1 the walk stops branching and settles the subtree
+    column by column, with the same result as walking it:
+
+    * a completion that grows the rank reaches best and is cut;
+    * a completion inside the span leaves the span unchanged;
+    * so the subtree's leaves are the product of each later column's
+      in-span completions, chosen independently, and its first leaf in
+      depth-first order takes each column's first in-span completion in
+      lexicographic order; when some later column has none, the subtree
+      has no leaf;
+    * once that leaf is recorded, best is the current rank, and the
+      rank >= best test cuts every later sibling, so no later leaf of the
+      full walk is recorded either.
+
+    The returned (N, G) is therefore the full walk's.
     """
     tmpl = fitting_template(spec)
     field = spec.field
@@ -190,26 +220,46 @@ def minrank(spec: ProblemSpec,
             "channel errors need optimal_length")
     n = tmpl.n
     cols = tmpl.columns
+    bases = [template_column_vector(field, n, col, [0] * len(col.free_pos))
+             for col in cols]
     best = n + 1
     best_assign: tuple[int, ...] | None = None
     tracker = _SpanTracker(field)
     assign: list[int] = []
 
-    def walk(k: int) -> None:
-        nonlocal best, best_assign
-        if tracker.rank() >= best:
-            return
-        if k == len(cols):
-            best = tracker.rank()
-            best_assign = tuple(assign)
-            return
-        col = cols[k]
-        vec = list(template_column_vector(field, n, col, [0] * len(col.free_pos)))
-        at = [pos - 1 for pos in col.free_pos]
+    def completions(k: int):
+        """Column k's completions in lexicographic order, as (values,
+        vector); the one vector is refilled in place for each."""
+        vec = list(bases[k])
+        at = [pos - 1 for pos in cols[k].free_pos]
         # values come from range(q), so they need no Field.check
         for vals in itertools.product(range(spec.q), repeat=len(at)):
             for pos, val in zip(at, vals):
                 vec[pos] = val
+            yield vals, vec
+
+    def settle(k: int) -> None:
+        """Record the first leaf below k, whose columns all stay in the
+        span, if every column from k on has an in-span completion."""
+        nonlocal best, best_assign
+        tail: list[int] = []
+        for j in range(k, len(cols)):
+            vals = next((vals for vals, vec in completions(j)
+                         if tracker.contains(vec)), None)
+            if vals is None:
+                return
+            tail.extend(vals)
+        best = tracker.rank()
+        best_assign = tuple(assign) + tuple(tail)
+
+    def walk(k: int) -> None:
+        rank = tracker.rank()
+        if rank >= best:
+            return
+        if rank == best - 1 or k == len(cols):  # at a leaf settle records it
+            settle(k)
+            return
+        for vals, vec in completions(k):
             grew = tracker.push(vec)
             assign.extend(vals)
             walk(k + 1)

@@ -298,16 +298,18 @@ class Matrix:
     # -- arithmetic ------------------------------------------------------
 
     def vec_mul(self, z: Sequence[int]) -> tuple[int, ...]:
-        """Row vector z (length nrows) times this matrix."""
-        f = self.field
+        """Row vector z (length nrows) times this matrix, through the
+        field's add and mul tables from gfield.arithmetic."""
         if len(z) != self.nrows:
             raise ValueError("dimension mismatch")
+        add, _, mul = arithmetic(self.field)
         acc = [0] * self.ncols
         for zi, row in zip(z, self.rows):
             if zi:
+                m = mul[zi]
                 for k, v in enumerate(row):
                     if v:
-                        acc[k] = f.add(acc[k], f.mul(zi, v))
+                        acc[k] = add[acc[k]][m[v]]
         return tuple(acc)
 
     def mul_col(self, v: Sequence[int]) -> tuple[int, ...]:

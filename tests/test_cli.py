@@ -181,6 +181,17 @@ def _no_traceback(res):
     return res.exception is None or isinstance(res.exception, SystemExit)
 
 
+@pytest.mark.parametrize("truth", ["1,0", "1,0,1,1,0"])
+def test_decode_truth_must_have_n_entries(runner, clique4_files, truth):
+    inst, gen, spec, G = clique4_files
+    y = ",".join(str(v) for v in G.vec_mul((1, 0, 1, 1)))
+    res = runner.invoke(main, ["decode", inst, gen, "--y", y,
+                               "--xhat", "4=1,0,1", "--truth", truth])
+    assert res.exit_code == 2, res.output
+    assert _no_traceback(res)
+    assert "--truth must have n = 4 entries" in res.output
+
+
 @pytest.mark.parametrize("command,extra", [
     ("encode", ["--x", "1,0,1,1"]),
     ("decode", ["--y", "0,0,0", "--xhat", "1=0,0,0"]),

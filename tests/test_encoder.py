@@ -6,12 +6,13 @@ from dataclasses import replace
 import pytest
 
 from icsie.codeset import first_witness, is_valid_generator, oracle_decodable
-from icsie.encoder import (_systematic_code_exists, clique_from_parity,
-                           complete_template, core_length, cycle_code,
-                           fitting_template, gaussian_binomial, ind_q,
-                           independent_columns, l_q, min_distance_from_parity,
-                           minrank, optimal_length, parse_generator,
-                           serialize_generator)
+from icsie.encoder import (_SpanTracker, _systematic_code_exists,
+                           clique_from_parity, complete_template, core_length,
+                           cycle_code, fitting_template, gaussian_binomial,
+                           ind_q, independent_columns, l_q,
+                           min_distance_from_parity, minrank, optimal_length,
+                           parse_generator, serialize_generator,
+                           template_column_vector)
 from icsie.errors import (BudgetExceededError, CycleTooSmallError,
                           DistanceTooSmallError, IcsieError, ParseError)
 from icsie.gfield import _FieldOp, arithmetic, field_for
@@ -227,6 +228,100 @@ def test_minrank_over_an_untabulated_field():
     acyclic = SideInfoGraph.make(2, [1, 2], [{2}, set()])
     assert minrank(ProblemSpec(graph=acyclic, q=257, delta_s=0)) == (
         2, Matrix(f, [[1, 0], [0, 1]]))
+
+
+def _reference_minrank(spec, budget_bits=24):
+    """minrank as a full branching walk: every completion of every
+    column is pushed, with no shortcut at rank best - 1."""
+    tmpl = fitting_template(spec)
+    field = spec.field
+    nfree = tmpl.free_count()
+    if nfree * math.log2(spec.q) > budget_bits:
+        raise BudgetExceededError(
+            f"{nfree} free positions over F_{spec.q} exceed the "
+            f"{budget_bits}-bit budget")
+    if spec.delta_c > 0:
+        raise IcsieError(
+            f"minrank requires delta_c = 0 (got {spec.delta_c}); "
+            "channel errors need optimal_length")
+    n = tmpl.n
+    cols = tmpl.columns
+    best = n + 1
+    best_assign = None
+    tracker = _SpanTracker(field)
+    assign = []
+
+    def walk(k):
+        nonlocal best, best_assign
+        if tracker.rank() >= best:
+            return
+        if k == len(cols):
+            best = tracker.rank()
+            best_assign = tuple(assign)
+            return
+        col = cols[k]
+        vec = list(template_column_vector(field, n, col, [0] * len(col.free_pos)))
+        at = [pos - 1 for pos in col.free_pos]
+        for vals in itertools.product(range(spec.q), repeat=len(at)):
+            for pos, val in zip(at, vals):
+                vec[pos] = val
+            grew = tracker.push(vec)
+            assign.extend(vals)
+            walk(k + 1)
+            del assign[len(assign) - len(vals):]
+            if grew:
+                tracker.pop()
+
+    walk(0)
+    assert best_assign is not None
+    return best, complete_template(spec, best_assign)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except IcsieError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_minrank_matches_the_full_walk(q):
+    # seeded graphs with 1 to n + 3 receivers, several demanding one
+    # packet, at every delta_s up to 2 and budgets of 12-24 bits; the
+    # (N, G), or the exception's type and message, must be the full
+    # walk's
+    rng = random.Random(900 + q)
+    for _ in range(100):
+        n = rng.randint(1, 4)
+        f = [rng.randint(1, n) for _ in range(rng.randint(1, n + 3))]
+        X = [{j for j in range(1, n + 1) if j != fi and rng.random() < .6}
+             for fi in f]
+        spec = ProblemSpec(graph=SideInfoGraph.make(n, f, X), q=q,
+                           delta_s=rng.randint(0, 2),
+                           delta_c=int(rng.random() < .1))
+        bits = rng.randint(12, 24)
+        assert _outcome(minrank, spec, bits) == _outcome(
+            _reference_minrank, spec, bits)
+
+
+def test_minrank_settles_the_last_rank_level_without_pushing(monkeypatch):
+    # on F_4 clique-4 at delta_s = 1 the full walk pushes 24,004 vectors
+    # to prove rank 3 optimal
+    calls = 0
+
+    def counted(method):
+        def wrapper(self, vec):
+            nonlocal calls
+            calls += 1
+            return method(self, vec)
+        return wrapper
+
+    monkeypatch.setattr(_SpanTracker, "push", counted(_SpanTracker.push))
+    monkeypatch.setattr(_SpanTracker, "contains",
+                        counted(_SpanTracker.contains))
+    spec = ProblemSpec(graph=clique_graph(4), q=4, delta_s=1)
+    assert minrank(spec)[0] == 3
+    assert calls < 4000
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 257])

@@ -74,6 +74,21 @@ def test_vec_mul_mul_col():
     assert m.mul_col((1, 1, 0)) == (0, 1)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 257])
+def test_vec_mul_matches_dot(q):
+    # the table-driven product against one dot per column; F_257 is past
+    # the table limit and reads the field through its views
+    f = field_for(q)
+    rng = random.Random(q)
+    for _ in range(20):
+        r, c = rng.randint(1, 4), rng.randint(1, 5)
+        M = Matrix(f, [[rng.randrange(q) for _ in range(c)] for _ in range(r)])
+        z = [rng.choice((0, 1, q - 1, rng.randrange(q))) for _ in range(r)]
+        assert M.vec_mul(z) == tuple(dot(f, z, col) for col in M.columns())
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        M.vec_mul([1] * (r + 1))
+
+
 def test_field_mismatch():
     with pytest.raises(FieldMismatchError):
         Matrix(F2, [[1]]).mul(Matrix(F3, [[1]]))

@@ -168,6 +168,28 @@ def test_bounds_gecic_sandwich():
     assert lo <= N <= hi
 
 
+@st.composite
+def gecic_cases(draw):
+    """A random instance with delta_c = 1, small enough for the
+    channel-error search: F_2 with n <= 4 or F_3 with n <= 3."""
+    q = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(1, 4 if q == 2 else 3))
+    m = draw(st.integers(1, n + 1))
+    f = [draw(st.integers(1, n)) for _ in range(m)]
+    X = [draw(st.sets(st.sampled_from([j for j in range(1, n + 1) if j != fi])))
+         if n > 1 else set() for fi in f]
+    return ProblemSpec(graph=SideInfoGraph.make(n, f, X), q=q,
+                       delta_s=draw(st.integers(0, 1)), delta_c=1)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(gecic_cases())
+def test_gecic_bounds_sandwich_the_optimum(spec):
+    report = bounds_report(spec)
+    N, _ = optimal_length(spec)
+    assert report.lower("gecic") <= N <= report.upper("gecic")
+
+
 def test_bounds_json_round_trips():
     doc = json.loads(bounds_report(CLIQUE4).to_json())
     assert doc["n_opt"] == 3
