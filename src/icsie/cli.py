@@ -290,7 +290,7 @@ def analyze(instance: str, as_json: bool) -> None:
 @click.argument("instance", type=click.Path())
 @click.argument("generator", type=click.Path())
 @click.option("--trials", default="exhaustive", show_default=True,
-              help='trial count, or "exhaustive"')
+              help="trial count; a count needs --mode random")
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--mode", type=click.Choice(["random", "adversarial-exhaustive"]),
               default="adversarial-exhaustive", show_default=True)
@@ -302,14 +302,17 @@ def simulate(instance: str, generator: str, trials: str, seed: int,
         spec = _load_instance(instance)
         G = _load_generator(generator, spec)
         count = trials
-        if trials != "exhaustive":
+        if mode == "random":
             try:
                 count = int(trials)
             except ValueError:
                 count = 0
             if count < 1:
                 raise ParseError(
-                    '--trials must be a positive integer or "exhaustive"')
+                    "--trials must be a positive integer with --mode random")
+        elif trials != "exhaustive":
+            raise ParseError("--mode adversarial-exhaustive runs every "
+                             "trial; a trial count needs --mode random")
         if spec.delta_c > 0:
             ok = oracle_decodable(spec, G)
             _emit(as_json, {"feasible": ok},
@@ -317,7 +320,7 @@ def simulate(instance: str, generator: str, trials: str, seed: int,
             if not ok:
                 sys.exit(EXIT_DOMAIN)
             return
-        config = SimulationConfig(trials=count, seed=seed, error_mode=mode)
+        config = SimulationConfig(trials=count, seed=seed)
         report = run_simulation(spec, G, config)
         doc = {
             "rates": {str(i): r for i, r in report.rates().items()},

@@ -110,24 +110,6 @@ def interference_masks(spec: ProblemSpec,
     return [z for z, s in zip(points, vectors.supports(points)) if table[s]]
 
 
-def in_support_family(spec: ProblemSpec, K) -> bool:
-    """Membership of a nonempty index set K in the support family.
-
-    K qualifies iff some receiver demands a packet of K and caches at
-    most the weight budget of K's packets; the split of K into demand,
-    interference and cache parts is then forced.
-    """
-    K = set(K)
-    if not K:
-        raise ValueError("K must be nonempty")
-    g = spec.graph
-    cap = spec.side_weight_cap()
-    for i in range(1, g.m + 1):
-        if g.f[i - 1] in K and len(K & g.X[i - 1]) <= cap:
-            return True
-    return False
-
-
 def _check_generator(spec: ProblemSpec, G: Matrix) -> None:
     if G.nrows != spec.graph.n:
         raise DimensionError(f"G must have n = {spec.graph.n} rows")

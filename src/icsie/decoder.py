@@ -93,11 +93,6 @@ def build_context(G: Matrix, graph: SideInfoGraph, i: int) -> ReceiverContext:
         demand_row=demand_row, G_cache=G.submatrix_rows(cache), H=H, H_e=H_e)
 
 
-def _mul_col(add, mul, M: Matrix, v) -> tuple[int, ...]:
-    """M times the column vector v, like Matrix.mul_col."""
-    return tuple(table_dot(add, mul, row, v) for row in M.rows)
-
-
 def _candidate_corrections(ctx: ReceiverContext, delta_s: int, add, mul):
     """Every combination of at most delta_s cache rows with nonzero
     coefficients, with the cache packets it blames, in search order:
@@ -133,7 +128,7 @@ def find_correction(ctx: ReceiverContext, syndrome, delta_s: int
     add, _, mul = arithmetic(ctx.G_cache.field)
     syndrome = tuple(syndrome)
     for p, suspected in _candidate_corrections(ctx, delta_s, add, mul):
-        if _mul_col(add, mul, ctx.H, p) == syndrome:
+        if ctx.H.mul_col(p) == syndrome:
             return p, suspected
     raise _no_solution(ctx, delta_s)
 
@@ -192,7 +187,7 @@ class ReceiverDecoder:
         self._syndromes = vector_space(field, ctx.H.nrows)
         self._ycols = [space.multiples(space.pack(col)) for col in A.columns()]
         self._xcols = [space.multiples(space.pack(
-            [field.neg(e) for e in _mul_col(add, mul, A, g)]))
+            [field.neg(e) for e in A.mul_col(g)]))
             for g in ctx.G_cache.rows]
         self._elements = _elements(field.q)
         # first writer wins; once every syndrome has a writer the rest
@@ -200,7 +195,7 @@ class ReceiverDecoder:
         table: dict = {}
         syndromes = field.q ** ctx.H.nrows
         for p, suspected in _candidate_corrections(ctx, delta_s, add, mul):
-            s = _mul_col(add, mul, ctx.H, p)
+            s = ctx.H.mul_col(p)
             key = self._syndromes.pack(s)
             if key not in table:
                 table[key] = (s, p, suspected, table_dot(add, mul, self._h, p))
@@ -229,7 +224,7 @@ class ReceiverDecoder:
                     f"forced_correction must be {len(y)} elements "
                     f"of F_{self._q}")
             syndrome = self._syndromes.unpack(key)
-            if _mul_col(add, mul, ctx.H, p) != syndrome:
+            if ctx.H.mul_col(p) != syndrome:
                 raise InconsistentError("forced correction does not match the syndrome")
             suspected: tuple[int, ...] = ()
             hp = table_dot(add, mul, self._h, p)

@@ -313,8 +313,10 @@ class Matrix:
         return tuple(acc)
 
     def mul_col(self, v: Sequence[int]) -> tuple[int, ...]:
-        """This matrix times the column vector v; result has nrows entries."""
-        return tuple(dot(self.field, row, v) for row in self.rows)
+        """This matrix times the column vector v; result has nrows
+        entries, through the field's tables from gfield.arithmetic."""
+        add, _, mul = arithmetic(self.field)
+        return tuple([table_dot(add, mul, row, v) for row in self.rows])
 
     def mul(self, other: "Matrix") -> "Matrix":
         self._same(other)

@@ -73,31 +73,6 @@ class SideInfoGraph:
     def is_unipartite(self) -> bool:
         return self.m == self.n and all(self.f[i] == i + 1 for i in range(self.m))
 
-    def delete_packets(self, B) -> tuple["SideInfoGraph", dict[int, int]]:
-        """Remove the packets in B (and receivers demanding them).
-
-        Remaining packets are re-indexed densely in ascending order; the
-        returned map sends old indices to new ones so sub-instance results
-        stay traceable.
-        """
-        B = set(B)
-        bad = [j for j in B if not 1 <= j <= self.n]
-        if bad:
-            raise IndexError(f"packets {bad} out of range")
-        keep = [j for j in range(1, self.n + 1) if j not in B]
-        if not keep:
-            raise ValueError("cannot delete every packet")
-        old_to_new = {j: k + 1 for k, j in enumerate(keep)}
-        f2, X2 = [], []
-        for i in range(self.m):
-            if self.f[i] in B:
-                continue
-            f2.append(old_to_new[self.f[i]])
-            X2.append(frozenset(old_to_new[j] for j in self.X[i] if j not in B))
-        if not f2:
-            raise ValueError("deletion removes every receiver")
-        return SideInfoGraph(n=len(keep), m=len(f2), f=tuple(f2), X=tuple(X2)), old_to_new
-
     def delete_side_edges(self, deletions: dict[int, set[int]]) -> "SideInfoGraph":
         """Shrink cache sets: deletions maps receiver i to packets dropped from X_i."""
         X2 = list(self.X)

@@ -35,9 +35,8 @@ _BLOCK = 1 << 12   # exhaustive mode encodes this many messages at a time
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    trials: int | str                  # count, or "exhaustive"
+    trials: int | str                  # random-mode count, or "exhaustive"
     seed: int = 0
-    error_mode: str = "random"         # "random" | "adversarial-exhaustive"
 
     def __post_init__(self):
         if self.trials != "exhaustive" and not (
@@ -110,8 +109,7 @@ def run_simulation(spec: ProblemSpec, G: Matrix,
     g = spec.graph
     n, q = g.n, spec.q
     add = arithmetic(spec.field)[0]
-    exhaustive = (config.trials == "exhaustive"
-                  or config.error_mode == "adversarial-exhaustive")
+    exhaustive = config.trials == "exhaustive"
     trials = (q ** n * sum(_variant_count(spec, len(X)) for X in g.X)
               if exhaustive else config.trials)
     if trials > 1 << budget_bits:

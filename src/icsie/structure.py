@@ -6,6 +6,14 @@ cap ``ProblemSpec.side_weight_cap`` that every rule here reads; the
 instance is acyclic exactly when no such set exists, which in turn
 happens exactly when the code cannot beat the uncoded length n.
 
+Compressible is the complement of support: a nonempty B is
+compressible exactly when no interference vector has support B, i.e.
+when ``codeset.interference_supports`` reads 0 at B's mask.  So one
+table decides everything here: from that table, one pass over the 2^n
+masks records which masks contain a compressible set, and the minimal
+cycles, acyclicity, gamma, the delta_s-MAIS and the n - beta removal
+witness are all read from it.
+
 The bounds report gathers every bound the library knows how to compute
 for one instance, each tagged with its provenance and whether it was
 certified exhaustively or only sampled.
@@ -19,11 +27,11 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 
-from .codeset import in_support_family
+from .codeset import interference_supports
 from .encoder import cycle_code, l_q, optimal_length
 from .errors import BudgetExceededError, NotUnipartiteError
 from .linalg import Matrix
-from .sigraph import ProblemSpec, SideInfoGraph
+from .sigraph import ProblemSpec
 
 DEFAULT_SUBSET_BITS = 22
 EDGE_DELETION_EXHAUSTIVE_CAP = 10_000
@@ -37,53 +45,62 @@ class CycleSet:
     receivers: tuple[int, ...]   # all i with f(i) in packets
 
 
-def _cycle_condition(graph: SideInfoGraph, cap: int, B: frozenset[int]) -> bool:
-    """Does every receiver demanding inside B cache more than
-    cap = side_weight_cap() packets of B?  Then B compresses."""
-    for i in range(1, graph.m + 1):
-        if graph.f[i - 1] in B and len(graph.X[i - 1] & B) <= cap:
-            return False
-    return True
-
-
 def _check_subset_budget(n: int, budget_bits: int) -> None:
     if n > budget_bits:
         raise BudgetExceededError(f"2^{n} subsets exceed the budget")
 
 
+def _mask(packets, n: int) -> int:
+    """Support mask of a packet set, packet 1 in the highest bit, as in
+    ``codeset.interference_supports``."""
+    return sum(1 << (n - j) for j in packets)
+
+
+def _packets(mask: int, n: int) -> frozenset[int]:
+    return frozenset(j for j in range(1, n + 1) if mask >> (n - j) & 1)
+
+
+def _holds(spec: ProblemSpec, budget_bits: int) -> bytearray:
+    """Entry s is 1 iff packet mask s contains a compressible set.
+
+    A nonempty mask holds when it is not an interference support itself
+    or when one of its one-packet-smaller subsets holds; ascending masks
+    meet every subset first.
+    """
+    n = spec.graph.n
+    _check_subset_budget(n, budget_bits)
+    supports = interference_supports(spec)
+    bits = [1 << k for k in range(n)]
+    holds = bytearray(1 << n)
+    for s in range(1, 1 << n):
+        holds[s] = not supports[s] or any(holds[s ^ b] for b in bits if s & b)
+    return holds
+
+
 def find_cycles(spec: ProblemSpec,
                 budget_bits: int = DEFAULT_SUBSET_BITS) -> list[CycleSet]:
-    """All minimal compressible packet sets, by size then lexicographically."""
+    """All minimal compressible packet sets, by size then lexicographically.
+
+    A mask is a minimal compressible set when it holds and none of its
+    one-packet-smaller subsets does.  Among masks of one size, the
+    lexicographic order of packet sets is descending mask order.
+    """
     g = spec.graph
-    _check_subset_budget(g.n, budget_bits)
-    cap = spec.side_weight_cap()
-    members: list[frozenset[int]] = []
-    packets = list(range(1, g.n + 1))
-    for size in range(1, g.n + 1):
-        for B in itertools.combinations(packets, size):
-            Bf = frozenset(B)
-            if any(m <= Bf for m in members):
-                continue
-            if _cycle_condition(g, cap, Bf):
-                members.append(Bf)
+    n = g.n
+    holds = _holds(spec, budget_bits)
+    bits = [1 << k for k in range(n)]
+    minimal = [s for s in range(1, 1 << n)
+               if holds[s] and not any(holds[s ^ b] for b in bits if s & b)]
+    minimal.sort(key=lambda s: (s.bit_count(), -s))
+    cycles = [_packets(s, n) for s in minimal]
     return [CycleSet(packets=B,
                      receivers=tuple(i for i in range(1, g.m + 1)
                                      if g.f[i - 1] in B))
-            for B in members]
+            for B in cycles]
 
 
 def is_acyclic(spec: ProblemSpec, budget_bits: int = DEFAULT_SUBSET_BITS) -> bool:
-    return not find_cycles(spec, budget_bits)
-
-
-def _acyclic_on_subset(graph: SideInfoGraph, cap: int, Q: frozenset[int]) -> bool:
-    """Is the sub-instance induced on packet set Q free of compressible
-    sets?  Each has a demand plus more than cap cached packets."""
-    for size in range(cap + 2, len(Q) + 1):
-        for B in itertools.combinations(sorted(Q), size):
-            if _cycle_condition(graph, cap, frozenset(B)):
-                return False
-    return True
+    return not _holds(spec, budget_bits)[-1]
 
 
 def max_disjoint_cycles(spec: ProblemSpec,
@@ -116,39 +133,31 @@ def max_disjoint_cycles(spec: ProblemSpec,
 def gamma(spec: ProblemSpec,
           budget_bits: int = DEFAULT_SUBSET_BITS) -> tuple[int, frozenset[int]]:
     """Largest packet set all of whose nonempty subsets are supports of
-    interference vectors; its size lower-bounds the optimal codelength."""
-    g = spec.graph
-    _check_subset_budget(g.n, budget_bits)
-    packets = list(range(1, g.n + 1))
-    for size in range(g.n, 0, -1):
-        for Q in itertools.combinations(packets, size):
-            if all(in_support_family(spec, K)
-                   for t in range(1, size + 1)
-                   for K in itertools.combinations(Q, t)):
-                return size, frozenset(Q)
-    return 0, frozenset()
+    interference vectors; its size lower-bounds the optimal codelength.
+
+    Those are the masks that contain no compressible set.  The witness
+    is the lexicographically first of the largest ones: among masks of
+    one size, the largest mask.
+    """
+    n = spec.graph.n
+    holds = _holds(spec, budget_bits)
+    best = max((s for s in range(1 << n) if not holds[s]),
+               key=lambda s: (s.bit_count(), s))
+    return best.bit_count(), _packets(best, n)
 
 
 def delta_s_mais(spec: ProblemSpec,
                  budget_bits: int = DEFAULT_SUBSET_BITS) -> int:
     """Largest packet subset whose induced sub-instance is acyclic.
 
-    Defined for the unipartite case (m = n, f(i) = i), where it coincides
-    with gamma(): Q is acyclic iff every nonempty K within Q has a
-    receiver demanding in K that caches at most side_weight_cap()
-    packets of K, i.e. K is in the support family.
+    Defined for the unipartite case (m = n, f(i) = i).  A compressible
+    set inside Q is one of the sub-instance on Q, so Q is acyclic
+    exactly when its mask contains no compressible set: this is
+    gamma's size.
     """
-    g = spec.graph
-    if not g.is_unipartite():
+    if not spec.graph.is_unipartite():
         raise NotUnipartiteError("maximum acyclic induced subgraph needs m = n, f(i) = i")
-    _check_subset_budget(g.n, budget_bits)
-    cap = spec.side_weight_cap()
-    packets = list(range(1, g.n + 1))
-    for size in range(g.n, 0, -1):
-        for Q in itertools.combinations(packets, size):
-            if _acyclic_on_subset(g, cap, frozenset(Q)):
-                return size
-    return 0
+    return gamma(spec, budget_bits)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -295,14 +304,13 @@ def bounds_report(spec: ProblemSpec,
         "exact" if acyclic else "upper", g.n, "icsie",
         "no compressible set: uncoded is optimal" if acyclic
         else "uncoded upper bound")
-    cor1_exact = False
     if not acyclic:
-        # does some removal of one packet per packed set break every cycle?
-        for removal in itertools.product(*(sorted(B) for B in packing)):
-            reduced, _ = g.delete_packets(set(removal))
-            if is_acyclic(replace(base, graph=reduced)):
-                cor1_exact = True
-                break
+        # does some removal R of one packet per packed set break every
+        # cycle?  A compressible set of the instance without R is one of
+        # the original that misses R.
+        holds, full = _holds(base, DEFAULT_SUBSET_BITS), (1 << g.n) - 1
+        cor1_exact = any(not holds[full & ~_mask(removal, g.n)]
+                         for removal in itertools.product(*packing))
         entries["n_minus_beta"] = BoundEntry(
             "exact" if cor1_exact else "upper", g.n - beta, "icsie",
             "disjoint compressible sets"

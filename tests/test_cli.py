@@ -303,6 +303,26 @@ def test_simulate_rejects_non_positive_trials(runner, clique4_files, trials):
     assert "PASS" not in res.output
 
 
+def test_simulate_count_needs_random_mode(runner, clique4_files):
+    # a count with the default exhaustive mode is refused, never ignored
+    inst, gen, _, _ = clique4_files
+    for extra in ([], ["--mode", "adversarial-exhaustive"]):
+        res = runner.invoke(main, ["simulate", inst, gen, "--trials", "5"] + extra)
+        assert res.exit_code == 2
+        assert res.output.startswith("parse error: --mode adversarial-exhaustive")
+        assert "recovered" not in res.output
+
+
+def test_simulate_random_runs_the_trial_count(runner, clique4_files):
+    inst, gen, _, _ = clique4_files
+    res = runner.invoke(main, ["simulate", inst, gen, "--mode", "random",
+                               "--trials", "50", "--seed", "3"])
+    assert res.exit_code == 0
+    totals = [int(line.split("/")[1].split()[0])
+              for line in res.output.splitlines() if line.startswith("receiver")]
+    assert sum(totals) == 50
+
+
 def test_run_simulation_api_full_recovery(clique4_files):
     _, _, spec, G = clique4_files
     report = run_simulation(spec, G, SimulationConfig(trials="exhaustive"))

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icsie.codeset import (_check_generator, _log2_q, enum_interference,
-                           first_witness, in_interference, in_support_family,
-                           interference_masks, is_valid_generator,
-                           oracle_decodable)
+                           first_witness, in_interference,
+                           interference_masks, interference_supports,
+                           is_valid_generator, oracle_decodable)
 from icsie.errors import (BudgetExceededError, DimensionError,
                           FieldMismatchError, IcsieError)
 from icsie.gfield import field_for
@@ -70,27 +70,31 @@ def test_budget_enforced():
                          Matrix.identity(F2, 13))
 
 
+def support_mask(K, n: int) -> int:
+    return sum(1 << (n - j) for j in K)
+
+
 def test_support_family_clique4():
-    assert in_support_family(CLIQUE4, {1, 2, 3})
-    assert not in_support_family(CLIQUE4, {1, 2, 3, 4})
-    assert in_support_family(CLIQUE4, {CLIQUE4.graph.f[0]})
-    with pytest.raises(ValueError):
-        in_support_family(CLIQUE4, set())
+    table = interference_supports(CLIQUE4)
+    assert table[support_mask({1, 2, 3}, 4)]
+    assert not table[support_mask({1, 2, 3, 4}, 4)]
+    assert table[support_mask({CLIQUE4.graph.f[0]}, 4)]
+    assert not table[0]
 
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_support_family_equals_interference_supports(q):
-    # K is a support pattern iff it is the exact support of some z in I
-    rng = random.Random(q)
+    # the table reads 1 at K exactly when K is the support of some z in I
     graphs = list(all_unipartite_graphs(3)) + [clique_graph(4)]
     for g in graphs:
         for ds in (0, 1):
             spec = ProblemSpec(graph=g, q=q, delta_s=ds)
             supports = {frozenset(j + 1 for j, v in enumerate(z) if v)
                         for z, _ in enum_interference(spec)}
-            for r in range(1, g.n + 1):
+            table = interference_supports(spec)
+            for r in range(g.n + 1):
                 for K in itertools.combinations(range(1, g.n + 1), r):
-                    assert in_support_family(spec, K) == (frozenset(K) in supports)
+                    assert table[support_mask(K, g.n)] == (frozenset(K) in supports)
 
 
 def test_monotone_in_delta_s():

@@ -76,8 +76,8 @@ def test_vec_mul_mul_col():
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 257])
 def test_vec_mul_matches_dot(q):
-    # the table-driven product against one dot per column; F_257 is past
-    # the table limit and reads the field through its views
+    # the table-driven products against one dot per column or row;
+    # F_257 is past the table limit and reads the field through its views
     f = field_for(q)
     rng = random.Random(q)
     for _ in range(20):
@@ -85,8 +85,12 @@ def test_vec_mul_matches_dot(q):
         M = Matrix(f, [[rng.randrange(q) for _ in range(c)] for _ in range(r)])
         z = [rng.choice((0, 1, q - 1, rng.randrange(q))) for _ in range(r)]
         assert M.vec_mul(z) == tuple(dot(f, z, col) for col in M.columns())
+        v = [rng.choice((0, 1, q - 1, rng.randrange(q))) for _ in range(c)]
+        assert M.mul_col(v) == tuple(dot(f, row, v) for row in M.rows)
     with pytest.raises(ValueError, match="dimension mismatch"):
         M.vec_mul([1] * (r + 1))
+    with pytest.raises(ValueError):
+        M.mul_col([1] * (c + 1))
 
 
 def test_field_mismatch():

@@ -50,19 +50,6 @@ def test_clique_graph():
         assert g.y_set(i) == frozenset()
 
 
-def test_delete_packets_reindexes():
-    g = clique_graph(4)
-    g2, mapping = g.delete_packets({2})
-    assert g2.n == g2.m == 3
-    assert mapping == {1: 1, 3: 2, 4: 3}
-    assert g2.f == (1, 2, 3)
-    assert g2.X[0] == {2, 3}          # old {3,4}
-    with pytest.raises(ValueError):
-        g.delete_packets({1, 2, 3, 4})
-    with pytest.raises(IndexError):
-        g.delete_packets({9})
-
-
 def test_delete_side_edges():
     g = clique_graph(3)
     g2 = g.delete_side_edges({1: {2}})
@@ -78,15 +65,6 @@ def test_partition_property():
         parts = [{g.f[i - 1]}, set(g.X[i - 1]), set(g.y_set(i))]
         assert set().union(*parts) == set(range(1, g.n + 1))
         assert sum(len(p) for p in parts) == g.n
-
-
-def test_delete_packets_batches_commute():
-    g = clique_graph(5)
-    one_shot, _ = g.delete_packets({2, 4})
-    step_a, _ = g.delete_packets({2})
-    # after deleting packet 2, old packet 4 is index 3
-    two_step, _ = step_a.delete_packets({3})
-    assert one_shot == two_step
 
 
 def test_problem_spec_checks():

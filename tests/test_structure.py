@@ -1,5 +1,8 @@
+import itertools
 import json
 import math
+import random
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -131,6 +134,102 @@ def test_mais_needs_unipartite():
     g = SideInfoGraph.make(2, [1, 2, 1], [{2}, {1}, set()])
     with pytest.raises(NotUnipartiteError):
         delta_s_mais(ProblemSpec(graph=g, q=2, delta_s=0))
+
+
+# -- reference: subset enumeration, without the support table ---------------
+
+def ref_compressible(graph: SideInfoGraph, cap: int, B) -> bool:
+    """Does every receiver demanding inside B cache more than cap
+    packets of B?"""
+    return all(len(graph.X[i] & B) > cap
+               for i in range(graph.m) if graph.f[i] in B)
+
+
+def ref_find_cycles(graph: SideInfoGraph, cap: int) -> list[frozenset[int]]:
+    members: list[frozenset[int]] = []
+    for size in range(1, graph.n + 1):
+        for B in itertools.combinations(range(1, graph.n + 1), size):
+            B = frozenset(B)
+            if not any(m <= B for m in members) and ref_compressible(graph, cap, B):
+                members.append(B)
+    return members
+
+
+def ref_gamma(graph: SideInfoGraph, cap: int) -> tuple[int, frozenset[int]]:
+    for size in range(graph.n, 0, -1):
+        for Q in itertools.combinations(range(1, graph.n + 1), size):
+            if not any(ref_compressible(graph, cap, frozenset(K))
+                       for t in range(1, size + 1)
+                       for K in itertools.combinations(Q, t)):
+                return size, frozenset(Q)
+    return 0, frozenset()
+
+
+def ref_mais(graph: SideInfoGraph, cap: int) -> int:
+    """Largest Q whose induced sub-instance has no compressible set; a
+    compressible set has a demand plus more than cap cached packets."""
+    for size in range(graph.n, 0, -1):
+        for Q in itertools.combinations(range(1, graph.n + 1), size):
+            if not any(ref_compressible(graph, cap, frozenset(B))
+                       for t in range(cap + 2, size + 1)
+                       for B in itertools.combinations(Q, t)):
+                return size
+    return 0
+
+
+def ref_delete_packets(graph: SideInfoGraph, R: set[int]) -> SideInfoGraph:
+    """The instance without packets R and their receivers, the rest
+    renumbered densely in ascending order."""
+    keep = [j for j in range(1, graph.n + 1) if j not in R]
+    new = {j: k + 1 for k, j in enumerate(keep)}
+    kept = [i for i in range(graph.m) if graph.f[i] not in R]
+    return SideInfoGraph.make(len(keep), [new[graph.f[i]] for i in kept],
+                              [{new[j] for j in graph.X[i] - R} for i in kept])
+
+
+def ref_removal_tight(graph: SideInfoGraph, cap: int, packing) -> bool:
+    """Does removing one packet per packed set leave no compressible set?"""
+    return any(not ref_find_cycles(ref_delete_packets(graph, set(R)), cap)
+               for R in itertools.product(*(sorted(B) for B in packing)))
+
+
+@st.composite
+def structure_cases(draw):
+    """A seeded random instance on n <= 6 packets: unipartite half the
+    time, otherwise a packet may have several receivers or none."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    n = rng.randint(1, 6)
+    if rng.random() < 0.5:
+        f = list(range(1, n + 1))
+    else:
+        f = [rng.randint(1, n) for _ in range(rng.randint(1, n + 1))]
+    density = rng.choice((0.5, 0.8))
+    X = [{j for j in range(1, n + 1) if j != fi and rng.random() < density}
+         for fi in f]
+    return ProblemSpec(graph=SideInfoGraph.make(n, f, X), q=2,
+                       delta_s=rng.randint(0, 2))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(structure_cases())
+def test_structure_matches_subset_enumeration(spec):
+    g, cap = spec.graph, spec.side_weight_cap()
+    cycles = ref_find_cycles(g, cap)
+    assert [c.packets for c in find_cycles(spec)] == cycles
+    assert is_acyclic(spec) == (not cycles)
+    assert gamma(spec) == ref_gamma(g, cap)
+    if g.is_unipartite():
+        assert delta_s_mais(spec) == ref_mais(g, cap)
+    beta, packing = max_disjoint_cycles(spec)
+    # the edge-deletion bound runs a search per deletion and is checked
+    # elsewhere; skipped here, it leaves a note
+    with mock.patch("icsie.structure.edge_deletion_bound",
+                    side_effect=BudgetExceededError("skipped")):
+        entry = bounds_report(spec, compute_exact=False).entries.get("n_minus_beta")
+    if beta == 0:
+        assert entry is None
+    else:
+        assert (entry.kind == "exact") == ref_removal_tight(g, cap, packing)
 
 
 # -- bounds ------------------------------------------------------------------
