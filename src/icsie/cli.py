@@ -23,7 +23,7 @@ from .errors import (BudgetExceededError, IcsieError, InconsistentError,
 from .linalg import Matrix
 from .sigraph import ProblemSpec, parse_instance
 from .simulation import SimulationConfig, run_simulation
-from .structure import bounds_report, find_cycles, gamma, max_disjoint_cycles
+from .structure import bounds_report
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -250,10 +250,10 @@ def analyze(instance: str, as_json: bool) -> None:
     """Cycle structure, independence number and the bounds report."""
     def go():
         spec = _load_instance(instance)
-        cycles = find_cycles(spec)
-        gam, witness = gamma(spec)
-        beta, packing = max_disjoint_cycles(spec)
         report = bounds_report(spec)
+        cycles, witness, packing = (report.cycles, report.gamma_witness,
+                                    report.packing)
+        gam, beta = report.entries["gamma"].value, len(packing)
         doc = {
             "cycles": [sorted(c.packets) for c in cycles],
             "gamma": gam,

@@ -27,7 +27,7 @@ from collections.abc import Iterator
 
 from .errors import BudgetExceededError, DimensionError, FieldMismatchError
 from .linalg import Matrix, hamming_weight, subvector, vector_space
-from .sigraph import ProblemSpec
+from .sigraph import ProblemSpec, SideInfoGraph
 
 DEFAULT_ENUM_BITS = 24
 DEFAULT_PAIR_BITS = 24
@@ -74,20 +74,19 @@ def enum_interference(spec: ProblemSpec,
             yield z, i
 
 
-def interference_supports(spec: ProblemSpec) -> bytearray:
-    """Interference as a lookup over support masks.
+def receiver_masks(graph: SideInfoGraph) -> list[tuple[int, int]]:
+    """(demand mask, cache mask) of each receiver, in receiver order.
+    Masks put coordinate 1 in the highest bit, as the kernels do."""
+    n = graph.n
+    return [(1 << (n - f), sum(1 << (n - j) for j in X))
+            for f, X in zip(graph.f, graph.X)]
 
-    Entry s is 1 iff the vectors whose support mask is s interfere.
-    Interference depends only on which coordinates are nonzero, so one
-    table of 2^n entries serves every q; over F_2 a vector is its own
-    support mask.  Masks put coordinate 1 in the highest bit, as the
-    kernels do.  Receivers with the same demand and cache are tested once.
-    """
-    g = spec.graph
-    n = g.n
-    cap = spec.side_weight_cap()
-    receivers = {(1 << (n - g.f[i]), sum(1 << (n - j) for j in g.X[i]))
-                 for i in range(g.m)}
+
+def support_table(n: int, receivers, cap: int) -> bytearray:
+    """Entry s is 1 iff the vectors whose support mask is s interfere:
+    they hit some receiver's demand while meeting at most cap of its
+    cached packets.  receivers holds (demand mask, cache mask) pairs, as
+    ``receiver_masks`` gives them; pass each distinct pair once."""
     table = bytearray(1 << n)
     for z in range(1, 1 << n):
         for fm, xm in receivers:
@@ -95,6 +94,18 @@ def interference_supports(spec: ProblemSpec) -> bytearray:
                 table[z] = 1
                 break
     return table
+
+
+def interference_supports(spec: ProblemSpec) -> bytearray:
+    """Interference as a lookup over support masks.
+
+    Interference depends only on which coordinates are nonzero, so one
+    table of 2^n entries (``support_table``) serves every q; over F_2 a
+    vector is its own support mask.  Receivers with the same demand and
+    cache are tested once.
+    """
+    return support_table(spec.graph.n, set(receiver_masks(spec.graph)),
+                         spec.side_weight_cap())
 
 
 def interference_masks(spec: ProblemSpec,
@@ -161,8 +172,7 @@ def oracle_decodable(spec: ProblemSpec, G: Matrix,
     field = spec.field
     cap = spec.side_weight_cap()
     # (demand mask, cache mask) of each distinct receiver
-    receivers = {(1 << (n - f), sum(1 << (n - j) for j in X))
-                 for f, X in zip(g.f, g.X)}
+    receivers = set(receiver_masks(g))
     msgs = vector_space(field, n)
     words = vector_space(field, G.ncols)
     cols = [msgs.pack(c) for c in G.columns()]

@@ -38,7 +38,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .codeset import (interference_masks, interference_supports,
@@ -47,7 +47,7 @@ from .errors import (BudgetExceededError, CycleTooSmallError,
                      DistanceTooSmallError, IcsieError, ParseError)
 from .gfield import Field, arithmetic, field_for
 from .linalg import Matrix, vector_space
-from .sigraph import ProblemSpec, clique_graph
+from .sigraph import ProblemSpec, clique_graph, is_integer
 
 DEFAULT_FREE_BITS = 24
 DEFAULT_SUBSPACE_BUDGET = 1 << 22
@@ -330,37 +330,43 @@ def _first_avoiding_basis(vectors, table: bytearray, d: int, rows_of: dict):
     return None
 
 
-def _optimal_length_icsie(spec: ProblemSpec,
-                          subspace_budget: int) -> tuple[int, Matrix]:
-    """Shortest valid generator when delta_c = 0.
+def _check_subspace_budget(n: int, d: int, q: int, subspace_budget: int) -> None:
+    count = gaussian_binomial(n, d, q)
+    if count > subspace_budget:
+        raise BudgetExceededError(
+            f"{count} subspaces of dimension {d} exceed the search budget")
+
+
+def _shortest_length(field: Field, n: int, table,
+                     subspace_budget: int) -> tuple[int, list]:
+    """Shortest length over an error-free channel, read from a support
+    table alone: (N, RREF rows of the largest avoiding subspace W).
 
     With no channel errors a generator is valid iff the set of messages
     it encodes to zero avoids the interference set; that null set is the
     orthogonal complement of the column space.  So: find the largest
-    subspace W avoiding the interference set and emit a basis of its
-    complement as columns.  The interference lookup is built once, after
-    the first length is within budget.
+    subspace W avoiding the interference set; a basis of its complement,
+    as columns, is a shortest generator.  The table is all the search
+    reads of the instance, so equal tables give equal results.
     """
-    n, q = spec.graph.n, spec.q
-    field = spec.field
     vectors = vector_space(field, n)
-    table = None
     rows_of: dict = {}
     for N in range(1, n + 1):
         d = n - N
-        if gaussian_binomial(n, d, q) > subspace_budget:
-            raise BudgetExceededError(
-                f"{gaussian_binomial(n, d, q)} subspaces of dimension {d} "
-                f"exceed the search budget")
-        if table is None:
-            table = interference_supports(spec)
+        _check_subspace_budget(n, d, field.q, subspace_budget)
         basis = _first_avoiding_basis(vectors, table, d, rows_of)
         if basis is not None:
-            W = Matrix(field, basis, ncols=n)
-            G = W.null_space_basis().transpose()  # n x N, rank N
-            assert G.ncols == N
-            return N, G
+            return N, basis
     raise AssertionError("the identity generator is always valid")
+
+
+def _core_search(spec: ProblemSpec, subspace_budget: int) -> tuple[int, list]:
+    """``_shortest_length`` of the delta_c = 0 core, whose support table
+    is the instance's; it is built after the first length is in budget."""
+    n = spec.graph.n
+    _check_subspace_budget(n, n - 1, spec.q, subspace_budget)
+    return _shortest_length(spec.field, n, interference_supports(spec),
+                            subspace_budget)
 
 
 def core_length(spec: ProblemSpec,
@@ -368,7 +374,7 @@ def core_length(spec: ProblemSpec,
     """Optimal length of the delta_c = 0 core: the same instance over an
     error-free channel.  The channel-error search starts from it, and it
     is the length minrank computes."""
-    return _optimal_length_icsie(replace(spec, delta_c=0), subspace_budget)[0]
+    return _core_search(spec, subspace_budget)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +417,11 @@ def optimal_length(spec: ProblemSpec,
                    combo_budget: int = DEFAULT_COMBO_BUDGET) -> tuple[int, Matrix]:
     """Exact optimal codelength and a witness generator of full column rank."""
     if spec.delta_c == 0:
-        return _optimal_length_icsie(spec, subspace_budget)
+        N, basis = _core_search(spec, subspace_budget)
+        W = Matrix(spec.field, basis, ncols=spec.graph.n)
+        G = W.null_space_basis().transpose()  # n x N, rank N
+        assert G.ncols == N
+        return N, G
     return _optimal_length_gecic(spec, subspace_budget, combo_budget)
 
 
@@ -582,8 +592,12 @@ def parse_generator(text: str) -> Matrix:
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     try:
-        field = field_for(int(doc["q"]))
         rows = doc["rows"]
+        if not all(is_integer(doc[key]) for key in ("q", "n", "N")):
+            raise ParseError("fields 'q', 'n' and 'N' must be integers")
+        if not all(is_integer(v) for r in rows for v in r):
+            raise ParseError("generator entries must be integers")
+        field = field_for(doc["q"])
         if len(rows) != doc["n"] or any(len(r) != doc["N"] for r in rows):
             raise ParseError("generator dimensions disagree with n/N fields")
         return Matrix(field, rows, ncols=doc["N"])

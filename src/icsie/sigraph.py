@@ -3,13 +3,13 @@
 A SideInfoGraph is the directed bipartite graph of n packet nodes and
 m receiver nodes: receiver i demands packet f(i) and caches the packets
 in X_i.  Packets and receivers are numbered from 1.  All types here are
-immutable; graph surgeries return new graphs.
+immutable.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import IcsieError, ParseError
 from .gfield import field_for
@@ -73,18 +73,6 @@ class SideInfoGraph:
     def is_unipartite(self) -> bool:
         return self.m == self.n and all(self.f[i] == i + 1 for i in range(self.m))
 
-    def delete_side_edges(self, deletions: dict[int, set[int]]) -> "SideInfoGraph":
-        """Shrink cache sets: deletions maps receiver i to packets dropped from X_i."""
-        X2 = list(self.X)
-        for i, drop in deletions.items():
-            if not 1 <= i <= self.m:
-                raise IndexError(f"receiver {i} out of range")
-            extra = set(drop) - self.X[i - 1]
-            if extra:
-                raise IndexError(f"receiver {i} does not cache {sorted(extra)}")
-            X2[i - 1] = self.X[i - 1] - set(drop)
-        return replace(self, X=tuple(X2))
-
 
 def clique_graph(n: int) -> SideInfoGraph:
     """Unipartite clique: receiver i demands i and caches everything else."""
@@ -121,6 +109,12 @@ class ProblemSpec:
         return 2 * self.delta_s
 
 
+def is_integer(val) -> bool:
+    """The one integer rule for input documents: a JSON integer, and not
+    true or false, which Python reads as 1 and 0."""
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
 def parse_instance(text: str) -> ProblemSpec:
     """Parse the JSON instance document; see serialize_instance for the
     schema.  A "side_error_model" key, kept by older documents, must be
@@ -136,7 +130,7 @@ def parse_instance(text: str) -> ProblemSpec:
         if key not in doc:
             raise ParseError(f"missing field {key!r}")
         val = doc[key]
-        if kind is int and (not isinstance(val, int) or isinstance(val, bool)):
+        if kind is int and not is_integer(val):
             raise ParseError(f"field {key!r} must be an integer")
         if kind is list and not isinstance(val, list):
             raise ParseError(f"field {key!r} must be an array")
@@ -155,9 +149,13 @@ def parse_instance(text: str) -> ProblemSpec:
         raise ParseError(f"f has {len(f)} entries, expected m = {m}")
     if len(X) != m:
         raise ParseError(f"X has {len(X)} entries, expected m = {m}")
+    if not all(map(is_integer, f)):
+        raise ParseError("entries of f must be integers")
     for i, xs in enumerate(X, start=1):
         if not isinstance(xs, list):
             raise ParseError(f"X[{i}] must be an array")
+        if not all(map(is_integer, xs)):
+            raise ParseError(f"entries of X[{i}] must be integers")
         if xs != sorted(set(xs)):
             raise ParseError(f"X[{i}] must be strictly ascending")
     try:

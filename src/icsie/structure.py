@@ -12,11 +12,15 @@ when ``codeset.interference_supports`` reads 0 at B's mask.  So one
 table decides everything here: from that table, one pass over the 2^n
 masks records which masks contain a compressible set, and the minimal
 cycles, acyclicity, gamma, the delta_s-MAIS and the n - beta removal
-witness are all read from it.
+witness are all read from it.  Each public query builds that table
+once; ``bounds_report`` builds it once for all of them.
 
 The bounds report gathers every bound the library knows how to compute
 for one instance, each tagged with its provenance and whether it was
-certified exhaustively or only sampled.
+certified exhaustively or only sampled, and carries the cycles, gamma
+witness and packing it read them from.  The edge-deletion bound reads
+support tables too: one per deletion choice, built at delta_s = 0 by
+``codeset.support_table``, each distinct table searched once.
 """
 
 from __future__ import annotations
@@ -27,11 +31,12 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 
-from .codeset import interference_supports
-from .encoder import cycle_code, l_q, optimal_length
+from .codeset import interference_supports, receiver_masks, support_table
+from .encoder import (DEFAULT_SUBSPACE_BUDGET, _check_subspace_budget,
+                      _shortest_length, cycle_code, l_q, optimal_length)
 from .errors import BudgetExceededError, NotUnipartiteError
 from .linalg import Matrix
-from .sigraph import ProblemSpec
+from .sigraph import ProblemSpec, SideInfoGraph
 
 DEFAULT_SUBSET_BITS = 22
 EDGE_DELETION_EXHAUSTIVE_CAP = 10_000
@@ -77,17 +82,14 @@ def _holds(spec: ProblemSpec, budget_bits: int) -> bytearray:
     return holds
 
 
-def find_cycles(spec: ProblemSpec,
-                budget_bits: int = DEFAULT_SUBSET_BITS) -> list[CycleSet]:
-    """All minimal compressible packet sets, by size then lexicographically.
+def _cycles(g: SideInfoGraph, holds: bytearray) -> list[CycleSet]:
+    """The minimal compressible sets of graph g, read from its table.
 
     A mask is a minimal compressible set when it holds and none of its
     one-packet-smaller subsets does.  Among masks of one size, the
     lexicographic order of packet sets is descending mask order.
     """
-    g = spec.graph
     n = g.n
-    holds = _holds(spec, budget_bits)
     bits = [1 << k for k in range(n)]
     minimal = [s for s in range(1, 1 << n)
                if holds[s] and not any(holds[s ^ b] for b in bits if s & b)]
@@ -99,19 +101,20 @@ def find_cycles(spec: ProblemSpec,
             for B in cycles]
 
 
+def find_cycles(spec: ProblemSpec,
+                budget_bits: int = DEFAULT_SUBSET_BITS) -> list[CycleSet]:
+    """All minimal compressible packet sets, by size then lexicographically."""
+    return _cycles(spec.graph, _holds(spec, budget_bits))
+
+
 def is_acyclic(spec: ProblemSpec, budget_bits: int = DEFAULT_SUBSET_BITS) -> bool:
     return not _holds(spec, budget_bits)[-1]
 
 
-def max_disjoint_cycles(spec: ProblemSpec,
-                        budget_bits: int = DEFAULT_SUBSET_BITS
-                        ) -> tuple[int, list[frozenset[int]]]:
-    """Maximum number of pairwise-disjoint compressible sets, with a witness.
-
-    Exact set packing over the minimal members; any packing by larger
-    members can be shrunk to one by minimal members, so this is lossless.
-    """
-    cycles = [c.packets for c in find_cycles(spec, budget_bits)]
+def _packing(cycles: list[frozenset[int]]) -> tuple[int, list[frozenset[int]]]:
+    """Exact set packing over the minimal compressible sets; any packing
+    by larger members can be shrunk to one by minimal members, so this
+    is lossless."""
     best: list[frozenset[int]] = []
 
     def walk(idx: int, chosen: list[frozenset[int]], used: frozenset[int]) -> None:
@@ -130,20 +133,30 @@ def max_disjoint_cycles(spec: ProblemSpec,
     return len(best), best
 
 
-def gamma(spec: ProblemSpec,
-          budget_bits: int = DEFAULT_SUBSET_BITS) -> tuple[int, frozenset[int]]:
-    """Largest packet set all of whose nonempty subsets are supports of
-    interference vectors; its size lower-bounds the optimal codelength.
+def max_disjoint_cycles(spec: ProblemSpec,
+                        budget_bits: int = DEFAULT_SUBSET_BITS
+                        ) -> tuple[int, list[frozenset[int]]]:
+    """Maximum number of pairwise-disjoint compressible sets, with a witness."""
+    return _packing([c.packets for c in find_cycles(spec, budget_bits)])
 
-    Those are the masks that contain no compressible set.  The witness
-    is the lexicographically first of the largest ones: among masks of
-    one size, the largest mask.
-    """
-    n = spec.graph.n
-    holds = _holds(spec, budget_bits)
+
+def _gamma(holds: bytearray, n: int) -> tuple[int, frozenset[int]]:
+    """The largest mask containing no compressible set, lexicographically
+    first among those of its size: among masks of one size, the largest."""
     best = max((s for s in range(1 << n) if not holds[s]),
                key=lambda s: (s.bit_count(), s))
     return best.bit_count(), _packets(best, n)
+
+
+def gamma(spec: ProblemSpec,
+          budget_bits: int = DEFAULT_SUBSET_BITS) -> tuple[int, frozenset[int]]:
+    """Largest packet set all of whose nonempty subsets are supports of
+    interference vectors, with the lexicographically first witness; its
+    size lower-bounds the optimal codelength.
+
+    Those are the masks that contain no compressible set.
+    """
+    return _gamma(_holds(spec, budget_bits), spec.graph.n)
 
 
 def delta_s_mais(spec: ProblemSpec,
@@ -177,6 +190,10 @@ class BoundsReport:
     entries: dict[str, BoundEntry] = field(default_factory=dict)
     n_opt: int | None = None           # exact error-free optimum when computed
     notes: tuple[str, ...] = ()
+    # the structure the entries were read from; not part of to_json
+    cycles: tuple[CycleSet, ...] = ()              # minimal compressible sets
+    gamma_witness: frozenset[int] = frozenset()
+    packing: tuple[frozenset[int], ...] = ()       # beta = len(packing)
 
     def lower(self, target: str) -> int | None:
         vals = [e.value for e in self.entries.values()
@@ -218,12 +235,18 @@ def edge_deletion_bound(spec: ProblemSpec,
     """Best error-free-conventional lower bound over cache-edge deletions.
 
     Every way of deleting min(side_weight_cap(), |X_i|) cache edges per
-    receiver yields a conventional instance whose optimum lower-bounds
-    ours, so the maximum over deletions is wanted.  Exhaustive when the choice
-    space is small; otherwise a deterministic sample, still a valid
-    lower bound but flagged uncertified.
+    receiver yields a conventional instance (delta_s = 0) whose optimum
+    lower-bounds ours, so the maximum over deletions is wanted.  Exhaustive
+    when the choice space is small; otherwise a deterministic sample,
+    still a valid lower bound but flagged uncertified.
+
+    A reduced instance's optimum depends only on q and its support table,
+    so each choice's table is built from the shrunken cache masks, and
+    each distinct table is searched once, in the order the choices first
+    give it.  The search budget is checked before the first table is built.
     """
     g, cap = spec.graph, spec.side_weight_cap()
+    n = g.n
     per_receiver = [list(itertools.combinations(sorted(X), min(cap, len(X))))
                     for X in g.X]
     total = math.prod(len(c) for c in per_receiver)
@@ -236,11 +259,19 @@ def edge_deletion_bound(spec: ProblemSpec,
                         for choices in per_receiver]
                        for _ in range(samples))
         certified = False
-    reduced = (g.delete_side_edges({i + 1: set(c) for i, c in enumerate(choices)})
-               for choices in choice_iter)
-    best = max(optimal_length(ProblemSpec(graph=r, q=spec.q, delta_s=0))[0]
-               for r in reduced)
-    return best, certified
+    _check_subspace_budget(n, n - 1, spec.q, DEFAULT_SUBSPACE_BUDGET)
+    receivers = receiver_masks(g)
+    searched: set[bytes] = set()
+    lengths = []
+    for choices in choice_iter:
+        kept = {(fm, xm & ~_mask(drop, n))
+                for (fm, xm), drop in zip(receivers, choices)}
+        table = bytes(support_table(n, kept, 0))
+        if table not in searched:
+            searched.add(table)
+            lengths.append(_shortest_length(spec.field, n, table,
+                                            DEFAULT_SUBSPACE_BUDGET)[0])
+    return max(lengths), certified
 
 
 def packing_generator(spec: ProblemSpec) -> Matrix:
@@ -273,7 +304,11 @@ def bounds_report(spec: ProblemSpec,
                   compute_exact: bool = True) -> BoundsReport:
     """Assemble every known lower/upper bound for the instance.
 
-    Per-entry budget failures are recorded as notes, never fatal.
+    The structure entries (gamma, n, n_minus_beta) and the cycles, gamma
+    witness and packing the report carries all come from one support
+    table, whose subset budget is fatal: BudgetExceededError propagates.
+    The searched entries (edge deletion, the exact optimum, the
+    channel-error bounds) record a budget failure as a note instead.
     Entries targeting the error-free problem and the channel-error
     problem are kept apart; consistency is enforced within each target.
     """
@@ -282,7 +317,9 @@ def bounds_report(spec: ProblemSpec,
     notes: list[str] = []
     base = replace(spec, delta_c=0)
 
-    gam, _ = gamma(base)
+    holds = _holds(spec, DEFAULT_SUBSET_BITS)
+    cycles = _cycles(g, holds)
+    gam, gamma_witness = _gamma(holds, g.n)
     entries["gamma"] = BoundEntry(
         "lower", gam, "icsie", "independence-number lower bound")
 
@@ -298,7 +335,7 @@ def bounds_report(spec: ProblemSpec,
         entries["S_plus_1"] = BoundEntry(
             "exact", len(S), "icsie", "every demand row independent: uncoded")
 
-    beta, packing = max_disjoint_cycles(base)
+    beta, packing = _packing([c.packets for c in cycles])
     acyclic = beta == 0
     entries["n"] = BoundEntry(
         "exact" if acyclic else "upper", g.n, "icsie",
@@ -308,7 +345,7 @@ def bounds_report(spec: ProblemSpec,
         # does some removal R of one packet per packed set break every
         # cycle?  A compressible set of the instance without R is one of
         # the original that misses R.
-        holds, full = _holds(base, DEFAULT_SUBSET_BITS), (1 << g.n) - 1
+        full = (1 << g.n) - 1
         cor1_exact = any(not holds[full & ~_mask(removal, g.n)]
                          for removal in itertools.product(*packing))
         entries["n_minus_beta"] = BoundEntry(
@@ -345,4 +382,6 @@ def bounds_report(spec: ProblemSpec,
         except BudgetExceededError as exc:
             notes.append(f"gecic bounds skipped: {exc}")
 
-    return BoundsReport(entries=entries, n_opt=n_opt, notes=tuple(notes))
+    return BoundsReport(entries=entries, n_opt=n_opt, notes=tuple(notes),
+                        cycles=tuple(cycles), gamma_witness=gamma_witness,
+                        packing=tuple(packing))

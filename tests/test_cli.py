@@ -1,8 +1,10 @@
 import json
+from unittest import mock
 
 import pytest
 from click.testing import CliRunner
 
+from icsie import cli, structure
 from icsie.cli import EXIT_DOMAIN, EXIT_OK, main
 from icsie.codeset import oracle_decodable
 from icsie.encoder import optimal_length, serialize_generator
@@ -240,6 +242,113 @@ def test_erasure_document_is_a_parse_error(runner, tmp_path, command):
     assert res.exit_code == 2
     assert _no_traceback(res)
     assert res.output.startswith("parse error: side_error_model")
+
+
+# instance documents whose f or X entries are not all integers
+BAD_ENTRIES = [({"f": ["1", 2, 3]}, "entries of f must be integers"),
+               ({"f": [1.0, 2, 3]}, "entries of f must be integers"),
+               ({"f": [True, 2, 3]}, "entries of f must be integers"),
+               ({"f": [None, 2, 3]}, "entries of f must be integers"),
+               ({"X": [["2"], [1], [1]]}, "entries of X[1] must be integers"),
+               ({"X": [[2.0, 3], [1], [1]]}, "entries of X[1] must be integers"),
+               ({"X": [[2], [True], [1]]}, "entries of X[2] must be integers"),
+               ({"X": [[2], [1], [[1]]]}, "entries of X[3] must be integers")]
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze", "search"])
+@pytest.mark.parametrize("change,message", BAD_ENTRIES)
+def test_instance_entries_must_be_integers(runner, tmp_path, command,
+                                           change, message):
+    doc = {"n": 3, "m": 3, "q": 2, "delta_s": 0, "delta_c": 0,
+           "f": [1, 2, 3], "X": [[2], [1], [1]], **change}
+    inst = tmp_path / "bad.json"
+    inst.write_text(json.dumps(doc))
+    res = runner.invoke(main, [command, str(inst)])
+    assert res.exit_code == 2, res.output
+    assert _no_traceback(res)
+    assert res.output == f"parse error: {message}\n"
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"q": 2.5}, "fields 'q', 'n' and 'N' must be integers"),
+    ({"q": "3"}, "fields 'q', 'n' and 'N' must be integers"),
+    ({"N": 4.0}, "fields 'q', 'n' and 'N' must be integers"),
+    ({"rows": [[True, 1, 1, 1]] + [[0, 1, 0, 0]] * 3},
+     "generator entries must be integers"),
+    ({"rows": [[1.0, 1, 1, 1]] + [[0, 1, 0, 0]] * 3},
+     "generator entries must be integers"),
+])
+def test_generator_entries_must_be_integers(runner, clique4_files, tmp_path,
+                                            change, message):
+    inst, gen, _, _ = clique4_files
+    doc = {**json.loads(open(gen).read()), **change}
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["encode", inst, str(p), "--x", "1,0,1,1"])
+    assert res.exit_code == 2, res.output
+    assert _no_traceback(res)
+    assert res.output == f"parse error: {message}\n"
+
+
+def _analyze_doc(s_plus_1: int, value: int, cycles, witness, packing):
+    """A pinned `analyze --json` document over F_q at delta_c = 0 where gamma,
+    edge deletion, n - beta (tight) and N_opt all read value."""
+    def entry(kind, val, provenance):
+        return {"certified": True, "kind": kind, "provenance": provenance,
+                "target": "icsie", "value": val}
+    return {
+        "beta": len(packing),
+        "bounds": {"entries": {
+            "S_plus_1": entry("lower", s_plus_1,
+                              "receivers with caches within the error "
+                              "budget force independent rows"),
+            "edge_deletion_lower": entry(
+                "lower", value,
+                "worst conventional instance after cache-edge deletion"),
+            "gamma": entry("lower", value, "independence-number lower bound"),
+            "n": entry("upper", 4, "uncoded upper bound"),
+            "n_minus_beta": entry("exact", value,
+                                  "disjoint compressible sets, removal "
+                                  "witness leaves no cycle: tight")},
+            "n_opt": value, "notes": []},
+        "cycles": cycles, "gamma": value, "gamma_witness": witness,
+        "packing": packing}
+
+
+# F_2 clique-4 at delta_s = 1 and the directed 4-cycle at delta_s = 0
+# print the same document
+ANALYZE_ONE_4_CYCLE = _analyze_doc(1, 3, [[1, 2, 3, 4]], [1, 2, 3],
+                                   [[1, 2, 3, 4]])
+# packet 4 is demanded by no receiver: it alone is compressible
+ANALYZE_UNDEMANDED = _analyze_doc(3, 3, [[4]], [1, 2, 3], [[4]])
+
+
+@pytest.mark.parametrize("spec,doc", [
+    (ProblemSpec(graph=clique_graph(4), q=2, delta_s=1), ANALYZE_ONE_4_CYCLE),
+    (ProblemSpec(graph=SideInfoGraph.make(4, [1, 2, 3, 4],
+                                          [{2}, {3}, {4}, {1}]),
+                 q=2, delta_s=0), ANALYZE_ONE_4_CYCLE),
+    (ProblemSpec(graph=SideInfoGraph.make(
+        4, [1, 2, 3, 1, 2], [{2, 3}, {1, 3}, {1, 2, 4}, {3, 4}, {1, 3, 4}]),
+        q=3, delta_s=1), ANALYZE_UNDEMANDED),
+], ids=["F2-clique4-ds1", "directed-4-cycle-ds0", "F3-non-unipartite-ds1"])
+def test_analyze_json_pinned(runner, tmp_path, spec, doc):
+    inst = tmp_path / "inst.json"
+    inst.write_text(serialize_instance(spec))
+    res = runner.invoke(main, ["analyze", "--json", str(inst)])
+    assert res.exit_code == 0
+    assert res.output == json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+def test_analyze_reads_one_bounds_report(runner, clique4_files):
+    inst, _, _, _ = clique4_files
+    bound = {name for name, obj in vars(cli).items()
+             if getattr(obj, "__module__", None) == "icsie.structure"}
+    assert bound == {"bounds_report"}
+    with mock.patch("icsie.structure._holds", wraps=structure._holds) as holds:
+        res = runner.invoke(main, ["analyze", inst, "--json"])
+    assert res.exit_code == 0
+    assert holds.call_count == 1
 
 
 def test_analyze(runner, clique4_files):

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 
@@ -18,6 +19,7 @@ from icsie.errors import (BudgetExceededError, CycleTooSmallError,
 from icsie.gfield import _FieldOp, arithmetic, field_for
 from icsie.linalg import Matrix
 from icsie.sigraph import ProblemSpec, SideInfoGraph, clique_graph
+from icsie.structure import edge_deletion_bound
 
 F2 = field_for(2)
 CLIQUE4 = ProblemSpec(graph=clique_graph(4), q=2, delta_s=1)
@@ -458,10 +460,21 @@ def test_optimal_many_receivers_past_64():
 
 def test_optimal_budget_checked_before_the_lookup_is_built():
     # 2^23 - 1 hyperplanes exceed the default budget; the check must fire
-    # before any 2^23-entry interference table is built
-    spec = ProblemSpec(graph=clique_graph(23), q=2, delta_s=0)
-    with pytest.raises(BudgetExceededError):
-        optimal_length(spec)
+    # before any 2^23-entry interference table is built, also in the
+    # edge-deletion bound's searches (one reduced table at delta_s = 0,
+    # a sample of 231^23 deletion choices at delta_s = 1)
+    runs = [lambda: optimal_length(
+        ProblemSpec(graph=clique_graph(23), q=2, delta_s=0))]
+    runs += [lambda ds=ds: edge_deletion_bound(
+        ProblemSpec(graph=clique_graph(23), q=2, delta_s=ds)) for ds in (0, 1)]
+    no_table = AssertionError("a 2^23-entry table was built")
+    for run in runs:
+        with mock.patch("icsie.codeset.support_table", side_effect=no_table), \
+                mock.patch("icsie.structure.support_table", side_effect=no_table), \
+                pytest.raises(BudgetExceededError,
+                              match="^8388607 subspaces of dimension 22 "
+                                    "exceed the search budget$"):
+            run()
     with pytest.raises(BudgetExceededError):
         optimal_length(ProblemSpec(graph=clique_graph(9), q=2, delta_s=1),
                        subspace_budget=1 << 12)

@@ -50,15 +50,6 @@ def test_clique_graph():
         assert g.y_set(i) == frozenset()
 
 
-def test_delete_side_edges():
-    g = clique_graph(3)
-    g2 = g.delete_side_edges({1: {2}})
-    assert g2.X[0] == {3}
-    assert g2.X[1] == g.X[1]
-    with pytest.raises(IndexError):
-        g.delete_side_edges({1: {1}})   # packet 1 not cached by receiver 1
-
-
 def test_partition_property():
     g = SideInfoGraph.make(4, [1, 2, 3, 4], [{2, 3}, {1}, {4}, set()])
     for i in range(1, g.m + 1):

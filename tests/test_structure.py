@@ -8,11 +8,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from icsie import structure
 from icsie.codeset import is_valid_generator
 from icsie.encoder import optimal_length
 from icsie.errors import BudgetExceededError, NotUnipartiteError
 from icsie.sigraph import ProblemSpec, SideInfoGraph, clique_graph
-from icsie.structure import (BoundEntry, BoundsReport, bounds_report,
+from icsie.structure import (EDGE_DELETION_EXHAUSTIVE_CAP,
+                             EDGE_DELETION_SAMPLES, EDGE_DELETION_SEED,
+                             BoundEntry, BoundsReport, bounds_report,
                              delta_s_mais, edge_deletion_bound, find_cycles,
                              gamma, is_acyclic, max_disjoint_cycles,
                              packing_generator)
@@ -237,6 +240,80 @@ def test_structure_matches_subset_enumeration(spec):
 def test_edge_deletion_clique4():
     value, certified = edge_deletion_bound(CLIQUE4)
     assert value == 3 and certified
+
+
+def ref_edge_deletion_bound(spec: ProblemSpec,
+                            exhaustive_cap: int) -> tuple[int, bool]:
+    """The bound as one search per deletion choice: rebuild each reduced
+    graph and run optimal_length on it at delta_s = 0."""
+    g, cap = spec.graph, spec.side_weight_cap()
+    per_receiver = [list(itertools.combinations(sorted(X), min(cap, len(X))))
+                    for X in g.X]
+    if math.prod(len(c) for c in per_receiver) <= exhaustive_cap:
+        choice_iter, certified = itertools.product(*per_receiver), True
+    else:
+        rng = random.Random(EDGE_DELETION_SEED)
+        choice_iter = ([c[rng.randrange(len(c))] for c in per_receiver]
+                       for _ in range(EDGE_DELETION_SAMPLES))
+        certified = False
+    best = 0
+    for choices in choice_iter:
+        reduced = SideInfoGraph.make(
+            g.n, g.f, [X - set(c) for X, c in zip(g.X, choices)])
+        best = max(best, optimal_length(
+            ProblemSpec(graph=reduced, q=spec.q, delta_s=0))[0])
+    return best, certified
+
+
+def edge_deletion_cases(count: int, seed: int = 0xED6E):
+    """Seeded random instances over F_2 and F_3 with n <= 5 and
+    delta_s <= 2, unipartite half the time.  Dense caches and delta_s = 1
+    are favoured: they give the most deletion choices."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, 5)
+        if rng.random() < 0.5:
+            f = list(range(1, n + 1))
+        else:
+            f = [rng.randint(1, n) for _ in range(rng.randint(1, n + 1))]
+        density = rng.choice((0.6, 0.9))
+        X = [{j for j in range(1, n + 1) if j != fi and rng.random() < density}
+             for fi in f]
+        yield ProblemSpec(graph=SideInfoGraph.make(n, f, X),
+                          q=rng.choice((2, 3)), delta_s=rng.choice((0, 1, 1, 2)))
+
+
+def test_edge_deletion_matches_a_search_per_choice():
+    # a cap of 200 samples the larger choice spaces, and clique-5 at
+    # delta_s = 1 (7,776 choices) is sampled under a cap of 16
+    cases = [(spec, 200) for spec in edge_deletion_cases(60)]
+    cases.append((CLIQUE4, EDGE_DELETION_EXHAUSTIVE_CAP))
+    cases.append((ProblemSpec(graph=clique_graph(5), q=2, delta_s=1), 16))
+    certified = set()
+    for spec, cap in cases:
+        got = edge_deletion_bound(spec, exhaustive_cap=cap)
+        assert got == ref_edge_deletion_bound(spec, cap), spec
+        certified.add(got[1])
+    assert certified == {True, False}
+
+
+def test_bounds_report_builds_one_table():
+    specs = [CLIQUE4,
+             ProblemSpec(graph=two_cliques(3), q=3, delta_s=0),
+             ProblemSpec(graph=SideInfoGraph.make(3, [1, 2, 1], [{2}, {1, 3}, {3}]),
+                         q=2, delta_s=0, delta_c=1)]
+    for spec in specs:
+        with mock.patch("icsie.structure._holds",
+                        wraps=structure._holds) as holds:
+            bounds_report(spec)
+        assert holds.call_count == 1
+
+
+def test_bounds_report_subset_budget_is_fatal():
+    # the table of 2^23 masks is past the subset budget: no entry can be read
+    with pytest.raises(BudgetExceededError,
+                       match="2\\^23 subsets exceed the budget"):
+        bounds_report(ProblemSpec(graph=clique_graph(23), q=2, delta_s=0))
 
 
 def test_bounds_clique4_all_tight():
