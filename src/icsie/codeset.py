@@ -11,6 +11,12 @@ Every routine here works over any F_q through one seam,
 ``linalg.vector_space``: int masks and the GF(2) kernel over F_2, tuples
 and the field's tables otherwise.  No function here tests q itself.
 
+Interference depends only on the support of z, so one table over the
+2^n support masks holds it.  From that table ``contains_compressible``
+marks every packet set that contains a compressible one (a nonempty set
+that is no support) and ``gamma_mask`` reads gamma's set off it: the
+structure queries and the error-free search both read gamma there.
+
 ``oracle_decodable`` deliberately does NOT reuse that criterion: it
 materializes explicit Hamming spheres around every codeword and tests
 the message pairs whose spheres share a word, found through an index
@@ -106,6 +112,32 @@ def interference_supports(spec: ProblemSpec) -> bytearray:
     """
     return support_table(spec.graph.n, set(receiver_masks(spec.graph)),
                          spec.side_weight_cap())
+
+
+def contains_compressible(supports) -> bytearray:
+    """Entry s is 1 iff packet mask s contains a compressible set: a
+    nonempty set that is not an interference support.
+
+    A nonempty mask holds when it is not a support itself or when one of
+    its one-packet-smaller subsets holds; ascending masks meet every
+    subset first.
+    """
+    n = (len(supports) - 1).bit_length()
+    bits = [1 << k for k in range(n)]
+    holds = bytearray(len(supports))
+    for s in range(1, len(supports)):
+        holds[s] = not supports[s] or any(holds[s ^ b] for b in bits if s & b)
+    return holds
+
+
+def gamma_mask(holds) -> int:
+    """The largest mask containing no compressible set, as
+    ``contains_compressible`` marks them; among masks of one size, the
+    largest.  Its packets' size is gamma: every nonzero z supported
+    inside it interferes, so a valid G has independent rows there and at
+    least gamma columns."""
+    return max((s for s in range(len(holds)) if not holds[s]),
+               key=lambda s: (s.bit_count(), s))
 
 
 def interference_masks(spec: ProblemSpec,

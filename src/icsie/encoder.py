@@ -16,7 +16,13 @@ Two exact routes to the optimal length are implemented and must agree:
   one row at a time, keeping the span of the rows chosen so far and
   cutting a partial basis, with all its completions, as soon as its
   span meets the interference set; membership is one lookup in a table
-  over support masks, built once per search.  With channel errors,
+  over support masks, built once per search.  The lengths walked are
+  gamma, gamma + 1, ..., with gamma read from the same table: every
+  nonzero z supported inside the gamma set interferes, so G's rows on
+  that set are independent and no length below gamma is feasible.  One
+  length's walk alone decides whether the optimum is at most that
+  length; ``structure.edge_deletion_bound`` skips a table that way when
+  the walk at its best length so far succeeds.  With channel errors,
   codeword weights matter and the search runs over multisets of
   projective columns instead, testing each against the interference
   list built once per search.
@@ -41,8 +47,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .codeset import (interference_masks, interference_supports,
-                      is_valid_generator)
+from .codeset import (contains_compressible, gamma_mask, interference_masks,
+                      interference_supports, is_valid_generator)
 from .errors import (BudgetExceededError, CycleTooSmallError,
                      DistanceTooSmallError, IcsieError, ParseError)
 from .gfield import Field, arithmetic, field_for
@@ -283,19 +289,23 @@ def gaussian_binomial(n: int, d: int, q: int) -> int:
     return num // den
 
 
-def _first_avoiding_basis(vectors, table: bytearray, d: int, rows_of: dict):
-    """RREF rows of the first d-dimensional subspace of F_q^n whose span
-    avoids the interference set, or None.
+def _first_avoiding_basis(vectors, table: bytearray, N: int,
+                          subspace_budget: int, rows_of: dict):
+    """RREF rows of the first subspace of F_q^n of dimension n - N whose
+    span avoids the interference set, or None; the subspaces of that
+    dimension are counted against the budget first.
 
     Subspaces are taken in the order of their RREF bases: pivot sets in
     lexicographic order, then each row's free values lexicographically,
     row 0 most significant.  The walk chooses rows depth first and keeps
     the span of the rows chosen so far; a prefix whose span meets the
     interference set is cut with all its completions.  rows_of caches
-    each row's candidates, which depend only on its pivot and the later
-    pivots.
+    each row's candidates, which depend only on q, n, its pivot and the
+    later pivots, so one cache serves every table over the same space.
     """
     q, n = vectors.q, vectors.n
+    d = n - N
+    _check_subspace_budget(n, d, q, subspace_budget)
 
     def candidates(p: int, later: tuple[int, ...]):
         key = (p, later)
@@ -337,8 +347,15 @@ def _check_subspace_budget(n: int, d: int, q: int, subspace_budget: int) -> None
             f"{count} subspaces of dimension {d} exceed the search budget")
 
 
-def _shortest_length(field: Field, n: int, table,
-                     subspace_budget: int) -> tuple[int, list]:
+def _table_gamma(table) -> int:
+    """Gamma of a support table: the size of the largest packet set all
+    of whose nonempty subsets are supports.  At least 1, since a
+    demanded packet alone is a support."""
+    return gamma_mask(contains_compressible(table)).bit_count()
+
+
+def _shortest_length(vectors, table, start: int, subspace_budget: int,
+                     rows_of: dict) -> tuple[int, list]:
     """Shortest length over an error-free channel, read from a support
     table alone: (N, RREF rows of the largest avoiding subspace W).
 
@@ -348,13 +365,20 @@ def _shortest_length(field: Field, n: int, table,
     subspace W avoiding the interference set; a basis of its complement,
     as columns, is a shortest generator.  The table is all the search
     reads of the instance, so equal tables give equal results.
+
+    Lengths are walked from start up, and start must not exceed the
+    answer; the table's gamma never does.  Proof: every nonzero z
+    supported inside the gamma set interferes, so G's rows on that set
+    are independent and N >= gamma.  Each length's walk is the same
+    whatever the start, so the first feasible length and its basis are
+    those of a walk from length 1.  Only the lengths walked are checked
+    against the budget.  A caller that knows more may start higher:
+    ``structure.edge_deletion_bound`` starts at best + 1 once the walk
+    at its best length so far has found no avoiding subspace.
     """
-    vectors = vector_space(field, n)
-    rows_of: dict = {}
-    for N in range(1, n + 1):
-        d = n - N
-        _check_subspace_budget(n, d, field.q, subspace_budget)
-        basis = _first_avoiding_basis(vectors, table, d, rows_of)
+    for N in range(start, vectors.n + 1):
+        basis = _first_avoiding_basis(vectors, table, N, subspace_budget,
+                                      rows_of)
         if basis is not None:
             return N, basis
     raise AssertionError("the identity generator is always valid")
@@ -362,11 +386,13 @@ def _shortest_length(field: Field, n: int, table,
 
 def _core_search(spec: ProblemSpec, subspace_budget: int) -> tuple[int, list]:
     """``_shortest_length`` of the delta_c = 0 core, whose support table
-    is the instance's; it is built after the first length is in budget."""
+    is the instance's, from the table's gamma; the table is built after
+    the first length is in budget."""
     n = spec.graph.n
     _check_subspace_budget(n, n - 1, spec.q, subspace_budget)
-    return _shortest_length(spec.field, n, interference_supports(spec),
-                            subspace_budget)
+    table = interference_supports(spec)
+    return _shortest_length(vector_space(spec.field, n), table,
+                            _table_gamma(table), subspace_budget, {})
 
 
 def core_length(spec: ProblemSpec,

@@ -18,9 +18,14 @@ once; ``bounds_report`` builds it once for all of them.
 The bounds report gathers every bound the library knows how to compute
 for one instance, each tagged with its provenance and whether it was
 certified exhaustively or only sampled, and carries the cycles, gamma
-witness and packing it read them from.  The edge-deletion bound reads
-support tables too: one per deletion choice, built at delta_s = 0 by
-``codeset.support_table``, each distinct table searched once.
+witness and packing it read them from; its exact optimum and
+channel-error entries search the same table from its gamma.  The
+edge-deletion bound reads support tables too: one per deletion choice,
+built at delta_s = 0 by ``codeset.support_table``.  Each distinct table
+is searched from its gamma when that exceeds the best length so far,
+and otherwise decided by one walk at that length: it is skipped when a
+subspace of dimension n - best avoids it, since its optimum is then at
+most best.
 """
 
 from __future__ import annotations
@@ -29,13 +34,15 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from .codeset import interference_supports, receiver_masks, support_table
+from .codeset import (contains_compressible, gamma_mask,
+                      interference_supports, receiver_masks, support_table)
 from .encoder import (DEFAULT_SUBSPACE_BUDGET, _check_subspace_budget,
-                      _shortest_length, cycle_code, l_q, optimal_length)
+                      _first_avoiding_basis, _shortest_length, _table_gamma,
+                      cycle_code, l_q)
 from .errors import BudgetExceededError, NotUnipartiteError
-from .linalg import Matrix
+from .linalg import Matrix, vector_space
 from .sigraph import ProblemSpec, SideInfoGraph
 
 DEFAULT_SUBSET_BITS = 22
@@ -65,21 +72,14 @@ def _packets(mask: int, n: int) -> frozenset[int]:
     return frozenset(j for j in range(1, n + 1) if mask >> (n - j) & 1)
 
 
-def _holds(spec: ProblemSpec, budget_bits: int) -> bytearray:
-    """Entry s is 1 iff packet mask s contains a compressible set.
-
-    A nonempty mask holds when it is not an interference support itself
-    or when one of its one-packet-smaller subsets holds; ascending masks
-    meet every subset first.
-    """
-    n = spec.graph.n
-    _check_subset_budget(n, budget_bits)
+def _holds(spec: ProblemSpec, budget_bits: int) -> tuple[bytearray, bytearray]:
+    """The instance's support table and, read from it, the table whose
+    entry s is 1 iff packet mask s contains a compressible set
+    (``codeset.contains_compressible``).  The subset budget is checked
+    before either is built."""
+    _check_subset_budget(spec.graph.n, budget_bits)
     supports = interference_supports(spec)
-    bits = [1 << k for k in range(n)]
-    holds = bytearray(1 << n)
-    for s in range(1, 1 << n):
-        holds[s] = not supports[s] or any(holds[s ^ b] for b in bits if s & b)
-    return holds
+    return supports, contains_compressible(supports)
 
 
 def _cycles(g: SideInfoGraph, holds: bytearray) -> list[CycleSet]:
@@ -104,11 +104,11 @@ def _cycles(g: SideInfoGraph, holds: bytearray) -> list[CycleSet]:
 def find_cycles(spec: ProblemSpec,
                 budget_bits: int = DEFAULT_SUBSET_BITS) -> list[CycleSet]:
     """All minimal compressible packet sets, by size then lexicographically."""
-    return _cycles(spec.graph, _holds(spec, budget_bits))
+    return _cycles(spec.graph, _holds(spec, budget_bits)[1])
 
 
 def is_acyclic(spec: ProblemSpec, budget_bits: int = DEFAULT_SUBSET_BITS) -> bool:
-    return not _holds(spec, budget_bits)[-1]
+    return not _holds(spec, budget_bits)[1][-1]
 
 
 def _packing(cycles: list[frozenset[int]]) -> tuple[int, list[frozenset[int]]]:
@@ -141,10 +141,9 @@ def max_disjoint_cycles(spec: ProblemSpec,
 
 
 def _gamma(holds: bytearray, n: int) -> tuple[int, frozenset[int]]:
-    """The largest mask containing no compressible set, lexicographically
-    first among those of its size: among masks of one size, the largest."""
-    best = max((s for s in range(1 << n) if not holds[s]),
-               key=lambda s: (s.bit_count(), s))
+    """Gamma and its lexicographically first witness, read from the
+    compressibility table by ``codeset.gamma_mask``."""
+    best = gamma_mask(holds)
     return best.bit_count(), _packets(best, n)
 
 
@@ -156,7 +155,7 @@ def gamma(spec: ProblemSpec,
 
     Those are the masks that contain no compressible set.
     """
-    return _gamma(_holds(spec, budget_bits), spec.graph.n)
+    return _gamma(_holds(spec, budget_bits)[1], spec.graph.n)
 
 
 def delta_s_mais(spec: ProblemSpec,
@@ -242,8 +241,21 @@ def edge_deletion_bound(spec: ProblemSpec,
 
     A reduced instance's optimum depends only on q and its support table,
     so each choice's table is built from the shrunken cache masks, and
-    each distinct table is searched once, in the order the choices first
-    give it.  The search budget is checked before the first table is built.
+    each distinct table is looked at once, in the order the choices first
+    give it, keeping the best length so far, best:
+
+    * a table whose gamma exceeds best is searched from its gamma, a
+      lower bound on its optimum (every nonzero z supported inside the
+      gamma set interferes, so G's rows there are independent);
+    * otherwise one walk at length best decides it: if a subspace of
+      dimension n - best avoids the table, its optimum is at most best
+      and it is skipped; if none does, its optimum exceeds best, and its
+      search starts at best + 1.
+
+    So the maximum is the one a full search of every table gives.  One
+    cache of candidate rows serves all the walks.  The budget of the
+    first length is checked before the first table is built, and each
+    length walked is checked when it is walked.
     """
     g, cap = spec.graph, spec.side_weight_cap()
     n = g.n
@@ -261,17 +273,28 @@ def edge_deletion_bound(spec: ProblemSpec,
         certified = False
     _check_subspace_budget(n, n - 1, spec.q, DEFAULT_SUBSPACE_BUDGET)
     receivers = receiver_masks(g)
+    vectors = vector_space(spec.field, n)
+    rows_of: dict = {}
     searched: set[bytes] = set()
-    lengths = []
+    best = 0
     for choices in choice_iter:
         kept = {(fm, xm & ~_mask(drop, n))
                 for (fm, xm), drop in zip(receivers, choices)}
         table = bytes(support_table(n, kept, 0))
-        if table not in searched:
-            searched.add(table)
-            lengths.append(_shortest_length(spec.field, n, table,
-                                            DEFAULT_SUBSPACE_BUDGET)[0])
-    return max(lengths), certified
+        if table in searched:
+            continue
+        searched.add(table)
+        start = _table_gamma(table)
+        if start <= best:
+            # N_r <= best iff a subspace of dimension n - best avoids it
+            if _first_avoiding_basis(vectors, table, best,
+                                     DEFAULT_SUBSPACE_BUDGET,
+                                     rows_of) is not None:
+                continue
+            start = best + 1
+        best = _shortest_length(vectors, table, start,
+                                DEFAULT_SUBSPACE_BUDGET, rows_of)[0]
+    return best, certified
 
 
 def packing_generator(spec: ProblemSpec) -> Matrix:
@@ -315,9 +338,8 @@ def bounds_report(spec: ProblemSpec,
     g = spec.graph
     entries: dict[str, BoundEntry] = {}
     notes: list[str] = []
-    base = replace(spec, delta_c=0)
 
-    holds = _holds(spec, DEFAULT_SUBSET_BITS)
+    supports, holds = _holds(spec, DEFAULT_SUBSET_BITS)
     cycles = _cycles(g, holds)
     gam, gamma_witness = _gamma(holds, g.n)
     entries["gamma"] = BoundEntry(
@@ -362,16 +384,24 @@ def bounds_report(spec: ProblemSpec,
     except BudgetExceededError as exc:
         notes.append(f"edge_deletion_lower skipped: {exc}")
 
+    def base_length() -> int:
+        """The error-free optimum, as optimal_length finds it with its
+        delta_c set to 0 (budget message included), searched on the
+        report's table from its gamma."""
+        _check_subspace_budget(g.n, g.n - 1, spec.q, DEFAULT_SUBSPACE_BUDGET)
+        return _shortest_length(vector_space(spec.field, g.n), supports, gam,
+                                DEFAULT_SUBSPACE_BUDGET, {})[0]
+
     n_opt = None
     if compute_exact:
         try:
-            n_opt, _ = optimal_length(base)
+            n_opt = base_length()
         except BudgetExceededError as exc:
             notes.append(f"exact error-free optimum skipped: {exc}")
 
     if spec.delta_c > 0:
         try:
-            base_n = n_opt if n_opt is not None else optimal_length(base)[0]
+            base_n = n_opt if n_opt is not None else base_length()
             entries["gecic_lower"] = BoundEntry(
                 "lower", base_n + 2 * spec.delta_c, "gecic",
                 "channel errors cost two coordinates each on top of the "

@@ -8,7 +8,10 @@ import random
 import pytest
 
 from icsie import Matrix, field_for
-from icsie.sigraph import SideInfoGraph
+from icsie.codeset import interference_supports
+from icsie.encoder import DEFAULT_SUBSPACE_BUDGET, _first_avoiding_basis
+from icsie.linalg import vector_space
+from icsie.sigraph import ProblemSpec, SideInfoGraph
 
 FAMILY_SEED = 0xD5C0DE
 
@@ -46,3 +49,22 @@ def random_generator(rng: random.Random, q: int, n: int, N: int) -> Matrix:
 def small_family():
     return family_graphs()
 
+
+
+def _reference_shortest_length(spec: ProblemSpec,
+                               subspace_budget: int = DEFAULT_SUBSPACE_BUDGET
+                               ) -> tuple[int, Matrix]:
+    """The delta_c = 0 optimum walked from length 1, every length checked
+    against the budget, without the gamma start: (N, G) as
+    optimal_length builds them from the first avoiding basis."""
+    n = spec.graph.n
+    vectors = vector_space(spec.field, n)
+    table = interference_supports(spec)
+    rows_of: dict = {}
+    for N in range(1, n + 1):
+        basis = _first_avoiding_basis(vectors, table, N, subspace_budget,
+                                      rows_of)
+        if basis is not None:
+            W = Matrix(spec.field, basis, ncols=n)
+            return N, W.null_space_basis().transpose()
+    raise AssertionError("the identity generator is always valid")

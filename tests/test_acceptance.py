@@ -21,7 +21,7 @@ from icsie.linalg import Matrix
 from icsie.sigraph import ProblemSpec, SideInfoGraph, clique_graph
 from icsie.structure import bounds_report, is_acyclic, max_disjoint_cycles
 
-from conftest import family_graphs, random_generator
+from conftest import _reference_shortest_length, family_graphs, random_generator
 
 F2 = field_for(2)
 
@@ -125,12 +125,14 @@ def test_criterion_3_validity_equals_oracle(family):
 # -- 4: acyclicity = incompressibility ---------------------------------------
 
 def test_criterion_4_acyclic_iff_uncoded(family):
+    # the optimum walked from length 1: optimal_length starts at gamma,
+    # which is n exactly when the instance is acyclic
     t0 = time.time()
     bad = 0
     for g in family:
         for ds in (0, 1):
             spec = ProblemSpec(graph=g, q=2, delta_s=ds)
-            if is_acyclic(spec) != (optimal_length(spec)[0] == g.n):
+            if is_acyclic(spec) != (_reference_shortest_length(spec)[0] == g.n):
                 bad += 1
     elapsed = time.time() - t0
     _report(4, bad == 0 and elapsed < 300, f"{bad} disagreements, {elapsed:.1f}s")

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from icsie import structure
 from icsie.codeset import is_valid_generator
-from icsie.encoder import optimal_length
+from icsie.codeset import interference_supports
+from icsie.encoder import (_first_avoiding_basis, _shortest_length,
+                           optimal_length)
 from icsie.errors import BudgetExceededError, NotUnipartiteError
 from icsie.sigraph import ProblemSpec, SideInfoGraph, clique_graph
 from icsie.structure import (EDGE_DELETION_EXHAUSTIVE_CAP,
@@ -20,7 +22,8 @@ from icsie.structure import (EDGE_DELETION_EXHAUSTIVE_CAP,
                              gamma, is_acyclic, max_disjoint_cycles,
                              packing_generator)
 
-from conftest import all_unipartite_graphs, sampled_unipartite_graphs
+from conftest import (_reference_shortest_length, all_unipartite_graphs,
+                      sampled_unipartite_graphs)
 
 CLIQUE4 = ProblemSpec(graph=clique_graph(4), q=2, delta_s=1)
 
@@ -245,7 +248,7 @@ def test_edge_deletion_clique4():
 def ref_edge_deletion_bound(spec: ProblemSpec,
                             exhaustive_cap: int) -> tuple[int, bool]:
     """The bound as one search per deletion choice: rebuild each reduced
-    graph and run optimal_length on it at delta_s = 0."""
+    graph and walk its lengths from 1 at delta_s = 0."""
     g, cap = spec.graph, spec.side_weight_cap()
     per_receiver = [list(itertools.combinations(sorted(X), min(cap, len(X))))
                     for X in g.X]
@@ -260,7 +263,7 @@ def ref_edge_deletion_bound(spec: ProblemSpec,
     for choices in choice_iter:
         reduced = SideInfoGraph.make(
             g.n, g.f, [X - set(c) for X, c in zip(g.X, choices)])
-        best = max(best, optimal_length(
+        best = max(best, _reference_shortest_length(
             ProblemSpec(graph=reduced, q=spec.q, delta_s=0))[0])
     return best, certified
 
@@ -297,16 +300,99 @@ def test_edge_deletion_matches_a_search_per_choice():
     assert certified == {True, False}
 
 
+def gamma_start_cases(count: int, seed: int = 0x6A33A):
+    """Seeded random instances over q in {2, 3, 4, 5} with delta_s <= 2:
+    unipartite a third of the time, otherwise with repeated demands and
+    undemanded packets as they fall."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        q = rng.choice((2, 3, 4, 5))
+        n = rng.randint(1, {2: 6, 3: 5}.get(q, 4))
+        if rng.random() < 1 / 3:
+            f = list(range(1, n + 1))
+        else:
+            f = [rng.randint(1, n) for _ in range(rng.randint(1, n + 2))]
+        density = rng.choice((0.4, 0.7, 0.9))
+        X = [{j for j in range(1, n + 1) if j != fi and rng.random() < density}
+             for fi in f]
+        yield ProblemSpec(graph=SideInfoGraph.make(n, f, X), q=q,
+                          delta_s=rng.choice((0, 1, 1, 2)))
+
+
+def test_gamma_start_matches_the_walk_from_length_one():
+    # the search from gamma against the walk from length 1: the same
+    # (N, G), and the same edge-deletion bound as one walk per choice
+    # (a cap of 40 samples the larger choice spaces)
+    seen = set()
+    for spec in gamma_start_cases(700):
+        g = spec.graph
+        assert optimal_length(spec) == _reference_shortest_length(spec), spec
+        assert edge_deletion_bound(spec, exhaustive_cap=40) \
+            == ref_edge_deletion_bound(spec, 40), spec
+        seen.add(spec.q)
+        if len(set(g.f)) < g.m:
+            seen.add("repeated demand")
+        if len(set(g.f)) < g.n:
+            seen.add("undemanded packet")
+    assert seen == {2, 3, 4, 5, "repeated demand", "undemanded packet"}
+
+
+def test_edge_deletion_searches_past_the_best_length():
+    # among this instance's 64 sampled deletion choices, the first table
+    # gives 3; a later one has gamma <= 3 but no avoiding subspace at
+    # length 3, so its search starts at 4
+    graph = SideInfoGraph.make(
+        6, [6, 4, 1, 3, 2, 3, 3],
+        [{1, 2, 3, 4, 5}, {1, 2, 3, 5, 6}, {2, 3, 5, 6}, {1, 2, 4, 5, 6},
+         {1, 3, 4, 5, 6}, {1, 2, 4, 5, 6}, {2, 4, 5, 6}])
+    spec = ProblemSpec(graph=graph, q=2, delta_s=1)
+    walks, starts = [], []
+
+    def walk(vectors, table, N, budget, rows_of):
+        basis = _first_avoiding_basis(vectors, table, N, budget, rows_of)
+        walks.append((N, basis is not None))
+        return basis
+
+    def search(vectors, table, start, budget, rows_of):
+        starts.append(start)
+        return _shortest_length(vectors, table, start, budget, rows_of)
+
+    with mock.patch("icsie.structure._first_avoiding_basis",
+                    side_effect=walk), \
+            mock.patch("icsie.structure._shortest_length",
+                       side_effect=search):
+        got = edge_deletion_bound(spec)
+    assert got == ref_edge_deletion_bound(spec, EDGE_DELETION_EXHAUSTIVE_CAP) \
+        == (4, False)
+    assert starts == [3, 4]
+    assert walks[0] == (3, False) and all(w == (4, True) for w in walks[1:])
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_edge_deletion_clique5_pinned(q):
+    # all 7,776 deletion choices, 4,144 distinct reduced tables
+    spec = ProblemSpec(graph=clique_graph(5), q=q, delta_s=1)
+    assert edge_deletion_bound(spec) == (3, True)
+
+
 def test_bounds_report_builds_one_table():
     specs = [CLIQUE4,
              ProblemSpec(graph=two_cliques(3), q=3, delta_s=0),
              ProblemSpec(graph=SideInfoGraph.make(3, [1, 2, 1], [{2}, {1, 3}, {3}]),
                          q=2, delta_s=0, delta_c=1)]
     for spec in specs:
+        # the exact optimum and the channel-error entries search the
+        # report's own table; no search builds another
         with mock.patch("icsie.structure._holds",
-                        wraps=structure._holds) as holds:
-            bounds_report(spec)
+                        wraps=structure._holds) as holds, \
+                mock.patch("icsie.structure.interference_supports",
+                           wraps=interference_supports) as in_structure, \
+                mock.patch("icsie.encoder.interference_supports",
+                           wraps=interference_supports) as in_encoder:
+            report = bounds_report(spec)
+        assert report.n_opt is not None
         assert holds.call_count == 1
+        assert in_structure.call_count + in_encoder.call_count == 1
 
 
 def test_bounds_report_subset_budget_is_fatal():
@@ -375,7 +461,8 @@ def test_bounds_json_round_trips():
 
 
 def test_theorem8_acyclic_side_info_useless():
-    # when no cycle exists, deleting all side information changes nothing
+    # when no cycle exists, deleting all side information changes nothing;
+    # the optima are walked from length 1, since gamma is n on both
     graphs = list(all_unipartite_graphs(3)) + sampled_unipartite_graphs(4, 20)
     for g in graphs:
         for ds in (0, 1):
@@ -384,7 +471,8 @@ def test_theorem8_acyclic_side_info_useless():
                 continue
             bare = SideInfoGraph.make(g.n, g.f, [set() for _ in range(g.m)])
             stripped = ProblemSpec(graph=bare, q=2, delta_s=ds)
-            assert optimal_length(spec)[0] == optimal_length(stripped)[0] == g.n
+            assert _reference_shortest_length(spec)[0] \
+                == _reference_shortest_length(stripped)[0] == g.n
 
 
 def test_sandwich_on_family():
@@ -426,7 +514,9 @@ def bounds_cases(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(bounds_cases())
 def test_bounds_sandwich_the_optimum(spec):
-    N, _ = optimal_length(spec)
+    # the optimum walked from length 1, so that gamma is never checked
+    # against a search that starts at gamma
+    N, _ = _reference_shortest_length(spec)
     report = bounds_report(spec)
     assert report.n_opt == N
     for name, e in report.entries.items():
