@@ -147,8 +147,14 @@ def interference_masks(spec: ProblemSpec,
     and wt(zG) are invariant under nonzero scaling, and the first failing
     z in lexicographic order is such a representative."""
     _check_enum_budget(spec, budget_bits)
-    vectors = vector_space(spec.field, spec.graph.n)
-    table = interference_supports(spec)
+    return _representatives(vector_space(spec.field, spec.graph.n),
+                            interference_supports(spec))
+
+
+def _representatives(vectors, table) -> list:
+    """The projective points of the packed space vectors whose support
+    the support table marks, ascending: ``interference_masks`` read off
+    a table the caller already holds."""
     points = vectors.projective()
     return [z for z, s in zip(points, vectors.supports(points)) if table[s]]
 
@@ -211,7 +217,7 @@ def oracle_decodable(spec: ProblemSpec, G: Matrix,
     messages = msgs.vectors()
     # every nonzero channel error of weight <= delta_c
     errors = [words.pack([dict(zip(at, vals)).get(k, 0) for k in range(G.ncols)])
-              for t in range(1, spec.delta_c + 1)
+              for t in range(1, min(spec.delta_c, G.ncols) + 1)
               for at in itertools.combinations(range(G.ncols), t)
               for vals in itertools.product(range(1, q), repeat=t)]
     spheres = [frozenset([c, *words.translate(c, errors)])

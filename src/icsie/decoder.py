@@ -25,12 +25,15 @@ as a ReceiverDecoder:
   Trans. IT 59(3), 2013, Sec. V).  It is filled in ``find_correction``'s
   search order -- support size, then supports lexicographically, then
   coefficients -- and the first correction to reach a syndrome keeps
-  it, so a lookup returns exactly the correction the search would find.
+  it, so a lookup returns exactly the correction the search would find;
+* a memo from the packed z = A (y - x_hat G_X) to the (value, trace) a
+  search decode returned for it, filled as decodes come (see
+  ``ReceiverDecoder`` for its bound).
 
 ``decode_receiver`` takes its decoder from a bounded LRU cache keyed by
 the value of (G, graph, i, delta_s), so a repeated decode at a receiver
-costs one accumulate of packed columns (one XOR each over F_2) at the
-nonzero entries of y and x_hat, and one table lookup.
+costs one C-level accumulate of packed columns (``reduce(xor)`` over
+F_2) picked at the nonzero entries of y then x_hat, and one memo lookup.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from itertools import compress
+from operator import getitem
 from typing import NamedTuple
 
 from .errors import (DegenerateError, DimensionError, InconsistentError,
@@ -100,7 +105,8 @@ def _candidate_corrections(ctx: ReceiverContext, delta_s: int, add, mul):
     rows = ctx.G_cache.rows
     zero = (0,) * ctx.G_cache.ncols
     units = range(1, ctx.G_cache.field.q)
-    for t in range(delta_s + 1):
+    # no support is larger than the cache (combinations(.., t) allocates t)
+    for t in range(min(delta_s, len(rows)) + 1):
         for support in itertools.combinations(range(len(rows)), t):
             suspected = tuple(ctx.cache[j] for j in support)
             for coeffs in itertools.product(units, repeat=t):
@@ -163,9 +169,23 @@ class ReceiverDecoder:
         A corrected = A y - A (G_X^T x_hat) = sum_k y_k A_k - sum_j x_hat_j A g_j,
 
     A_k being column k of A.  So z = A corrected is the sum, over the
-    nonzero y_k and x_hat_j, of y_k A_k and x_hat_j (-A g_j): its first
-    rows are the syndrome and its last is h . corrected.  Then
-    h . cleaned = h . corrected - h . p, and h . p is stored with p.
+    entries e of y then x_hat, of e times the matching column of
+    [A | -A g_1 ... -A g_|X|]: its first rows are the syndrome and its
+    last is h . corrected.  Then h . cleaned = h . corrected - h . p, and
+    h . p is stored with p.  Every multiple of those columns is packed
+    once, so a decode picks them at the nonzero entries (``compress``)
+    and adds them up in one ``total`` -- ``reduce(xor)`` over F_2.
+
+    The memo maps z to the (value, DecodeTrace) of a search decode.  The
+    pair is a function of z alone: the table entry (syndrome, p,
+    suspected, h . p) depends only on z's syndrome part, and value =
+    (h . corrected - h . p) / a on that entry and z's last coordinate.
+    So a memo hit returns exactly what the lookup would compute.  Only
+    successful search decodes fill it: a NoSolutionError is raised
+    again each time, and a forced_correction decode neither reads nor
+    writes it, so its own syndrome check always runs.  Its keys are
+    distinct z with a syndrome in the table, so it holds at most
+    q * len(table) entries, and at most one per decode made.
     """
 
     def __init__(self, G: Matrix, graph: SideInfoGraph, i: int, delta_s: int):
@@ -180,13 +200,14 @@ class ReceiverDecoder:
         self._h, a = next((h, a) for h in ctx.H_e.rows
                           if (a := table_dot(add, mul, h, ctx.demand_row)))
         self._a_inv = field.inv(a)
-        # z = A (y - x_hat G_X), A = [H; h]: every scaling of A's columns
-        # and of the -A g_j, packed
+        # z = A (y - x_hat G_X), A = [H; h]: every scaling of A's columns,
+        # then of the -A g_j, packed, indexed by the entries of y then x_hat
         A = Matrix(field, [*ctx.H.rows, self._h], ncols=G.ncols)
         self._space = space = vector_space(field, A.nrows)
         self._syndromes = vector_space(field, ctx.H.nrows)
-        self._ycols = [space.multiples(space.pack(col)) for col in A.columns()]
-        self._xcols = [space.multiples(space.pack(
+        self._length = G.ncols
+        self._cols = [space.multiples(space.pack(col)) for col in A.columns()]
+        self._cols += [space.multiples(space.pack(
             [field.neg(e) for e in A.mul_col(g)]))
             for g in ctx.G_cache.rows]
         self._elements = _elements(field.q)
@@ -202,6 +223,7 @@ class ReceiverDecoder:
                 if len(table) == syndromes:
                     break
         self._table = table
+        self._memo: dict = {}
 
     def decode(self, y, x_hat, forced_correction=None) -> tuple[int, DecodeTrace]:
         """decode_receiver at this decoder's receiver."""
@@ -210,29 +232,45 @@ class ReceiverDecoder:
             raise ValueError(
                 f"receiver {ctx.receiver} caches {len(ctx.cache)} packets, "
                 f"got {len(x_hat)}")
-        if not (self._elements.issuperset(y) and self._elements.issuperset(x_hat)):
+        entries = (*y, *x_hat)
+        if not self._elements.issuperset(entries):
             raise ValueError(f"y and x_hat entries must be elements of F_{self._q}")
+        if len(y) != self._length:
+            # the words of zip(y, A's columns, strict=True)
+            raise ValueError(
+                f"zip() argument 2 is "
+                f"{'longer' if len(y) < self._length else 'shorter'} "
+                f"than argument 1")
         # z = A (y - x_hat G_X): syndrome on top, h . corrected last
-        key, hc = self._space.split(self._space.total(
-            [col[v] for v, col in zip(y, self._ycols, strict=True) if v]
-            + [col[c] for c, col in zip(x_hat, self._xcols) if c]))
+        z = self._space.total(compress(map(getitem, self._cols, entries),
+                                       entries))
         if forced_correction is not None:
-            add, mul = self._add, self._mul
-            p = tuple(forced_correction)
-            if len(p) != len(y) or not self._elements.issuperset(p):
-                raise ValueError(
-                    f"forced_correction must be {len(y)} elements "
-                    f"of F_{self._q}")
-            syndrome = self._syndromes.unpack(key)
-            if ctx.H.mul_col(p) != syndrome:
-                raise InconsistentError("forced correction does not match the syndrome")
-            suspected: tuple[int, ...] = ()
-            hp = table_dot(add, mul, self._h, p)
-        else:
-            hit = self._table.get(key)
-            if hit is None:
+            return self._forced(z, forced_correction)
+        hit = self._memo.get(z)
+        if hit is None:
+            key, hc = self._space.split(z)
+            entry = self._table.get(key)
+            if entry is None:
                 raise _no_solution(ctx, self.delta_s)
-            syndrome, p, suspected, hp = hit
+            syndrome, p, suspected, hp = entry
+            hit = self._memo[z] = self._result(hc, hp, syndrome, p, suspected)
+        return hit
+
+    def _forced(self, z, forced_correction) -> tuple[int, DecodeTrace]:
+        """The decode of z with the given correction instead of the table's."""
+        p = tuple(forced_correction)
+        if len(p) != self._length or not self._elements.issuperset(p):
+            raise ValueError(
+                f"forced_correction must be {self._length} elements "
+                f"of F_{self._q}")
+        key, hc = self._space.split(z)
+        syndrome = self._syndromes.unpack(key)
+        if self.ctx.H.mul_col(p) != syndrome:
+            raise InconsistentError("forced correction does not match the syndrome")
+        hp = table_dot(self._add, self._mul, self._h, p)
+        return self._result(hc, hp, syndrome, p, ())
+
+    def _result(self, hc, hp, syndrome, p, suspected) -> tuple[int, DecodeTrace]:
         # cleaned = x_f * demand_row + (interference combination), so
         # h . cleaned = h . corrected - h . p = x_f * (h . demand_row)
         value = self._mul[self._sub[hc][hp]][self._a_inv]

@@ -47,8 +47,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .codeset import (contains_compressible, gamma_mask, interference_masks,
-                      interference_supports, is_valid_generator)
+from .codeset import (DEFAULT_ENUM_BITS, _check_enum_budget, _representatives,
+                      contains_compressible, gamma_mask, interference_supports,
+                      is_valid_generator)
 from .errors import (BudgetExceededError, CycleTooSmallError,
                      DistanceTooSmallError, IcsieError, ParseError)
 from .gfield import Field, arithmetic, field_for
@@ -384,15 +385,17 @@ def _shortest_length(vectors, table, start: int, subspace_budget: int,
     raise AssertionError("the identity generator is always valid")
 
 
-def _core_search(spec: ProblemSpec, subspace_budget: int) -> tuple[int, list]:
+def _core_search(spec: ProblemSpec, subspace_budget: int
+                 ) -> tuple[int, list, bytearray]:
     """``_shortest_length`` of the delta_c = 0 core, whose support table
     is the instance's, from the table's gamma; the table is built after
-    the first length is in budget."""
+    the first length is in budget, and returned after N and the basis."""
     n = spec.graph.n
     _check_subspace_budget(n, n - 1, spec.q, subspace_budget)
     table = interference_supports(spec)
-    return _shortest_length(vector_space(spec.field, n), table,
-                            _table_gamma(table), subspace_budget, {})
+    return (*_shortest_length(vector_space(spec.field, n), table,
+                              _table_gamma(table), subspace_budget, {}),
+            table)
 
 
 def core_length(spec: ProblemSpec,
@@ -420,12 +423,14 @@ def _optimal_length_gecic(spec: ProblemSpec, subspace_budget: int,
     """
     n, q = spec.graph.n, spec.q
     field = spec.field
-    n0 = core_length(spec, subspace_budget)
+    n0, _, table = _core_search(spec, subspace_budget)
     need = 2 * spec.delta_c + 1
     cap = l_q(q, n0, need)
     vectors = vector_space(field, n)
     points = vectors.projective()
-    zs = interference_masks(spec)
+    # interference_masks(spec), read off the core search's table
+    _check_enum_budget(spec, DEFAULT_ENUM_BITS)
+    zs = _representatives(vectors, table)
     for N in range(n0 + need - 1, cap + 1):
         ncombos = math.comb(len(points) + N - 1, N)
         if ncombos > combo_budget:
@@ -443,7 +448,7 @@ def optimal_length(spec: ProblemSpec,
                    combo_budget: int = DEFAULT_COMBO_BUDGET) -> tuple[int, Matrix]:
     """Exact optimal codelength and a witness generator of full column rank."""
     if spec.delta_c == 0:
-        N, basis = _core_search(spec, subspace_budget)
+        N, basis, _ = _core_search(spec, subspace_budget)
         W = Matrix(spec.field, basis, ncols=spec.graph.n)
         G = W.null_space_basis().transpose()  # n x N, rank N
         assert G.ncols == N

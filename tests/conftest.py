@@ -9,8 +9,10 @@ import pytest
 
 from icsie import Matrix, field_for
 from icsie.codeset import interference_supports
+from icsie.decoder import DecodeTrace, build_context
 from icsie.encoder import DEFAULT_SUBSPACE_BUDGET, _first_avoiding_basis
-from icsie.linalg import vector_space
+from icsie.errors import DegenerateError, InconsistentError, NoSolutionError
+from icsie.linalg import dot, vec_sub, vector_space
 from icsie.sigraph import ProblemSpec, SideInfoGraph
 
 FAMILY_SEED = 0xD5C0DE
@@ -68,3 +70,62 @@ def _reference_shortest_length(spec: ProblemSpec,
             W = Matrix(spec.field, basis, ncols=n)
             return N, W.null_space_basis().transpose()
     raise AssertionError("the identity generator is always valid")
+
+
+# -- the uncached decode route the decoder and simulation are checked against
+
+def _reference_search(ctx, syndrome, delta_s):
+    """Corrections by support size, then supports, then coefficients,
+    in Field arithmetic; the first whose syndrome matches."""
+    field = ctx.G_cache.field
+    rows = ctx.G_cache.rows
+    for t in range(0, delta_s + 1):
+        for support in itertools.combinations(range(len(rows)), t):
+            for coeffs in itertools.product(range(1, field.q), repeat=t):
+                p = tuple([0] * ctx.G_cache.ncols)
+                for j, c in zip(support, coeffs):
+                    p = tuple(field.add(a, field.mul(c, b))
+                              for a, b in zip(p, rows[j]))
+                if tuple(ctx.H.mul_col(p)) == tuple(syndrome):
+                    return p, tuple(ctx.cache[j] for j in support)
+    raise NoSolutionError(
+        f"receiver {ctx.receiver}: no correction with support <= {delta_s}; "
+        f"more cache errors than allowed, or an invalid generator")
+
+
+def _reference_decode(G, graph, i, y, x_hat, delta_s, forced_correction=None):
+    """Uncached decode: build_context, the search, then the H_e projection."""
+    ctx = build_context(G, graph, i)
+    field = G.field
+    if len(x_hat) != len(ctx.cache):
+        raise ValueError(
+            f"receiver {i} caches {len(ctx.cache)} packets, got {len(x_hat)}")
+    corrected = vec_sub(field, y, ctx.G_cache.vec_mul(x_hat))
+    syndrome = tuple(ctx.H.mul_col(corrected))
+    if forced_correction is not None:
+        p = tuple(forced_correction)
+        if tuple(ctx.H.mul_col(p)) != syndrome:
+            raise InconsistentError("forced correction does not match the syndrome")
+        suspected = ()
+    else:
+        p, suspected = _reference_search(ctx, syndrome, delta_s)
+    cleaned = vec_sub(field, corrected, p)
+    value = None
+    for h in ctx.H_e.rows:
+        a = dot(field, h, ctx.demand_row)
+        b = dot(field, h, cleaned)
+        if a != 0:
+            v = field.mul(b, field.inv(a))
+            if value is None:
+                value = v
+            elif value != v:
+                raise InconsistentError(
+                    f"receiver {i}: projection rows disagree on the demand value")
+        elif b != 0:
+            raise InconsistentError(
+                f"receiver {i}: cleaned word not in the expected row span")
+    if value is None:
+        raise DegenerateError(
+            f"receiver {i}: no projection row sees the demand row")
+    return value, DecodeTrace(syndrome=syndrome, correction=p,
+                              suspected=suspected, value=value)

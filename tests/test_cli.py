@@ -1,17 +1,22 @@
+import functools
 import json
 from unittest import mock
 
 import pytest
 from click.testing import CliRunner
+from conftest import _reference_decode
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icsie import cli, structure
 from icsie.cli import EXIT_DOMAIN, EXIT_OK, main
 from icsie.codeset import oracle_decodable
-from icsie.encoder import optimal_length, serialize_generator
+from icsie.encoder import (optimal_length, parse_generator,
+                           serialize_generator)
 from icsie.gfield import field_for
 from icsie.linalg import Matrix
 from icsie.sigraph import (ProblemSpec, SideInfoGraph, clique_graph,
-                           serialize_instance)
+                           parse_instance, serialize_instance)
 from icsie.simulation import SimulationConfig, run_simulation
 
 F2 = field_for(2)
@@ -468,3 +473,152 @@ def test_simulate_sphere_feasibility_over_f3(runner, tmp_path):
         res = runner.invoke(main, ["simulate", str(inst), str(path), "--json"])
         assert res.exit_code == code
         assert json.loads(res.output) == {"feasible": feasible}
+
+
+# -- every decode and simulate input ends in an answer or a typed error -------
+
+def _base_cases():
+    """(instance, generator) pairs the property mutates: F_2 clique-4 and a
+    directed 3-cycle, F_3 clique-3, each with an optimal generator."""
+    cycle = SideInfoGraph.make(3, [1, 2, 3], [{2}, {3}, {1}])
+    specs = (ProblemSpec(graph=clique_graph(4), q=2, delta_s=1),
+             ProblemSpec(graph=cycle, q=2, delta_s=0),
+             ProblemSpec(graph=clique_graph(3), q=3, delta_s=1))
+    return [(spec, optimal_length(spec)[1]) for spec in specs]
+
+
+BASE_CASES = _base_cases()
+JUNK = (-1, 0, 1, 2, 3, 4, 6, 40, 10 ** 9, 2 ** 70, "1", None, 1.5, True, [],
+        [1], {})
+
+
+def _mutated_doc(draw, doc: dict, nested: str) -> str:
+    """doc as JSON text with a key dropped or set to junk, or an entry of
+    its nested list (X or rows) replaced, or junk text instead."""
+    kind = draw(st.sampled_from(("key", "drop", "entry", "text")))
+    if kind == "key":
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(st.sampled_from(JUNK))
+    elif kind == "drop":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif kind == "entry":
+        outer = doc[nested]
+        k = draw(st.integers(0, len(outer) - 1))
+        if outer[k] and draw(st.booleans()):
+            outer[k][draw(st.integers(0, len(outer[k]) - 1))] = draw(
+                st.sampled_from(JUNK))
+        else:
+            outer[k] = draw(st.sampled_from(JUNK))
+    else:
+        return draw(st.sampled_from(("{nope", "[]", "null", "")))
+    return json.dumps(doc)
+
+
+def _vector_text(draw, vec, q: int, broken: bool) -> str:
+    """vec as --y / --xhat / --truth text; when broken, with an entry out
+    of range, dropped or added, or junk instead."""
+    vec = [str(v) for v in vec]
+    if not broken:
+        return ",".join(vec)
+    kind = draw(st.sampled_from(("value", "drop", "add", "junk")))
+    if kind == "value" and vec:
+        vec[draw(st.integers(0, len(vec) - 1))] = str(
+            draw(st.sampled_from((-1, q, q + 1, 10 ** 30))))
+    elif kind == "drop" and vec:
+        vec.pop()
+    elif kind == "add":
+        vec.append(str(draw(st.integers(0, q - 1))))
+    elif kind == "junk":
+        return draw(st.sampled_from(("", "a,b", "1,,0", " ", "1.0", "0x1")))
+    return ",".join(vec)
+
+
+@st.composite
+def cli_cases(draw):
+    """A decode or simulate call on a base case with at most one part
+    broken: the instance, the generator, or one option.  Unbroken decodes
+    still put up to delta_s + 1 errors in each cache snapshot."""
+    spec, G = draw(st.sampled_from(BASE_CASES))
+    q, g = spec.q, spec.graph
+    decode = draw(st.booleans())
+    broken = draw(st.sampled_from(
+        (None, None, None, "instance", "generator")
+        + (("y", "xhat", "receiver", "truth") if decode else ("trials",))))
+    inst = json.loads(serialize_instance(spec))
+    inst = (_mutated_doc(draw, inst, "X") if broken == "instance"
+            else json.dumps(inst))
+    gen = json.loads(serialize_generator(G))
+    gen = (_mutated_doc(draw, gen, "rows") if broken == "generator"
+           else json.dumps(gen))
+    x = draw(st.lists(st.integers(0, q - 1), min_size=g.n, max_size=g.n))
+    if decode:
+        argv = ["decode", "--y",
+                _vector_text(draw, G.vec_mul(x), q, broken == "y")]
+        receivers = sorted(draw(st.sets(st.integers(1, g.m), min_size=1)))
+        for k, i in enumerate(receivers):
+            x_hat = [x[j - 1] for j in sorted(g.X[i - 1])]
+            for pos in draw(st.sets(st.integers(0, len(x_hat) - 1),
+                                    max_size=spec.delta_s + 1)):
+                x_hat[pos] = draw(st.integers(0, q - 1))
+            last = k == len(receivers) - 1
+            label = (draw(st.sampled_from(("0", str(g.m + 1), "x", "")))
+                     if broken == "receiver" and last else str(i))
+            text = _vector_text(draw, x_hat, q, broken == "xhat" and last)
+            argv += ["--xhat", f"{label}={text}"]
+        if broken == "truth" or draw(st.sampled_from((True, True, False))):
+            argv += ["--truth", _vector_text(draw, x, q, broken == "truth")]
+    else:
+        argv = ["simulate"]
+        if broken == "trials" or draw(st.booleans()):
+            argv += ["--mode", "random", "--seed",
+                     str(draw(st.integers(0, 9))), "--trials",
+                     draw(st.sampled_from(("0", "-3", "abc", "1e3",
+                                           "exhaustive"))
+                          if broken == "trials"
+                          else st.sampled_from(("5", "40", "1000")))]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return inst, gen, argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(cli_cases())
+def test_decode_and_simulate_end_in_an_answer_or_a_typed_error(case):
+    inst_text, gen_text, argv = case
+    runner = CliRunner()
+    small = functools.partial(run_simulation, budget_bits=8)
+    with runner.isolated_filesystem(), mock.patch.object(cli, "run_simulation",
+                                                         small):
+        with open("inst.json", "w") as fh:
+            fh.write(inst_text)
+        with open("gen.json", "w") as fh:
+            fh.write(gen_text)
+        res = runner.invoke(main, [argv[0], "inst.json", "gen.json", *argv[1:]])
+    assert res.exit_code in (0, 1, 2, 3), res.output
+    assert _no_traceback(res), res.exception
+    assert "Traceback" not in res.output
+    if argv[0] != "decode" or res.exit_code != 0 or "--truth" not in argv:
+        return
+    # every receiver decoded right, with the uncached route's trace
+    spec = parse_instance(inst_text)
+    G = parse_generator(gen_text)
+    opts = dict(zip(argv[1::2], argv[2::2]))
+    y = tuple(int(v) for v in opts["--y"].split(","))
+    truth = tuple(int(v) for v in opts["--truth"].split(","))
+    receivers = {}
+    for flag, pair in zip(argv[1::2], argv[2::2]):
+        if flag == "--xhat":
+            i, text = pair.split("=")
+            receivers[int(i)] = tuple(int(v) for v in text.split(","))
+    for i, x_hat in receivers.items():
+        value, trace = _reference_decode(G, spec.graph, i, y, x_hat,
+                                         spec.delta_s)
+        assert value == truth[spec.graph.f[i - 1] - 1]
+        want = {"value": value, "syndrome": list(trace.syndrome),
+                "correction": list(trace.correction),
+                "suspected": list(trace.suspected), "correct": True}
+        if "--json" in argv:
+            assert json.loads(res.output)["receivers"][str(i)] == want
+        else:
+            assert (f"receiver {i}: x_{spec.graph.f[i - 1]} = {value}  "
+                    f"syndrome={','.join(map(str, trace.syndrome))}  "
+                    f"suspected={list(trace.suspected)}") in res.output

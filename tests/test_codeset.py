@@ -154,6 +154,16 @@ def test_oracle_generic_field_path():
     assert not oracle_decodable(spec, Matrix.zero(f3, 3, 2))
 
 
+def test_oracle_huge_delta_c_spheres_stop_at_the_length():
+    # a channel error has at most N nonzero entries, so delta_c past N
+    # changes nothing; the sphere walk must not run on to delta_c
+    G = Matrix.identity(F2, 4)
+    for delta_c in (4, 10 ** 9):
+        spec = ProblemSpec(graph=clique_graph(4), q=2, delta_s=1,
+                           delta_c=delta_c)
+        assert not oracle_decodable(spec, G)
+
+
 def test_theorem1_equivalence_sampled():
     # the central equivalence, on a quick sampled slice (the full sweep is
     # the acceptance module's criterion 3)

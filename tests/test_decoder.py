@@ -2,16 +2,17 @@ import itertools
 import random
 
 import pytest
+from conftest import _reference_decode, _reference_search
 
 from icsie import decoder
-from icsie.decoder import (DECODER_CACHE_SIZE, DecodeTrace, build_context,
+from icsie.decoder import (DECODER_CACHE_SIZE, build_context,
                            decode_all, decode_receiver, find_correction,
                            receiver_decoder)
 from icsie.encoder import optimal_length
 from icsie.errors import (DegenerateError, InconsistentError,
                           NoSolutionError)
 from icsie.gfield import field_for
-from icsie.linalg import Matrix, dot, vec_sub
+from icsie.linalg import Matrix, vec_sub
 from icsie.sigraph import ProblemSpec, SideInfoGraph, clique_graph
 from icsie.simulation import (SimulationConfig, SimulationReport,
                               run_simulation)
@@ -199,63 +200,6 @@ def test_gf4_decode_round_trip():
 
 # -- the build-once decoder against the uncached route it replaced -----------
 
-def _reference_search(ctx, syndrome, delta_s):
-    """Corrections by support size, then supports, then coefficients,
-    in Field arithmetic; the first whose syndrome matches."""
-    field = ctx.G_cache.field
-    rows = ctx.G_cache.rows
-    for t in range(0, delta_s + 1):
-        for support in itertools.combinations(range(len(rows)), t):
-            for coeffs in itertools.product(range(1, field.q), repeat=t):
-                p = tuple([0] * ctx.G_cache.ncols)
-                for j, c in zip(support, coeffs):
-                    p = tuple(field.add(a, field.mul(c, b))
-                              for a, b in zip(p, rows[j]))
-                if tuple(ctx.H.mul_col(p)) == tuple(syndrome):
-                    return p, tuple(ctx.cache[j] for j in support)
-    raise NoSolutionError(
-        f"receiver {ctx.receiver}: no correction with support <= {delta_s}; "
-        f"more cache errors than allowed, or an invalid generator")
-
-
-def _reference_decode(G, graph, i, y, x_hat, delta_s, forced_correction=None):
-    """Uncached decode: build_context, the search, then the H_e projection."""
-    ctx = build_context(G, graph, i)
-    field = G.field
-    if len(x_hat) != len(ctx.cache):
-        raise ValueError(
-            f"receiver {i} caches {len(ctx.cache)} packets, got {len(x_hat)}")
-    corrected = vec_sub(field, y, ctx.G_cache.vec_mul(x_hat))
-    syndrome = tuple(ctx.H.mul_col(corrected))
-    if forced_correction is not None:
-        p = tuple(forced_correction)
-        if tuple(ctx.H.mul_col(p)) != syndrome:
-            raise InconsistentError("forced correction does not match the syndrome")
-        suspected = ()
-    else:
-        p, suspected = _reference_search(ctx, syndrome, delta_s)
-    cleaned = vec_sub(field, corrected, p)
-    value = None
-    for h in ctx.H_e.rows:
-        a = dot(field, h, ctx.demand_row)
-        b = dot(field, h, cleaned)
-        if a != 0:
-            v = field.mul(b, field.inv(a))
-            if value is None:
-                value = v
-            elif value != v:
-                raise InconsistentError(
-                    f"receiver {i}: projection rows disagree on the demand value")
-        elif b != 0:
-            raise InconsistentError(
-                f"receiver {i}: cleaned word not in the expected row span")
-    if value is None:
-        raise DegenerateError(
-            f"receiver {i}: no projection row sees the demand row")
-    return value, DecodeTrace(syndrome=syndrome, correction=p,
-                              suspected=suspected, value=value)
-
-
 def _outcome(fn, *args, **kwargs):
     try:
         return ("ok",) + fn(*args, **kwargs)
@@ -422,6 +366,85 @@ def test_forced_correction_entries_rejected(q, n, forced):
     with pytest.raises(ValueError, match="forced_correction"):
         decode_receiver(G, spec.graph, 1, y, (0,) * (n - 1), 1,
                         forced_correction=(0, 0))
+
+
+# -- the per-decoder memo ------------------------------------------------------
+
+def test_repeated_decode_returns_the_memoized_result():
+    dec = decoder.ReceiverDecoder(G9, GRAPH9, 9, 1)
+    xhat = (1, 1, 0, 0, 0, 1)
+    first = dec.decode(Y9, xhat)
+    assert len(dec._memo) == 1
+    for args in ((Y9, xhat), (list(Y9), list(xhat))):
+        assert dec.decode(*args) == first
+    assert len(dec._memo) == 1
+    assert first == _reference_decode(G9, GRAPH9, 9, Y9, xhat, 1)
+
+
+def test_forced_decode_after_a_memoized_one_runs_its_own_check():
+    dec = decoder.ReceiverDecoder(G9, GRAPH9, 9, 1)
+    xhat = (1, 1, 0, 0, 0, 1)
+    searched = dec.decode(Y9, xhat)
+    memo = dict(dec._memo)
+    # an admissible correction other than the table's: its own trace
+    other = next(p for p in ((0, 0, 0, 1, 1, 1), (0, 0, 1, 1, 1, 0))
+                 if p != searched[1].correction)
+    forced = dec.decode(Y9, xhat, forced_correction=other)
+    assert forced == _reference_decode(G9, GRAPH9, 9, Y9, xhat, 1,
+                                       forced_correction=other)
+    assert forced[0] == searched[0] and forced[1].suspected == ()
+    # a correction off the syndrome still fails, memo or not
+    with pytest.raises(InconsistentError):
+        dec.decode(Y9, xhat, forced_correction=(0,) * 6)
+    assert dec._memo == memo
+    assert dec.decode(Y9, xhat) == searched
+
+
+def test_failed_search_is_not_memoized():
+    dec = decoder.ReceiverDecoder(G9, GRAPH9, 9, 0)
+    for _ in range(2):
+        with pytest.raises(NoSolutionError):
+            dec.decode(Y9, (1, 1, 0, 0, 0, 1))
+    assert dec._memo == {}
+
+
+def test_large_field_memo_holds_at_most_one_entry_per_decode():
+    f = field_for(257)
+    g = clique_graph(3)
+    G = Matrix.identity(f, 3)
+    rng = random.Random(257)
+    decs = {i: decoder.ReceiverDecoder(G, g, i, 1) for i in range(1, 4)}
+    made = {i: 0 for i in decs}
+    for _ in range(300):
+        x = [rng.randrange(257) for _ in range(3)]
+        if rng.random() < 0.5:
+            x = [v % 2 for v in x]
+        i = rng.randint(1, 3)
+        x_hat = [x[j - 1] for j in sorted(g.X[i - 1])]
+        x_hat[rng.randrange(2)] = rng.randrange(257)
+        got = decs[i].decode(G.vec_mul(x), x_hat)
+        made[i] += 1
+        assert got == _reference_decode(G, g, i, G.vec_mul(x), x_hat, 1)
+        assert got[0] == x[i - 1]
+        memo = decs[i]._memo
+        assert len(memo) <= made[i]
+        assert len(memo) <= 257 * len(decs[i]._table)
+    # repeats were served from the memo
+    assert sum(len(d._memo) for d in decs.values()) < sum(made.values())
+
+
+def test_huge_delta_s_builds_the_table_of_the_cache_size():
+    # receiver 1 caches one packet, whose zero row reaches one of the two
+    # syndromes, so the table never fills: the candidate walk must stop
+    # at supports of the cache size, not walk on to delta_s
+    g = SideInfoGraph.make(2, [1, 2], [{2}, set()])
+    G = Matrix(F2, [[1, 0], [0, 0]])
+    small = decoder.ReceiverDecoder(G, g, 1, 1)
+    huge = decoder.ReceiverDecoder(G, g, 1, 10 ** 9)
+    assert huge._table == small._table and len(huge._table) == 1
+    assert huge.decode((1, 0), (1,)) == small.decode((1, 0), (1,))
+    with pytest.raises(NoSolutionError, match="support <= 1000000000"):
+        huge.decode((1, 1), (0,))
 
 
 # -- the decoder cache ---------------------------------------------------------

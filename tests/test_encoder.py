@@ -6,6 +6,7 @@ from unittest import mock
 
 import pytest
 
+from icsie import codeset, encoder
 from icsie.codeset import first_witness, is_valid_generator, oracle_decodable
 from icsie.encoder import (_SpanTracker, _systematic_code_exists,
                            clique_from_parity, complete_template, core_length,
@@ -161,6 +162,24 @@ def test_gecic_budget_messages_pinned():
         spec = ProblemSpec(graph=clique_graph(n), q=q, delta_s=1, delta_c=1)
         with pytest.raises(BudgetExceededError, match=f"^{msg}$"):
             optimal_length(spec, combo_budget=1000)
+
+
+@pytest.mark.parametrize("q, n, ds", [(2, 4, 1), (3, 3, 1), (2, 3, 0)])
+def test_gecic_builds_one_support_table(monkeypatch, q, n, ds):
+    # the core search's table also lists the interference representatives
+    built = []
+    real = codeset.interference_supports
+
+    def counting(spec):
+        built.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(codeset, "interference_supports", counting)
+    monkeypatch.setattr(encoder, "interference_supports", counting)
+    spec = ProblemSpec(graph=clique_graph(n), q=q, delta_s=ds, delta_c=1)
+    N, G = optimal_length(spec)
+    assert built == [spec]
+    assert is_valid_generator(spec, G)[0]
 
 
 def test_witness_rank_equals_length_on_random_instances():

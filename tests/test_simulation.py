@@ -1,9 +1,16 @@
 import itertools
+import random
 
 import pytest
+from conftest import _reference_decode
 
 from icsie import simulation
-from icsie.errors import BudgetExceededError, FieldMismatchError, IcsieError
+from icsie.codeset import is_valid_generator
+from icsie.decoder import decode_receiver
+from icsie.encoder import optimal_length
+from icsie.errors import (BudgetExceededError, DegenerateError,
+                          FieldMismatchError, IcsieError, InconsistentError,
+                          NoSolutionError)
 from icsie.gfield import field_for
 from icsie.linalg import Matrix
 from icsie.sigraph import ProblemSpec, SideInfoGraph, clique_graph
@@ -83,6 +90,15 @@ def test_exhaustive_report_pinned():
                                  (0, 0, 1, 0), (0, 0, 1, 1)) for e in (1, 2))
 
 
+def _decodes(spec, G, i, x, y, x_hat) -> bool:
+    """One trial, decoded on its own: does receiver i recover its demand?"""
+    try:
+        value, _ = decode_receiver(G, spec.graph, i, y, x_hat, spec.delta_s)
+    except (NoSolutionError, InconsistentError, DegenerateError):
+        return False
+    return value == x[spec.graph.f[i - 1] - 1]
+
+
 def test_exhaustive_witnesses_in_receiver_then_message_order(monkeypatch):
     monkeypatch.setattr(simulation, "MAX_WITNESSES", 10 ** 6)
     report = run_simulation(F3_CLIQUE4, F3_G, SimulationConfig(trials="exhaustive"))
@@ -94,8 +110,8 @@ def test_exhaustive_witnesses_in_receiver_then_message_order(monkeypatch):
                 x_hat = [x[j - 1] for j in cache]
                 for pos, delta in offsets.items():
                     x_hat[pos] = (x_hat[pos] + delta) % 3
-                if not simulation._trial(F3_CLIQUE4, F3_G, i, x,
-                                         F3_G.vec_mul(x), x_hat):
+                if not _decodes(F3_CLIQUE4, F3_G, i, x, F3_G.vec_mul(x),
+                                x_hat):
                     expected.append((i, x, offsets))
     assert report.witnesses == tuple(expected)
     assert {w[0] for w in expected} == {1, 2, 4}
@@ -140,3 +156,98 @@ def test_one_decode_receiver_call_per_trial(monkeypatch, q, config):
     assert {i: calls.count(i) for i in report.per_receiver} == {
         i: total for i, (_, total) in report.per_receiver.items()}
     assert len(calls) == sum(t for _, t in report.per_receiver.values())
+
+
+# -- the simulation against a per-trial loop over the uncached decode ---------
+
+def _reference_trial(spec, G, i, x, offsets):
+    """Encode x, corrupt receiver i's cache by offsets and decode through
+    the uncached route: (did the demand come out right, the witness)."""
+    cache = sorted(spec.graph.X[i - 1])
+    x_hat = [x[j - 1] for j in cache]
+    for pos, delta in offsets.items():
+        x_hat[pos] = spec.field.add(x_hat[pos], delta)
+    try:
+        value, _ = _reference_decode(G, spec.graph, i, G.vec_mul(x), x_hat,
+                                     spec.delta_s)
+        ok = value == x[spec.graph.f[i - 1] - 1]
+    except (NoSolutionError, InconsistentError, DegenerateError):
+        ok = False
+    return ok, (i, x, offsets)
+
+
+def _reference_variants(spec, i):
+    """Receiver i's cache corruptions of weight <= delta_s, lightest first,
+    then by positions, then by values."""
+    size = len(spec.graph.X[i - 1])
+    return [dict(zip(at, vals)) for t in range(spec.delta_s + 1)
+            for at in itertools.combinations(range(size), t)
+            for vals in itertools.product(range(1, spec.q), repeat=t)]
+
+
+def _reference_report(spec, G, config):
+    """(per_receiver, witnesses) from one reference trial at a time."""
+    g = spec.graph
+    per = {i: [0, 0] for i in range(1, g.m + 1)}
+    witnesses = []
+
+    def count(ok, witness):
+        per[witness[0]][0] += ok
+        per[witness[0]][1] += 1
+        if not ok:
+            witnesses.append(witness)
+
+    if config.trials == "exhaustive":
+        for i in per:
+            for x in itertools.product(range(spec.q), repeat=g.n):
+                for offsets in _reference_variants(spec, i):
+                    count(*_reference_trial(spec, G, i, x, offsets))
+    else:
+        rng = random.Random(config.seed)
+        for _ in range(config.trials):
+            i = rng.randrange(1, g.m + 1)
+            x = tuple(rng.randrange(spec.q) for _ in range(g.n))
+            variants = _reference_variants(spec, i)
+            offsets = variants[rng.randrange(len(variants))]
+            count(*_reference_trial(spec, G, i, x, offsets))
+    return {i: tuple(c) for i, c in per.items()}, tuple(witnesses)
+
+
+@pytest.mark.parametrize("delta_s", [0, 1, 2])
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_simulation_matches_reference_trials(monkeypatch, q, delta_s):
+    monkeypatch.setattr(simulation, "MAX_WITNESSES", 10 ** 6)
+    rng = random.Random(1000 * q + delta_s)
+    n = 3 if q > 3 else 4
+    caches = [sorted(rng.sample([j for j in range(1, n + 1) if j != i],
+                                rng.randint(1, n - 1)))
+              for i in range(1, n + 1)]
+    spec = ProblemSpec(graph=SideInfoGraph.make(n, range(1, n + 1), caches),
+                       q=q, delta_s=delta_s)
+    valid = optimal_length(spec)[1]
+    invalid = valid
+    while is_valid_generator(spec, invalid)[0]:
+        invalid = Matrix(spec.field,
+                         [[rng.randrange(q) for _ in range(valid.ncols)]
+                          for _ in range(n)], ncols=valid.ncols)
+    configs = (EXHAUSTIVE, SimulationConfig(trials=400, seed=rng.randrange(99)))
+    outcomes = set()
+    for G in (valid, invalid):
+        for config in configs:
+            report = run_simulation(spec, G, config)
+            want = _reference_report(spec, G, config)
+            assert (report.per_receiver, report.witnesses) == want
+            outcomes.add((G is valid, report.ok))
+    # the valid generator decodes every trial, the invalid one does not
+    assert outcomes == {(True, True), (False, False)}
+
+
+def test_huge_delta_s_counts_no_more_errors_than_cached_symbols():
+    # every cache holds 3 packets, so delta_s past 3 admits nothing more;
+    # the variant walk used to allocate one slot per unit of delta_s
+    G = Matrix.identity(field_for(2), 4)
+    reports = [run_simulation(ProblemSpec(graph=clique_graph(4), q=2,
+                                          delta_s=ds), G, EXHAUSTIVE)
+               for ds in (3, 10 ** 9)]
+    assert reports[0] == reports[1]
+    assert sum(t for _, t in reports[1].per_receiver.values()) == 16 * 4 * 8
