@@ -17,8 +17,8 @@ as a ReceiverDecoder:
   ``build_context``;
 * the linear map (y, x_hat) -> A (y - x_hat G_X), A stacking H over the
   one H_e row h that is kept: a column of A for each codeword symbol and
-  -A g_j for each cache row g_j, packed by ``linalg.vector_space`` with
-  every scaling precomputed;
+  -A g_j for each cache row g_j, every scaling precomputed and packed
+  into integer lanes by ``linalg.LaneVectors``;
 * the syndrome -> (syndrome, correction, suspected packets, h . correction)
   table: the coset leaders of the syndrome decoding of Dau, Skachek &
   Chee, "Error correction for index coding with side information" (IEEE
@@ -31,9 +31,11 @@ as a ReceiverDecoder:
   ``ReceiverDecoder`` for its bound).
 
 ``decode_receiver`` takes its decoder from a bounded LRU cache keyed by
-the value of (G, graph, i, delta_s), so a repeated decode at a receiver
-costs one C-level accumulate of packed columns (``reduce(xor)`` over
-F_2) picked at the nonzero entries of y then x_hat, and one memo lookup.
+the value of (G, graph, i, delta_s), and remembers the decoder of its
+last call: a call with the very objects of that call skips the cache's
+hashing.  So a repeated decode at a receiver costs, for every q, one
+C-level ``sum`` of the packed multiples the entries of y then x_hat
+pick, one lane reduction mod p, and one memo lookup.
 """
 
 from __future__ import annotations
@@ -41,14 +43,13 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from itertools import compress
 from operator import getitem
 from typing import NamedTuple
 
 from .errors import (DegenerateError, DimensionError, InconsistentError,
                      NoSolutionError)
 from .gfield import arithmetic
-from .linalg import Matrix, table_dot, vector_space
+from .linalg import LaneVectors, Matrix, table_dot
 from .sigraph import SideInfoGraph
 
 DECODER_CACHE_SIZE = 128     # receivers whose decoders stay built
@@ -173,8 +174,10 @@ class ReceiverDecoder:
     [A | -A g_1 ... -A g_|X|]: its first rows are the syndrome and its
     last is h . corrected.  Then h . cleaned = h . corrected - h . p, and
     h . p is stored with p.  Every multiple of those columns is packed
-    once, so a decode picks them at the nonzero entries (``compress``)
-    and adds them up in one ``total`` -- ``reduce(xor)`` over F_2.
+    once into integer lanes wide enough for the N + |X| terms of a
+    decode (``linalg.LaneVectors``), so a decode picks one multiple per
+    entry, adds them up in one ``sum`` and reduces each lane mod p: the
+    reduced int is the one packing of z.
 
     The memo maps z to the (value, DecodeTrace) of a search decode.  The
     pair is a function of z alone: the table entry (syndrome, p,
@@ -203,13 +206,13 @@ class ReceiverDecoder:
         # z = A (y - x_hat G_X), A = [H; h]: every scaling of A's columns,
         # then of the -A g_j, packed, indexed by the entries of y then x_hat
         A = Matrix(field, [*ctx.H.rows, self._h], ncols=G.ncols)
-        self._space = space = vector_space(field, A.nrows)
-        self._syndromes = vector_space(field, ctx.H.nrows)
+        self._lanes = lanes = LaneVectors(field, A.nrows,
+                                          G.ncols + len(ctx.cache))
+        self._reduce = lanes.reduce
         self._length = G.ncols
-        self._cols = [space.multiples(space.pack(col)) for col in A.columns()]
-        self._cols += [space.multiples(space.pack(
-            [field.neg(e) for e in A.mul_col(g)]))
-            for g in ctx.G_cache.rows]
+        self._cols = [lanes.multiples(col) for col in A.columns()]
+        self._cols += [lanes.multiples([field.neg(e) for e in A.mul_col(g)])
+                       for g in ctx.G_cache.rows]
         self._elements = _elements(field.q)
         # first writer wins; once every syndrome has a writer the rest
         # of the candidates cannot change the table
@@ -217,7 +220,7 @@ class ReceiverDecoder:
         syndromes = field.q ** ctx.H.nrows
         for p, suspected in _candidate_corrections(ctx, delta_s, add, mul):
             s = ctx.H.mul_col(p)
-            key = self._syndromes.pack(s)
+            key = lanes.pack(s)
             if key not in table:
                 table[key] = (s, p, suspected, table_dot(add, mul, self._h, p))
                 if len(table) == syndromes:
@@ -242,13 +245,12 @@ class ReceiverDecoder:
                 f"{'longer' if len(y) < self._length else 'shorter'} "
                 f"than argument 1")
         # z = A (y - x_hat G_X): syndrome on top, h . corrected last
-        z = self._space.total(compress(map(getitem, self._cols, entries),
-                                       entries))
+        z = self._reduce(sum(map(getitem, self._cols, entries)))
         if forced_correction is not None:
             return self._forced(z, forced_correction)
         hit = self._memo.get(z)
         if hit is None:
-            key, hc = self._space.split(z)
+            key, hc = self._lanes.split(z)
             entry = self._table.get(key)
             if entry is None:
                 raise _no_solution(ctx, self.delta_s)
@@ -263,8 +265,8 @@ class ReceiverDecoder:
             raise ValueError(
                 f"forced_correction must be {self._length} elements "
                 f"of F_{self._q}")
-        key, hc = self._space.split(z)
-        syndrome = self._syndromes.unpack(key)
+        key, hc = self._lanes.split(z)
+        syndrome = self._lanes.unpack(key, self.ctx.H.nrows)
         if self.ctx.H.mul_col(p) != syndrome:
             raise InconsistentError("forced correction does not match the syndrome")
         hp = table_dot(self._add, self._mul, self._h, p)
@@ -303,6 +305,22 @@ def receiver_decoder(G: Matrix, graph: SideInfoGraph, i: int,
         return _FailedDecoder(exc)
 
 
+# (G, graph, i, delta_s, decoder) of decode_receiver's last call
+_NO_DECODER = (None,) * 5
+_last = _NO_DECODER
+
+
+def _cache_clear(clear=receiver_decoder.cache_clear) -> None:
+    """Empty receiver_decoder's cache, and forget decode_receiver's last
+    decoder with it."""
+    global _last
+    _last = _NO_DECODER
+    clear()
+
+
+receiver_decoder.cache_clear = _cache_clear
+
+
 def decode_receiver(G: Matrix, graph: SideInfoGraph, i: int, y, x_hat,
                     delta_s: int,
                     forced_correction=None) -> tuple[int, DecodeTrace]:
@@ -313,10 +331,19 @@ def decode_receiver(G: Matrix, graph: SideInfoGraph, i: int, y, x_hat,
     wrong cache entries.  forced_correction bypasses the search, for
     exercising alternative admissible corrections.  The receiver's
     decoder is built on the first call for this (G, graph, i, delta_s)
-    and reused while it stays in receiver_decoder's cache.
+    and reused while it stays in receiver_decoder's cache.  A call with
+    the very objects of the last call takes the last decoder without
+    hashing them for the cache: they are immutable, so their value is
+    the one that decoder was built for.
     """
-    return receiver_decoder(G, graph, i, delta_s).decode(
-        y, x_hat, forced_correction)
+    global _last
+    last = _last
+    if last[0] is G and last[1] is graph and last[2] is i and last[3] is delta_s:
+        decoder = last[4]
+    else:
+        decoder = receiver_decoder(G, graph, i, delta_s)
+        _last = (G, graph, i, delta_s, decoder)
+    return decoder.decode(y, x_hat, forced_correction)
 
 
 def decode_all(G: Matrix, graph: SideInfoGraph, y, x_hat_by_receiver: dict,

@@ -283,8 +283,9 @@ def minrank(spec: ProblemSpec,
 # optimal length: dual-subspace search (no channel errors)
 
 def gaussian_binomial(n: int, d: int, q: int) -> int:
+    """The number of d-dimensional subspaces of F_q^n."""
     num = den = 1
-    for i in range(d):
+    for i in range(min(d, n - d)):       # [n, d] = [n, n - d]
         num *= q ** (n - i) - 1
         den *= q ** (i + 1) - 1
     return num // den
@@ -342,6 +343,13 @@ def _first_avoiding_basis(vectors, table: bytearray, N: int,
 
 
 def _check_subspace_budget(n: int, d: int, q: int, subspace_budget: int) -> None:
+    # the subspaces with pivots 1..d alone number q^(d(n-d)) >= 2^(d(n-d)):
+    # past the budget's bits that settles it without the exact count,
+    # which has about d(n - d) log2 q bits
+    if d * (n - d) >= subspace_budget.bit_length():
+        raise BudgetExceededError(
+            f"at least 2^{d * (n - d)} subspaces of dimension {d} exceed "
+            f"the search budget")
     count = gaussian_binomial(n, d, q)
     if count > subspace_budget:
         raise BudgetExceededError(

@@ -10,9 +10,7 @@ ranks, echelon forms and null-space bases are reproducible.
 
 from __future__ import annotations
 
-import functools
 import itertools
-import operator
 from collections.abc import Iterable, Sequence
 
 from . import kernels
@@ -73,7 +71,7 @@ def vec_of_mask(mask: int, n: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# packed vectors: the one place that tells F_2 from F_q
+# packed vectors: the one place that tells F_2 from F_q, and lane-packed sums
 
 def vector_space(field: Field, n: int):
     """F_q^n packed for bulk work: int masks over F_2, tuples otherwise.
@@ -81,17 +79,16 @@ def vector_space(field: Field, n: int):
     Both packings list vectors in the lexicographic order of their
     coordinate tuples and share one interface: pack / unpack; vectors()
     and projective() (first nonzero entry 1); translate(v, vs), the
-    v + s for s in vs; scale(c, v); multiples(v), the c * v indexed by
-    c in F_q; total(vs), the sum of the vs;
-    split(v), v's first n - 1 coordinates packed in F_q^(n-1) and its
-    last coordinate; supports(vs), masks with coordinate 1
+    v + s for s in vs; scale(c, v); supports(vs), masks with coordinate 1
     in the highest bit; weight(v); codeword(x, cols), x times the matrix
     with these packed columns, packed in F_q^len(cols); and
     first_failing(zs, cols, need), the index of the first z with
     wt(z * G) < need, or -1.  extend(span, v, table) serves the subspace
     walk: the span of span + {v}, or None when the coset v + span meets
     the interference table (indexed by support mask); interference is
-    closed under scaling, so only that coset is tested.
+    closed under scaling, so only that coset is tested.  Sums of many
+    vectors, as a decode makes, are LaneVectors' work: one packing and
+    one int addition for every q.
     """
     return _F2Vectors(n) if field.q == 2 else _FqVectors(field, n)
 
@@ -122,15 +119,6 @@ class _F2Vectors:
 
     def scale(self, c: int, v: int) -> int:
         return v if c else 0
-
-    def multiples(self, v: int) -> list[int]:
-        return [0, v]
-
-    def total(self, vs) -> int:
-        return functools.reduce(operator.xor, vs, 0)
-
-    def split(self, v: int) -> tuple[int, int]:
-        return v >> 1, v & 1
 
     def extend(self, span: list[int], v: int, table) -> list[int] | None:
         coset = [v ^ s for s in span]
@@ -182,21 +170,6 @@ class _FqVectors:
         m = self._mul[c]
         return tuple([m[a] for a in v])
 
-    def multiples(self, v) -> Sequence[tuple[int, ...]]:
-        if self.q > TABLE_Q_LIMIT:
-            return _Multiples(self.scale, v)
-        return [self.scale(c, v) for c in range(self.q)]
-
-    def total(self, vs) -> tuple[int, ...]:
-        add = self._add
-        acc = (0,) * self.n
-        for v in vs:
-            acc = [add[a][b] for a, b in zip(acc, v)]
-        return tuple(acc)
-
-    def split(self, v) -> tuple[tuple[int, ...], int]:
-        return v[:-1], v[-1]
-
     def extend(self, span: list, v, table) -> list | None:
         coset, bits = self.translate(v, span), self._bits
         for z in coset:
@@ -221,18 +194,113 @@ class _FqVectors:
                      if self.weight(self.codeword(z, cols)) < need), -1)
 
 
-class _Multiples:
-    """The c * v read as multiples[c], computed on demand: a field too
-    large to tabulate has too many multiples to list."""
+class LaneVectors:
+    """F_q^n as ints with one w-bit lane per base-p digit of each
+    coordinate, for sums of up to `terms` vectors: SIMD within a
+    register (Fisher & Dietz, LCPC 1998).
 
-    __slots__ = ("scale", "v")
+    Coordinate 1 takes the highest lanes, and digit i of a coordinate
+    (the coefficient of x^i, see gfield) its i-th lowest.  A sum of
+    `terms` packed vectors leaves at most terms * (p - 1) in a lane,
+    which w holds with one guard bit above it to spare, so the sum is
+    one int addition and no lane carries into the next.  reduce takes
+    each lane mod p, giving the packed sum in F_q^n: for p = 2 by keeping
+    each lane's low bit; for odd p by subtracting p * 2^k, k descending,
+    from each lane that holds at least that, the guard bit telling which
+    do.  The two differ only in their constants.  A reduced int is the
+    one packing of its vector, and v >> coordinate_bits packs v's first
+    n - 1 coordinates the way pack packs them.
+    """
 
-    def __init__(self, scale, v):
-        self.scale = scale
-        self.v = v
+    def __init__(self, field: Field, n: int, terms: int):
+        self.field = field
+        p = field.p
+        most = terms * (p - 1)                  # the largest lane sum
+        self._top = top = most.bit_length()     # the guard bit's position
+        self._width = width = top + 1
+        self._digit = (1 << top) - 1
+        self.coordinate_bits = field.e * width
+        low = sum(1 << b for b in range(0, n * self.coordinate_bits, width))
+        self._guards = low << top
+        if p == 2:
+            self._keep, self._steps = low, ()
+        else:
+            self._keep = -1
+            self._steps = tuple((p << k, (p << k) * low)
+                                for k in range(top, -1, -1) if p << k <= most)
 
-    def __getitem__(self, c: int):
-        return self.scale(c, self.v)
+    def _lanes(self, a: int) -> int:
+        """Element a's base-p digits, one to a lane, digit 0 lowest."""
+        p, width = self.field.p, self._width
+        v = shift = 0
+        while a:
+            a, d = divmod(a, p)
+            v |= d << shift
+            shift += width
+        return v
+
+    def _element(self, v: int) -> int:
+        """The element whose digits are v's lowest e lanes, each < p."""
+        p, width, digit = self.field.p, self._width, self._digit
+        a, weight = 0, 1
+        for _ in range(self.field.e):
+            a += (v & digit) * weight
+            v >>= width
+            weight *= p
+        return a
+
+    def pack(self, vec: Sequence[int]) -> int:
+        bits, v = self.coordinate_bits, 0
+        for a in vec:
+            v = (v << bits) | self._lanes(a)
+        return v
+
+    def unpack(self, v: int, n: int) -> tuple[int, ...]:
+        """The n coordinates packed in v."""
+        bits, out = self.coordinate_bits, []
+        for _ in range(n):
+            out.append(self._element(v))
+            v >>= bits
+        return tuple(reversed(out))
+
+    def multiples(self, vec: Sequence[int]) -> Sequence[int]:
+        """The packed c * vec, indexed by c in F_q: listed, or packed when
+        read in a field too large to tabulate, which has too many
+        multiples to list."""
+        if self.field.q > TABLE_Q_LIMIT:
+            return _LaneMultiples(self, vec)
+        mul = arithmetic(self.field)[2]
+        return [self.pack([mul[c][a] for a in vec])
+                for c in range(self.field.q)]
+
+    def reduce(self, s: int) -> int:
+        """The packed vector whose digits are s's lanes mod p, for s a
+        sum of at most `terms` packed vectors."""
+        s &= self._keep
+        guards, top = self._guards, self._top
+        for c, lanes in self._steps:
+            s -= ((((s | guards) - lanes) & guards) >> top) * c
+        return s
+
+    def split(self, z: int) -> tuple[int, int]:
+        """A reduced z as its first n - 1 coordinates, packed, and its
+        last coordinate."""
+        bits = self.coordinate_bits
+        return z >> bits, self._element(z & ((1 << bits) - 1))
+
+
+class _LaneMultiples:
+    """LaneVectors.multiples of vec, each packed as it is read."""
+
+    __slots__ = ("lanes", "vec")
+
+    def __init__(self, lanes: LaneVectors, vec: Sequence[int]):
+        self.lanes = lanes
+        self.vec = tuple(vec)
+
+    def __getitem__(self, c: int) -> int:
+        mul = self.lanes.field.mul
+        return self.lanes.pack([mul(c, a) for a in self.vec])
 
 
 class Matrix:

@@ -14,6 +14,12 @@ from dataclasses import dataclass
 from .errors import IcsieError, ParseError
 from .gfield import field_for
 
+# Packets per instance.  Every search is exponential in n and refuses
+# far smaller instances by budget; the cap bounds the work linear in n
+# done before that (validate lists each undemanded packet, and each
+# receiver's interference set spans all n packets).
+MAX_N = 1 << 16
+
 
 @dataclass(frozen=True)
 class SideInfoGraph:
@@ -25,6 +31,8 @@ class SideInfoGraph:
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise ValueError("need at least one packet and one receiver")
+        if self.n > MAX_N:
+            raise ValueError(f"n = {self.n} exceeds the cap {MAX_N}")
         if len(self.f) != self.m or len(self.X) != self.m:
             raise ValueError("f and X must have one entry per receiver")
         for i in range(self.m):

@@ -13,11 +13,15 @@ sum_i q^n * |V_i| of them, V_i being receiver i's side-error variants
 (at most min(delta_s, |X_i|) errors each), and a random run makes
 ``trials``; either must be at most 2^budget_bits.
 
-Both modes share one trial step, which makes one ``decode_receiver``
-call.  Each receiver's constants -- its ascending cache, its variants as
-(position, delta) pairs and its demand's index -- are set up once, and
-the decoder it reaches is built once: a repeated trial costs one
-accumulate and one memo lookup there (see ``decoder``).
+Both modes feed one inline trial body: each mode yields groups of
+(receiver, message, codeword, clean cache, variants), and the body
+corrupts the cache by each variant and decodes it, with no Python call
+per trial but its one ``decode_receiver`` call.  Each receiver's
+constants -- its ascending cache and its variants as (position, delta)
+pairs -- are set up once, and the decoder it reaches is built once:
+consecutive trials at a receiver pass decode_receiver the same objects,
+so a repeated trial costs one accumulate and one memo lookup there (see
+``decoder``).
 """
 
 from __future__ import annotations
@@ -115,61 +119,63 @@ def run_simulation(spec: ProblemSpec, G: Matrix,
             f"{trials} simulation trials exceed the {budget_bits}-bit budget")
     per: dict[int, list[int]] = {i: [0, 0] for i in range(1, g.m + 1)}
     setups: dict[int, tuple] = {}
-    delta_s = spec.delta_s
 
     def setup(i: int):
-        """Receiver i's ascending cache, its side-error variants as
-        (position, delta) pairs, and the index of its demand in x."""
+        """Receiver i's ascending cache and its side-error variants as
+        (position, delta) pairs."""
         if i not in setups:
             setups[i] = (sorted(g.X[i - 1]),
-                         [tuple(v.items()) for v in _side_error_variants(spec, i)],
-                         g.f[i - 1] - 1)
+                         [tuple(v.items()) for v in _side_error_variants(spec, i)])
         return setups[i]
 
-    def trial(i: int, demand: int, x, y, clean, offsets,
-              witnesses: list) -> None:
-        """Decode receiver i's cache clean, corrupted by offsets, and
-        count the trial; a failure becomes a witness while room is left."""
-        x_hat = list(clean)
-        for pos, delta in offsets:
-            x_hat[pos] = add[x_hat[pos]][delta]
-        tally = per[i]
-        tally[1] += 1
-        try:
-            ok = decode_receiver(G, g, i, y, x_hat, delta_s)[0] == x[demand]
-        except (NoSolutionError, InconsistentError, DegenerateError):
-            ok = False
-        if ok:
-            tally[0] += 1
-        elif len(witnesses) < MAX_WITNESSES:
-            witnesses.append((i, x, dict(offsets)))
-
-    if exhaustive:
-        # each message encoded once, in blocks so memory stays bounded and
-        # each receiver's cached decoder serves a whole block; receivers
-        # keep their own witnesses, joined receiver by receiver
-        found: dict[int, list[tuple]] = {i: [] for i in per}
+    def every_trial():
+        """Each message encoded once, in blocks so memory stays bounded
+        and each receiver's decoder serves a whole block; receivers keep
+        their own witnesses, joined receiver by receiver."""
         messages = itertools.product(range(q), repeat=n)
         while block := list(itertools.islice(messages, _BLOCK)):
             coded = [(x, G.vec_mul(x)) for x in block]
             for i in per:
-                cache, variants, demand = setup(i)
+                cache, variants = setup(i)
                 mine = found[i]
                 for x, y in coded:
-                    clean = [x[j - 1] for j in cache]
-                    for offsets in variants:
-                        trial(i, demand, x, y, clean, offsets, mine)
-        witnesses = [w for i in per for w in found[i]][:MAX_WITNESSES]
-    else:
-        witnesses = []
+                    yield i, x, y, [x[j - 1] for j in cache], variants, mine
+
+    def sampled_trials():
         rng = random.Random(config.seed)
         for _ in range(trials):
             i = rng.randrange(1, g.m + 1)
             x = tuple(rng.randrange(q) for _ in range(n))
-            cache, variants, demand = setup(i)
+            cache, variants = setup(i)
             offsets = variants[rng.randrange(len(variants))]
-            trial(i, demand, x, G.vec_mul(x), [x[j - 1] for j in cache],
-                  offsets, witnesses)
+            yield (i, x, G.vec_mul(x), [x[j - 1] for j in cache], (offsets,),
+                   witnesses)
+
+    found: dict[int, list[tuple]] = {i: [] for i in per}
+    witnesses: list[tuple] = []
+    f, delta_s = g.f, spec.delta_s
+    # one trial body for both modes: receiver i decodes its clean cache
+    # corrupted by each variant's offsets; a failure becomes a witness
+    # while room is left
+    for i, x, y, clean, variants, mine in (
+            every_trial() if exhaustive else sampled_trials()):
+        want = x[f[i - 1] - 1]
+        tally = per[i]
+        tally[1] += len(variants)
+        for offsets in variants:
+            x_hat = clean.copy()
+            for pos, delta in offsets:
+                x_hat[pos] = add[x_hat[pos]][delta]
+            try:
+                ok = decode_receiver(G, g, i, y, x_hat, delta_s)[0] == want
+            except (NoSolutionError, InconsistentError, DegenerateError):
+                ok = False
+            if ok:
+                tally[0] += 1
+            elif len(mine) < MAX_WITNESSES:
+                mine.append((i, x, dict(offsets)))
+    if exhaustive:
+        witnesses = [w for i in per for w in found[i]][:MAX_WITNESSES]
     return SimulationReport(
         per_receiver={i: (ok, tot) for i, (ok, tot) in per.items()},
         witnesses=tuple(witnesses))

@@ -1,20 +1,22 @@
+import contextlib
 import functools
 import json
 from unittest import mock
 
 import pytest
 from click.testing import CliRunner
-from conftest import _reference_decode
+from conftest import _reference_decode, _reference_shortest_length
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icsie import cli, structure
+from icsie import cli, encoder, structure
 from icsie.cli import EXIT_DOMAIN, EXIT_OK, main
 from icsie.codeset import oracle_decodable
+from icsie.errors import BudgetExceededError
 from icsie.encoder import (optimal_length, parse_generator,
                            serialize_generator)
 from icsie.gfield import field_for
-from icsie.linalg import Matrix
+from icsie.linalg import Matrix, dot
 from icsie.sigraph import (ProblemSpec, SideInfoGraph, clique_graph,
                            parse_instance, serialize_instance)
 from icsie.simulation import SimulationConfig, run_simulation
@@ -622,3 +624,178 @@ def test_decode_and_simulate_end_in_an_answer_or_a_typed_error(case):
             assert (f"receiver {i}: x_{spec.graph.f[i - 1]} = {value}  "
                     f"syndrome={','.join(map(str, trace.syndrome))}  "
                     f"suspected={list(trace.suspected)}") in res.output
+
+
+# -- every validate, search, analyze and encode input ends in an answer or a
+# -- typed error, and each answer is confirmed by a second route
+
+SMALL_BITS = 16       # budgets small enough that every call ends quickly
+HUGE = (40, 257, 1 << 16, (1 << 16) + 1, 10 ** 9, 2 ** 70)
+
+
+@st.composite
+def query_cases(draw):
+    """A validate, search, analyze or encode call on a base case with at
+    most one part broken: the instance (junk, or one of n, q and the
+    deltas huge), or for encode the generator or --x."""
+    spec, G = draw(st.sampled_from(BASE_CASES))
+    command = draw(st.sampled_from(("validate", "search", "analyze", "encode")))
+    broken = draw(st.sampled_from(
+        (None, None, "instance", "huge")
+        + (("generator", "x") if command == "encode" else ())))
+    inst = json.loads(serialize_instance(spec))
+    if broken == "huge":
+        inst[draw(st.sampled_from(("n", "q", "delta_s", "delta_c")))] = draw(
+            st.sampled_from(HUGE))
+    inst = (_mutated_doc(draw, inst, "X") if broken == "instance"
+            else json.dumps(inst))
+    gen = json.loads(serialize_generator(G))
+    gen = (_mutated_doc(draw, gen, "rows") if broken == "generator"
+           else json.dumps(gen))
+    argv = [command, "inst.json"]
+    if command == "search":
+        argv += ["--method", draw(st.sampled_from(("both", "brute", "minrank")))]
+    elif command == "encode":
+        x = draw(st.lists(st.integers(0, spec.q - 1), min_size=spec.graph.n,
+                          max_size=spec.graph.n))
+        argv += ["gen.json", "--x", _vector_text(draw, x, spec.q, broken == "x")]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return inst, gen, argv
+
+
+def _small_budgets():
+    """The searches of search and analyze at SMALL_BITS-sized budgets."""
+    small = 1 << SMALL_BITS
+    return (
+        mock.patch.object(cli, "optimal_length", functools.partial(
+            optimal_length, subspace_budget=small, combo_budget=small)),
+        mock.patch.object(cli, "core_length", functools.partial(
+            encoder.core_length, subspace_budget=small)),
+        mock.patch.object(cli, "minrank", functools.partial(
+            encoder.minrank, budget_bits=SMALL_BITS)),
+        mock.patch.object(structure, "DEFAULT_SUBSPACE_BUDGET", small),
+        mock.patch.object(structure, "DEFAULT_SUBSET_BITS", SMALL_BITS))
+
+
+def _demanded_part(spec: ProblemSpec, G: Matrix):
+    """The instance on the demanded packets and G's rows for them, when
+    every other packet has a zero row: such a packet neither interferes
+    nor helps, so G serves the instance iff those rows serve the part.
+    Otherwise the instance and G as they are."""
+    g = spec.graph
+    keep = sorted(set(g.f))
+    if len(keep) == g.n or any(any(G.row(j)) for j in range(1, g.n + 1)
+                               if j not in keep):
+        return spec, G
+    index = {j: k for k, j in enumerate(keep, start=1)}
+    part = SideInfoGraph.make(len(keep), [index[f] for f in g.f],
+                              [[index[j] for j in X if j in index] for X in g.X])
+    return (ProblemSpec(graph=part, q=spec.q, delta_s=spec.delta_s,
+                        delta_c=spec.delta_c),
+            Matrix(spec.field, [G.row(j) for j in keep], ncols=G.ncols))
+
+
+def _confirm(argv, output: str, spec: ProblemSpec, gen_text: str) -> None:
+    """An exit-0 answer, checked by a route other than the command's."""
+    as_json = "--json" in argv
+    g = spec.graph
+    if argv[0] == "validate":
+        # every packet demanded, no receiver caching its own demand
+        assert set(g.f) == set(range(1, g.n + 1))
+        assert all(f not in X for f, X in zip(g.f, g.X))
+        assert (json.loads(output) == {"valid": True, "violations": []}
+                if as_json else output == "ok\n")
+    elif argv[0] == "encode":
+        G = parse_generator(gen_text)
+        x = [int(v) for v in argv[argv.index("--x") + 1].split(",")]
+        y = [dot(spec.field, x, col) for col in G.columns()]
+        assert (json.loads(output) == {"y": y} if as_json
+                else output == "y = " + ",".join(map(str, y)) + "\n")
+    elif argv[0] == "search":
+        if as_json:
+            doc = json.loads(output)
+            N, G = doc["N"], parse_generator(json.dumps(doc["G"]))
+        else:
+            lines = output.splitlines()
+            N = int(lines[0].removeprefix("N = "))
+            G = Matrix(spec.field, [[int(v) for v in line.split()]
+                                    for line in lines[2:]], ncols=N)
+        assert G.nrows == g.n and G.ncols == N
+        part, G_part = _demanded_part(spec, G)
+        try:
+            assert oracle_decodable(part, G_part)
+        except BudgetExceededError:
+            # past the oracle's budget only an answer of full row rank is
+            # confirmed: every receiver reads x from y alone
+            assert spec.delta_c == 0 and G_part.rank() == part.graph.n
+        if spec.delta_c == 0 and g.n <= 8:     # the reference builds 2^n
+            try:
+                assert N == _reference_shortest_length(spec)[0]
+            except BudgetExceededError:
+                pass        # past the reference walk's budget: validity only
+    elif argv[0] == "analyze" and as_json:
+        # the optimum, walked from length 1, sits inside every bound; a
+        # report whose own search ran out of budget is not checked
+        bounds = json.loads(output)["bounds"]
+        if bounds["n_opt"] is None:
+            return
+        n_opt = _reference_shortest_length(spec)[0]
+        assert bounds["n_opt"] == n_opt
+        for e in bounds["entries"].values():
+            if e["target"] == "icsie":
+                assert {"lower": e["value"] <= n_opt,
+                        "upper": e["value"] >= n_opt,
+                        "exact": e["value"] == n_opt}[e["kind"]], e
+
+
+@pytest.mark.parametrize("command", ["validate", "search", "analyze"])
+@pytest.mark.parametrize("n", [(1 << 16) + 1, 10 ** 9, 2 ** 70])
+def test_huge_n_is_a_parse_error(runner, tmp_path, command, n):
+    # validate listed every undemanded packet and minrank built each
+    # receiver's interference set over all n packets: n = 10^9 ran out
+    # of memory
+    doc = json.loads(serialize_instance(
+        ProblemSpec(graph=clique_graph(4), q=2, delta_s=1)))
+    doc["n"] = n
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    res = runner.invoke(main, [command, str(path)])
+    assert res.exit_code == 2
+    assert f"parse error: n = {n} exceeds the cap 65536" in res.output
+
+
+def test_many_packets_exceed_the_search_budget_at_once(runner, tmp_path):
+    # 20,000 packets, four demanded: counting the hyperplanes of F_2^20000
+    # exactly ran for minutes, and the count has more digits than Python
+    # turns into a string by default
+    doc = json.loads(serialize_instance(
+        ProblemSpec(graph=clique_graph(4), q=2, delta_s=1)))
+    doc["n"] = 20_000
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["search", "--method", "brute", str(path)])
+    assert res.exit_code == 3
+    assert ("budget exceeded: at least 2^19999 subspaces of dimension 19999 "
+            "exceed the search budget") in res.output
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(query_cases())
+def test_queries_end_in_a_confirmed_answer_or_a_typed_error(case):
+    inst_text, gen_text, argv = case
+    runner = CliRunner()
+    with runner.isolated_filesystem(), contextlib.ExitStack() as stack:
+        for patch in _small_budgets():
+            stack.enter_context(patch)
+        with open("inst.json", "w") as fh:
+            fh.write(inst_text)
+        with open("gen.json", "w") as fh:
+            fh.write(gen_text)
+        res = runner.invoke(main, argv)
+        assert res.exit_code in (0, 1, 2, 3), res.output
+        assert _no_traceback(res), res.exception
+        assert "Traceback" not in res.output
+        assert "MISMATCH" not in res.output
+        if res.exit_code == 0:
+            _confirm(argv, res.output, parse_instance(inst_text), gen_text)

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from conftest import _reference_decode, _reference_search
+from conftest import _reference_decode, _reference_search, random_generator
 
 from icsie import decoder
 from icsie.decoder import (DECODER_CACHE_SIZE, build_context,
@@ -346,6 +346,46 @@ def test_large_field_decodes_without_tables():
             assert got[0] == x[i - 1]
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 257])
+def test_lane_sums_match_the_reference_in_every_field(q):
+    # a decode adds N + |X| lane-packed multiples in one int: words whose
+    # every entry is q - 1 give the largest lane sums, where a lane one bit
+    # too narrow would carry into the next
+    field = field_for(q)
+    rng = random.Random(q)
+    n = 3 if q > 9 else 4
+    spec = ProblemSpec(graph=clique_graph(n), q=q, delta_s=1)
+    coded = optimal_length(spec)[1] if q <= 9 else Matrix.identity(field, n)
+    top, decodes = q - 1, 0
+    for G in (coded, random_generator(rng, q, n, n)):
+        for delta_s in (1, 2) if q <= 9 else (1,):
+            for i in range(1, n + 1):
+                try:
+                    dec = decoder.ReceiverDecoder(G, spec.graph, i, delta_s)
+                except DegenerateError:
+                    continue
+                size = len(spec.graph.X[i - 1])
+                words = [((top,) * G.ncols, (top,) * size)]
+                for _ in range(4):
+                    x = [rng.randrange(q) for _ in range(n)]
+                    x_hat = [x[j - 1] for j in sorted(spec.graph.X[i - 1])]
+                    x_hat[rng.randrange(size)] = rng.randrange(q)
+                    words.append((G.vec_mul(x), tuple(x_hat)))
+                for y, x_hat in words:
+                    args = (G, spec.graph, i, y, x_hat, delta_s)
+                    want = _outcome(_reference_decode, *args)
+                    assert _outcome(dec.decode, y, x_hat) == want, args
+                    forced = [(top,) * G.ncols]
+                    if want[0] == "ok":
+                        forced.append(want[2].correction)
+                    for p in forced:
+                        assert (_outcome(dec.decode, y, x_hat, forced_correction=p)
+                                == _outcome(_reference_decode, *args,
+                                            forced_correction=p)), (args, p)
+                    decodes += 1
+    assert decodes >= 5 * n
+
+
 def test_non_field_entries_rejected():
     with pytest.raises(ValueError, match="elements of F_2"):
         decode_receiver(G9, GRAPH9, 9, (0, 1, 2, 0, 1, 0), (0,) * 6, 1)
@@ -498,6 +538,29 @@ def test_cache_keyed_by_value():
     assert again is first
     assert receiver_decoder.cache_info().hits == before + 1
     assert receiver_decoder(Matrix(F2, rows), GRAPH9, 9, 2) is not first
+
+
+def test_cache_clear_builds_the_decoder_again(monkeypatch):
+    # decode_receiver skips the cache for the objects of its last call,
+    # but not past a cache_clear
+    built = []
+    real = decoder.build_context
+
+    def counting(G, graph, i):
+        built.append(i)
+        return real(G, graph, i)
+
+    monkeypatch.setattr(decoder, "build_context", counting)
+    xhat = (1, 1, 0, 0, 0, 1)
+    receiver_decoder.cache_clear()
+    first = decode_receiver(G9, GRAPH9, 9, Y9, xhat, 1)
+    assert decode_receiver(G9, GRAPH9, 9, Y9, xhat, 1) == first
+    assert built == [9]
+    receiver_decoder.cache_clear()
+    assert receiver_decoder.cache_info().currsize == 0
+    assert decode_receiver(G9, GRAPH9, 9, Y9, xhat, 1) == first
+    assert built == [9, 9]
+    assert receiver_decoder.cache_info().currsize == 1
 
 
 def test_cache_is_bounded():

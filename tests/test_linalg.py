@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from icsie.errors import FieldMismatchError
 from icsie.gfield import field_for
-from icsie.linalg import (Matrix, dot, hamming_weight, mask_of, subvector,
-                          vec_add, vec_of_mask, vec_scale, vec_sub,
+from icsie.linalg import (LaneVectors, Matrix, dot, hamming_weight, mask_of,
+                          subvector, vec_add, vec_of_mask, vec_scale, vec_sub,
                           vector_space)
 
 F2 = field_for(2)
@@ -215,3 +215,27 @@ def test_vector_space_packing(field):
         first = next((k for k, t in enumerate(tuples)
                       if hamming_weight(G.vec_mul(t)) < need), -1)
         assert vs.first_failing(packed, cols, need) == first
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 257])
+def test_lane_sums_reduce_to_the_field_sum(q):
+    # `terms` vectors whose every digit is p - 1 (the element q - 1) fill
+    # each lane to the top: a lane one bit too narrow carries there
+    field, n = field_for(q), 3
+    rng = random.Random(q)
+    for terms in (1, 2, 3, 7, 12):
+        lanes = LaneVectors(field, n, terms)
+        sums = [[(q - 1,) * n] * terms,
+                [tuple(rng.randrange(q) for _ in range(n)) for _ in range(terms)]]
+        for vs in sums:
+            want = (0,) * n
+            for v in vs:
+                want = vec_add(field, want, v)
+            z = lanes.reduce(sum(lanes.pack(v) for v in vs))
+            assert z == lanes.pack(want)
+            assert lanes.unpack(z, n) == want
+            assert lanes.split(z) == (lanes.pack(want[:-1]), want[-1])
+        v = tuple(rng.randrange(q) for _ in range(n))
+        multiples = lanes.multiples(v)
+        for c in (0, 1, q - 1, rng.randrange(q)):
+            assert lanes.unpack(multiples[c], n) == vec_scale(field, c, v)
