@@ -25,7 +25,12 @@ Two exact routes to the optimal length are implemented and must agree:
   the walk at its best length so far succeeds.  With channel errors,
   codeword weights matter and the search runs over multisets of
   projective columns instead, testing each against the interference
-  list built once per search.
+  list built once per search.  Its lengths start at the larger of two
+  lower bounds, n0 + 2*delta_c over the delta_c = 0 optimum n0 and the
+  gamma bound l_q(gamma, 2*delta_c + 1), and stop at the upper bound
+  l_q(n0, 2*delta_c + 1); ``_gecic_bounds`` is the one definition of all
+  three, and ``structure.bounds_report`` reads its channel-error entries
+  from it too.
 
 Both searches, and l_q's code search, work over any F_q through one
 seam, ``linalg.vector_space``: how vectors are packed, added, scaled and
@@ -394,16 +399,18 @@ def _shortest_length(vectors, table, start: int, subspace_budget: int,
 
 
 def _core_search(spec: ProblemSpec, subspace_budget: int
-                 ) -> tuple[int, list, bytearray]:
+                 ) -> tuple[int, list, bytearray, int]:
     """``_shortest_length`` of the delta_c = 0 core, whose support table
     is the instance's, from the table's gamma; the table is built after
-    the first length is in budget, and returned after N and the basis."""
+    the first length is in budget, and returned after N and the basis,
+    followed by its gamma."""
     n = spec.graph.n
     _check_subspace_budget(n, n - 1, spec.q, subspace_budget)
     table = interference_supports(spec)
-    return (*_shortest_length(vector_space(spec.field, n), table,
-                              _table_gamma(table), subspace_budget, {}),
-            table)
+    gam = _table_gamma(table)
+    return (*_shortest_length(vector_space(spec.field, n), table, gam,
+                              subspace_budget, {}),
+            table, gam)
 
 
 def core_length(spec: ProblemSpec,
@@ -417,6 +424,22 @@ def core_length(spec: ProblemSpec,
 # ---------------------------------------------------------------------------
 # optimal length: projective column-multiset search (with channel errors)
 
+def _gecic_bounds(q: int, n0: int, gam: int,
+                 delta_c: int) -> tuple[tuple[int, int], int]:
+    """The channel-error bounds on the optimal length, from the
+    error-free optimum n0 and gamma: ((n0 + 2 delta_c, l_q(q, gamma,
+    2 delta_c + 1)), l_q(q, n0, 2 delta_c + 1)), two lower bounds then
+    the upper one.  ``_optimal_length_gecic`` proves them.  The upper
+    bound is computed first, so its budget message is the one raised.
+    The gamma bound's own l_q search then stays within that budget:
+    gamma <= n0, and shortening an [l, n0, d] code on n0 - gamma
+    message positions gives an [l - n0 + gamma, gamma, d] one, so its
+    walk counts fewer parity multisets at every length it tries."""
+    need = 2 * delta_c + 1
+    upper = l_q(q, n0, need)
+    return (n0 + need - 1, l_q(q, gam, need)), upper
+
+
 def _optimal_length_gecic(spec: ProblemSpec, subspace_budget: int,
                           combo_budget: int) -> tuple[int, Matrix]:
     """Shortest valid generator when delta_c > 0.
@@ -425,21 +448,45 @@ def _optimal_length_gecic(spec: ProblemSpec, subspace_budget: int,
     a column, so candidates are multisets of projective points.  Zero
     columns never appear in a shortest valid generator (dropping one
     would beat a length already proved unreachable), so they are
-    excluded.  The search starts at the channel-error lower bound on
-    top of the error-free optimum and stops at the classical-code
-    upper bound.
+    excluded.  Lengths are walked from the larger of the two lower
+    bounds of ``_gecic_bounds`` up to its upper bound, each length's
+    multisets in ``combinations_with_replacement`` order:
+
+    * N >= n0 + 2 delta_c, with n0 the optimum of the delta_c = 0 core:
+      deleting any 2 delta_c columns of a valid generator leaves every
+      interference codeword with weight >= 1, a valid core generator of
+      length N - 2 delta_c.
+    * N >= l_q(q, gamma, 2 delta_c + 1), the alpha bound of Dau,
+      Skachek and Chee (IEEE Trans. IT 59(3), 2013) read with this
+      paper's gamma: every nonempty subset of the gamma set is an
+      interference support, so every nonzero z supported on that set
+      needs wt(zG) >= 2 delta_c + 1.  The rows of G on the gamma set
+      therefore generate a code of dimension gamma (a nonzero z with
+      zG = 0 would have weight 0) and minimum distance
+      >= 2 delta_c + 1, of length N.
+    * N <= l_q(q, n0, 2 delta_c + 1): a shortest core generator G0
+      followed by the generator of a classical [l, n0, 2 delta_c + 1]
+      code C maps an interference z to a nonzero zG0 (G0 is valid for
+      the core), hence to a codeword of C of weight >= 2 delta_c + 1.
+
+    No length below the start is feasible and each length's walk does
+    not depend on where the walk began, so the first feasible length
+    and its witness are those of a walk from n0 + 2 delta_c; the tests
+    compare against such a walk.  Only the lengths walked are checked
+    against the budget.  gamma is read from the core search's support
+    table, the table the interference representatives come from.
     """
     n, q = spec.graph.n, spec.q
     field = spec.field
-    n0, _, table = _core_search(spec, subspace_budget)
+    n0, _, table, gam = _core_search(spec, subspace_budget)
+    lowers, cap = _gecic_bounds(q, n0, gam, spec.delta_c)
     need = 2 * spec.delta_c + 1
-    cap = l_q(q, n0, need)
     vectors = vector_space(field, n)
     points = vectors.projective()
     # interference_masks(spec), read off the core search's table
     _check_enum_budget(spec, DEFAULT_ENUM_BITS)
     zs = _representatives(vectors, table)
-    for N in range(n0 + need - 1, cap + 1):
+    for N in range(max(lowers), cap + 1):
         ncombos = math.comb(len(points) + N - 1, N)
         if ncombos > combo_budget:
             raise BudgetExceededError(
@@ -456,7 +503,7 @@ def optimal_length(spec: ProblemSpec,
                    combo_budget: int = DEFAULT_COMBO_BUDGET) -> tuple[int, Matrix]:
     """Exact optimal codelength and a witness generator of full column rank."""
     if spec.delta_c == 0:
-        N, basis, _ = _core_search(spec, subspace_budget)
+        N, basis, _, _ = _core_search(spec, subspace_budget)
         W = Matrix(spec.field, basis, ncols=spec.graph.n)
         G = W.null_space_basis().transpose()  # n x N, rank N
         assert G.ncols == N

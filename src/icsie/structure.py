@@ -20,6 +20,8 @@ for one instance, each tagged with its provenance and whether it was
 certified exhaustively or only sampled, and carries the cycles, gamma
 witness and packing it read them from; its exact optimum and
 channel-error entries search the same table from its gamma.  The
+channel-error entries are ``encoder._gecic_bounds``, the bounds the
+channel-error search walks between, gamma's own among them.  The
 edge-deletion bound reads support tables too: one per deletion choice,
 built at delta_s = 0 by ``codeset.support_table``.  Each distinct table
 is searched from its gamma when that exceeds the best length so far,
@@ -39,8 +41,8 @@ from dataclasses import dataclass, field
 from .codeset import (contains_compressible, gamma_mask,
                       interference_supports, receiver_masks, support_table)
 from .encoder import (DEFAULT_SUBSPACE_BUDGET, _check_subspace_budget,
-                      _first_avoiding_basis, _shortest_length, _table_gamma,
-                      cycle_code, l_q)
+                      _first_avoiding_basis, _gecic_bounds, _shortest_length,
+                      _table_gamma, cycle_code)
 from .errors import BudgetExceededError, NotUnipartiteError
 from .linalg import Matrix, vector_space
 from .sigraph import ProblemSpec, SideInfoGraph
@@ -332,6 +334,12 @@ def bounds_report(spec: ProblemSpec,
     table, whose subset budget is fatal: BudgetExceededError propagates.
     The searched entries (edge deletion, the exact optimum, the
     channel-error bounds) record a budget failure as a note instead.
+    With delta_c > 0 the channel-error entries are those of
+    ``encoder._gecic_bounds`` over the error-free optimum n0 and the
+    report's gamma: gecic_lower = n0 + 2 delta_c, gecic_gamma =
+    l_q(q, gamma, 2 delta_c + 1) and gecic_upper = l_q(q, n0,
+    2 delta_c + 1); the channel-error search starts at the larger lower
+    one.  They are recorded together or, past l_q's budget, not at all.
     Entries targeting the error-free problem and the channel-error
     problem are kept apart; consistency is enforced within each target.
     """
@@ -402,12 +410,18 @@ def bounds_report(spec: ProblemSpec,
     if spec.delta_c > 0:
         try:
             base_n = n_opt if n_opt is not None else base_length()
+            (sphere, alpha), upper = _gecic_bounds(spec.q, base_n, gam,
+                                                   spec.delta_c)
             entries["gecic_lower"] = BoundEntry(
-                "lower", base_n + 2 * spec.delta_c, "gecic",
+                "lower", sphere, "gecic",
                 "channel errors cost two coordinates each on top of the "
                 "error-free optimum")
+            entries["gecic_gamma"] = BoundEntry(
+                "lower", alpha, "gecic",
+                "the gamma set's rows generate a classical code of "
+                "distance at least 2 delta_c + 1")
             entries["gecic_upper"] = BoundEntry(
-                "upper", l_q(spec.q, base_n, 2 * spec.delta_c + 1), "gecic",
+                "upper", upper, "gecic",
                 "re-encode the error-free optimum with a classical code")
         except BudgetExceededError as exc:
             notes.append(f"gecic bounds skipped: {exc}")

@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
 
 from icsie import Matrix, field_for
-from icsie.codeset import interference_supports
+from icsie.codeset import interference_masks, interference_supports
 from icsie.decoder import DecodeTrace, build_context
-from icsie.encoder import DEFAULT_SUBSPACE_BUDGET, _first_avoiding_basis
-from icsie.errors import DegenerateError, InconsistentError, NoSolutionError
+from icsie.encoder import (DEFAULT_COMBO_BUDGET, DEFAULT_SUBSPACE_BUDGET,
+                           _check_subspace_budget, _first_avoiding_basis)
+from icsie.errors import (BudgetExceededError, DegenerateError,
+                          InconsistentError, NoSolutionError)
 from icsie.linalg import dot, vec_sub, vector_space
 from icsie.sigraph import ProblemSpec, SideInfoGraph
 
@@ -58,8 +61,11 @@ def _reference_shortest_length(spec: ProblemSpec,
                                ) -> tuple[int, Matrix]:
     """The delta_c = 0 optimum walked from length 1, every length checked
     against the budget, without the gamma start: (N, G) as
-    optimal_length builds them from the first avoiding basis."""
+    optimal_length builds them from the first avoiding basis.  The
+    length-1 budget is checked before the 2^n support table is built,
+    as the library's search does."""
     n = spec.graph.n
+    _check_subspace_budget(n, n - 1, spec.q, subspace_budget)
     vectors = vector_space(spec.field, n)
     table = interference_supports(spec)
     rows_of: dict = {}
@@ -70,6 +76,32 @@ def _reference_shortest_length(spec: ProblemSpec,
             W = Matrix(spec.field, basis, ncols=n)
             return N, W.null_space_basis().transpose()
     raise AssertionError("the identity generator is always valid")
+
+
+def _reference_gecic_length(spec: ProblemSpec,
+                            combo_budget: int = DEFAULT_COMBO_BUDGET
+                            ) -> tuple[int, Matrix]:
+    """The delta_c > 0 optimum walked from n0 + 2 delta_c, without the
+    gamma bound, every length checked against the budget: n0 is
+    ``_reference_shortest_length``'s, and each length's multisets of
+    projective columns are tried in combinations_with_replacement order
+    against the interference list, (N, G) as optimal_length builds them.
+    Nothing here reads gamma, so a search that starts higher is checked
+    against every shorter length."""
+    n0 = _reference_shortest_length(spec)[0]
+    need = 2 * spec.delta_c + 1
+    vectors = vector_space(spec.field, spec.graph.n)
+    points = vectors.projective()
+    zs = interference_masks(spec)
+    for N in itertools.count(n0 + need - 1):
+        ncombos = math.comb(len(points) + N - 1, N)
+        if ncombos > combo_budget:
+            raise BudgetExceededError(
+                f"{ncombos} column multisets at length {N} exceed the budget")
+        for cols in itertools.combinations_with_replacement(points, N):
+            if vectors.first_failing(zs, cols, need) < 0:
+                return N, Matrix(spec.field,
+                                 zip(*map(vectors.unpack, cols)), ncols=N)
 
 
 # -- the uncached decode route the decoder and simulation are checked against

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from dataclasses import replace
 from unittest import mock
 
@@ -21,6 +22,9 @@ from icsie.gfield import _FieldOp, arithmetic, field_for
 from icsie.linalg import Matrix
 from icsie.sigraph import ProblemSpec, SideInfoGraph, clique_graph
 from icsie.structure import edge_deletion_bound
+
+from conftest import (_reference_gecic_length, _reference_shortest_length,
+                      all_unipartite_graphs, sampled_unipartite_graphs)
 
 F2 = field_for(2)
 CLIQUE4 = ProblemSpec(graph=clique_graph(4), q=2, delta_s=1)
@@ -157,11 +161,76 @@ def test_pinned_gecic_witnesses_over_fq(q, graph, ds, rows):
 
 
 def test_gecic_budget_messages_pinned():
+    # F_3 clique-4 refuses at its first length, the gamma bound
+    # l_3(3, 3) = 6, no longer at n0 + 2 = 5
     for q, n, msg in ((2, 6, "109453344 column multisets at length 6 exceed the budget"),
-                      (3, 4, "1086008 column multisets at length 5 exceed the budget")):
+                      (3, 4, "8145060 column multisets at length 6 exceed the budget")):
         spec = ProblemSpec(graph=clique_graph(n), q=q, delta_s=1, delta_c=1)
         with pytest.raises(BudgetExceededError, match=f"^{msg}$"):
             optimal_length(spec, combo_budget=1000)
+
+
+def _gecic_outcome(search, spec, **budget):
+    """(N, G's rows), or the length a budget refusal names."""
+    try:
+        N, G = search(spec, **budget)
+    except BudgetExceededError as exc:
+        return "refused", int(re.fullmatch(
+            r"\d+ column multisets at length (\d+) exceed the budget",
+            str(exc))[1])
+    return N, G.to_lists()
+
+
+def gecic_walk_cases(seed: int = 0x6A3C):
+    """Every n = 3 unipartite graph over F_2 at delta_s in {0, 1} and
+    delta_c in {1, 2}; then seeded instances over F_2 with n = 4 and
+    over F_3 with n <= 3, some of them under combination budgets small
+    enough to refuse (F_2 n = 4 at delta_c = 2 under such budgets only:
+    its full walk takes seconds per instance)."""
+    rng = random.Random(seed)
+    for g in all_unipartite_graphs(3):
+        for ds, dc in itertools.product((0, 1), (1, 2)):
+            yield ProblemSpec(graph=g, q=2, delta_s=ds, delta_c=dc), None
+    for q, n, dc, count, budgets in (
+            (2, 4, 1, 8, (None, None, 300, 3000)),
+            (2, 4, 2, 6, (300, 3000, 30000)),
+            (3, 2, 1, 4, (None, None, 300, 3000)),
+            (3, 3, 1, 8, (None, None, 300, 3000))):
+        for g in sampled_unipartite_graphs(n, count, seed=rng.randrange(1 << 30)):
+            spec = ProblemSpec(graph=g, q=q, delta_s=rng.choice((0, 1)),
+                               delta_c=dc)
+            yield spec, rng.choice(budgets)
+
+
+def test_gecic_search_matches_the_walk_from_the_sphere_bound():
+    # the search from the larger of n0 + 2 delta_c and the gamma bound
+    # against the walk of every length from n0 + 2 delta_c: the same
+    # (N, G), and the same refusals.  Multiset counts grow with the
+    # length, so a walk that refuses at length L makes the search refuse
+    # at the larger of L and its start.
+    seen = set()
+    for spec, budget in gecic_walk_cases():
+        kw = {} if budget is None else {"combo_budget": budget}
+        got = _gecic_outcome(optimal_length, spec, **kw)
+        want = _gecic_outcome(_reference_gecic_length, spec, **kw)
+        if want[0] == "refused":
+            assert got[0] == "refused" and got[1] >= want[1], spec
+        else:
+            assert got == want, spec
+        seen.add((spec.q, spec.delta_c, got[0] == "refused"))
+    assert seen == {(2, 1, False), (2, 1, True), (2, 2, False), (2, 2, True),
+                    (3, 1, False), (3, 1, True)}
+
+
+def test_reference_walk_checks_its_budget_before_the_table(monkeypatch):
+    # 40 packets: the 2^40 support table is never built
+    monkeypatch.setattr("conftest.interference_supports", mock.Mock(
+        side_effect=AssertionError("support table built")))
+    spec = ProblemSpec(graph=clique_graph(40), q=2, delta_s=0)
+    with pytest.raises(BudgetExceededError):
+        _reference_shortest_length(spec)
+    with pytest.raises(BudgetExceededError):
+        _reference_gecic_length(replace(spec, delta_c=1))
 
 
 @pytest.mark.parametrize("q, n, ds", [(2, 4, 1), (3, 3, 1), (2, 3, 0)])

@@ -426,7 +426,11 @@ def test_bounds_gecic_sandwich():
     lo = report.entries["gecic_lower"].value
     hi = report.entries["gecic_upper"].value
     assert lo == 5 and hi == 6
+    # gamma = 3 and l_2(3, 3) = 6: the gamma bound meets the optimum
+    alpha = report.entries["gecic_gamma"]
+    assert (alpha.kind, alpha.target) == ("lower", "gecic")
     N, _ = optimal_length(spec)
+    assert alpha.value == 6 == N == report.lower("gecic")
     assert lo <= N <= hi
 
 
