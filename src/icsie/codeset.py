@@ -7,9 +7,11 @@ must be able to see on the channel: z hits the receiver's demand
 A generator matrix works exactly when every such z maps to a codeword
 of weight at least 2*delta_c + 1.
 
-Every routine here works over any F_q through one seam,
-``linalg.vector_space``: int masks and the GF(2) kernel over F_2, tuples
-and the field's tables otherwise.  No function here tests q itself.
+Every routine here works over any F_q, and no function here tests q
+itself.  Validity goes through one seam, ``linalg.vector_space``: int
+masks and the GF(2) kernel over F_2, tuples and the field's tables
+otherwise.  The oracle packs its own ints the same way for every q:
+codewords as ``linalg.LaneVectors`` sums, messages as bit-planes.
 
 Interference depends only on the support of z, so one table over the
 2^n support masks holds it.  From that table ``contains_compressible``
@@ -21,8 +23,11 @@ structure queries and the error-free search both read gamma there.
 materializes explicit Hamming spheres around every codeword and tests
 the message pairs whose spheres share a word, found through an index
 from word to messages, so it can serve as an independent oracle for the
-validity test.  It takes no weight shortcut and never reads the
-interference set; its budget still counts all pairs, the worst case.
+validity test.  It takes no weight shortcut, reads neither the
+interference set nor its support table, and calls nothing of
+``vector_space``: whether a receiver confuses a pair comes from its own
+loop over the receivers.  Its budget still counts all pairs, the worst
+case.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import math
 from collections.abc import Iterator
 
 from .errors import BudgetExceededError, DimensionError, FieldMismatchError
-from .linalg import Matrix, hamming_weight, subvector, vector_space
+from .linalg import LaneVectors, Matrix, hamming_weight, subvector, vector_space
 from .sigraph import ProblemSpec, SideInfoGraph
 
 DEFAULT_ENUM_BITS = 24
@@ -193,12 +198,27 @@ def oracle_decodable(spec: ProblemSpec, G: Matrix,
     For every message pair that some receiver cannot tell apart through
     its (possibly corrupted) cache but must tell apart on the demand,
     the radius-delta_c spheres around the two codewords have to be
-    disjoint.  Spheres are materialized as sets and indexed by the words
-    they hold, so only the pairs whose spheres share a word are tested
-    against the receivers: a pair with disjoint spheres never breaks the
-    contract.  No weight shortcut is taken, and the interference set is
-    not consulted.  The budget counts all pairs, the worst case (an
-    all-zero G puts every message in one sphere).
+    disjoint.  All q^n messages are built in lexicographic order, one
+    row of G at a time, in two packings:
+
+    * the raw codeword, a lane-packed sum (``linalg.LaneVectors``) of
+      one multiple of each row; ``reduce(raw + e)`` over the packed
+      channel errors e of weight at most delta_c, zero first, gives the
+      words of its sphere;
+    * b = bit_length(q - 1) bit-planes of n bits, plane k holding bit k
+      of every coordinate: two messages differ where some plane of their
+      XOR is set, so the OR of those planes is the support mask of
+      their difference.
+
+    Spheres are indexed by the words they hold, and only the pairs in
+    one word's list are tested: a pair with disjoint spheres never
+    breaks the contract.  Whether some receiver confuses a pair depends
+    only on that support, so it is memoised per support mask; it comes
+    from this function's own loop over the receivers, never from the
+    interference set or a weight test, which keeps the oracle
+    independent of the validity code it checks.  The budget counts all
+    pairs, the worst case: an all-zero G puts every message in one
+    word's list.
     """
     g = spec.graph
     n, q = g.n, spec.q
@@ -207,36 +227,51 @@ def oracle_decodable(spec: ProblemSpec, G: Matrix,
             f"pair enumeration over F_{q}^{n} x F_{q}^{n} exceeds "
             f"the {budget_bits}-bit budget")
     _check_generator(spec, G)
-    field = spec.field
     cap = spec.side_weight_cap()
     # (demand mask, cache mask) of each distinct receiver
     receivers = set(receiver_masks(g))
-    msgs = vector_space(field, n)
-    words = vector_space(field, G.ncols)
-    cols = [msgs.pack(c) for c in G.columns()]
-    messages = msgs.vectors()
-    # every nonzero channel error of weight <= delta_c
-    errors = [words.pack([dict(zip(at, vals)).get(k, 0) for k in range(G.ncols)])
-              for t in range(1, min(spec.delta_c, G.ncols) + 1)
-              for at in itertools.combinations(range(G.ncols), t)
-              for vals in itertools.product(range(1, q), repeat=t)]
-    spheres = [frozenset([c, *words.translate(c, errors)])
-               for c in (msgs.codeword(x, cols) for x in messages)]
+    N = G.ncols
+    # a raw codeword sums n row multiples; a sphere word adds one error
+    lanes = LaneVectors(spec.field, N, n + 1)
+    # bit k of element a at the lowest bit of plane k; each later row
+    # shifts the planes up one, so coordinate 1 ends at bit n - 1
+    planed = [sum(((a >> k) & 1) << (k * n) for k in range((q - 1).bit_length()))
+              for a in range(q)]
+    messages, raws = [0], [0]
+    for row in G.rows:
+        # listed once: a field too large to tabulate packs as it is read
+        multiples = lanes.multiples(row)
+        multiples = [multiples[a] for a in range(q)]
+        messages = [x << 1 | p for x in messages for p in planed]
+        raws = [r + m for r in raws for m in multiples]
+    # every channel error of weight <= delta_c, the zero error first:
+    # packed nonzero symbols shifted to their coordinates' lanes
+    symbols, bits = [lanes.pack([a]) for a in range(1, q)], lanes.coordinate_bits
+    errors = [sum(a << (N - 1 - k) * bits for k, a in zip(at, vals))
+              for t in range(min(spec.delta_c, N) + 1)
+              for at in itertools.combinations(range(N), t)
+              for vals in itertools.product(symbols, repeat=t)]
     # word -> the messages whose sphere holds it
-    holders: dict = {}
-    for b, sphere in enumerate(spheres):
-        for w in sphere:
-            holders.setdefault(w, []).append(b)
-    minus_one = field.neg(1)
-    for a, x in enumerate(messages):
-        # the later messages whose spheres meet x's
-        near = {b for w in spheres[a] for b in holders[w] if b > a}
-        # where x differs from each of them
-        diffs = msgs.supports(msgs.translate(msgs.scale(minus_one, x),
-                                             [messages[b] for b in near]))
-        for fm, xm in receivers:
-            for d in diffs:
-                # the receiver must tell x from that message apart
-                if d & fm and (d & xm).bit_count() <= cap:
+    reduce = lanes.reduce
+    holders: dict[int, list[int]] = {}
+    for x, r in zip(messages, raws):
+        for e in errors:
+            holders.setdefault(reduce(r + e), []).append(x)
+    full = (1 << n) - 1
+    confuses: list[bool | None] = [None] * (1 << n)
+    for held in holders.values():
+        for i, x in enumerate(held):
+            for y in held[i + 1:]:
+                d, s = x ^ y, 0
+                while d:
+                    s |= d & full
+                    d >>= n
+                hit = confuses[s]
+                if hit is None:
+                    # some receiver must tell the two apart
+                    hit = confuses[s] = any(
+                        s & fm and (s & xm).bit_count() <= cap
+                        for fm, xm in receivers)
+                if hit:
                     return False
     return True

@@ -76,19 +76,18 @@ def vec_of_mask(mask: int, n: int) -> tuple[int, ...]:
 def vector_space(field: Field, n: int):
     """F_q^n packed for bulk work: int masks over F_2, tuples otherwise.
 
-    Both packings list vectors in the lexicographic order of their
-    coordinate tuples and share one interface: pack / unpack; vectors()
-    and projective() (first nonzero entry 1); translate(v, vs), the
-    v + s for s in vs; scale(c, v); supports(vs), masks with coordinate 1
-    in the highest bit; weight(v); codeword(x, cols), x times the matrix
+    Both packings share one interface: pack / unpack; projective(), the
+    vectors with first nonzero entry 1 in the lexicographic order of
+    their coordinate tuples; supports(vs), masks with coordinate 1 in
+    the highest bit; weight(v); codeword(x, cols), x times the matrix
     with these packed columns, packed in F_q^len(cols); and
     first_failing(zs, cols, need), the index of the first z with
     wt(z * G) < need, or -1.  extend(span, v, table) serves the subspace
     walk: the span of span + {v}, or None when the coset v + span meets
     the interference table (indexed by support mask); interference is
     closed under scaling, so only that coset is tested.  Sums of many
-    vectors, as a decode makes, are LaneVectors' work: one packing and
-    one int addition for every q.
+    vectors, as a decode and the decodability oracle make, are
+    LaneVectors' work: one packing and one int addition for every q.
     """
     return _F2Vectors(n) if field.q == 2 else _FqVectors(field, n)
 
@@ -108,17 +107,8 @@ class _F2Vectors:
     def unpack(self, v: int) -> tuple[int, ...]:
         return vec_of_mask(v, self.n)
 
-    def vectors(self) -> range:
-        return range(1 << self.n)
-
     def projective(self) -> range:
         return range(1, 1 << self.n)
-
-    def translate(self, v: int, vs) -> list[int]:
-        return [v ^ s for s in vs]
-
-    def scale(self, c: int, v: int) -> int:
-        return v if c else 0
 
     def extend(self, span: list[int], v: int, table) -> list[int] | None:
         coset = [v ^ s for s in span]
@@ -165,10 +155,6 @@ class _FqVectors:
     def translate(self, v, vs) -> list[tuple[int, ...]]:
         add = self._add
         return [tuple([add[a][b] for a, b in zip(v, s)]) for s in vs]
-
-    def scale(self, c: int, v) -> tuple[int, ...]:
-        m = self._mul[c]
-        return tuple([m[a] for a in v])
 
     def extend(self, span: list, v, table) -> list | None:
         coset, bits = self.translate(v, span), self._bits

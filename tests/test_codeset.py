@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from icsie import codeset, linalg
 from icsie.codeset import (_check_generator, _log2_q, enum_interference,
                            first_witness, in_interference,
                            interference_masks, interference_supports,
@@ -13,7 +14,7 @@ from icsie.errors import (BudgetExceededError, DimensionError,
                           FieldMismatchError, IcsieError)
 from icsie.gfield import field_for
 from icsie.encoder import optimal_length
-from icsie.linalg import Matrix, hamming_weight, mask_of, vector_space
+from icsie.linalg import Matrix, hamming_weight, mask_of, vec_add, vec_scale
 from icsie.sigraph import ProblemSpec, SideInfoGraph, clique_graph
 from icsie.simulation import SimulationConfig, run_simulation
 
@@ -249,9 +250,9 @@ def test_budget_messages_pinned():
 # -- the sphere-indexed oracle against the all-pairs reference -----------------
 
 def _all_pairs_oracle(spec, G, budget_bits=24):
-    """The oracle as one loop over every message pair: per message, the
-    supports of its differences with every later message, then each
-    distinct receiver, spheres intersected pair by pair."""
+    """The oracle as one loop over every message pair, in plain tuple
+    arithmetic: spheres intersected pair by pair, then the support of
+    the pair's difference against each distinct receiver."""
     g = spec.graph
     n, q = g.n, spec.q
     if 2 * n * _log2_q(q) > budget_bits:
@@ -263,25 +264,30 @@ def _all_pairs_oracle(spec, G, budget_bits=24):
     cap = spec.side_weight_cap()
     receivers = {(1 << (n - f), sum(1 << (n - j) for j in X))
                  for f, X in zip(g.f, g.X)}
-    msgs = vector_space(field, n)
-    words = vector_space(field, G.ncols)
-    cols = [msgs.pack(c) for c in G.columns()]
-    messages = msgs.vectors()
-    errors = [words.pack([dict(zip(at, vals)).get(k, 0) for k in range(G.ncols)])
-              for t in range(1, spec.delta_c + 1)
-              for at in itertools.combinations(range(G.ncols), t)
-              for vals in itertools.product(range(1, q), repeat=t)]
-    spheres = [frozenset([c, *words.translate(c, errors)])
-               for c in (msgs.codeword(x, cols) for x in messages)]
+    messages = list(itertools.product(range(q), repeat=n))
+
+    def sphere(c):
+        # c and every word that differs from it in 1 .. delta_c places
+        words = {c}
+        for t in range(1, spec.delta_c + 1):
+            for at in itertools.combinations(range(len(c)), t):
+                for shifts in itertools.product(range(1, q), repeat=t):
+                    w = list(c)
+                    for k, s in zip(at, shifts):
+                        w[k] = (c[k] + s) % q
+                    words.add(tuple(w))
+        return words
+
+    spheres = [sphere(G.vec_mul(x)) for x in messages]
     minus_one = field.neg(1)
     for a, x in enumerate(messages):
-        diffs = msgs.supports(msgs.translate(msgs.scale(minus_one, x),
-                                             messages[a + 1:]))
-        for fm, xm in receivers:
-            for b, d in enumerate(diffs, a + 1):
-                if (d & fm and (d & xm).bit_count() <= cap
-                        and not spheres[a].isdisjoint(spheres[b])):
-                    return False
+        minus_x = vec_scale(field, minus_one, x)
+        for b in range(a + 1, len(messages)):
+            if spheres[a].isdisjoint(spheres[b]):
+                continue
+            d = mask_of(vec_add(field, messages[b], minus_x))
+            if any(d & fm and (d & xm).bit_count() <= cap for fm, xm in receivers):
+                return False
     return True
 
 
@@ -300,8 +306,8 @@ def _assert_oracle_matches_reference(spec, G):
 def oracle_cases(draw):
     """A random instance with delta_c up to 2, and a generator that is
     random or degenerate: all zero, one column repeated, or N = 1."""
-    q = draw(st.sampled_from((2, 3, 4, 5)))
-    n = draw(st.integers(1, 6 if q == 2 else 4))
+    q = draw(st.sampled_from((2, 3, 4, 5, 7, 8, 9)))
+    n = draw(st.integers(1, 6 if q == 2 else 4 if q <= 5 else 2))
     m = draw(st.integers(1, n + 2))
     f = [draw(st.integers(1, n)) for _ in range(m)]
     X = [draw(st.sets(st.sampled_from([j for j in range(1, n + 1) if j != fi])))
@@ -328,11 +334,14 @@ def test_oracle_matches_all_pairs_reference(case):
     _assert_oracle_matches_reference(*case)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_oracle_matches_all_pairs_reference_on_optimal_witnesses(q):
+    # q = 7, 8, 9 pack one to two digit lanes per coordinate and three or
+    # four bit-planes per message; n = 3 at delta_c = 1 is past the search
+    # budget there
     rng = random.Random(500 + q)
     for _ in range(8):
-        n = rng.randint(2, 4 if q == 2 else 3)
+        n = rng.randint(2, 4 if q == 2 else 3 if q <= 5 else 2)
         g = SideInfoGraph.make(n, range(1, n + 1), [
             {j for j in range(1, n + 1) if j != i and rng.random() < .6}
             for i in range(1, n + 1)])
@@ -360,6 +369,69 @@ def test_oracle_matches_all_pairs_reference_on_errors():
         outcome = _outcome(oracle_decodable, spec, G)
         assert isinstance(outcome, tuple)
         assert outcome == _outcome(_all_pairs_oracle, spec, G)
+
+
+def test_oracle_edge_cases_keep_their_answers():
+    # no columns: every message has the empty codeword, and the receivers
+    # must still tell messages apart
+    for q in (2, 3, 9):
+        for dc in (0, 1):
+            spec = ProblemSpec(graph=clique_graph(3), q=q, delta_s=0, delta_c=dc)
+            G = Matrix(field_for(q), [[] for _ in range(3)], ncols=0)
+            assert oracle_decodable(spec, G) is False
+            _assert_oracle_matches_reference(spec, G)
+    # more receivers than packets, one of them with an empty cache: it
+    # needs x_1 from the broadcast alone, which the sum code does not give
+    g = SideInfoGraph.make(3, [1, 2, 3, 1, 2], [{2, 3}, {1, 3}, {1, 2}, set(), {3}])
+    for q in (2, 5, 7):
+        field = field_for(q)
+        spec = ProblemSpec(graph=g, q=q, delta_s=0)
+        assert oracle_decodable(spec, Matrix.identity(field, 3)) is True
+        assert oracle_decodable(spec, Matrix(field, [[1], [1], [1]])) is False
+        for G in (Matrix.identity(field, 3), Matrix(field, [[1], [1], [1]])):
+            _assert_oracle_matches_reference(spec, G)
+    # G = 0 puts every message in one word's list, the pair budget's worst
+    # case; only packet 1 is demanded, so most of its pairs are told apart
+    for q, n in ((2, 4), (3, 3), (8, 2), (9, 2)):
+        g = SideInfoGraph.make(n, [1], [set(range(2, n + 1))])
+        for dc in (0, 1):
+            spec = ProblemSpec(graph=g, q=q, delta_s=1, delta_c=dc)
+            G = Matrix.zero(field_for(q), n, 2)
+            assert oracle_decodable(spec, G) is False
+            _assert_oracle_matches_reference(spec, G)
+    # at the budget's edge, q^n = 2^12 messages in one list
+    g = SideInfoGraph.make(12, [1], [set()])
+    assert oracle_decodable(ProblemSpec(graph=g, q=2, delta_s=0),
+                            Matrix.zero(F2, 12, 1)) is False
+
+
+def test_oracle_is_independent_of_the_validity_code(monkeypatch):
+    # the oracle confirms validity answers, so it must not reach them
+    # through the validity code: a shared fault would pass both
+    graphs = (clique_graph(3),
+              SideInfoGraph.make(3, [1, 2, 3, 1], [{2}, {3}, {1, 2}, set()]))
+    cases = []
+    for q in (2, 3, 4):
+        for g in graphs:
+            for dc in (0, 1):
+                spec = ProblemSpec(graph=g, q=q, delta_s=1, delta_c=dc)
+                _, G = optimal_length(spec)
+                rows = G.to_lists()
+                rows[0] = [0] * G.ncols
+                for H in (G, Matrix(G.field, rows, ncols=G.ncols)):
+                    cases.append((spec, H, is_valid_generator(spec, H)[0]))
+    assert {want for _, _, want in cases} == {True, False}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle reached the validity code")
+
+    for name in ("support_table", "interference_supports", "interference_masks"):
+        monkeypatch.setattr(codeset, name, refuse)
+    for cls in (linalg._F2Vectors, linalg._FqVectors):
+        for name in ("first_failing", "codeword"):
+            monkeypatch.setattr(cls, name, refuse)
+    for spec, G, want in cases:
+        assert oracle_decodable(spec, G) is want
 
 
 def test_wrong_row_count_is_a_dimension_error():

@@ -196,7 +196,6 @@ def test_vector_space_packing(field):
     vs = vector_space(field, n)
     tuples = list(itertools.product(range(q), repeat=n))
     packed = [vs.pack(t) for t in tuples]
-    assert list(vs.vectors()) == packed
     assert [vs.unpack(v) for v in packed] == tuples
     assert list(vs.projective()) == [vs.pack(t) for t in tuples
                                      if any(t) and next(a for a in t if a) == 1]
@@ -207,9 +206,6 @@ def test_vector_space_packing(field):
     cols = [vs.pack(c) for c in G.columns()]
     words = vector_space(field, 4)
     for x, t in zip(packed, tuples):
-        assert vs.unpack(vs.translate(x, [vs.pack((1, 0, 1))])[0]) == \
-            vec_add(field, t, (1, 0, 1))
-        assert vs.unpack(vs.scale(q - 1, x)) == vec_scale(field, q - 1, t)
         assert words.unpack(vs.codeword(x, cols)) == G.vec_mul(t)
     for need in (1, 2, 3):
         first = next((k for k, t in enumerate(tuples)
