@@ -152,14 +152,8 @@ def interference_masks(spec: ProblemSpec,
     and wt(zG) are invariant under nonzero scaling, and the first failing
     z in lexicographic order is such a representative."""
     _check_enum_budget(spec, budget_bits)
-    return _representatives(vector_space(spec.field, spec.graph.n),
-                            interference_supports(spec))
-
-
-def _representatives(vectors, table) -> list:
-    """The projective points of the packed space vectors whose support
-    the support table marks, ascending: ``interference_masks`` read off
-    a table the caller already holds."""
+    vectors = vector_space(spec.field, spec.graph.n)
+    table = interference_supports(spec)
     points = vectors.projective()
     return [z for z, s in zip(points, vectors.supports(points)) if table[s]]
 

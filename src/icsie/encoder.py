@@ -24,16 +24,20 @@ Two exact routes to the optimal length are implemented and must agree:
   length; ``structure.edge_deletion_bound`` skips a table that way when
   the walk at its best length so far succeeds.  With channel errors,
   codeword weights matter and the search runs over multisets of
-  projective columns instead, testing each against the interference
-  list built once per search.  Its lengths start at the larger of two
+  projective columns instead.  Its lengths start at the larger of two
   lower bounds, n0 + 2*delta_c over the delta_c = 0 optimum n0 and the
   gamma bound l_q(gamma, 2*delta_c + 1), and stop at the upper bound
   l_q(n0, 2*delta_c + 1); ``_gecic_bounds`` is the one definition of all
   three, and ``structure.bounds_report`` reads its channel-error entries
   from it too.
 
-Both searches, and l_q's code search, work over any F_q through one
-seam, ``linalg.vector_space``: how vectors are packed, added, scaled and
+The channel-error search and l_q share one multiset walk,
+``_first_column_multiset``: an interference representative needs
+wt(zG) >= 2*delta_c + 1, a message m of a systematic [I | P] needs
+d - wt(m) from the parity columns.
+
+All of these work over any F_q through one seam,
+``linalg.vector_space``: how vectors are packed, added, scaled and
 multiplied is decided there, once, and nothing here tests q itself.
 
 ``minrank`` covers the error-free channel only; with delta_c > 0 it is
@@ -52,7 +56,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .codeset import (DEFAULT_ENUM_BITS, _check_enum_budget, _representatives,
+from .codeset import (DEFAULT_ENUM_BITS, _check_enum_budget,
                       contains_compressible, gamma_mask, interference_supports,
                       is_valid_generator)
 from .errors import (BudgetExceededError, CycleTooSmallError,
@@ -424,6 +428,42 @@ def core_length(spec: ProblemSpec,
 # ---------------------------------------------------------------------------
 # optimal length: projective column-multiset search (with channel errors)
 
+def _first_column_multiset(vectors, need_of, lengths, prefix: int,
+                           budget: int):
+    """The first N in lengths with a multiset C of N - prefix projective
+    columns under which every projective z of vectors reaches
+    wt(zC) >= need_of(z's support mask), as (N, C packed), or None.
+
+    Each length's multisets, counted from the (q^k - 1)/(q - 1) points
+    of F_q^k, are checked against the budget before that length is
+    walked and before any point is listed.  The z with a positive need
+    (both callers have some) are grouped by need; a candidate is tested
+    on the most demanding group first and on the rest only if it passes,
+    so a channel-error candidate, one group, costs one first_failing."""
+    q = vectors.q
+    npoints = (q ** vectors.n - 1) // (q - 1)
+    first_failing = vectors.first_failing
+    points = None
+    for N in lengths:
+        count = math.comb(npoints + N - prefix - 1, N - prefix)
+        if count > budget:
+            raise BudgetExceededError(
+                f"{count} column multisets at length {N} exceed the budget")
+        if points is None:
+            points = vectors.projective()
+            by_need: dict[int, list] = {}
+            for z, s in zip(points, vectors.supports(points)):
+                need = need_of(s)
+                if need > 0:
+                    by_need.setdefault(need, []).append(z)
+            (need, zs), *rest = sorted(by_need.items(), reverse=True)
+        for cols in itertools.combinations_with_replacement(points, N - prefix):
+            if first_failing(zs, cols, need) < 0 and all(
+                    first_failing(ws, cols, w) < 0 for w, ws in rest):
+                return N, cols
+    return None
+
+
 def _gecic_bounds(q: int, n0: int, gam: int,
                  delta_c: int) -> tuple[tuple[int, int], int]:
     """The channel-error bounds on the optimal length, from the
@@ -481,21 +521,16 @@ def _optimal_length_gecic(spec: ProblemSpec, subspace_budget: int,
     n0, _, table, gam = _core_search(spec, subspace_budget)
     lowers, cap = _gecic_bounds(q, n0, gam, spec.delta_c)
     need = 2 * spec.delta_c + 1
-    vectors = vector_space(field, n)
-    points = vectors.projective()
-    # interference_masks(spec), read off the core search's table
     _check_enum_budget(spec, DEFAULT_ENUM_BITS)
-    zs = _representatives(vectors, table)
-    for N in range(max(lowers), cap + 1):
-        ncombos = math.comb(len(points) + N - 1, N)
-        if ncombos > combo_budget:
-            raise BudgetExceededError(
-                f"{ncombos} column multisets at length {N} exceed the budget")
-        for cols in itertools.combinations_with_replacement(points, N):
-            if vectors.first_failing(zs, cols, need) < 0:
-                return N, Matrix(field, zip(*map(vectors.unpack, cols)), ncols=N)
-    raise AssertionError(
-        "the classical-code upper bound guarantees a hit by the cap")
+    vectors = vector_space(field, n)
+    # an interference z needs wt(zG) >= need, any other z nothing
+    hit = _first_column_multiset(vectors, lambda s: need * table[s],
+                                 range(max(lowers), cap + 1), 0, combo_budget)
+    if hit is None:
+        raise AssertionError(
+            "the classical-code upper bound guarantees a hit by the cap")
+    N, cols = hit
+    return N, Matrix(field, zip(*map(vectors.unpack, cols)), ncols=N)
 
 
 def optimal_length(spec: ProblemSpec,
@@ -546,11 +581,15 @@ def min_distance_from_parity(H: Matrix, budget_bits: int = DEFAULT_IND_BITS) -> 
         raise ValueError("trivial code: H has full column rank")
     if k * math.log2(field.q) > budget_bits:
         raise BudgetExceededError(f"codebook of size {field.q}^{k} too large")
-    # weights are invariant under scaling: projective messages suffice
+    # weights are invariant under scaling: projective messages suffice;
+    # the rows are independent, so every codeword has weight >= 1
     vectors = vector_space(field, k)
     cols = [vectors.pack(c) for c in basis.columns()]
-    return min(vectors.weight(vectors.codeword(m, cols))
-               for m in vectors.projective())
+    msgs = vectors.projective()
+    d = 1
+    while vectors.first_failing(msgs, cols, d + 1) < 0:
+        d += 1
+    return d
 
 
 def clique_from_parity(H: Matrix, delta_s: int) -> tuple[Matrix, ProblemSpec]:
@@ -623,45 +662,34 @@ def ind_q(q: int, N: int, k: int,
     return max(_max_kindep_containing_basis(field, r, k) for r in range(1, N + 1))
 
 
-def _systematic_code_exists(q: int, n: int, a: int, d: int) -> bool:
-    """Is there an [n, a, >= d] linear code over F_q?  Up to coordinate
-    permutation every such code has a systematic generator [I | P].
-    Permuting or scaling parity columns keeps every codeword weight, and
-    a zero column can be swapped for any other without lowering one, so
-    trying each multiset of projective parity columns is exhaustive.
-    Weights are invariant under scaling, so only projective messages are
-    checked."""
-    vectors = vector_space(field_for(q), a)
-    points = vectors.projective()
-    # m [I | P] has weight wt(m) + wt(mP)
-    msgs = [(m, vectors.weight(m)) for m in points]
-    for parity in itertools.combinations_with_replacement(points, n - a):
-        if all(w + vectors.weight(vectors.codeword(m, parity)) >= d
-               for m, w in msgs):
-            return True
-    return False
-
-
 @lru_cache(maxsize=None)
 def l_q(q: int, a: int, d: int, max_len: int = DEFAULT_LEN_CAP,
         budget_bits: int = DEFAULT_FREE_BITS) -> int:
     """Shortest length of a linear code over F_q with dimension a and
     minimum distance at least d; exhaustive from the Griesmer bound up.
-    A length is searched only if its multisets of n - a projective
-    parity columns number at most 2^budget_bits."""
+
+    Up to coordinate permutation every such code has a systematic
+    generator [I | P], and m [I | P] has weight wt(m) + wt(mP).
+    Permuting or scaling parity columns keeps every codeword weight, and
+    a zero column can be swapped for any other without lowering one, so
+    trying each multiset of projective parity columns is exhaustive;
+    weights are invariant under scaling, so only projective messages m
+    are checked, each needing wt(mP) >= d - wt(m).  A length is searched
+    only if its multisets of n - a parity columns number at most
+    2^budget_bits."""
     if a < 1 or d < 1:
         raise ValueError("need a >= 1 and d >= 1")
     if d == 1:
         return a
     griesmer = sum(-(-d // q ** i) for i in range(a))
-    points = (q ** a - 1) // (q - 1)
-    for n in range(max(griesmer, a), max_len + 1):
-        if math.comb(points + n - a - 1, n - a) > 1 << budget_bits:
-            raise BudgetExceededError(
-                f"systematic search at length {n} exceeds the budget")
-        if _systematic_code_exists(q, n, a, d):
-            return n
-    raise BudgetExceededError(f"no [n, {a}, {d}] code found up to length {max_len}")
+    hit = _first_column_multiset(vector_space(field_for(q), a),
+                                 lambda s: d - s.bit_count(),
+                                 range(griesmer, max_len + 1), a,
+                                 1 << budget_bits)
+    if hit is None:
+        raise BudgetExceededError(
+            f"no [n, {a}, {d}] code found up to length {max_len}")
+    return hit[0]
 
 
 # ---------------------------------------------------------------------------

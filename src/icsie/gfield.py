@@ -175,12 +175,16 @@ class Field:
         return a
 
     def add(self, a: int, b: int) -> int:
+        if self.p == 2:                 # digit-wise mod 2 is XOR
+            return a ^ b
         if self.e == 1:
             return (a + b) % self.p
         da, db = self._digits(a), self._digits(b)
         return self._undigits((x + y) % self.p for x, y in zip(da, db))
 
     def sub(self, a: int, b: int) -> int:
+        if self.p == 2:                 # in characteristic 2, sub is add
+            return a ^ b
         if self.e == 1:
             return (a - b) % self.p
         da, db = self._digits(a), self._digits(b)

@@ -6,11 +6,14 @@ integer ordering of masks equals the lexicographic ordering of the
 corresponding coordinate tuples.  Python ints grow, so every kernel
 takes any number of columns.
 
-Callers look the kernels up as attributes of this module
-(``kernels.gf2_rank``), never by importing the functions, so the
-benchmark's tracer can wrap ``gf2_first_failing`` and ``gf2_rank`` here
-by name.  ``gf2_span_intersects`` has no caller in the library; it
-stays only because that tracer still wraps it by name.
+``gf2_first_failing`` is the one weight test over F_2: validity, the
+column-multiset searches of ``encoder`` and the minimum distance all
+ask it through ``linalg.vector_space``.  ``gf2_rank`` ranks F_2
+matrices for ``linalg.Matrix``.  Callers look the kernels up as
+attributes of this module (``kernels.gf2_rank``), never by importing
+the functions, so the benchmark's tracer can wrap them here by name.
+``gf2_span_intersects`` has no caller in the library; it stays only
+because that tracer still wraps it by name.
 """
 
 from __future__ import annotations
@@ -33,25 +36,11 @@ def gf2_rank(rows: list[int]) -> int:
     return rank
 
 
-def gf2_mul_vec(z: int, cols: list[int]) -> int:
-    """Row vector z times the matrix with the given column masks.
-
-    Output bit k (0 = first output coordinate, stored at the high end)
-    is the parity of z & cols[k].
-    """
-    ncols = len(cols)
-    out = 0
-    for k in range(ncols):
-        if (z & cols[k]).bit_count() & 1:
-            out |= 1 << (ncols - 1 - k)
-    return out
-
-
 def gf2_first_failing(zs: list[int], cols: list[int], need: int) -> int:
     """Index of the first z in zs with wt(z * G) < need, or -1.
 
-    G is given by its column masks.  Used as the hot loop of generator
-    validity checks.
+    G is given by its column masks.  The hot loop of generator validity
+    checks, of the column-multiset searches and of the minimum distance.
     """
     for idx, z in enumerate(zs):
         w = 0

@@ -79,12 +79,11 @@ def vector_space(field: Field, n: int):
     Both packings share one interface: pack / unpack; projective(), the
     vectors with first nonzero entry 1 in the lexicographic order of
     their coordinate tuples; supports(vs), masks with coordinate 1 in
-    the highest bit; weight(v); codeword(x, cols), x times the matrix
-    with these packed columns, packed in F_q^len(cols); and
-    first_failing(zs, cols, need), the index of the first z with
-    wt(z * G) < need, or -1.  extend(span, v, table) serves the subspace
-    walk: the span of span + {v}, or None when the coset v + span meets
-    the interference table (indexed by support mask); interference is
+    the highest bit; and first_failing(zs, cols, need), the index of the
+    first z with wt(z * G) < need, or -1, for G the matrix with these
+    packed columns.  extend(span, v, table) serves the subspace walk:
+    the span of span + {v}, or None when the coset v + span meets the
+    interference table (indexed by support mask); interference is
     closed under scaling, so only that coset is tested.  Sums of many
     vectors, as a decode and the decodability oracle make, are
     LaneVectors' work: one packing and one int addition for every q.
@@ -94,7 +93,7 @@ def vector_space(field: Field, n: int):
 
 class _F2Vectors:
     """F_2^n as int masks: adding is XOR and a mask is its own support;
-    codeword and first_failing are the GF(2) kernels."""
+    first_failing is the GF(2) kernel."""
 
     q = 2
 
@@ -119,12 +118,6 @@ class _F2Vectors:
     def supports(self, vs):
         return vs
 
-    def weight(self, v: int) -> int:
-        return v.bit_count()
-
-    def codeword(self, x: int, cols: list[int]) -> int:
-        return kernels.gf2_mul_vec(x, cols)
-
     def first_failing(self, zs: list[int], cols: list[int], need: int) -> int:
         return kernels.gf2_first_failing(zs, cols, need)
 
@@ -146,11 +139,11 @@ class _FqVectors:
     def unpack(self, v: tuple[int, ...]) -> tuple[int, ...]:
         return v
 
-    def vectors(self) -> list[tuple[int, ...]]:
-        return list(itertools.product(range(self.q), repeat=self.n))
-
     def projective(self) -> list[tuple[int, ...]]:
-        return [v for v in self.vectors() if next((a for a in v if a), 0) == 1]
+        # lexicographic: the later the leading 1, the earlier the vector
+        n, q = self.n, self.q
+        return [(0,) * j + (1,) + tail for j in range(n - 1, -1, -1)
+                for tail in itertools.product(range(q), repeat=n - 1 - j)]
 
     def translate(self, v, vs) -> list[tuple[int, ...]]:
         add = self._add
@@ -168,16 +161,13 @@ class _FqVectors:
         bits = self._bits
         return [sum([bit for a, bit in zip(v, bits) if a]) for v in vs]
 
-    def weight(self, v) -> int:
-        return len(v) - v.count(0)
-
-    def codeword(self, x, cols) -> tuple[int, ...]:
-        add, mul = self._add, self._mul
-        return tuple([table_dot(add, mul, x, c) for c in cols])
-
     def first_failing(self, zs, cols, need: int) -> int:
-        return next((idx for idx, z in enumerate(zs)
-                     if self.weight(self.codeword(z, cols)) < need), -1)
+        add, mul = self._add, self._mul
+        for idx, z in enumerate(zs):
+            word = [table_dot(add, mul, z, c) for c in cols]
+            if len(word) - word.count(0) < need:
+                return idx
+        return -1
 
 
 class LaneVectors:

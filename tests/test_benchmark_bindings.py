@@ -28,6 +28,21 @@ def test_every_traced_name_resolves(monkeypatch):
         assert callable(fn), (modname, attr, metric)
 
 
+def test_l_q_keeps_its_cache_counters(monkeypatch):
+    # the tracer reports encoder.l_q.hit_ratio from the traced function's
+    # cache_info(): dropping l_q's lru_cache would break a traced pass
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    (modname, attr), = [(m, a) for m, a, metric in spans.SPANNED
+                        if metric == "encoder.l_q"]
+    l_q = getattr(importlib.import_module(modname), attr)
+    l_q(2, 2, 3)
+    before = l_q.cache_info()
+    assert l_q(2, 2, 3) == 5
+    after = l_q.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
 def test_kernel_backend_is_recorded():
     assert isinstance(icsie.KERNEL_BACKEND, str)
 

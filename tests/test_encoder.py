@@ -7,9 +7,9 @@ from unittest import mock
 
 import pytest
 
-from icsie import codeset, encoder
+from icsie import codeset, encoder, linalg
 from icsie.codeset import first_witness, is_valid_generator, oracle_decodable
-from icsie.encoder import (_SpanTracker, _systematic_code_exists,
+from icsie.encoder import (_first_column_multiset, _SpanTracker,
                            clique_from_parity, complete_template, core_length,
                            cycle_code, fitting_template, gaussian_binomial,
                            ind_q, independent_columns, l_q,
@@ -19,7 +19,7 @@ from icsie.encoder import (_SpanTracker, _systematic_code_exists,
 from icsie.errors import (BudgetExceededError, CycleTooSmallError,
                           DistanceTooSmallError, IcsieError, ParseError)
 from icsie.gfield import _FieldOp, arithmetic, field_for
-from icsie.linalg import Matrix
+from icsie.linalg import Matrix, hamming_weight, vector_space
 from icsie.sigraph import ProblemSpec, SideInfoGraph, clique_graph
 from icsie.structure import edge_deletion_bound
 
@@ -607,6 +607,26 @@ def test_min_distance_from_parity_repetition():
     assert min_distance_from_parity(H) == 4
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_min_distance_from_parity_matches_every_codeword(q):
+    # seeded random parity checks against the least weight over every
+    # nonzero message, each codeword by Matrix.vec_mul
+    f = field_for(q)
+    rng = random.Random(0x3D + q)
+    checked = 0
+    while checked < 12:
+        n = rng.randrange(2, 7)
+        H = Matrix(f, [[rng.randrange(q) for _ in range(n)]
+                       for _ in range(rng.randrange(1, n))])
+        basis = H.null_space_basis()
+        if basis.nrows == 0 or basis.nrows * math.log2(q) > 12:
+            continue
+        want = min(hamming_weight(basis.vec_mul(m)) for m in
+                   itertools.product(range(q), repeat=basis.nrows) if any(m))
+        assert min_distance_from_parity(H) == want
+        checked += 1
+
+
 def test_clique_from_parity_repetition():
     H = Matrix(F2, [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]])
     G, spec = clique_from_parity(H, delta_s=1)
@@ -696,12 +716,35 @@ def test_l_q_pinned():
 
 
 def test_l_q_budget_messages_pinned():
-    with pytest.raises(BudgetExceededError,
-                       match="^systematic search at length 8 exceeds the budget$"):
+    with pytest.raises(BudgetExceededError, match="^25637001 column multisets "
+                       "at length 8 exceed the budget$"):
         l_q(5, 4, 5)
-    with pytest.raises(BudgetExceededError,
-                       match="^systematic search at length 13 exceeds the budget$"):
+    with pytest.raises(BudgetExceededError, match="^1078897248 column multisets "
+                       "at length 13 exceed the budget$"):
         l_q(2, 6, 5)
+
+
+def test_multiset_refusals_list_no_point(monkeypatch):
+    # the 10303 projective points of F_101^3 are never listed when every
+    # length is past the budget; l_q(101, 1, 3), the delta_s = 0 bounds,
+    # lists the one point of F_101^1
+    listed = linalg._FqVectors.projective
+
+    def small_only(self):
+        if self.n > 1:
+            raise AssertionError(f"projective points of F_101^{self.n} listed")
+        return listed(self)
+
+    monkeypatch.setattr(linalg._FqVectors, "projective", small_only)
+    with pytest.raises(BudgetExceededError,
+                       match="^53081056 column multisets at length 5 "):
+        l_q(101, 3, 3)
+    for ds in (0, 1):
+        spec = ProblemSpec(graph=clique_graph(3), q=101, delta_s=ds,
+                           delta_c=1)
+        with pytest.raises(BudgetExceededError,
+                           match=r"^\d+ column multisets at length \d+ "):
+            optimal_length(spec)
 
 
 def test_l_q_budget_counts_multisets():
@@ -734,8 +777,13 @@ def _code_exists_reference(q, n, a, d):
     (4, [(n, a, d) for a in (1, 2) for n in range(a, a + 3) for d in (2, 3)]),
     (5, [(3, 1, 3), (3, 2, 2), (4, 2, 3), (4, 2, 4)])])
 def test_systematic_code_search_matches_every_ordered_parity(q, cases):
+    # l_q's question at the one length n: parity columns of [I | P]
+    # after the a identity columns, message m needing d - wt(m) of them
     for n, a, d in cases:
-        assert _systematic_code_exists(q, n, a, d) == _code_exists_reference(q, n, a, d)
+        hit = _first_column_multiset(vector_space(field_for(q), a),
+                                     lambda s, d=d: d - s.bit_count(),
+                                     [n], a, 1 << 24)
+        assert (hit is not None) == _code_exists_reference(q, n, a, d)
 
 
 def test_l_q_respects_griesmer():

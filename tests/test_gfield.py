@@ -45,6 +45,18 @@ def test_gf2_matches_xor():
     assert f.add(1, 1) == 0 and f.mul(1, 1) == 1
 
 
+@pytest.mark.parametrize("q", [4, 8, 256, 1024])
+def test_characteristic_2_add_and_sub_are_digitwise(q):
+    # the XOR shortcut against the base-2 digit definition, operands
+    # spread over the whole field
+    f, e = Field(q), q.bit_length() - 1
+    elems = sorted({0, 1, q - 1} | set(range(0, q, max(1, q // 37))))
+    for a in elems:
+        for b in elems:
+            want = sum((((a >> i) + (b >> i)) % 2) << i for i in range(e))
+            assert f.add(a, b) == f.sub(a, b) == want
+
+
 @pytest.mark.parametrize("q", SMALL_Q)
 def test_pow(q):
     f = Field(q)

@@ -12,7 +12,7 @@ import random
 from icsie import kernels
 from icsie.codeset import is_valid_generator
 from icsie.gfield import field_for
-from icsie.linalg import Matrix, mask_of, vec_of_mask
+from icsie.linalg import Matrix, vec_of_mask
 from icsie.sigraph import ProblemSpec, clique_graph
 
 F2 = field_for(2)
@@ -37,14 +37,6 @@ def test_rank_agrees():
     for n, rows, _ in _random_cases(1):
         rref_rank = len(Matrix(F2, [vec_of_mask(r, n) for r in rows]).rref()[1])
         assert kernels.gf2_rank(rows) == rref_rank
-
-
-def test_mul_vec_agrees():
-    for n, rows, rng in _random_cases(2):
-        ncols = rng.randrange(1, 10)
-        cols = [rng.randrange(1 << n) for _ in range(ncols)]
-        for z in rows:
-            assert kernels.gf2_mul_vec(z, cols) == mask_of(_codeword(z, cols, n))
 
 
 def test_first_failing_agrees():
@@ -83,13 +75,6 @@ def test_span_intersects_agrees():
 def test_pure_rank_small_known():
     assert kernels.gf2_rank([0b10, 0b01, 0b11]) == 2
     assert kernels.gf2_rank([0]) == 0
-
-
-def test_pure_mul_vec_known():
-    # z selects rows; output bit k (from the high end) is parity of column k
-    cols = [0b110, 0b011]
-    assert kernels.gf2_mul_vec(0b100, cols) == 0b10
-    assert kernels.gf2_mul_vec(0b111, cols) == 0b00
 
 
 # -- vectors wider than a machine word -------------------------------------------
