@@ -1,6 +1,10 @@
 """Command-line front end.
 
 Subcommands: validate, search, encode, decode, analyze, simulate.
+``search`` only loads, calls and prints: its answer, and with
+``--method both`` the check of one exact route against the other, come
+from ``encoder.optimum``, whose MismatchError is printed as a MISMATCH
+line.
 Exit codes: 0 ok, 1 domain failure, 2 parse error, 3 budget exceeded.
 All output is deterministic given (inputs, flags, seed); --json switches
 to machine-readable JSON.
@@ -10,16 +14,14 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import replace
 
 import click
 
 from .codeset import oracle_decodable
 from .decoder import decode_receiver
-from .encoder import (core_length, independent_columns, minrank,
-                      optimal_length, parse_generator, serialize_generator)
+from .encoder import optimum, parse_generator, serialize_generator
 from .errors import (BudgetExceededError, IcsieError, InconsistentError,
-                     NoSolutionError, ParseError)
+                     MismatchError, NoSolutionError, ParseError)
 from .linalg import Matrix
 from .sigraph import ProblemSpec, parse_instance
 from .simulation import SimulationConfig, run_simulation
@@ -85,6 +87,9 @@ def _run(fn) -> None:
     except BudgetExceededError as exc:
         click.echo(f"budget exceeded: {exc}", err=True)
         sys.exit(EXIT_BUDGET)
+    except MismatchError as exc:
+        click.echo(f"MISMATCH: {exc}", err=True)
+        sys.exit(EXIT_DOMAIN)
     except IcsieError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_DOMAIN)
@@ -114,27 +119,7 @@ def validate(instance: str, as_json: bool) -> None:
 def search(instance: str, method: str, as_json: bool) -> None:
     """Find the optimal codelength and a witness generator."""
     def go():
-        spec = _load_instance(instance)
-        results = {}
-        if method in ("minrank", "both"):
-            # minrank knows no channel errors: "both" checks it on the
-            # delta_c = 0 core, and "minrank" alone rejects delta_c > 0
-            mr_spec = replace(spec, delta_c=0) if method == "both" else spec
-            N, completed = minrank(mr_spec)
-            results["minrank"] = (N, independent_columns(completed))
-        if method in ("brute", "both"):
-            results["brute"] = optimal_length(spec)
-        if method == "both":
-            core = (results["brute"][0] if spec.delta_c == 0
-                    else core_length(spec))
-            if results["minrank"][0] != core:
-                click.echo(
-                    f"MISMATCH: minrank {results['minrank'][0]} != "
-                    f"brute {core}", err=True)
-                sys.exit(EXIT_DOMAIN)
-        shown = method if method != "both" else (
-            "minrank" if spec.delta_c == 0 else "brute")
-        N, G = results[shown]
+        N, G = optimum(_load_instance(instance), method)
         _emit(as_json,
               {"N": N, "method": method,
                "G": json.loads(serialize_generator(G))},

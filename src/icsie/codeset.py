@@ -85,12 +85,17 @@ def enum_interference(spec: ProblemSpec,
             yield z, i
 
 
+def packet_mask(packets, n: int) -> int:
+    """Support mask of a set of packets out of n: packet (coordinate) 1
+    in the highest bit, as the kernels and the support tables put it."""
+    return sum(1 << (n - j) for j in packets)
+
+
 def receiver_masks(graph: SideInfoGraph) -> list[tuple[int, int]]:
-    """(demand mask, cache mask) of each receiver, in receiver order.
-    Masks put coordinate 1 in the highest bit, as the kernels do."""
+    """(demand mask, cache mask) of each receiver, in receiver order,
+    as ``packet_mask`` packs them."""
     n = graph.n
-    return [(1 << (n - f), sum(1 << (n - j) for j in X))
-            for f, X in zip(graph.f, graph.X)]
+    return [(1 << (n - f), packet_mask(X, n)) for f, X in zip(graph.f, graph.X)]
 
 
 def support_table(n: int, receivers, cap: int) -> bytearray:

@@ -22,10 +22,12 @@ as a ReceiverDecoder:
 * the syndrome -> (syndrome, correction, suspected packets, h . correction)
   table: the coset leaders of the syndrome decoding of Dau, Skachek &
   Chee, "Error correction for index coding with side information" (IEEE
-  Trans. IT 59(3), 2013, Sec. V).  It is filled in ``find_correction``'s
-  search order -- support size, then supports lexicographically, then
-  coefficients -- and the first correction to reach a syndrome keeps
-  it, so a lookup returns exactly the correction the search would find;
+  Trans. IT 59(3), 2013, Sec. V).  ``_coset_leaders`` is its one
+  definition: the correction patterns come from ``linalg.low_weight``
+  -- support size, then supports lexicographically, then coefficients
+  -- and the first to reach a syndrome keeps it.  ``find_correction``
+  looks a syndrome up there; the decoder re-keys the same table by the
+  packed syndrome, so both return the same correction;
 * a memo from the packed z = A (y - x_hat G_X) to the (value, trace) a
   search decode returned for it, filled as decodes come (see
   ``ReceiverDecoder`` for its bound).
@@ -41,7 +43,6 @@ pick, one lane reduction mod p, and one memo lookup.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from operator import getitem
 from typing import NamedTuple
@@ -49,7 +50,7 @@ from typing import NamedTuple
 from .errors import (DegenerateError, DimensionError, InconsistentError,
                      NoSolutionError)
 from .gfield import arithmetic
-from .linalg import LaneVectors, Matrix, table_dot
+from .linalg import LaneVectors, Matrix, low_weight, table_dot
 from .sigraph import SideInfoGraph
 
 DECODER_CACHE_SIZE = 128     # receivers whose decoders stay built
@@ -99,23 +100,30 @@ def build_context(G: Matrix, graph: SideInfoGraph, i: int) -> ReceiverContext:
         demand_row=demand_row, G_cache=G.submatrix_rows(cache), H=H, H_e=H_e)
 
 
-def _candidate_corrections(ctx: ReceiverContext, delta_s: int, add, mul):
-    """Every combination of at most delta_s cache rows with nonzero
-    coefficients, with the cache packets it blames, in search order:
-    support size, then supports lexicographically, then coefficients."""
-    rows = ctx.G_cache.rows
+def _coset_leaders(ctx: ReceiverContext, delta_s: int) -> dict:
+    """Syndrome -> (correction, suspected cache packets): the coset
+    leaders of the syndrome decoding.  The candidates are the
+    combinations of at most delta_s cache rows with nonzero
+    coefficients, in ``linalg.low_weight``'s order -- support size, then
+    supports lexicographically, then coefficients -- and the first to
+    reach a syndrome keeps it.  Once all q^rows syndromes have one the
+    rest cannot change the table, so the walk stops there."""
+    field, rows = ctx.G_cache.field, ctx.G_cache.rows
+    add, _, mul = arithmetic(field)
     zero = (0,) * ctx.G_cache.ncols
-    units = range(1, ctx.G_cache.field.q)
-    # no support is larger than the cache (combinations(.., t) allocates t)
-    for t in range(min(delta_s, len(rows)) + 1):
-        for support in itertools.combinations(range(len(rows)), t):
-            suspected = tuple(ctx.cache[j] for j in support)
-            for coeffs in itertools.product(units, repeat=t):
-                p = zero
-                for j, c in zip(support, coeffs):
-                    mc = mul[c]
-                    p = tuple(add[a][mc[b]] for a, b in zip(p, rows[j]))
-                yield p, suspected
+    syndromes = field.q ** ctx.H.nrows
+    leaders: dict = {}
+    for support, coeffs in low_weight(len(rows), field.q, delta_s):
+        p = zero
+        for j, c in zip(support, coeffs):
+            mc = mul[c]
+            p = tuple(add[a][mc[b]] for a, b in zip(p, rows[j]))
+        s = ctx.H.mul_col(p)
+        if s not in leaders:
+            leaders[s] = (p, tuple(ctx.cache[j] for j in support))
+            if len(leaders) == syndromes:
+                break
+    return leaders
 
 
 def _no_solution(ctx: ReceiverContext, delta_s: int) -> NoSolutionError:
@@ -126,18 +134,15 @@ def _no_solution(ctx: ReceiverContext, delta_s: int) -> NoSolutionError:
 
 def find_correction(ctx: ReceiverContext, syndrome, delta_s: int
                     ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """A combination of at most delta_s cache rows matching the syndrome.
-
-    Searched by support size, then lexicographically over supports and
-    coefficients, so the result is deterministic.  Returns the
-    correction vector and the blamed cache packet indices.
+    """A combination of at most delta_s cache rows matching the syndrome:
+    its coset leader from ``_coset_leaders``, so the first in support
+    size, then lexicographic order over supports and coefficients.
+    Returns the correction vector and the blamed cache packet indices.
     """
-    add, _, mul = arithmetic(ctx.G_cache.field)
-    syndrome = tuple(syndrome)
-    for p, suspected in _candidate_corrections(ctx, delta_s, add, mul):
-        if ctx.H.mul_col(p) == syndrome:
-            return p, suspected
-    raise _no_solution(ctx, delta_s)
+    leader = _coset_leaders(ctx, delta_s).get(tuple(syndrome))
+    if leader is None:
+        raise _no_solution(ctx, delta_s)
+    return leader
 
 
 @functools.lru_cache(maxsize=8)
@@ -214,18 +219,9 @@ class ReceiverDecoder:
         self._cols += [lanes.multiples([field.neg(e) for e in A.mul_col(g)])
                        for g in ctx.G_cache.rows]
         self._elements = _elements(field.q)
-        # first writer wins; once every syndrome has a writer the rest
-        # of the candidates cannot change the table
-        table: dict = {}
-        syndromes = field.q ** ctx.H.nrows
-        for p, suspected in _candidate_corrections(ctx, delta_s, add, mul):
-            s = ctx.H.mul_col(p)
-            key = lanes.pack(s)
-            if key not in table:
-                table[key] = (s, p, suspected, table_dot(add, mul, self._h, p))
-                if len(table) == syndromes:
-                    break
-        self._table = table
+        self._table = {
+            lanes.pack(s): (s, p, suspected, table_dot(add, mul, self._h, p))
+            for s, (p, suspected) in _coset_leaders(ctx, delta_s).items()}
         self._memo: dict = {}
 
     def decode(self, y, x_hat, forced_correction=None) -> tuple[int, DecodeTrace]:

@@ -40,8 +40,11 @@ All of these work over any F_q through one seam,
 ``linalg.vector_space``: how vectors are packed, added, scaled and
 multiplied is decided there, once, and nothing here tests q itself.
 
-``minrank`` covers the error-free channel only; with delta_c > 0 it is
-compared against ``core_length``, the optimum of the delta_c = 0 core.
+``optimum`` is the one place the two routes meet: it runs one of them
+or both, and with both it checks minrank's length against the direct
+search's, or, since ``minrank`` covers the error-free channel only,
+against ``core_length``, the optimum of the delta_c = 0 core, when
+delta_c > 0.  A disagreement raises ``MismatchError``.
 
 Also here: the bidiagonal cycle code, the parity-check-transpose
 construction for cliques, and the classical-code quantities l_q and
@@ -53,14 +56,15 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .codeset import (DEFAULT_ENUM_BITS, _check_enum_budget,
                       contains_compressible, gamma_mask, interference_supports,
                       is_valid_generator)
 from .errors import (BudgetExceededError, CycleTooSmallError,
-                     DistanceTooSmallError, IcsieError, ParseError)
+                     DistanceTooSmallError, IcsieError, MismatchError,
+                     ParseError)
 from .gfield import Field, arithmetic, field_for
 from .linalg import Matrix, vector_space
 from .sigraph import ProblemSpec, clique_graph, is_integer
@@ -544,6 +548,30 @@ def optimal_length(spec: ProblemSpec,
         assert G.ncols == N
         return N, G
     return _optimal_length_gecic(spec, subspace_budget, combo_budget)
+
+
+def optimum(spec: ProblemSpec, method: str) -> tuple[int, Matrix]:
+    """The optimal length and a witness generator by one route or both:
+    "brute" (``optimal_length``), "minrank" (error-free channel only,
+    its completed template cut to independent columns) or "both".
+    "both" runs minrank on the delta_c = 0 core, then ``optimal_length``,
+    then, when delta_c > 0, ``core_length``, and raises MismatchError
+    unless minrank's length is the core optimum.  Its witness is
+    minrank's when delta_c = 0 and the direct search's otherwise, the
+    only one that corrects channel errors."""
+    if method == "brute":
+        return optimal_length(spec)
+    if method not in ("minrank", "both"):
+        raise ValueError(f"unknown method {method!r}")
+    N, completed = minrank(replace(spec, delta_c=0) if method == "both"
+                           else spec)
+    if method == "minrank":
+        return N, independent_columns(completed)
+    brute = optimal_length(spec)
+    core = brute[0] if spec.delta_c == 0 else core_length(spec)
+    if N != core:
+        raise MismatchError(f"minrank {N} != brute {core}")
+    return (N, independent_columns(completed)) if spec.delta_c == 0 else brute
 
 
 # ---------------------------------------------------------------------------

@@ -52,3 +52,7 @@ class DistanceTooSmallError(IcsieError):
 
 class NotUnipartiteError(IcsieError):
     pass
+
+
+class MismatchError(IcsieError):
+    """Two exact routes to one answer disagree."""

@@ -9,6 +9,7 @@ integer mod p.
 from __future__ import annotations
 
 import functools
+import operator
 
 from .errors import FieldTooLargeError, NotPrimePowerError
 
@@ -117,7 +118,8 @@ class Field:
     across threads.
     """
 
-    __slots__ = ("p", "e", "q", "modulus", "_mul_table", "_inv_table")
+    __slots__ = ("p", "e", "q", "modulus", "_add_table", "_sub_table",
+                 "_mul_table", "_inv_table")
 
     def __init__(self, q: int):
         if q > MAX_Q:
@@ -129,8 +131,8 @@ class Field:
         # modulus: coefficients of the monic degree-e irreducible,
         # constant term first; empty for prime fields.
         self.modulus: tuple[int, ...] = () if e == 1 else _smallest_irreducible(p, e)
-        self._mul_table = None
-        self._inv_table = None
+        self._add_table = self._sub_table = None
+        self._mul_table = self._inv_table = None
         if q <= TABLE_Q_LIMIT and e > 1:
             self._build_tables()
 
@@ -166,6 +168,15 @@ class Field:
                     break
         self._mul_table = table
         self._inv_table = inv
+        if self.p != 2:     # characteristic 2 adds by XOR, without a table
+            self._add_table, self._sub_table = (
+                [[self._digitwise(op, a, b) for b in range(q)] for a in range(q)]
+                for op in (operator.add, operator.sub))
+
+    def _digitwise(self, op, a: int, b: int) -> int:
+        """op applied to a's and b's base-p digits, each mod p."""
+        return self._undigits([op(x, y) % self.p for x, y
+                               in zip(self._digits(a), self._digits(b))])
 
     # -- arithmetic ------------------------------------------------------
 
@@ -179,16 +190,18 @@ class Field:
             return a ^ b
         if self.e == 1:
             return (a + b) % self.p
-        da, db = self._digits(a), self._digits(b)
-        return self._undigits((x + y) % self.p for x, y in zip(da, db))
+        if self._add_table is not None:
+            return self._add_table[a][b]
+        return self._digitwise(operator.add, a, b)
 
     def sub(self, a: int, b: int) -> int:
         if self.p == 2:                 # in characteristic 2, sub is add
             return a ^ b
         if self.e == 1:
             return (a - b) % self.p
-        da, db = self._digits(a), self._digits(b)
-        return self._undigits((x - y) % self.p for x, y in zip(da, db))
+        if self._sub_table is not None:
+            return self._sub_table[a][b]
+        return self._digitwise(operator.sub, a, b)
 
     def neg(self, a: int) -> int:
         return self.sub(0, a)

@@ -58,6 +58,20 @@ def table_dot(add, mul, a: Sequence[int], b: Sequence[int]) -> int:
     return acc
 
 
+def low_weight(k: int, q: int, t: int):
+    """Every vector of F_q^k with at most t nonzero entries, as
+    (positions, values): its 0-based nonzero positions, ascending, and
+    the entries there.  Ordered by weight, then positions
+    lexicographically, then values lexicographically; the zero vector,
+    ((), ()), comes first.  Error patterns are walked in this order: the
+    decoder's coset leaders and the simulation's cache errors."""
+    # no weight exceeds k (combinations(.., w) allocates w)
+    for w in range(min(t, k) + 1):
+        for positions in itertools.combinations(range(k), w):
+            for values in itertools.product(range(1, q), repeat=w):
+                yield positions, values
+
+
 def mask_of(vec: Sequence[int]) -> int:
     """Pack an F_2 vector into an int, coordinate 1 at the highest bit."""
     m = 0

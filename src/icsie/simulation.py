@@ -8,10 +8,12 @@ Mersenne Twister, portable across platforms.  Only the error-free
 channel (delta_c = 0) is simulated; with channel errors use
 ``oracle_decodable``.
 
-The budget counts trials: an exhaustive run makes
-sum_i q^n * |V_i| of them, V_i being receiver i's side-error variants
-(at most min(delta_s, |X_i|) errors each), and a random run makes
-``trials``; either must be at most 2^budget_bits.
+A receiver's side-error variants V_i are the error patterns of
+``linalg.low_weight`` over its cache, at most min(delta_s, |X_i|)
+errors each, in the order the decoder's coset leaders are walked.  The
+budget counts trials: an exhaustive run makes sum_i q^n * |V_i| of
+them, counted by ``_variant_count`` before any variant is listed, and a
+random run makes ``trials``; either must be at most 2^budget_bits.
 
 Both modes feed one inline trial body: each mode yields groups of
 (receiver, message, codeword, clean cache, variants), and the body
@@ -26,6 +28,7 @@ so a repeated trial costs one accumulate and one memo lookup there (see
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -36,8 +39,8 @@ from .decoder import decode_receiver
 from .errors import (BudgetExceededError, DegenerateError, IcsieError,
                      InconsistentError, NoSolutionError)
 from .gfield import arithmetic
-from .linalg import Matrix
-from .sigraph import ProblemSpec
+from .linalg import Matrix, low_weight
+from .sigraph import ProblemSpec, is_integer
 
 DEFAULT_TRIAL_BITS = 24
 MAX_WITNESSES = 10
@@ -51,7 +54,7 @@ class SimulationConfig:
 
     def __post_init__(self):
         if self.trials != "exhaustive" and not (
-                isinstance(self.trials, int) and self.trials >= 1):
+                is_integer(self.trials) and self.trials >= 1):
             raise IcsieError(
                 f'trials must be a positive count or "exhaustive", '
                 f'got {self.trials!r}')
@@ -71,21 +74,9 @@ class SimulationReport:
                 for i, (ok, total) in sorted(self.per_receiver.items())}
 
 
-def _side_error_variants(spec: ProblemSpec, i: int):
-    """All admissible corrupted caches as offsets: list of index/value dicts."""
-    q = spec.q
-    cache = sorted(spec.graph.X[i - 1])
-    out: list[dict[int, int]] = [{}]
-    # no more errors than cached symbols (combinations(.., t) allocates t)
-    for t in range(1, min(spec.delta_s, len(cache)) + 1):
-        for positions in itertools.combinations(range(len(cache)), t):
-            for vals in itertools.product(range(1, q), repeat=t):
-                out.append(dict(zip(positions, vals)))
-    return out
-
-
 def _variant_count(spec: ProblemSpec, cache_size: int) -> int:
-    """len(_side_error_variants) for a cache of the given size."""
+    """How many cache-error variants ``low_weight`` lists for a cache of
+    the given size, counted without listing them."""
     return sum(math.comb(cache_size, t) * (spec.q - 1) ** t
                for t in range(min(spec.delta_s, cache_size) + 1))
 
@@ -118,15 +109,14 @@ def run_simulation(spec: ProblemSpec, G: Matrix,
         raise BudgetExceededError(
             f"{trials} simulation trials exceed the {budget_bits}-bit budget")
     per: dict[int, list[int]] = {i: [0, 0] for i in range(1, g.m + 1)}
-    setups: dict[int, tuple] = {}
 
+    @functools.cache
     def setup(i: int):
         """Receiver i's ascending cache and its side-error variants as
-        (position, delta) pairs."""
-        if i not in setups:
-            setups[i] = (sorted(g.X[i - 1]),
-                         [tuple(v.items()) for v in _side_error_variants(spec, i)])
-        return setups[i]
+        (position, delta) pairs, in ``low_weight``'s order."""
+        cache = sorted(g.X[i - 1])
+        return cache, [tuple(zip(at, deltas)) for at, deltas
+                       in low_weight(len(cache), q, spec.delta_s)]
 
     def every_trial():
         """Each message encoded once, in blocks so memory stays bounded

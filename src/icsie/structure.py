@@ -39,7 +39,8 @@ import random
 from dataclasses import dataclass, field
 
 from .codeset import (contains_compressible, gamma_mask,
-                      interference_supports, receiver_masks, support_table)
+                      interference_supports, packet_mask, receiver_masks,
+                      support_table)
 from .encoder import (DEFAULT_SUBSPACE_BUDGET, _check_subspace_budget,
                       _first_avoiding_basis, _gecic_bounds, _shortest_length,
                       _table_gamma, cycle_code)
@@ -62,12 +63,6 @@ class CycleSet:
 def _check_subset_budget(n: int, budget_bits: int) -> None:
     if n > budget_bits:
         raise BudgetExceededError(f"2^{n} subsets exceed the budget")
-
-
-def _mask(packets, n: int) -> int:
-    """Support mask of a packet set, packet 1 in the highest bit, as in
-    ``codeset.interference_supports``."""
-    return sum(1 << (n - j) for j in packets)
 
 
 def _packets(mask: int, n: int) -> frozenset[int]:
@@ -230,16 +225,16 @@ class BoundsReport:
 
 
 def edge_deletion_bound(spec: ProblemSpec,
-                        exhaustive_cap: int = EDGE_DELETION_EXHAUSTIVE_CAP,
-                        samples: int = EDGE_DELETION_SAMPLES,
-                        seed: int = EDGE_DELETION_SEED) -> tuple[int, bool]:
+                        exhaustive_cap: int = EDGE_DELETION_EXHAUSTIVE_CAP
+                        ) -> tuple[int, bool]:
     """Best error-free-conventional lower bound over cache-edge deletions.
 
     Every way of deleting min(side_weight_cap(), |X_i|) cache edges per
     receiver yields a conventional instance (delta_s = 0) whose optimum
     lower-bounds ours, so the maximum over deletions is wanted.  Exhaustive
-    when the choice space is small; otherwise a deterministic sample,
-    still a valid lower bound but flagged uncertified.
+    when the choice space is small; otherwise EDGE_DELETION_SAMPLES
+    choices drawn with the fixed seed EDGE_DELETION_SEED, still a valid
+    lower bound but flagged uncertified.
 
     A reduced instance's optimum depends only on q and its support table,
     so each choice's table is built from the shrunken cache masks, and
@@ -268,10 +263,10 @@ def edge_deletion_bound(spec: ProblemSpec,
         choice_iter = itertools.product(*per_receiver)
         certified = True
     else:
-        rng = random.Random(seed)
+        rng = random.Random(EDGE_DELETION_SEED)
         choice_iter = ([choices[rng.randrange(len(choices))]
                         for choices in per_receiver]
-                       for _ in range(samples))
+                       for _ in range(EDGE_DELETION_SAMPLES))
         certified = False
     _check_subspace_budget(n, n - 1, spec.q, DEFAULT_SUBSPACE_BUDGET)
     receivers = receiver_masks(g)
@@ -280,7 +275,7 @@ def edge_deletion_bound(spec: ProblemSpec,
     searched: set[bytes] = set()
     best = 0
     for choices in choice_iter:
-        kept = {(fm, xm & ~_mask(drop, n))
+        kept = {(fm, xm & ~packet_mask(drop, n))
                 for (fm, xm), drop in zip(receivers, choices)}
         table = bytes(support_table(n, kept, 0))
         if table in searched:
@@ -376,7 +371,7 @@ def bounds_report(spec: ProblemSpec,
         # cycle?  A compressible set of the instance without R is one of
         # the original that misses R.
         full = (1 << g.n) - 1
-        cor1_exact = any(not holds[full & ~_mask(removal, g.n)]
+        cor1_exact = any(not holds[full & ~packet_mask(removal, g.n)]
                          for removal in itertools.product(*packing))
         entries["n_minus_beta"] = BoundEntry(
             "exact" if cor1_exact else "upper", g.n - beta, "icsie",

@@ -12,8 +12,14 @@ import functools
 import importlib
 from pathlib import Path
 
+import pytest
+from click.testing import CliRunner
+
 import icsie
-from icsie.sigraph import ProblemSpec, clique_graph, parse_instance
+from icsie import encoder
+from icsie.cli import main
+from icsie.sigraph import (ProblemSpec, clique_graph, parse_instance,
+                           serialize_instance)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -41,6 +47,30 @@ def test_l_q_keeps_its_cache_counters(monkeypatch):
     assert l_q(2, 2, 3) == 5
     after = l_q.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+@pytest.mark.parametrize("method, delta_c, calls", [
+    ("brute", 0, 1), ("brute", 1, 1), ("both", 0, 1), ("both", 1, 1),
+    ("minrank", 0, 0)])
+def test_search_calls_optimal_length_once(monkeypatch, tmp_path, method,
+                                          delta_c, calls):
+    # the traced benchmark counts one top-level encoder.optimal_length
+    # call per search operation that runs the direct search, through the
+    # module attribute its tracer rebinds; calling _core_search or
+    # _optimal_length_gecic directly would make that count 0
+    real, seen = encoder.optimal_length, []
+
+    def counted(*args, **kwargs):
+        seen.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(encoder, "optimal_length", counted)
+    inst = tmp_path / "inst.json"
+    inst.write_text(serialize_instance(ProblemSpec(
+        graph=clique_graph(4), q=2, delta_s=1, delta_c=delta_c)))
+    res = CliRunner().invoke(main, ["search", "--method", method, str(inst)])
+    assert res.exit_code == 0, res.output
+    assert len(seen) == calls
 
 
 def test_kernel_backend_is_recorded():

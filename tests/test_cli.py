@@ -112,6 +112,22 @@ def test_search_both_channel_errors_checks_core(runner, clique4_dc1_file):
     assert oracle_decodable(spec, G)
 
 
+@pytest.mark.parametrize("delta_c", [0, 1])
+def test_search_mismatch_is_one_stderr_line(runner, tmp_path, monkeypatch,
+                                            delta_c):
+    # minrank made to report one more than the core optimum 3
+    real = encoder.minrank
+    monkeypatch.setattr(encoder, "minrank",
+                        lambda spec: (real(spec)[0] + 1, real(spec)[1]))
+    spec = ProblemSpec(graph=clique_graph(4), q=2, delta_s=1, delta_c=delta_c)
+    inst = tmp_path / "inst.json"
+    inst.write_text(serialize_instance(spec))
+    res = runner.invoke(main, ["search", str(inst)])
+    assert res.exit_code == EXIT_DOMAIN
+    assert res.stdout == ""
+    assert res.stderr == "MISMATCH: minrank 4 != brute 3\n"
+
+
 def test_search_minrank_rejects_channel_errors(runner, clique4_dc1_file):
     inst, _ = clique4_dc1_file
     res = runner.invoke(main, ["search", inst, "--method", "minrank"])
@@ -668,11 +684,11 @@ def _small_budgets():
     """The searches of search and analyze at SMALL_BITS-sized budgets."""
     small = 1 << SMALL_BITS
     return (
-        mock.patch.object(cli, "optimal_length", functools.partial(
+        mock.patch.object(encoder, "optimal_length", functools.partial(
             optimal_length, subspace_budget=small, combo_budget=small)),
-        mock.patch.object(cli, "core_length", functools.partial(
+        mock.patch.object(encoder, "core_length", functools.partial(
             encoder.core_length, subspace_budget=small)),
-        mock.patch.object(cli, "minrank", functools.partial(
+        mock.patch.object(encoder, "minrank", functools.partial(
             encoder.minrank, budget_bits=SMALL_BITS)),
         mock.patch.object(structure, "DEFAULT_SUBSPACE_BUDGET", small),
         mock.patch.object(structure, "DEFAULT_SUBSET_BITS", SMALL_BITS))

@@ -14,10 +14,11 @@ from icsie.encoder import (_first_column_multiset, _SpanTracker,
                            cycle_code, fitting_template, gaussian_binomial,
                            ind_q, independent_columns, l_q,
                            min_distance_from_parity, minrank, optimal_length,
-                           parse_generator, serialize_generator,
+                           optimum, parse_generator, serialize_generator,
                            template_column_vector)
 from icsie.errors import (BudgetExceededError, CycleTooSmallError,
-                          DistanceTooSmallError, IcsieError, ParseError)
+                          DistanceTooSmallError, IcsieError, MismatchError,
+                          ParseError)
 from icsie.gfield import _FieldOp, arithmetic, field_for
 from icsie.linalg import Matrix, hamming_weight, vector_space
 from icsie.sigraph import ProblemSpec, SideInfoGraph, clique_graph
@@ -278,6 +279,32 @@ def test_minrank_rejects_channel_errors():
 def test_core_length_is_the_error_free_optimum():
     spec = ProblemSpec(graph=clique_graph(4), q=2, delta_s=1, delta_c=1)
     assert core_length(spec) == minrank(CLIQUE4)[0] == 3
+
+
+@pytest.mark.parametrize("delta_c", [0, 1])
+def test_optimum_returns_each_routes_witness(delta_c):
+    spec = replace(CLIQUE4, delta_c=delta_c)
+    brute = optimal_length(spec)
+    assert optimum(spec, "brute") == brute
+    if delta_c == 0:
+        N, completed = minrank(spec)
+        assert optimum(spec, "minrank") == (N, independent_columns(completed))
+        assert optimum(spec, "both") == optimum(spec, "minrank")
+    else:
+        assert optimum(spec, "both") == brute
+    with pytest.raises(ValueError, match="unknown method"):
+        optimum(spec, "fastest")
+
+
+@pytest.mark.parametrize("delta_c", [0, 1])
+def test_optimum_raises_when_the_routes_disagree(monkeypatch, delta_c):
+    # minrank reports one more than the core optimum 3: at delta_c = 1
+    # it is compared with core_length, at delta_c = 0 with the search
+    real = encoder.minrank
+    monkeypatch.setattr(encoder, "minrank",
+                        lambda spec: (real(spec)[0] + 1, real(spec)[1]))
+    with pytest.raises(MismatchError, match=r"^minrank 4 != brute 3$"):
+        optimum(replace(CLIQUE4, delta_c=delta_c), "both")
 
 
 # minrank's (N, completed G) as the Field-call rank tracker found them

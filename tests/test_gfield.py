@@ -1,7 +1,7 @@
 import pytest
 
 from icsie.errors import FieldTooLargeError, NotPrimePowerError
-from icsie.gfield import Field, field_for
+from icsie.gfield import TABLE_Q_LIMIT, Field, field_for
 
 SMALL_Q = [2, 3, 4, 5, 7, 8, 9, 16, 25]
 
@@ -55,6 +55,29 @@ def test_characteristic_2_add_and_sub_are_digitwise(q):
         for b in elems:
             want = sum((((a >> i) + (b >> i)) % 2) << i for i in range(e))
             assert f.add(a, b) == f.sub(a, b) == want
+
+
+@pytest.mark.parametrize("q", [9, 25, 27, 49, 81, 121, 125, 243, 343, 625])
+def test_odd_extension_add_and_sub_are_digitwise(q):
+    # tabulated up to TABLE_Q_LIMIT, digit by digit above it: both
+    # against the base-p digit definition
+    f = Field(q)
+    p, e = f.p, f.e
+    elems = (range(q) if q <= TABLE_Q_LIMIT
+             else sorted({0, 1, q - 1} | set(range(0, q, q // 37))))
+
+    def digits(a):
+        return [a // p ** i % p for i in range(e)]
+
+    def element(ds):
+        return sum(d * p ** i for i, d in enumerate(ds))
+
+    for a in elems:
+        da = digits(a)
+        for b in elems:
+            db = digits(b)
+            assert f.add(a, b) == element([(x + y) % p for x, y in zip(da, db)])
+            assert f.sub(a, b) == element([(x - y) % p for x, y in zip(da, db)])
 
 
 @pytest.mark.parametrize("q", SMALL_Q)

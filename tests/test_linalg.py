@@ -7,13 +7,27 @@ from hypothesis import strategies as st
 
 from icsie.errors import FieldMismatchError
 from icsie.gfield import field_for
-from icsie.linalg import (LaneVectors, Matrix, dot, hamming_weight, mask_of,
-                          subvector, vec_add, vec_of_mask, vec_scale, vec_sub,
-                          vector_space)
+from icsie.linalg import (LaneVectors, Matrix, dot, hamming_weight,
+                          low_weight, mask_of, subvector, vec_add, vec_of_mask,
+                          vec_scale, vec_sub, vector_space)
 
 F2 = field_for(2)
 F3 = field_for(3)
 F4 = field_for(4)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("k", range(6))
+def test_low_weight_lists_each_light_vector_once_in_order(k, q):
+    # every vector of weight <= t, sorted by (weight, positions, values)
+    for t in range(k + 3):
+        want = []
+        for v in itertools.product(range(q), repeat=k):
+            at = tuple(j for j in range(k) if v[j])
+            if len(at) <= t:
+                want.append((len(at), at, tuple(v[j] for j in at)))
+        assert list(low_weight(k, q, t)) == [(at, vals)
+                                             for _, at, vals in sorted(want)]
 
 
 def test_subvector_one_based():

@@ -12,7 +12,7 @@ from icsie.errors import (BudgetExceededError, DegenerateError,
                           FieldMismatchError, IcsieError, InconsistentError,
                           NoSolutionError)
 from icsie.gfield import field_for
-from icsie.linalg import Matrix
+from icsie.linalg import Matrix, low_weight
 from icsie.sigraph import ProblemSpec, SideInfoGraph, clique_graph
 from icsie.simulation import SimulationConfig, run_simulation
 
@@ -59,10 +59,18 @@ def test_random_mode_trials_within_budget():
         run_simulation(spec, G, SimulationConfig(trials=2 ** 6 + 1), budget_bits=6)
 
 
-@pytest.mark.parametrize("trials", [0, -5, "12", 2.5])
+@pytest.mark.parametrize("trials", [0, -5, "12", 2.5, True, False])
 def test_trial_count_must_be_positive(trials):
+    # a bool is no count, although Python reads True as 1
     with pytest.raises(IcsieError, match="positive count"):
         SimulationConfig(trials=trials)
+
+
+def test_a_count_of_one_runs_one_trial():
+    spec = ProblemSpec(graph=clique_graph(4), q=2, delta_s=1)
+    report = run_simulation(spec, Matrix.identity(field_for(2), 4),
+                            SimulationConfig(trials=1))
+    assert sum(total for _, total in report.per_receiver.values()) == 1
 
 
 
@@ -106,7 +114,8 @@ def test_exhaustive_witnesses_in_receiver_then_message_order(monkeypatch):
     for i in range(1, 5):
         cache = sorted(F3_CLIQUE4.graph.X[i - 1])
         for x in itertools.product(range(3), repeat=4):
-            for offsets in simulation._side_error_variants(F3_CLIQUE4, i):
+            for positions, deltas in low_weight(len(cache), 3, 1):
+                offsets = dict(zip(positions, deltas))
                 x_hat = [x[j - 1] for j in cache]
                 for pos, delta in offsets.items():
                     x_hat[pos] = (x_hat[pos] + delta) % 3
