@@ -34,7 +34,10 @@ Two exact routes to the optimal length are implemented and must agree:
 The channel-error search and l_q share one multiset walk,
 ``_first_column_multiset``: an interference representative needs
 wt(zG) >= 2*delta_c + 1, a message m of a systematic [I | P] needs
-d - wt(m) from the parity columns.
+d - wt(m) from the parity columns.  The walk places columns depth
+first and keeps every z's hit count in saturating bit-slices over the
+z, one big-int per count, cutting a branch as soon as some z can no
+longer reach its need with the columns left; it asks no weight test.
 
 All of these work over any F_q through one seam,
 ``linalg.vector_space``: how vectors are packed, added, scaled and
@@ -440,14 +443,54 @@ def _first_column_multiset(vectors, need_of, lengths, prefix: int,
 
     Each length's multisets, counted from the (q^k - 1)/(q - 1) points
     of F_q^k, are checked against the budget before that length is
-    walked and before any point is listed.  The z with a positive need
-    (both callers have some) are grouped by need; a candidate is tested
-    on the most demanding group first and on the rest only if it passes,
-    so a channel-error candidate, one group, costs one first_failing."""
+    walked and before any point is listed.  A length is one depth-first
+    walk over its multisets in ``combinations_with_replacement`` order,
+    points taken in non-decreasing index, counting hits in saturating
+    bit-slices (Biham, FSE 1997):
+
+    * only the z with a positive need are listed (both callers have
+      some); z number k is bit k of every mask, and a point's hit mask
+      (from ``hit_masks``, computed when the walk first reaches the
+      point) holds the z it meets with z . c != 0;
+    * with top the largest need, z starts at top - need(z) hits, so
+      every z is satisfied exactly when it reaches top;
+    * slice t, for t = 0..top, is the set of z with at least t hits,
+      the count capped at top; adding a column with hit mask h sets
+      slice t to slice t | (slice t-1 & h);
+    * a column adds at most one hit to a z, so with `left` columns
+      still to place a branch is cut unless slice top - left is every z.
+
+    A cut subtree holds no multiset that passes, and the walk visits
+    the rest in the order ``combinations_with_replacement`` lists them,
+    so the first multiset it completes is the first that order passes.
+    A node updates only the slices above the last full one, at most
+    top of them."""
     q = vectors.q
     npoints = (q ** vectors.n - 1) // (q - 1)
-    first_failing = vectors.first_failing
     points = None
+
+    def walk(i: int, slices: list[int], left: int) -> list[int] | None:
+        # indices of the first completion from point i on, or None;
+        # slices[top - left] is every z, and the column placed here must
+        # make slices[lo] every z too
+        lo = top - left + 1
+        miss = full & ~slices[lo] if lo > 0 else 0
+        below = max(lo, 1)
+        for j in range(i, npoints):
+            if j == len(hits):
+                hits.append(next(masks))
+            h = hits[j]
+            if h & miss != miss:
+                continue
+            if left == 1:
+                return [j]
+            rest = walk(j, slices[:below] + [slices[t] | (slices[t - 1] & h)
+                                             for t in range(below, top + 1)],
+                        left - 1)
+            if rest is not None:
+                return [j] + rest
+        return None
+
     for N in lengths:
         count = math.comb(npoints + N - prefix - 1, N - prefix)
         if count > budget:
@@ -455,16 +498,21 @@ def _first_column_multiset(vectors, need_of, lengths, prefix: int,
                 f"{count} column multisets at length {N} exceed the budget")
         if points is None:
             points = vectors.projective()
-            by_need: dict[int, list] = {}
-            for z, s in zip(points, vectors.supports(points)):
-                need = need_of(s)
-                if need > 0:
-                    by_need.setdefault(need, []).append(z)
-            (need, zs), *rest = sorted(by_need.items(), reverse=True)
-        for cols in itertools.combinations_with_replacement(points, N - prefix):
-            if first_failing(zs, cols, need) < 0 and all(
-                    first_failing(ws, cols, w) < 0 for w, ws in rest):
-                return N, cols
+            needs = [need_of(s) for s in vectors.supports(points)]
+            zs = [z for z, need in zip(points, needs) if need > 0]
+            needs = [need for need in needs if need > 0]
+            top = max(needs)
+            full = (1 << len(zs)) - 1
+            start = [sum(1 << k for k, need in enumerate(needs)
+                         if need <= top - t) for t in range(top + 1)]
+            hits: list[int] = []
+            masks = vectors.hit_masks(zs, points)
+        ncols = N - prefix
+        if ncols < top and start[top - ncols] != full:
+            continue
+        placed = walk(0, start, ncols)
+        if placed is not None:
+            return N, tuple(points[j] for j in placed)
     return None
 
 

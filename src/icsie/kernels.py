@@ -6,9 +6,10 @@ integer ordering of masks equals the lexicographic ordering of the
 corresponding coordinate tuples.  Python ints grow, so every kernel
 takes any number of columns.
 
-``gf2_first_failing`` is the one weight test over F_2: validity, the
-column-multiset searches of ``encoder`` and the minimum distance all
-ask it through ``linalg.vector_space``.  ``gf2_rank`` ranks F_2
+``gf2_first_failing`` is the one weight test over F_2: validity and the
+minimum distance ask it through ``linalg.vector_space``; the
+column-multiset walk of ``encoder`` counts hits in bit-slices instead
+and asks it nothing.  ``gf2_rank`` ranks F_2
 matrices for ``linalg.Matrix``.  Callers look the kernels up as
 attributes of this module (``kernels.gf2_rank``), never by importing
 the functions, so the benchmark's tracer can wrap them here by name.
@@ -40,7 +41,7 @@ def gf2_first_failing(zs: list[int], cols: list[int], need: int) -> int:
     """Index of the first z in zs with wt(z * G) < need, or -1.
 
     G is given by its column masks.  The hot loop of generator validity
-    checks, of the column-multiset searches and of the minimum distance.
+    checks and of the minimum distance.
     """
     for idx, z in enumerate(zs):
         w = 0

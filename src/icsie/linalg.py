@@ -93,9 +93,13 @@ def vector_space(field: Field, n: int):
     Both packings share one interface: pack / unpack; projective(), the
     vectors with first nonzero entry 1 in the lexicographic order of
     their coordinate tuples; supports(vs), masks with coordinate 1 in
-    the highest bit; and first_failing(zs, cols, need), the index of the
+    the highest bit; first_failing(zs, cols, need), the index of the
     first z with wt(z * G) < need, or -1, for G the matrix with these
-    packed columns.  extend(span, v, table) serves the subspace walk:
+    packed columns, which validity and the minimum distance ask; and
+    hit_masks(zs, cs), for each c of cs in turn, computed as it is
+    read, the bitset of the z in zs with z . c != 0, bit k for zs[k],
+    which the column-multiset walk counts in bit-slices.
+    extend(span, v, table) serves the subspace walk:
     the span of span + {v}, or None when the coset v + span meets the
     interference table (indexed by support mask); interference is
     closed under scaling, so only that coset is tested.  Sums of many
@@ -106,8 +110,8 @@ def vector_space(field: Field, n: int):
 
 
 class _F2Vectors:
-    """F_2^n as int masks: adding is XOR and a mask is its own support;
-    first_failing is the GF(2) kernel."""
+    """F_2^n as int masks: adding is XOR, a mask is its own support and
+    z . c is the parity of z & c; first_failing is the GF(2) kernel."""
 
     q = 2
 
@@ -134,6 +138,19 @@ class _F2Vectors:
 
     def first_failing(self, zs: list[int], cols: list[int], need: int) -> int:
         return kernels.gf2_first_failing(zs, cols, need)
+
+    def hit_masks(self, zs: list[int], cs):
+        # z . c is the parity of z & c, so the z that c hits are the XOR,
+        # over c's coordinates, of the z holding that coordinate
+        at_bit = [sum(1 << k for k, z in enumerate(zs) if z >> b & 1)
+                  for b in range(self.n)]
+        for c in cs:
+            m = 0
+            while c:
+                low = c & -c
+                m ^= at_bit[low.bit_length() - 1]
+                c ^= low
+            yield m
 
 
 class _FqVectors:
@@ -182,6 +199,21 @@ class _FqVectors:
             if len(word) - word.count(0) < need:
                 return idx
         return -1
+
+    def hit_masks(self, zs, cs):
+        add, mul = self._add, self._mul
+        # each z as its nonzero coordinates and their rows of mul,
+        # listed from the last z so that zs[k] lands at bit k
+        terms = [[(j, mul[a]) for j, a in enumerate(z) if a]
+                 for z in reversed(zs)]
+        for c in cs:
+            m = 0
+            for term in terms:
+                acc = 0
+                for j, row in term:
+                    acc = add[acc][row[c[j]]]
+                m = (m << 1) | (acc != 0)
+            yield m
 
 
 class LaneVectors:

@@ -87,7 +87,10 @@ def _reference_gecic_length(spec: ProblemSpec,
     projective columns are tried in combinations_with_replacement order
     against the interference list, (N, G) as optimal_length builds them.
     Nothing here reads gamma, so a search that starts higher is checked
-    against every shorter length."""
+    against every shorter length.  Each multiset is tested whole with
+    first_failing, which the library's sliced walk never calls (see
+    test_column_multiset_walk_asks_no_weight_test), so the two routes
+    share neither the pruning nor the weight test."""
     n0 = _reference_shortest_length(spec)[0]
     need = 2 * spec.delta_c + 1
     vectors = vector_space(spec.field, spec.graph.n)

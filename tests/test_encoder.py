@@ -7,8 +7,9 @@ from unittest import mock
 
 import pytest
 
-from icsie import codeset, encoder, linalg
-from icsie.codeset import first_witness, is_valid_generator, oracle_decodable
+from icsie import codeset, encoder, kernels, linalg
+from icsie.codeset import (first_witness, interference_supports,
+                            is_valid_generator, oracle_decodable)
 from icsie.encoder import (_first_column_multiset, _SpanTracker,
                            clique_from_parity, complete_template, core_length,
                            cycle_code, fitting_template, gaussian_binomial,
@@ -20,7 +21,7 @@ from icsie.errors import (BudgetExceededError, CycleTooSmallError,
                           DistanceTooSmallError, IcsieError, MismatchError,
                           ParseError)
 from icsie.gfield import _FieldOp, arithmetic, field_for
-from icsie.linalg import Matrix, hamming_weight, vector_space
+from icsie.linalg import Matrix, dot, hamming_weight, mask_of, vector_space
 from icsie.sigraph import ProblemSpec, SideInfoGraph, clique_graph
 from icsie.structure import edge_deletion_bound
 
@@ -811,6 +812,96 @@ def test_systematic_code_search_matches_every_ordered_parity(q, cases):
                                      lambda s, d=d: d - s.bit_count(),
                                      [n], a, 1 << 24)
         assert (hit is not None) == _code_exists_reference(q, n, a, d)
+
+
+def _reference_column_multiset(field, k, need_of, lengths, prefix):
+    """``_first_column_multiset`` leaf by leaf: the projective points of
+    F_q^k as the filtered list of all q^k tuples, each length's
+    multisets in combinations_with_replacement order, and every weight
+    wt(zC) counted in Field arithmetic."""
+    points = [t for t in itertools.product(range(field.q), repeat=k)
+              if any(t) and next(a for a in t if a) == 1]
+    needs = [need_of(mask_of(z)) for z in points]
+    vectors = vector_space(field, k)
+    for N in lengths:
+        for cols in itertools.combinations_with_replacement(points, N - prefix):
+            if all(sum(1 for c in cols if dot(field, z, c)) >= need
+                   for z, need in zip(points, needs)):
+                return N, tuple(map(vectors.pack, cols))
+    return None
+
+
+def column_multiset_cases(q, seed):
+    """(k, need_of, lengths, prefix) in both callers' shapes over F_q,
+    and with needs drawn at random per support: l_q's d - wt(m) after a
+    prefix of a identity columns; the channel-error search's
+    need * table[s] over the support table of a seeded instance; some
+    length ranges stop short of every hit."""
+    rng = random.Random(seed)
+    ks = {2: (2, 3, 4), 3: (2, 3), 4: (2, 3), 5: (2,)}[q]
+    for k in ks:
+        # long length ranges are slow to walk leaf by leaf over 13 or
+        # more points
+        span = 3 if (q ** k - 1) // (q - 1) >= 13 else 5
+        for a, d in ((k, 2), (k, 3), (k, 4)):
+            yield k, lambda s, d=d: d - s.bit_count(), range(a + 1, a + span), a
+        for dc, g in itertools.product((1, 2), sampled_unipartite_graphs(
+                k, 2, seed=rng.randrange(1 << 30))):
+            table = interference_supports(ProblemSpec(
+                graph=g, q=q, delta_s=rng.choice((0, 1)), delta_c=dc))
+            lo = 1 + rng.randrange(3)
+            yield k, lambda s, t=table, need=2 * dc + 1: need * t[s], \
+                range(lo, lo + span - 1), 0
+        for _ in range(2):
+            needs = [rng.randrange(4) for _ in range(1 << k)]
+            needs[1] = max(needs[1], 1)
+            yield k, needs.__getitem__, range(1, span + 1), 0
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_column_multiset_walk_matches_the_leaf_by_leaf_reference(q):
+    # the sliced walk returns the reference's first multiset, or None
+    # when no length in the range has one
+    f = field_for(q)
+    outcomes = set()
+    for k, need_of, lengths, prefix in column_multiset_cases(q, 0x51CE + q):
+        got = _first_column_multiset(vector_space(f, k), need_of, lengths,
+                                     prefix, 1 << 40)
+        assert got == _reference_column_multiset(f, k, need_of, lengths,
+                                                 prefix), (k, lengths, prefix)
+        outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
+def test_column_multiset_walk_asks_no_weight_test(monkeypatch):
+    # with every first_failing made to raise, the channel-error search
+    # and l_q still answer, as pinned: the walk counts hits in its own
+    # slices, so conftest's _reference_gecic_length, which tests each
+    # multiset with first_failing, is a separate route
+    specs = [replace(CLIQUE4, delta_c=1),
+             ProblemSpec(graph=clique_graph(3), q=2, delta_s=0, delta_c=2),
+             ProblemSpec(graph=clique_graph(3), q=3, delta_s=1, delta_c=1),
+             ProblemSpec(graph=clique_graph(2), q=5, delta_s=1, delta_c=1)]
+    want = [_gecic_outcome(_reference_gecic_length, spec) for spec in specs]
+
+    def refuse(*args):
+        raise AssertionError("first_failing called")
+
+    monkeypatch.setattr(kernels, "gf2_first_failing", refuse)
+    for cls in (linalg._F2Vectors, linalg._FqVectors):
+        monkeypatch.setattr(cls, "first_failing", refuse)
+    l_q.cache_clear()
+    assert {key: l_q(*key) for key in PINNED_L_Q} == PINNED_L_Q
+    assert [_gecic_outcome(optimal_length, spec) for spec in specs] == want
+
+
+def test_l_q_refuses_past_a_fully_walked_length():
+    # length 12, the Griesmer bound, is in budget and holds no code; its
+    # walk is cut short enough that the refusal at 13 comes in about a
+    # second
+    with pytest.raises(BudgetExceededError, match="^48903492 column multisets "
+                       "at length 13 exceed the budget$"):
+        l_q(2, 5, 5)
 
 
 def test_l_q_respects_griesmer():

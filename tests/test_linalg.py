@@ -221,6 +221,9 @@ def test_vector_space_packing(field):
         first = next((k for k, t in enumerate(tuples)
                       if hamming_weight(G.vec_mul(t)) < need), -1)
         assert vs.first_failing(packed, cols, need) == first
+    assert list(vs.hit_masks(packed, cols)) == [
+        sum(1 << k for k, t in enumerate(tuples) if dot(field, t, col))
+        for col in G.columns()]
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 9])
