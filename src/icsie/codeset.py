@@ -48,11 +48,12 @@ def _log2_q(q: int) -> float:
     return q.bit_length() - 1 if q & (q - 1) == 0 else math.log2(q)
 
 
-def _check_enum_budget(spec: ProblemSpec, budget_bits: int) -> None:
+def _check_enum_budget(spec: ProblemSpec) -> None:
     n = spec.graph.n
-    if n * _log2_q(spec.q) > budget_bits:
+    if n * _log2_q(spec.q) > DEFAULT_ENUM_BITS:
         raise BudgetExceededError(
-            f"enumerating F_{spec.q}^{n} exceeds the {budget_bits}-bit budget")
+            f"enumerating F_{spec.q}^{n} exceeds the {DEFAULT_ENUM_BITS}-bit "
+            f"budget")
 
 
 def in_interference(spec: ProblemSpec, z, i: int) -> bool:
@@ -70,14 +71,14 @@ def first_witness(spec: ProblemSpec, z) -> int | None:
     return None
 
 
-def enum_interference(spec: ProblemSpec,
-                      budget_bits: int = DEFAULT_ENUM_BITS) -> Iterator[tuple[tuple[int, ...], int]]:
+def enum_interference(spec: ProblemSpec) -> Iterator[tuple[tuple[int, ...], int]]:
     """Yield each interference vector exactly once as (z, witness receiver).
 
     Order is lexicographic in the coordinate tuple; the witness is the
-    smallest receiver index that admits z.
+    smallest receiver index that admits z.  F_q^n must fit in
+    DEFAULT_ENUM_BITS bits.
     """
-    _check_enum_budget(spec, budget_bits)
+    _check_enum_budget(spec)
     n = spec.graph.n
     for z in itertools.product(range(spec.q), repeat=n):
         i = first_witness(spec, z)
@@ -150,13 +151,13 @@ def gamma_mask(holds) -> int:
                key=lambda s: (s.bit_count(), s))
 
 
-def interference_masks(spec: ProblemSpec,
-                       budget_bits: int = DEFAULT_ENUM_BITS) -> list:
+def interference_masks(spec: ProblemSpec) -> list:
     """The interference vectors with first nonzero entry 1 (over F_2, all
     of them), ascending, packed by ``linalg.vector_space``.  Interference
     and wt(zG) are invariant under nonzero scaling, and the first failing
-    z in lexicographic order is such a representative."""
-    _check_enum_budget(spec, budget_bits)
+    z in lexicographic order is such a representative.  F_q^n must fit
+    in DEFAULT_ENUM_BITS bits."""
+    _check_enum_budget(spec)
     vectors = vector_space(spec.field, spec.graph.n)
     table = interference_supports(spec)
     points = vectors.projective()
@@ -171,8 +172,7 @@ def _check_generator(spec: ProblemSpec, G: Matrix) -> None:
             f"G is over F_{G.field.q}, the instance over F_{spec.q}")
 
 
-def is_valid_generator(spec: ProblemSpec, G: Matrix,
-                       budget_bits: int = DEFAULT_ENUM_BITS
+def is_valid_generator(spec: ProblemSpec, G: Matrix
                        ) -> tuple[bool, tuple[int, ...] | None]:
     """Does G encode the instance?  Returns (ok, first failing z).
 
@@ -182,7 +182,7 @@ def is_valid_generator(spec: ProblemSpec, G: Matrix,
     """
     _check_generator(spec, G)
     vectors = vector_space(spec.field, spec.graph.n)
-    zs = interference_masks(spec, budget_bits)
+    zs = interference_masks(spec)
     idx = vectors.first_failing(zs, [vectors.pack(c) for c in G.columns()],
                                 2 * spec.delta_c + 1)
     if idx < 0:
@@ -190,8 +190,7 @@ def is_valid_generator(spec: ProblemSpec, G: Matrix,
     return False, vectors.unpack(zs[idx])
 
 
-def oracle_decodable(spec: ProblemSpec, G: Matrix,
-                     budget_bits: int = DEFAULT_PAIR_BITS) -> bool:
+def oracle_decodable(spec: ProblemSpec, G: Matrix) -> bool:
     """Brute-force decodability straight from the decoding contract.
 
     For every message pair that some receiver cannot tell apart through
@@ -215,16 +214,16 @@ def oracle_decodable(spec: ProblemSpec, G: Matrix,
     only on that support, so it is memoised per support mask; it comes
     from this function's own loop over the receivers, never from the
     interference set or a weight test, which keeps the oracle
-    independent of the validity code it checks.  The budget counts all
-    pairs, the worst case: an all-zero G puts every message in one
-    word's list.
+    independent of the validity code it checks.  The budget,
+    DEFAULT_PAIR_BITS, counts all pairs, the worst case: an all-zero G
+    puts every message in one word's list.
     """
     g = spec.graph
     n, q = g.n, spec.q
-    if 2 * n * _log2_q(q) > budget_bits:
+    if 2 * n * _log2_q(q) > DEFAULT_PAIR_BITS:
         raise BudgetExceededError(
             f"pair enumeration over F_{q}^{n} x F_{q}^{n} exceeds "
-            f"the {budget_bits}-bit budget")
+            f"the {DEFAULT_PAIR_BITS}-bit budget")
     _check_generator(spec, G)
     cap = spec.side_weight_cap()
     # (demand mask, cache mask) of each distinct receiver

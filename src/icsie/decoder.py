@@ -25,7 +25,8 @@ as a ReceiverDecoder:
   Trans. IT 59(3), 2013, Sec. V).  ``_coset_leaders`` is its one
   definition: the correction patterns come from ``linalg.low_weight``
   -- support size, then supports lexicographically, then coefficients
-  -- and the first to reach a syndrome keeps it.  ``find_correction``
+  -- and the first to reach a syndrome keeps it; their number is checked
+  against COSET_CANDIDATE_BUDGET before any is listed.  ``find_correction``
   looks a syndrome up there; the decoder re-keys the same table by the
   packed syndrome, so both return the same correction;
 * a memo from the packed z = A (y - x_hat G_X) to the (value, trace) a
@@ -47,13 +48,14 @@ from dataclasses import dataclass
 from operator import getitem
 from typing import NamedTuple
 
-from .errors import (DegenerateError, DimensionError, InconsistentError,
-                     NoSolutionError)
+from .errors import (BudgetExceededError, DegenerateError, DimensionError,
+                     InconsistentError, NoSolutionError)
 from .gfield import arithmetic
-from .linalg import LaneVectors, Matrix, low_weight, table_dot
+from .linalg import LaneVectors, Matrix, low_weight, low_weight_count, table_dot
 from .sigraph import SideInfoGraph
 
 DECODER_CACHE_SIZE = 128     # receivers whose decoders stay built
+COSET_CANDIDATE_BUDGET = 1 << 16   # candidate corrections per coset table
 
 
 @dataclass(frozen=True)
@@ -100,6 +102,15 @@ def build_context(G: Matrix, graph: SideInfoGraph, i: int) -> ReceiverContext:
         demand_row=demand_row, G_cache=G.submatrix_rows(cache), H=H, H_e=H_e)
 
 
+def _check_coset_budget(receiver: int, candidates: int) -> None:
+    """Refuse a coset table that would list more candidate corrections
+    than COSET_CANDIDATE_BUDGET."""
+    if candidates > COSET_CANDIDATE_BUDGET:
+        raise BudgetExceededError(
+            f"receiver {receiver}: {candidates} candidate corrections "
+            f"exceed the coset-table budget")
+
+
 def _coset_leaders(ctx: ReceiverContext, delta_s: int) -> dict:
     """Syndrome -> (correction, suspected cache packets): the coset
     leaders of the syndrome decoding.  The candidates are the
@@ -107,8 +118,11 @@ def _coset_leaders(ctx: ReceiverContext, delta_s: int) -> dict:
     coefficients, in ``linalg.low_weight``'s order -- support size, then
     supports lexicographically, then coefficients -- and the first to
     reach a syndrome keeps it.  Once all q^rows syndromes have one the
-    rest cannot change the table, so the walk stops there."""
+    rest cannot change the table, so the walk stops there.  Their count
+    is checked against the budget before any is listed."""
     field, rows = ctx.G_cache.field, ctx.G_cache.rows
+    _check_coset_budget(ctx.receiver,
+                        low_weight_count(len(rows), field.q, delta_s))
     add, _, mul = arithmetic(field)
     zero = (0,) * ctx.G_cache.ncols
     syndromes = field.q ** ctx.H.nrows
@@ -235,11 +249,8 @@ class ReceiverDecoder:
         if not self._elements.issuperset(entries):
             raise ValueError(f"y and x_hat entries must be elements of F_{self._q}")
         if len(y) != self._length:
-            # the words of zip(y, A's columns, strict=True)
             raise ValueError(
-                f"zip() argument 2 is "
-                f"{'longer' if len(y) < self._length else 'shorter'} "
-                f"than argument 1")
+                f"y must have {self._length} entries, got {len(y)}")
         # z = A (y - x_hat G_X): syndrome on top, h . corrected last
         z = self._reduce(sum(map(getitem, self._cols, entries)))
         if forced_correction is not None:
@@ -294,7 +305,8 @@ def receiver_decoder(G: Matrix, graph: SideInfoGraph, i: int,
     """The decoder of receiver i, built once per value of (G, graph, i,
     delta_s) while it stays among the DECODER_CACHE_SIZE most recent.
     A failed build is kept too, as a decoder that raises its
-    DegenerateError on every decode."""
+    DegenerateError on every decode; a BudgetExceededError is not kept,
+    and each call checks the budget again."""
     try:
         return ReceiverDecoder(G, graph, i, delta_s)
     except DegenerateError as exc:

@@ -21,8 +21,10 @@ Two exact routes to the optimal length are implemented and must agree:
   nonzero z supported inside the gamma set interferes, so G's rows on
   that set are independent and no length below gamma is feasible.  One
   length's walk alone decides whether the optimum is at most that
-  length; ``structure.edge_deletion_bound`` skips a table that way when
-  the walk at its best length so far succeeds.  With channel errors,
+  length, so a search started at a length no higher than gamma still
+  returns the optimum, and one started higher returns the larger of the
+  two; ``structure.edge_deletion_bound`` starts each table's search at
+  its best length so far that way.  With channel errors,
   codeword weights matter and the search runs over multisets of
   projective columns instead.  Its lengths start at the larger of two
   lower bounds, n0 + 2*delta_c over the delta_c = 0 optimum n0 and the
@@ -62,9 +64,8 @@ import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
-from .codeset import (DEFAULT_ENUM_BITS, _check_enum_budget,
-                      contains_compressible, gamma_mask, interference_supports,
-                      is_valid_generator)
+from .codeset import (_check_enum_budget, contains_compressible, gamma_mask,
+                      interference_supports, is_valid_generator)
 from .errors import (BudgetExceededError, CycleTooSmallError,
                      DistanceTooSmallError, IcsieError, MismatchError,
                      ParseError)
@@ -72,7 +73,8 @@ from .gfield import Field, arithmetic, field_for
 from .linalg import Matrix, vector_space
 from .sigraph import ProblemSpec, clique_graph, is_integer
 
-DEFAULT_FREE_BITS = 24
+DEFAULT_FREE_BITS = 24          # minrank's free positions, in bits
+DEFAULT_MULTISET_BITS = 24      # l_q's parity multisets per length, in bits
 DEFAULT_SUBSPACE_BUDGET = 1 << 22
 DEFAULT_COMBO_BUDGET = 1 << 22
 DEFAULT_IND_BITS = 20
@@ -203,16 +205,17 @@ def independent_columns(M: Matrix) -> Matrix:
     return Matrix(M.field, zip(*keep), ncols=len(keep))
 
 
-def minrank(spec: ProblemSpec,
-            budget_bits: int = DEFAULT_FREE_BITS) -> tuple[int, Matrix]:
+def minrank(spec: ProblemSpec) -> tuple[int, Matrix]:
     """Exact minimum rank over all completions of the fitting template.
 
     Depth-first over columns in template order, free values assigned
     lexicographically; a branch is cut as soon as its partial column
     span already reaches the best rank found.  Returns the minimum and
-    the first completion attaining it.  The template knows nothing of
-    channel errors, so delta_c > 0 is rejected once the budget check has
-    passed: compare the delta_c = 0 core with core_length instead.
+    the first completion attaining it.  The free positions, log2 q bits
+    each, are checked against DEFAULT_FREE_BITS first.  The template
+    knows nothing of channel errors, so delta_c > 0 is rejected once the
+    budget check has passed: compare the delta_c = 0 core with
+    core_length instead.
 
     At rank best - 1 the walk stops branching and settles the subtree
     column by column, with the same result as walking it:
@@ -233,10 +236,10 @@ def minrank(spec: ProblemSpec,
     tmpl = fitting_template(spec)
     field = spec.field
     nfree = tmpl.free_count()
-    if nfree * math.log2(spec.q) > budget_bits:
+    if nfree * math.log2(spec.q) > DEFAULT_FREE_BITS:
         raise BudgetExceededError(
             f"{nfree} free positions over F_{spec.q} exceed the "
-            f"{budget_bits}-bit budget")
+            f"{DEFAULT_FREE_BITS}-bit budget")
     if spec.delta_c > 0:
         raise IcsieError(
             f"minrank requires delta_c = 0 (got {spec.delta_c}); "
@@ -307,11 +310,10 @@ def gaussian_binomial(n: int, d: int, q: int) -> int:
     return num // den
 
 
-def _first_avoiding_basis(vectors, table: bytearray, N: int,
-                          subspace_budget: int, rows_of: dict):
+def _first_avoiding_basis(vectors, table: bytearray, N: int, rows_of: dict):
     """RREF rows of the first subspace of F_q^n of dimension n - N whose
     span avoids the interference set, or None; the subspaces of that
-    dimension are counted against the budget first.
+    dimension are counted against DEFAULT_SUBSPACE_BUDGET first.
 
     Subspaces are taken in the order of their RREF bases: pivot sets in
     lexicographic order, then each row's free values lexicographically,
@@ -323,7 +325,7 @@ def _first_avoiding_basis(vectors, table: bytearray, N: int,
     """
     q, n = vectors.q, vectors.n
     d = n - N
-    _check_subspace_budget(n, d, q, subspace_budget)
+    _check_subspace_budget(n, d, q)
 
     def candidates(p: int, later: tuple[int, ...]):
         key = (p, later)
@@ -358,16 +360,16 @@ def _first_avoiding_basis(vectors, table: bytearray, N: int,
     return None
 
 
-def _check_subspace_budget(n: int, d: int, q: int, subspace_budget: int) -> None:
+def _check_subspace_budget(n: int, d: int, q: int) -> None:
     # the subspaces with pivots 1..d alone number q^(d(n-d)) >= 2^(d(n-d)):
     # past the budget's bits that settles it without the exact count,
     # which has about d(n - d) log2 q bits
-    if d * (n - d) >= subspace_budget.bit_length():
+    if d * (n - d) >= DEFAULT_SUBSPACE_BUDGET.bit_length():
         raise BudgetExceededError(
             f"at least 2^{d * (n - d)} subspaces of dimension {d} exceed "
             f"the search budget")
     count = gaussian_binomial(n, d, q)
-    if count > subspace_budget:
+    if count > DEFAULT_SUBSPACE_BUDGET:
         raise BudgetExceededError(
             f"{count} subspaces of dimension {d} exceed the search budget")
 
@@ -379,7 +381,7 @@ def _table_gamma(table) -> int:
     return gamma_mask(contains_compressible(table)).bit_count()
 
 
-def _shortest_length(vectors, table, start: int, subspace_budget: int,
+def _shortest_length(vectors, table, start: int,
                      rows_of: dict) -> tuple[int, list]:
     """Shortest length over an error-free channel, read from a support
     table alone: (N, RREF rows of the largest avoiding subspace W).
@@ -391,45 +393,43 @@ def _shortest_length(vectors, table, start: int, subspace_budget: int,
     as columns, is a shortest generator.  The table is all the search
     reads of the instance, so equal tables give equal results.
 
-    Lengths are walked from start up, and start must not exceed the
-    answer; the table's gamma never does.  Proof: every nonzero z
-    supported inside the gamma set interferes, so G's rows on that set
-    are independent and N >= gamma.  Each length's walk is the same
-    whatever the start, so the first feasible length and its basis are
-    those of a walk from length 1.  Only the lengths walked are checked
-    against the budget.  A caller that knows more may start higher:
-    ``structure.edge_deletion_bound`` starts at best + 1 once the walk
-    at its best length so far has found no avoiding subspace.
+    Lengths are walked from start up, and each length's walk is the
+    same whatever the start.  Feasibility is monotone in N: a subspace
+    of an avoiding subspace avoids too.  So the length returned is the
+    larger of start and the table's optimum, and when start is at most
+    the optimum, the basis is the one a walk from length 1 finds.  The
+    table's gamma always is.  Proof: every nonzero z supported inside the
+    gamma set interferes, so G's rows on that set are independent and
+    N >= gamma.  Only the lengths walked are checked against the budget.
+    ``structure.edge_deletion_bound`` starts at the larger of a table's
+    gamma and its best length so far, and so learns a table's optimum
+    only where it exceeds that best.
     """
     for N in range(start, vectors.n + 1):
-        basis = _first_avoiding_basis(vectors, table, N, subspace_budget,
-                                      rows_of)
+        basis = _first_avoiding_basis(vectors, table, N, rows_of)
         if basis is not None:
             return N, basis
     raise AssertionError("the identity generator is always valid")
 
 
-def _core_search(spec: ProblemSpec, subspace_budget: int
-                 ) -> tuple[int, list, bytearray, int]:
+def _core_search(spec: ProblemSpec) -> tuple[int, list, bytearray, int]:
     """``_shortest_length`` of the delta_c = 0 core, whose support table
     is the instance's, from the table's gamma; the table is built after
     the first length is in budget, and returned after N and the basis,
     followed by its gamma."""
     n = spec.graph.n
-    _check_subspace_budget(n, n - 1, spec.q, subspace_budget)
+    _check_subspace_budget(n, n - 1, spec.q)
     table = interference_supports(spec)
     gam = _table_gamma(table)
-    return (*_shortest_length(vector_space(spec.field, n), table, gam,
-                              subspace_budget, {}),
+    return (*_shortest_length(vector_space(spec.field, n), table, gam, {}),
             table, gam)
 
 
-def core_length(spec: ProblemSpec,
-                subspace_budget: int = DEFAULT_SUBSPACE_BUDGET) -> int:
+def core_length(spec: ProblemSpec) -> int:
     """Optimal length of the delta_c = 0 core: the same instance over an
     error-free channel.  The channel-error search starts from it, and it
     is the length minrank computes."""
-    return _core_search(spec, subspace_budget)[0]
+    return _core_search(spec)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +532,7 @@ def _gecic_bounds(q: int, n0: int, gam: int,
     return (n0 + need - 1, l_q(q, gam, need)), upper
 
 
-def _optimal_length_gecic(spec: ProblemSpec, subspace_budget: int,
-                          combo_budget: int) -> tuple[int, Matrix]:
+def _optimal_length_gecic(spec: ProblemSpec) -> tuple[int, Matrix]:
     """Shortest valid generator when delta_c > 0.
 
     Codeword weights are invariant under permuting columns and scaling
@@ -565,19 +564,20 @@ def _optimal_length_gecic(spec: ProblemSpec, subspace_budget: int,
     not depend on where the walk began, so the first feasible length
     and its witness are those of a walk from n0 + 2 delta_c; the tests
     compare against such a walk.  Only the lengths walked are checked
-    against the budget.  gamma is read from the core search's support
+    against DEFAULT_COMBO_BUDGET.  gamma is read from the core search's support
     table, the table the interference representatives come from.
     """
     n, q = spec.graph.n, spec.q
     field = spec.field
-    n0, _, table, gam = _core_search(spec, subspace_budget)
+    n0, _, table, gam = _core_search(spec)
     lowers, cap = _gecic_bounds(q, n0, gam, spec.delta_c)
     need = 2 * spec.delta_c + 1
-    _check_enum_budget(spec, DEFAULT_ENUM_BITS)
+    _check_enum_budget(spec)
     vectors = vector_space(field, n)
     # an interference z needs wt(zG) >= need, any other z nothing
     hit = _first_column_multiset(vectors, lambda s: need * table[s],
-                                 range(max(lowers), cap + 1), 0, combo_budget)
+                                 range(max(lowers), cap + 1), 0,
+                                 DEFAULT_COMBO_BUDGET)
     if hit is None:
         raise AssertionError(
             "the classical-code upper bound guarantees a hit by the cap")
@@ -585,17 +585,18 @@ def _optimal_length_gecic(spec: ProblemSpec, subspace_budget: int,
     return N, Matrix(field, zip(*map(vectors.unpack, cols)), ncols=N)
 
 
-def optimal_length(spec: ProblemSpec,
-                   subspace_budget: int = DEFAULT_SUBSPACE_BUDGET,
-                   combo_budget: int = DEFAULT_COMBO_BUDGET) -> tuple[int, Matrix]:
-    """Exact optimal codelength and a witness generator of full column rank."""
+def optimal_length(spec: ProblemSpec) -> tuple[int, Matrix]:
+    """Exact optimal codelength and a witness generator of full column
+    rank.  Each length is checked against DEFAULT_SUBSPACE_BUDGET
+    subspaces, or with channel errors DEFAULT_COMBO_BUDGET column
+    multisets, before it is walked."""
     if spec.delta_c == 0:
-        N, basis, _, _ = _core_search(spec, subspace_budget)
+        N, basis, _, _ = _core_search(spec)
         W = Matrix(spec.field, basis, ncols=spec.graph.n)
         G = W.null_space_basis().transpose()  # n x N, rank N
         assert G.ncols == N
         return N, G
-    return _optimal_length_gecic(spec, subspace_budget, combo_budget)
+    return _optimal_length_gecic(spec)
 
 
 def optimum(spec: ProblemSpec, method: str) -> tuple[int, Matrix]:
@@ -648,14 +649,15 @@ def cycle_code(field: Field, size: int, delta_s: int) -> Matrix:
 # ---------------------------------------------------------------------------
 # clique construction from a classical parity-check matrix
 
-def min_distance_from_parity(H: Matrix, budget_bits: int = DEFAULT_IND_BITS) -> int:
-    """Exhaustive minimum distance of the code with parity-check matrix H."""
+def min_distance_from_parity(H: Matrix) -> int:
+    """Exhaustive minimum distance of the code with parity-check matrix H,
+    whose q^k codewords must fit in DEFAULT_IND_BITS bits."""
     field = H.field
     basis = H.null_space_basis()
     k = basis.nrows
     if k == 0:
         raise ValueError("trivial code: H has full column rank")
-    if k * math.log2(field.q) > budget_bits:
+    if k * math.log2(field.q) > DEFAULT_IND_BITS:
         raise BudgetExceededError(f"codebook of size {field.q}^{k} too large")
     # weights are invariant under scaling: projective messages suffice;
     # the rows are independent, so every codeword has weight >= 1
@@ -725,13 +727,13 @@ def _max_kindep_containing_basis(field: Field, r: int, k: int) -> int:
     return best
 
 
-def ind_q(q: int, N: int, k: int,
-          budget_bits: int = DEFAULT_IND_BITS) -> int:
-    """Maximum size of a subset of F_q^N with every k members independent."""
+def ind_q(q: int, N: int, k: int) -> int:
+    """Maximum size of a subset of F_q^N with every k members
+    independent; F_q^N must fit in DEFAULT_IND_BITS bits."""
     if k < 1 or N < 1:
         raise ValueError("need k >= 1 and N >= 1")
     field = field_for(q)
-    if N * math.log2(q) > budget_bits:
+    if N * math.log2(q) > DEFAULT_IND_BITS:
         raise BudgetExceededError(f"F_{q}^{N} too large to enumerate")
     if k == 1:
         return q ** N - 1  # independence of single vectors = nonzero
@@ -739,8 +741,7 @@ def ind_q(q: int, N: int, k: int,
 
 
 @lru_cache(maxsize=None)
-def l_q(q: int, a: int, d: int, max_len: int = DEFAULT_LEN_CAP,
-        budget_bits: int = DEFAULT_FREE_BITS) -> int:
+def l_q(q: int, a: int, d: int) -> int:
     """Shortest length of a linear code over F_q with dimension a and
     minimum distance at least d; exhaustive from the Griesmer bound up.
 
@@ -752,7 +753,11 @@ def l_q(q: int, a: int, d: int, max_len: int = DEFAULT_LEN_CAP,
     weights are invariant under scaling, so only projective messages m
     are checked, each needing wt(mP) >= d - wt(m).  A length is searched
     only if its multisets of n - a parity columns number at most
-    2^budget_bits."""
+    2^DEFAULT_MULTISET_BITS, and no length past DEFAULT_LEN_CAP is.
+
+    The cache keeps its answers when either constant changes: only a
+    refusal depends on them, and a refusal raises, so it is never
+    cached."""
     if a < 1 or d < 1:
         raise ValueError("need a >= 1 and d >= 1")
     if d == 1:
@@ -760,11 +765,11 @@ def l_q(q: int, a: int, d: int, max_len: int = DEFAULT_LEN_CAP,
     griesmer = sum(-(-d // q ** i) for i in range(a))
     hit = _first_column_multiset(vector_space(field_for(q), a),
                                  lambda s: d - s.bit_count(),
-                                 range(griesmer, max_len + 1), a,
-                                 1 << budget_bits)
+                                 range(griesmer, DEFAULT_LEN_CAP + 1), a,
+                                 1 << DEFAULT_MULTISET_BITS)
     if hit is None:
         raise BudgetExceededError(
-            f"no [n, {a}, {d}] code found up to length {max_len}")
+            f"no [n, {a}, {d}] code found up to length {DEFAULT_LEN_CAP}")
     return hit[0]
 
 

@@ -11,6 +11,7 @@ ranks, echelon forms and null-space bases are reproducible.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterable, Sequence
 
 from . import kernels
@@ -70,6 +71,12 @@ def low_weight(k: int, q: int, t: int):
         for positions in itertools.combinations(range(k), w):
             for values in itertools.product(range(1, q), repeat=w):
                 yield positions, values
+
+
+def low_weight_count(k: int, q: int, t: int) -> int:
+    """How many vectors ``low_weight(k, q, t)`` lists, counted without
+    listing them."""
+    return sum(math.comb(k, w) * (q - 1) ** w for w in range(min(t, k) + 1))
 
 
 def mask_of(vec: Sequence[int]) -> int:

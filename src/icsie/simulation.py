@@ -12,8 +12,11 @@ A receiver's side-error variants V_i are the error patterns of
 ``linalg.low_weight`` over its cache, at most min(delta_s, |X_i|)
 errors each, in the order the decoder's coset leaders are walked.  The
 budget counts trials: an exhaustive run makes sum_i q^n * |V_i| of
-them, counted by ``_variant_count`` before any variant is listed, and a
-random run makes ``trials``; either must be at most 2^budget_bits.
+them, counted by ``linalg.low_weight_count`` before any variant is
+listed, and a random run makes ``trials``; either must be at most
+2^DEFAULT_TRIAL_BITS.  Each receiver's decoder lists the same |V_i|
+candidate corrections, so its coset-table budget is checked for every
+receiver before the first trial too.
 
 Both modes feed one inline trial body: each mode yields groups of
 (receiver, message, codeword, clean cache, variants), and the body
@@ -30,16 +33,15 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import random
 from dataclasses import dataclass
 
 from .codeset import _check_generator
-from .decoder import decode_receiver
+from .decoder import _check_coset_budget, decode_receiver
 from .errors import (BudgetExceededError, DegenerateError, IcsieError,
                      InconsistentError, NoSolutionError)
 from .gfield import arithmetic
-from .linalg import Matrix, low_weight
+from .linalg import Matrix, low_weight, low_weight_count
 from .sigraph import ProblemSpec, is_integer
 
 DEFAULT_TRIAL_BITS = 24
@@ -74,16 +76,8 @@ class SimulationReport:
                 for i, (ok, total) in sorted(self.per_receiver.items())}
 
 
-def _variant_count(spec: ProblemSpec, cache_size: int) -> int:
-    """How many cache-error variants ``low_weight`` lists for a cache of
-    the given size, counted without listing them."""
-    return sum(math.comb(cache_size, t) * (spec.q - 1) ** t
-               for t in range(min(spec.delta_s, cache_size) + 1))
-
-
 def run_simulation(spec: ProblemSpec, G: Matrix,
-                   config: SimulationConfig,
-                   budget_bits: int = DEFAULT_TRIAL_BITS) -> SimulationReport:
+                   config: SimulationConfig) -> SimulationReport:
     """Exercise the decoder against injected cache errors.
 
     Exhaustive/adversarial mode walks every (receiver, message,
@@ -91,8 +85,9 @@ def run_simulation(spec: ProblemSpec, G: Matrix,
     receiver by receiver, each receiver's in message order.  Random mode
     samples the triples and keeps witnesses in trial order.
     Raises BudgetExceededError, before any trial, when the run would
-    make more than 2^budget_bits trials, and FieldMismatchError when G
-    is over another field than the instance.
+    make more than 2^DEFAULT_TRIAL_BITS trials or some receiver's
+    decoder would list more candidate corrections than its budget, and
+    FieldMismatchError when G is over another field than the instance.
     """
     if spec.delta_c != 0:
         raise IcsieError(
@@ -103,11 +98,14 @@ def run_simulation(spec: ProblemSpec, G: Matrix,
     n, q = g.n, spec.q
     add = arithmetic(spec.field)[0]
     exhaustive = config.trials == "exhaustive"
-    trials = (q ** n * sum(_variant_count(spec, len(X)) for X in g.X)
-              if exhaustive else config.trials)
-    if trials > 1 << budget_bits:
+    counts = [low_weight_count(len(X), q, spec.delta_s) for X in g.X]
+    trials = q ** n * sum(counts) if exhaustive else config.trials
+    if trials > 1 << DEFAULT_TRIAL_BITS:
         raise BudgetExceededError(
-            f"{trials} simulation trials exceed the {budget_bits}-bit budget")
+            f"{trials} simulation trials exceed the {DEFAULT_TRIAL_BITS}-bit "
+            f"budget")
+    for i, count in enumerate(counts, start=1):
+        _check_coset_budget(i, count)
     per: dict[int, list[int]] = {i: [0, 0] for i in range(1, g.m + 1)}
 
     @functools.cache

@@ -24,10 +24,13 @@ channel-error entries are ``encoder._gecic_bounds``, the bounds the
 channel-error search walks between, gamma's own among them.  The
 edge-deletion bound reads support tables too: one per deletion choice,
 built at delta_s = 0 by ``codeset.support_table``.  Each distinct table
-is searched from its gamma when that exceeds the best length so far,
-and otherwise decided by one walk at that length: it is skipped when a
-subspace of dimension n - best avoids it, since its optimum is then at
-most best.
+is searched from the larger of its gamma and the best length so far,
+and the search returns the larger of its start and the table's
+optimum: the new best.
+
+Each query's 2^n table is checked against DEFAULT_SUBSET_BITS before it
+is built; the searches check their lengths against the encoder's
+subspace budget.
 """
 
 from __future__ import annotations
@@ -41,8 +44,7 @@ from dataclasses import dataclass, field
 from .codeset import (contains_compressible, gamma_mask,
                       interference_supports, packet_mask, receiver_masks,
                       support_table)
-from .encoder import (DEFAULT_SUBSPACE_BUDGET, _check_subspace_budget,
-                      _first_avoiding_basis, _gecic_bounds, _shortest_length,
+from .encoder import (_check_subspace_budget, _gecic_bounds, _shortest_length,
                       _table_gamma, cycle_code)
 from .errors import BudgetExceededError, NotUnipartiteError
 from .linalg import Matrix, vector_space
@@ -60,21 +62,18 @@ class CycleSet:
     receivers: tuple[int, ...]   # all i with f(i) in packets
 
 
-def _check_subset_budget(n: int, budget_bits: int) -> None:
-    if n > budget_bits:
-        raise BudgetExceededError(f"2^{n} subsets exceed the budget")
-
-
 def _packets(mask: int, n: int) -> frozenset[int]:
     return frozenset(j for j in range(1, n + 1) if mask >> (n - j) & 1)
 
 
-def _holds(spec: ProblemSpec, budget_bits: int) -> tuple[bytearray, bytearray]:
+def _holds(spec: ProblemSpec) -> tuple[bytearray, bytearray]:
     """The instance's support table and, read from it, the table whose
     entry s is 1 iff packet mask s contains a compressible set
     (``codeset.contains_compressible``).  The subset budget is checked
     before either is built."""
-    _check_subset_budget(spec.graph.n, budget_bits)
+    n = spec.graph.n
+    if n > DEFAULT_SUBSET_BITS:
+        raise BudgetExceededError(f"2^{n} subsets exceed the budget")
     supports = interference_supports(spec)
     return supports, contains_compressible(supports)
 
@@ -98,14 +97,13 @@ def _cycles(g: SideInfoGraph, holds: bytearray) -> list[CycleSet]:
             for B in cycles]
 
 
-def find_cycles(spec: ProblemSpec,
-                budget_bits: int = DEFAULT_SUBSET_BITS) -> list[CycleSet]:
+def find_cycles(spec: ProblemSpec) -> list[CycleSet]:
     """All minimal compressible packet sets, by size then lexicographically."""
-    return _cycles(spec.graph, _holds(spec, budget_bits)[1])
+    return _cycles(spec.graph, _holds(spec)[1])
 
 
-def is_acyclic(spec: ProblemSpec, budget_bits: int = DEFAULT_SUBSET_BITS) -> bool:
-    return not _holds(spec, budget_bits)[1][-1]
+def is_acyclic(spec: ProblemSpec) -> bool:
+    return not _holds(spec)[1][-1]
 
 
 def _packing(cycles: list[frozenset[int]]) -> tuple[int, list[frozenset[int]]]:
@@ -130,11 +128,9 @@ def _packing(cycles: list[frozenset[int]]) -> tuple[int, list[frozenset[int]]]:
     return len(best), best
 
 
-def max_disjoint_cycles(spec: ProblemSpec,
-                        budget_bits: int = DEFAULT_SUBSET_BITS
-                        ) -> tuple[int, list[frozenset[int]]]:
+def max_disjoint_cycles(spec: ProblemSpec) -> tuple[int, list[frozenset[int]]]:
     """Maximum number of pairwise-disjoint compressible sets, with a witness."""
-    return _packing([c.packets for c in find_cycles(spec, budget_bits)])
+    return _packing([c.packets for c in find_cycles(spec)])
 
 
 def _gamma(holds: bytearray, n: int) -> tuple[int, frozenset[int]]:
@@ -144,19 +140,17 @@ def _gamma(holds: bytearray, n: int) -> tuple[int, frozenset[int]]:
     return best.bit_count(), _packets(best, n)
 
 
-def gamma(spec: ProblemSpec,
-          budget_bits: int = DEFAULT_SUBSET_BITS) -> tuple[int, frozenset[int]]:
+def gamma(spec: ProblemSpec) -> tuple[int, frozenset[int]]:
     """Largest packet set all of whose nonempty subsets are supports of
     interference vectors, with the lexicographically first witness; its
     size lower-bounds the optimal codelength.
 
     Those are the masks that contain no compressible set.
     """
-    return _gamma(_holds(spec, budget_bits)[1], spec.graph.n)
+    return _gamma(_holds(spec)[1], spec.graph.n)
 
 
-def delta_s_mais(spec: ProblemSpec,
-                 budget_bits: int = DEFAULT_SUBSET_BITS) -> int:
+def delta_s_mais(spec: ProblemSpec) -> int:
     """Largest packet subset whose induced sub-instance is acyclic.
 
     Defined for the unipartite case (m = n, f(i) = i).  A compressible
@@ -166,7 +160,7 @@ def delta_s_mais(spec: ProblemSpec,
     """
     if not spec.graph.is_unipartite():
         raise NotUnipartiteError("maximum acyclic induced subgraph needs m = n, f(i) = i")
-    return gamma(spec, budget_bits)[0]
+    return gamma(spec)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -224,42 +218,37 @@ class BoundsReport:
         return json.dumps(doc, indent=1)
 
 
-def edge_deletion_bound(spec: ProblemSpec,
-                        exhaustive_cap: int = EDGE_DELETION_EXHAUSTIVE_CAP
-                        ) -> tuple[int, bool]:
+def edge_deletion_bound(spec: ProblemSpec) -> tuple[int, bool]:
     """Best error-free-conventional lower bound over cache-edge deletions.
 
     Every way of deleting min(side_weight_cap(), |X_i|) cache edges per
     receiver yields a conventional instance (delta_s = 0) whose optimum
     lower-bounds ours, so the maximum over deletions is wanted.  Exhaustive
-    when the choice space is small; otherwise EDGE_DELETION_SAMPLES
-    choices drawn with the fixed seed EDGE_DELETION_SEED, still a valid
-    lower bound but flagged uncertified.
+    when the choices number at most EDGE_DELETION_EXHAUSTIVE_CAP;
+    otherwise EDGE_DELETION_SAMPLES choices drawn with the fixed seed
+    EDGE_DELETION_SEED, still a valid lower bound but flagged
+    uncertified.
 
     A reduced instance's optimum depends only on q and its support table,
     so each choice's table is built from the shrunken cache masks, and
     each distinct table is looked at once, in the order the choices first
-    give it, keeping the best length so far, best:
-
-    * a table whose gamma exceeds best is searched from its gamma, a
-      lower bound on its optimum (every nonzero z supported inside the
-      gamma set interferes, so G's rows there are independent);
-    * otherwise one walk at length best decides it: if a subspace of
-      dimension n - best avoids the table, its optimum is at most best
-      and it is skipped; if none does, its optimum exceeds best, and its
-      search starts at best + 1.
-
-    So the maximum is the one a full search of every table gives.  One
-    cache of candidate rows serves all the walks.  The budget of the
-    first length is checked before the first table is built, and each
-    length walked is checked when it is walked.
+    give it, keeping the best length so far, best.  Each table is
+    searched from max(best, its gamma), and ``_shortest_length`` returns
+    the larger of its start and the table's optimum (gamma is a lower
+    bound on that optimum: every nonzero z supported inside the gamma
+    set interferes, so G's rows there are independent).  That is the
+    new best, so the maximum is the one a full search of every table
+    gives.  A table whose optimum is at most best costs one walk, at
+    length best.  One cache of candidate rows serves all the walks.  The
+    budget of the first length is checked before the first table is
+    built, and each length walked is checked when it is walked.
     """
     g, cap = spec.graph, spec.side_weight_cap()
     n = g.n
     per_receiver = [list(itertools.combinations(sorted(X), min(cap, len(X))))
                     for X in g.X]
     total = math.prod(len(c) for c in per_receiver)
-    if total <= exhaustive_cap:
+    if total <= EDGE_DELETION_EXHAUSTIVE_CAP:
         choice_iter = itertools.product(*per_receiver)
         certified = True
     else:
@@ -268,7 +257,7 @@ def edge_deletion_bound(spec: ProblemSpec,
                         for choices in per_receiver]
                        for _ in range(EDGE_DELETION_SAMPLES))
         certified = False
-    _check_subspace_budget(n, n - 1, spec.q, DEFAULT_SUBSPACE_BUDGET)
+    _check_subspace_budget(n, n - 1, spec.q)
     receivers = receiver_masks(g)
     vectors = vector_space(spec.field, n)
     rows_of: dict = {}
@@ -281,16 +270,8 @@ def edge_deletion_bound(spec: ProblemSpec,
         if table in searched:
             continue
         searched.add(table)
-        start = _table_gamma(table)
-        if start <= best:
-            # N_r <= best iff a subspace of dimension n - best avoids it
-            if _first_avoiding_basis(vectors, table, best,
-                                     DEFAULT_SUBSPACE_BUDGET,
-                                     rows_of) is not None:
-                continue
-            start = best + 1
-        best = _shortest_length(vectors, table, start,
-                                DEFAULT_SUBSPACE_BUDGET, rows_of)[0]
+        best = _shortest_length(vectors, table,
+                                max(best, _table_gamma(table)), rows_of)[0]
     return best, certified
 
 
@@ -342,7 +323,7 @@ def bounds_report(spec: ProblemSpec,
     entries: dict[str, BoundEntry] = {}
     notes: list[str] = []
 
-    supports, holds = _holds(spec, DEFAULT_SUBSET_BITS)
+    supports, holds = _holds(spec)
     cycles = _cycles(g, holds)
     gam, gamma_witness = _gamma(holds, g.n)
     entries["gamma"] = BoundEntry(
@@ -391,9 +372,9 @@ def bounds_report(spec: ProblemSpec,
         """The error-free optimum, as optimal_length finds it with its
         delta_c set to 0 (budget message included), searched on the
         report's table from its gamma."""
-        _check_subspace_budget(g.n, g.n - 1, spec.q, DEFAULT_SUBSPACE_BUDGET)
+        _check_subspace_budget(g.n, g.n - 1, spec.q)
         return _shortest_length(vector_space(spec.field, g.n), supports, gam,
-                                DEFAULT_SUBSPACE_BUDGET, {})[0]
+                                {})[0]
 
     n_opt = None
     if compute_exact:

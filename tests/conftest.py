@@ -8,11 +8,10 @@ import random
 
 import pytest
 
-from icsie import Matrix, field_for
+from icsie import Matrix, encoder, field_for
 from icsie.codeset import interference_masks, interference_supports
 from icsie.decoder import DecodeTrace, build_context
-from icsie.encoder import (DEFAULT_COMBO_BUDGET, DEFAULT_SUBSPACE_BUDGET,
-                           _check_subspace_budget, _first_avoiding_basis)
+from icsie.encoder import _check_subspace_budget, _first_avoiding_basis
 from icsie.errors import (BudgetExceededError, DegenerateError,
                           InconsistentError, NoSolutionError)
 from icsie.linalg import dot, vec_sub, vector_space
@@ -56,33 +55,29 @@ def small_family():
 
 
 
-def _reference_shortest_length(spec: ProblemSpec,
-                               subspace_budget: int = DEFAULT_SUBSPACE_BUDGET
-                               ) -> tuple[int, Matrix]:
+def _reference_shortest_length(spec: ProblemSpec) -> tuple[int, Matrix]:
     """The delta_c = 0 optimum walked from length 1, every length checked
-    against the budget, without the gamma start: (N, G) as
+    against the library's subspace budget, without the gamma start: (N, G) as
     optimal_length builds them from the first avoiding basis.  The
     length-1 budget is checked before the 2^n support table is built,
     as the library's search does."""
     n = spec.graph.n
-    _check_subspace_budget(n, n - 1, spec.q, subspace_budget)
+    _check_subspace_budget(n, n - 1, spec.q)
     vectors = vector_space(spec.field, n)
     table = interference_supports(spec)
     rows_of: dict = {}
     for N in range(1, n + 1):
-        basis = _first_avoiding_basis(vectors, table, N, subspace_budget,
-                                      rows_of)
+        basis = _first_avoiding_basis(vectors, table, N, rows_of)
         if basis is not None:
             W = Matrix(spec.field, basis, ncols=n)
             return N, W.null_space_basis().transpose()
     raise AssertionError("the identity generator is always valid")
 
 
-def _reference_gecic_length(spec: ProblemSpec,
-                            combo_budget: int = DEFAULT_COMBO_BUDGET
-                            ) -> tuple[int, Matrix]:
+def _reference_gecic_length(spec: ProblemSpec) -> tuple[int, Matrix]:
     """The delta_c > 0 optimum walked from n0 + 2 delta_c, without the
-    gamma bound, every length checked against the budget: n0 is
+    gamma bound, every length checked against the library's
+    encoder.DEFAULT_COMBO_BUDGET as it stands at the call: n0 is
     ``_reference_shortest_length``'s, and each length's multisets of
     projective columns are tried in combinations_with_replacement order
     against the interference list, (N, G) as optimal_length builds them.
@@ -98,7 +93,7 @@ def _reference_gecic_length(spec: ProblemSpec,
     zs = interference_masks(spec)
     for N in itertools.count(n0 + need - 1):
         ncombos = math.comb(len(points) + N - 1, N)
-        if ncombos > combo_budget:
+        if ncombos > encoder.DEFAULT_COMBO_BUDGET:
             raise BudgetExceededError(
                 f"{ncombos} column multisets at length {N} exceed the budget")
         for cols in itertools.combinations_with_replacement(points, N):
@@ -135,6 +130,8 @@ def _reference_decode(G, graph, i, y, x_hat, delta_s, forced_correction=None):
     if len(x_hat) != len(ctx.cache):
         raise ValueError(
             f"receiver {i} caches {len(ctx.cache)} packets, got {len(x_hat)}")
+    if len(y) != G.ncols:
+        raise ValueError(f"y must have {G.ncols} entries, got {len(y)}")
     corrected = vec_sub(field, y, ctx.G_cache.vec_mul(x_hat))
     syndrome = tuple(ctx.H.mul_col(corrected))
     if forced_correction is not None:

@@ -1,5 +1,4 @@
 import contextlib
-import functools
 import json
 from unittest import mock
 
@@ -9,7 +8,7 @@ from conftest import _reference_decode, _reference_shortest_length
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icsie import cli, encoder, structure
+from icsie import cli, encoder, simulation, structure
 from icsie.cli import EXIT_DOMAIN, EXIT_OK, main
 from icsie.codeset import oracle_decodable
 from icsie.errors import BudgetExceededError
@@ -215,6 +214,19 @@ def test_decode_truth_must_have_n_entries(runner, clique4_files, truth):
     assert res.exit_code == 2, res.output
     assert _no_traceback(res)
     assert "--truth must have n = 4 entries" in res.output
+
+
+def test_decode_past_the_coset_table_budget_exits_3(runner, tmp_path):
+    spec = ProblemSpec(graph=clique_graph(5), q=256, delta_s=2)
+    inst, gen = tmp_path / "c5.json", tmp_path / "c5G.json"
+    inst.write_text(serialize_instance(spec))
+    gen.write_text(serialize_generator(Matrix.identity(field_for(256), 5)))
+    res = runner.invoke(main, ["decode", str(inst), str(gen), "--y",
+                               "1,2,3,4,5", "--xhat", "1=2,3,4,5"])
+    assert res.exit_code == 3, res.output
+    assert _no_traceback(res)
+    assert ("budget exceeded: receiver 1: 391171 candidate corrections "
+            "exceed the coset-table budget") in res.output
 
 
 @pytest.mark.parametrize("command,extra", [
@@ -603,9 +615,8 @@ def cli_cases(draw):
 def test_decode_and_simulate_end_in_an_answer_or_a_typed_error(case):
     inst_text, gen_text, argv = case
     runner = CliRunner()
-    small = functools.partial(run_simulation, budget_bits=8)
-    with runner.isolated_filesystem(), mock.patch.object(cli, "run_simulation",
-                                                         small):
+    with runner.isolated_filesystem(), mock.patch.object(
+            simulation, "DEFAULT_TRIAL_BITS", 8):
         with open("inst.json", "w") as fh:
             fh.write(inst_text)
         with open("gen.json", "w") as fh:
@@ -684,13 +695,9 @@ def _small_budgets():
     """The searches of search and analyze at SMALL_BITS-sized budgets."""
     small = 1 << SMALL_BITS
     return (
-        mock.patch.object(encoder, "optimal_length", functools.partial(
-            optimal_length, subspace_budget=small, combo_budget=small)),
-        mock.patch.object(encoder, "core_length", functools.partial(
-            encoder.core_length, subspace_budget=small)),
-        mock.patch.object(encoder, "minrank", functools.partial(
-            encoder.minrank, budget_bits=SMALL_BITS)),
-        mock.patch.object(structure, "DEFAULT_SUBSPACE_BUDGET", small),
+        mock.patch.object(encoder, "DEFAULT_SUBSPACE_BUDGET", small),
+        mock.patch.object(encoder, "DEFAULT_COMBO_BUDGET", small),
+        mock.patch.object(encoder, "DEFAULT_FREE_BITS", SMALL_BITS),
         mock.patch.object(structure, "DEFAULT_SUBSET_BITS", SMALL_BITS))
 
 
@@ -809,9 +816,10 @@ def test_queries_end_in_a_confirmed_answer_or_a_typed_error(case):
         with open("gen.json", "w") as fh:
             fh.write(gen_text)
         res = runner.invoke(main, argv)
-        assert res.exit_code in (0, 1, 2, 3), res.output
-        assert _no_traceback(res), res.exception
-        assert "Traceback" not in res.output
-        assert "MISMATCH" not in res.output
-        if res.exit_code == 0:
-            _confirm(argv, res.output, parse_instance(inst_text), gen_text)
+    assert res.exit_code in (0, 1, 2, 3), res.output
+    assert _no_traceback(res), res.exception
+    assert "Traceback" not in res.output
+    assert "MISMATCH" not in res.output
+    # confirmed at the library's own budgets
+    if res.exit_code == 0:
+        _confirm(argv, res.output, parse_instance(inst_text), gen_text)

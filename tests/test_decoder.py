@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from conftest import _reference_decode, _reference_search, random_generator
@@ -9,8 +10,8 @@ from icsie.decoder import (DECODER_CACHE_SIZE, build_context,
                            decode_all, decode_receiver, find_correction,
                            receiver_decoder)
 from icsie.encoder import optimal_length
-from icsie.errors import (DegenerateError, InconsistentError,
-                          NoSolutionError)
+from icsie.errors import (BudgetExceededError, DegenerateError,
+                          InconsistentError, NoSolutionError)
 from icsie.gfield import field_for
 from icsie.linalg import Matrix, vec_sub
 from icsie.sigraph import ProblemSpec, SideInfoGraph, clique_graph
@@ -115,6 +116,23 @@ def test_dimension_checks():
         build_context(G9, clique_graph(4), 1)
     with pytest.raises(ValueError):
         decode_receiver(G9, GRAPH9, 9, Y9, (0, 0), 1)
+    with pytest.raises(ValueError, match=r"^y must have 6 entries, got 5$"):
+        decode_receiver(G9, GRAPH9, 9, Y9[:-1], (0,) * 6, 1)
+
+
+def test_coset_table_past_its_budget_refuses_before_the_walk(monkeypatch):
+    # F_256 clique-5 at delta_s = 2 under the identity: a receiver's table
+    # would list 1 + 4 * 255 + 6 * 255^2 candidate corrections, which took
+    # seconds to walk
+    monkeypatch.setattr(decoder, "low_weight", lambda *args: 1 / 0)
+    G, graph = Matrix.identity(field_for(256), 5), clique_graph(5)
+    y = G.vec_mul((1, 2, 3, 4, 5))
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match=(
+            r"^receiver 1: 391171 candidate corrections exceed the "
+            r"coset-table budget$")):
+        decode_receiver(G, graph, 1, y, (2, 3, 4, 5), 2)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_decode_all():

@@ -85,10 +85,11 @@ def test_minrank_acyclic_two_nodes():
     assert minrank(spec)[0] == 2
 
 
-def test_minrank_budget():
+def test_minrank_budget(monkeypatch):
+    monkeypatch.setattr(encoder, "DEFAULT_FREE_BITS", 4)
     spec = ProblemSpec(graph=clique_graph(14), q=2, delta_s=0)
     with pytest.raises(BudgetExceededError):
-        minrank(spec, budget_bits=4)
+        minrank(spec)
 
 
 def test_completed_template_reduced_is_valid():
@@ -162,20 +163,21 @@ def test_pinned_gecic_witnesses_over_fq(q, graph, ds, rows):
     assert oracle_decodable(spec, G)
 
 
-def test_gecic_budget_messages_pinned():
+def test_gecic_budget_messages_pinned(monkeypatch):
     # F_3 clique-4 refuses at its first length, the gamma bound
     # l_3(3, 3) = 6, no longer at n0 + 2 = 5
+    monkeypatch.setattr(encoder, "DEFAULT_COMBO_BUDGET", 1000)
     for q, n, msg in ((2, 6, "109453344 column multisets at length 6 exceed the budget"),
                       (3, 4, "8145060 column multisets at length 6 exceed the budget")):
         spec = ProblemSpec(graph=clique_graph(n), q=q, delta_s=1, delta_c=1)
         with pytest.raises(BudgetExceededError, match=f"^{msg}$"):
-            optimal_length(spec, combo_budget=1000)
+            optimal_length(spec)
 
 
-def _gecic_outcome(search, spec, **budget):
+def _gecic_outcome(search, spec):
     """(N, G's rows), or the length a budget refusal names."""
     try:
-        N, G = search(spec, **budget)
+        N, G = search(spec)
     except BudgetExceededError as exc:
         return "refused", int(re.fullmatch(
             r"\d+ column multisets at length (\d+) exceed the budget",
@@ -204,17 +206,19 @@ def gecic_walk_cases(seed: int = 0x6A3C):
             yield spec, rng.choice(budgets)
 
 
-def test_gecic_search_matches_the_walk_from_the_sphere_bound():
+def test_gecic_search_matches_the_walk_from_the_sphere_bound(monkeypatch):
     # the search from the larger of n0 + 2 delta_c and the gamma bound
     # against the walk of every length from n0 + 2 delta_c: the same
     # (N, G), and the same refusals.  Multiset counts grow with the
     # length, so a walk that refuses at length L makes the search refuse
     # at the larger of L and its start.
     seen = set()
+    default = encoder.DEFAULT_COMBO_BUDGET
     for spec, budget in gecic_walk_cases():
-        kw = {} if budget is None else {"combo_budget": budget}
-        got = _gecic_outcome(optimal_length, spec, **kw)
-        want = _gecic_outcome(_reference_gecic_length, spec, **kw)
+        monkeypatch.setattr(encoder, "DEFAULT_COMBO_BUDGET",
+                            default if budget is None else budget)
+        got = _gecic_outcome(optimal_length, spec)
+        want = _gecic_outcome(_reference_gecic_length, spec)
         if want[0] == "refused":
             assert got[0] == "refused" and got[1] >= want[1], spec
         else:
@@ -331,9 +335,10 @@ PINNED_MINRANK = [
 
 
 @pytest.mark.parametrize("graph, q, ds, bits, N, rows", PINNED_MINRANK)
-def test_minrank_pinned(graph, q, ds, bits, N, rows):
+def test_minrank_pinned(monkeypatch, graph, q, ds, bits, N, rows):
+    monkeypatch.setattr(encoder, "DEFAULT_FREE_BITS", bits)
     spec = ProblemSpec(graph=graph, q=q, delta_s=ds)
-    assert minrank(spec, budget_bits=bits) == (N, Matrix(field_for(q), rows))
+    assert minrank(spec) == (N, Matrix(field_for(q), rows))
 
 
 def test_minrank_over_an_untabulated_field():
@@ -403,7 +408,7 @@ def _outcome(fn, *args):
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
-def test_minrank_matches_the_full_walk(q):
+def test_minrank_matches_the_full_walk(monkeypatch, q):
     # seeded graphs with 1 to n + 3 receivers, several demanding one
     # packet, at every delta_s up to 2 and budgets of 12-24 bits; the
     # (N, G), or the exception's type and message, must be the full
@@ -418,7 +423,8 @@ def test_minrank_matches_the_full_walk(q):
                            delta_s=rng.randint(0, 2),
                            delta_c=int(rng.random() < .1))
         bits = rng.randint(12, 24)
-        assert _outcome(minrank, spec, bits) == _outcome(
+        monkeypatch.setattr(encoder, "DEFAULT_FREE_BITS", bits)
+        assert _outcome(minrank, spec) == _outcome(
             _reference_minrank, spec, bits)
 
 
@@ -574,7 +580,7 @@ def test_optimal_many_receivers_past_64():
     assert oracle_decodable(spec, G)
 
 
-def test_optimal_budget_checked_before_the_lookup_is_built():
+def test_optimal_budget_checked_before_the_lookup_is_built(monkeypatch):
     # 2^23 - 1 hyperplanes exceed the default budget; the check must fire
     # before any 2^23-entry interference table is built, also in the
     # edge-deletion bound's searches (one reduced table at delta_s = 0,
@@ -591,9 +597,9 @@ def test_optimal_budget_checked_before_the_lookup_is_built():
                               match="^8388607 subspaces of dimension 22 "
                                     "exceed the search budget$"):
             run()
+    monkeypatch.setattr(encoder, "DEFAULT_SUBSPACE_BUDGET", 1 << 12)
     with pytest.raises(BudgetExceededError):
-        optimal_length(ProblemSpec(graph=clique_graph(9), q=2, delta_s=1),
-                       subspace_budget=1 << 12)
+        optimal_length(ProblemSpec(graph=clique_graph(9), q=2, delta_s=1))
 
 
 def test_gaussian_binomial():

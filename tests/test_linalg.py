@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from icsie.errors import FieldMismatchError
 from icsie.gfield import field_for
 from icsie.linalg import (LaneVectors, Matrix, dot, hamming_weight,
-                          low_weight, mask_of, subvector, vec_add, vec_of_mask,
-                          vec_scale, vec_sub, vector_space)
+                          low_weight, low_weight_count, mask_of, subvector,
+                          vec_add, vec_of_mask, vec_scale, vec_sub,
+                          vector_space)
 
 F2 = field_for(2)
 F3 = field_for(3)
@@ -28,6 +29,7 @@ def test_low_weight_lists_each_light_vector_once_in_order(k, q):
                 want.append((len(at), at, tuple(v[j] for j in at)))
         assert list(low_weight(k, q, t)) == [(at, vals)
                                              for _, at, vals in sorted(want)]
+        assert low_weight_count(k, q, t) == len(want)
 
 
 def test_subvector_one_based():

@@ -1,5 +1,6 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from conftest import _reference_decode
@@ -19,44 +20,61 @@ from icsie.simulation import SimulationConfig, run_simulation
 EXHAUSTIVE = SimulationConfig(trials="exhaustive")
 
 
-def test_budget_counts_messages_over_any_field():
+def test_budget_counts_messages_over_any_field(monkeypatch):
     # F_5^3 has 125 messages, more than 2^6, although 3 symbols of
     # "2 bits" each would fit 6 bits
+    monkeypatch.setattr(simulation, "DEFAULT_TRIAL_BITS", 6)
     n = 3
     spec = ProblemSpec(graph=SideInfoGraph.make(n, range(1, n + 1),
                                                 [set()] * n),
                        q=5, delta_s=0)
     with pytest.raises(BudgetExceededError, match="375 simulation trials"):
-        run_simulation(spec, Matrix.identity(field_for(5), n), EXHAUSTIVE,
-                       budget_bits=6)
+        run_simulation(spec, Matrix.identity(field_for(5), n), EXHAUSTIVE)
 
 
-def test_budget_counts_receivers_and_side_errors():
+def test_budget_counts_receivers_and_side_errors(monkeypatch):
     # 2^4 messages fit 4 bits, but 4 receivers x 4 side-error variants
     # make 2^8 trials
+    monkeypatch.setattr(simulation, "DEFAULT_TRIAL_BITS", 4)
     spec = ProblemSpec(graph=clique_graph(4), q=2, delta_s=1)
     with pytest.raises(BudgetExceededError, match="256 simulation trials"):
-        run_simulation(spec, Matrix.identity(field_for(2), 4), EXHAUSTIVE,
-                       budget_bits=4)
+        run_simulation(spec, Matrix.identity(field_for(2), 4), EXHAUSTIVE)
 
 
-def test_budget_is_exact_trial_count():
+def test_budget_is_exact_trial_count(monkeypatch):
     # clique-4 over F_2 at delta_s = 1: 16 messages x 4 receivers x 4 variants
     spec = ProblemSpec(graph=clique_graph(4), q=2, delta_s=1)
     G = Matrix.identity(field_for(2), 4)
-    report = run_simulation(spec, G, EXHAUSTIVE, budget_bits=8)
+    monkeypatch.setattr(simulation, "DEFAULT_TRIAL_BITS", 8)
+    report = run_simulation(spec, G, EXHAUSTIVE)
     assert sum(total for _, total in report.per_receiver.values()) == 2 ** 8
+    monkeypatch.setattr(simulation, "DEFAULT_TRIAL_BITS", 7)
     with pytest.raises(BudgetExceededError):
-        run_simulation(spec, G, EXHAUSTIVE, budget_bits=7)
+        run_simulation(spec, G, EXHAUSTIVE)
 
 
-def test_random_mode_trials_within_budget():
+def test_coset_budget_checked_for_every_receiver_before_any_trial(monkeypatch):
+    # receiver 2's decoder would list 1 + 4 * 255 + 6 * 255^2 candidate
+    # corrections; receiver 1's cache is empty
+    monkeypatch.setattr(simulation, "decode_receiver", mock.Mock(
+        side_effect=AssertionError("a trial ran")))
+    graph = SideInfoGraph.make(5, [1, 2], [set(), {1, 3, 4, 5}])
+    spec = ProblemSpec(graph=graph, q=256, delta_s=2)
+    with pytest.raises(BudgetExceededError, match=(
+            r"^receiver 2: 391171 candidate corrections exceed the "
+            r"coset-table budget$")):
+        run_simulation(spec, Matrix.identity(field_for(256), 5),
+                       SimulationConfig(trials=1))
+
+
+def test_random_mode_trials_within_budget(monkeypatch):
+    monkeypatch.setattr(simulation, "DEFAULT_TRIAL_BITS", 6)
     spec = ProblemSpec(graph=clique_graph(4), q=2, delta_s=1)
     G = Matrix.identity(field_for(2), 4)
-    report = run_simulation(spec, G, SimulationConfig(trials=2 ** 6), budget_bits=6)
+    report = run_simulation(spec, G, SimulationConfig(trials=2 ** 6))
     assert sum(total for _, total in report.per_receiver.values()) == 2 ** 6
     with pytest.raises(BudgetExceededError):
-        run_simulation(spec, G, SimulationConfig(trials=2 ** 6 + 1), budget_bits=6)
+        run_simulation(spec, G, SimulationConfig(trials=2 ** 6 + 1))
 
 
 @pytest.mark.parametrize("trials", [0, -5, "12", 2.5, True, False])

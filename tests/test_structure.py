@@ -70,10 +70,11 @@ def test_minimality_no_subsets_listed():
             assert a == b or not a < b
 
 
-def test_cycle_budget():
+def test_cycle_budget(monkeypatch):
+    monkeypatch.setattr(structure, "DEFAULT_SUBSET_BITS", 20)
     g = SideInfoGraph.make(30, [1], [set(range(2, 31))])
     with pytest.raises(BudgetExceededError):
-        find_cycles(ProblemSpec(graph=g, q=2, delta_s=0), budget_bits=20)
+        find_cycles(ProblemSpec(graph=g, q=2, delta_s=0))
 
 
 # -- packing -----------------------------------------------------------------
@@ -286,7 +287,7 @@ def edge_deletion_cases(count: int, seed: int = 0xED6E):
                           q=rng.choice((2, 3)), delta_s=rng.choice((0, 1, 1, 2)))
 
 
-def test_edge_deletion_matches_a_search_per_choice():
+def test_edge_deletion_matches_a_search_per_choice(monkeypatch):
     # a cap of 200 samples the larger choice spaces, and clique-5 at
     # delta_s = 1 (7,776 choices) is sampled under a cap of 16
     cases = [(spec, 200) for spec in edge_deletion_cases(60)]
@@ -294,7 +295,8 @@ def test_edge_deletion_matches_a_search_per_choice():
     cases.append((ProblemSpec(graph=clique_graph(5), q=2, delta_s=1), 16))
     certified = set()
     for spec, cap in cases:
-        got = edge_deletion_bound(spec, exhaustive_cap=cap)
+        monkeypatch.setattr(structure, "EDGE_DELETION_EXHAUSTIVE_CAP", cap)
+        got = edge_deletion_bound(spec)
         assert got == ref_edge_deletion_bound(spec, cap), spec
         certified.add(got[1])
     assert certified == {True, False}
@@ -319,15 +321,16 @@ def gamma_start_cases(count: int, seed: int = 0x6A33A):
                           delta_s=rng.choice((0, 1, 1, 2)))
 
 
-def test_gamma_start_matches_the_walk_from_length_one():
+def test_gamma_start_matches_the_walk_from_length_one(monkeypatch):
     # the search from gamma against the walk from length 1: the same
     # (N, G), and the same edge-deletion bound as one walk per choice
     # (a cap of 40 samples the larger choice spaces)
+    monkeypatch.setattr(structure, "EDGE_DELETION_EXHAUSTIVE_CAP", 40)
     seen = set()
     for spec in gamma_start_cases(700):
         g = spec.graph
         assert optimal_length(spec) == _reference_shortest_length(spec), spec
-        assert edge_deletion_bound(spec, exhaustive_cap=40) \
+        assert edge_deletion_bound(spec) \
             == ref_edge_deletion_bound(spec, 40), spec
         seen.add(spec.q)
         if len(set(g.f)) < g.m:
@@ -339,8 +342,9 @@ def test_gamma_start_matches_the_walk_from_length_one():
 
 def test_edge_deletion_searches_past_the_best_length():
     # among this instance's 64 sampled deletion choices, the first table
-    # gives 3; a later one has gamma <= 3 but no avoiding subspace at
-    # length 3, so its search starts at 4
+    # gives 3; the next has gamma <= 3 but no avoiding subspace at
+    # length 3, so its search from 3 goes on to 4, and every later table
+    # is settled by one walk at 4
     graph = SideInfoGraph.make(
         6, [6, 4, 1, 3, 2, 3, 3],
         [{1, 2, 3, 4, 5}, {1, 2, 3, 5, 6}, {2, 3, 5, 6}, {1, 2, 4, 5, 6},
@@ -348,24 +352,26 @@ def test_edge_deletion_searches_past_the_best_length():
     spec = ProblemSpec(graph=graph, q=2, delta_s=1)
     walks, starts = [], []
 
-    def walk(vectors, table, N, budget, rows_of):
-        basis = _first_avoiding_basis(vectors, table, N, budget, rows_of)
+    def walk(vectors, table, N, rows_of):
+        basis = _first_avoiding_basis(vectors, table, N, rows_of)
         walks.append((N, basis is not None))
         return basis
 
-    def search(vectors, table, start, budget, rows_of):
+    def search(vectors, table, start, rows_of):
         starts.append(start)
-        return _shortest_length(vectors, table, start, budget, rows_of)
+        return _shortest_length(vectors, table, start, rows_of)
 
-    with mock.patch("icsie.structure._first_avoiding_basis",
+    with mock.patch("icsie.encoder._first_avoiding_basis",
                     side_effect=walk), \
             mock.patch("icsie.structure._shortest_length",
                        side_effect=search):
         got = edge_deletion_bound(spec)
     assert got == ref_edge_deletion_bound(spec, EDGE_DELETION_EXHAUSTIVE_CAP) \
         == (4, False)
-    assert starts == [3, 4]
-    assert walks[0] == (3, False) and all(w == (4, True) for w in walks[1:])
+    later = len(starts) - 2
+    assert later > 0
+    assert starts == [3, 3] + [4] * later
+    assert walks == [(3, True), (3, False)] + [(4, True)] * (later + 1)
 
 
 @pytest.mark.parametrize("q", [2, 3])
