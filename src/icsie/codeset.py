@@ -34,10 +34,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterator
 
 from .errors import BudgetExceededError, DimensionError, FieldMismatchError
-from .linalg import LaneVectors, Matrix, hamming_weight, subvector, vector_space
+from .linalg import LaneVectors, Matrix, vector_space
 from .sigraph import ProblemSpec, SideInfoGraph
 
 DEFAULT_ENUM_BITS = 24
@@ -54,36 +53,6 @@ def _check_enum_budget(spec: ProblemSpec) -> None:
         raise BudgetExceededError(
             f"enumerating F_{spec.q}^{n} exceeds the {DEFAULT_ENUM_BITS}-bit "
             f"budget")
-
-
-def in_interference(spec: ProblemSpec, z, i: int) -> bool:
-    """Is z an interference vector for receiver i?"""
-    g = spec.graph
-    if z[g.f[i - 1] - 1] == 0:
-        return False
-    return hamming_weight(subvector(z, g.X[i - 1])) <= spec.side_weight_cap()
-
-
-def first_witness(spec: ProblemSpec, z) -> int | None:
-    for i in range(1, spec.graph.m + 1):
-        if in_interference(spec, z, i):
-            return i
-    return None
-
-
-def enum_interference(spec: ProblemSpec) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Yield each interference vector exactly once as (z, witness receiver).
-
-    Order is lexicographic in the coordinate tuple; the witness is the
-    smallest receiver index that admits z.  F_q^n must fit in
-    DEFAULT_ENUM_BITS bits.
-    """
-    _check_enum_budget(spec)
-    n = spec.graph.n
-    for z in itertools.product(range(spec.q), repeat=n):
-        i = first_witness(spec, z)
-        if i is not None:
-            yield z, i
 
 
 def packet_mask(packets, n: int) -> int:

@@ -26,7 +26,8 @@ as a ReceiverDecoder:
   definition: the correction patterns come from ``linalg.low_weight``
   -- support size, then supports lexicographically, then coefficients
   -- and the first to reach a syndrome keeps it; their number is checked
-  against COSET_CANDIDATE_BUDGET before any is listed.  ``find_correction``
+  against COSET_CANDIDATE_BUDGET before any is listed, and a
+  ReceiverDecoder checks it before it builds anything.  ``find_correction``
   looks a syndrome up there; the decoder re-keys the same table by the
   packed syndrome, so both return the same correction;
 * a memo from the packed z = A (y - x_hat G_X) to the (value, trace) a
@@ -211,6 +212,9 @@ class ReceiverDecoder:
     """
 
     def __init__(self, G: Matrix, graph: SideInfoGraph, i: int, delta_s: int):
+        # a refusal is not cached, so it comes before anything is built
+        _check_coset_budget(i, low_weight_count(len(graph.X[i - 1]),
+                                                G.field.q, delta_s))
         ctx = build_context(G, graph, i)
         field = G.field
         add, sub, mul = arithmetic(field)
@@ -306,7 +310,8 @@ def receiver_decoder(G: Matrix, graph: SideInfoGraph, i: int,
     delta_s) while it stays among the DECODER_CACHE_SIZE most recent.
     A failed build is kept too, as a decoder that raises its
     DegenerateError on every decode; a BudgetExceededError is not kept,
-    and each call checks the budget again."""
+    and each call checks the budget again, before the receiver's context
+    is built."""
     try:
         return ReceiverDecoder(G, graph, i, delta_s)
     except DegenerateError as exc:

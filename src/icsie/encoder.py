@@ -41,6 +41,12 @@ first and keeps every z's hit count in saturating bit-slices over the
 z, one big-int per count, cutting a branch as soon as some z can no
 longer reach its need with the columns left; it asks no weight test.
 
+Both walks read nothing of the instance but one table (the support
+table, or the needs of the projective points) and a length, so each
+result is kept in one bounded memo, ``walk_memo``, keyed by exactly
+that: a sweep whose instances share tables walks each table once per
+length.  The budget of a length is checked before the memo is read.
+
 All of these work over any F_q through one seam,
 ``linalg.vector_space``: how vectors are packed, added, scaled and
 multiplied is decided there, once, and nothing here tests q itself.
@@ -61,6 +67,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -79,6 +86,7 @@ DEFAULT_SUBSPACE_BUDGET = 1 << 22
 DEFAULT_COMBO_BUDGET = 1 << 22
 DEFAULT_IND_BITS = 20
 DEFAULT_LEN_CAP = 15
+WALK_MEMO_BYTES = 1 << 24       # bytes charged to the walk memo's tables
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +307,48 @@ def minrank(spec: ProblemSpec) -> tuple[int, Matrix]:
 
 
 # ---------------------------------------------------------------------------
+# the walk memo
+
+class _WalkMemo:
+    """The results of the two exact walks made in this process, so that
+    each walk runs at most once: the error-free walk of one support table
+    at one length, and the column-multiset walk of one list of needs
+    placing one number of columns.
+
+    Each walk reads q, n, one table and one length and nothing else, so
+    an entry is keyed by (walk, q, n, table) and holds a dict from length
+    to result.  Each entry is charged the size of its table plus 1 KiB
+    for the key, the dict and the results around it; while the charges
+    exceed WALK_MEMO_BYTES the oldest entry is dropped, so a table past
+    the bound alone is not kept.  Callers check a length's budget before
+    they read the memo, so a refusal and its message never depend on
+    what ran earlier in the process."""
+
+    def __init__(self) -> None:
+        self._entries: dict = {}     # key -> (charge, {length: result})
+        self._charged = 0
+
+    def results(self, walk: str, q: int, n: int, table) -> dict:
+        """The dict from length to result of the walks over table,
+        empty the first time; results put in it are kept."""
+        key = (walk, q, n, table)
+        entry = self._entries.get(key)
+        if entry is None:
+            entry = self._entries[key] = (sys.getsizeof(table) + 1024, {})
+            self._charged += entry[0]
+            while self._charged > WALK_MEMO_BYTES:
+                self._charged -= self._entries.pop(next(iter(self._entries)))[0]
+        return entry[1]
+
+    def cache_clear(self) -> None:
+        self._entries.clear()
+        self._charged = 0
+
+
+walk_memo = _WalkMemo()
+
+
+# ---------------------------------------------------------------------------
 # optimal length: dual-subspace search (no channel errors)
 
 def gaussian_binomial(n: int, d: int, q: int) -> int:
@@ -404,11 +454,20 @@ def _shortest_length(vectors, table, start: int,
     ``structure.edge_deletion_bound`` starts at the larger of a table's
     gamma and its best length so far, and so learns a table's optimum
     only where it exceeds that best.
+
+    Each length's walk reads q, n, the table and N alone, so its basis,
+    or None, is kept in ``walk_memo`` and a later walk of the same table
+    at that length is read from there, once its budget is checked.
     """
-    for N in range(start, vectors.n + 1):
-        basis = _first_avoiding_basis(vectors, table, N, rows_of)
-        if basis is not None:
-            return N, basis
+    q, n = vectors.q, vectors.n
+    walked = walk_memo.results("subspace", q, n, bytes(table))
+    for N in range(start, n + 1):
+        _check_subspace_budget(n, n - N, q)
+        if N not in walked:
+            basis = _first_avoiding_basis(vectors, table, N, rows_of)
+            walked[N] = None if basis is None else tuple(basis)
+        if walked[N] is not None:
+            return N, list(walked[N])
     raise AssertionError("the identity generator is always valid")
 
 
@@ -464,7 +523,12 @@ def _first_column_multiset(vectors, need_of, lengths, prefix: int,
     the rest in the order ``combinations_with_replacement`` lists them,
     so the first multiset it completes is the first that order passes.
     A node updates only the slices above the last full one, at most
-    top of them."""
+    top of them.
+
+    A walk reads q, n, every projective point's need and the number of
+    columns it places, N - prefix, and nothing else, so its result, the
+    columns or None, is kept in ``walk_memo`` under those and read from
+    there by a later walk, once that length's count is checked."""
     q = vectors.q
     npoints = (q ** vectors.n - 1) // (q - 1)
     points = None
@@ -498,7 +562,8 @@ def _first_column_multiset(vectors, need_of, lengths, prefix: int,
                 f"{count} column multisets at length {N} exceed the budget")
         if points is None:
             points = vectors.projective()
-            needs = [need_of(s) for s in vectors.supports(points)]
+            needs = tuple(need_of(s) for s in vectors.supports(points))
+            walked = walk_memo.results("multiset", q, vectors.n, needs)
             zs = [z for z, need in zip(points, needs) if need > 0]
             needs = [need for need in needs if need > 0]
             top = max(needs)
@@ -510,9 +575,12 @@ def _first_column_multiset(vectors, need_of, lengths, prefix: int,
         ncols = N - prefix
         if ncols < top and start[top - ncols] != full:
             continue
-        placed = walk(0, start, ncols)
-        if placed is not None:
-            return N, tuple(points[j] for j in placed)
+        if ncols not in walked:
+            placed = walk(0, start, ncols)
+            walked[ncols] = (None if placed is None
+                             else tuple(points[j] for j in placed))
+        if walked[ncols] is not None:
+            return N, walked[ncols]
     return None
 
 

@@ -26,7 +26,8 @@ edge-deletion bound reads support tables too: one per deletion choice,
 built at delta_s = 0 by ``codeset.support_table``.  Each distinct table
 is searched from the larger of its gamma and the best length so far,
 and the search returns the larger of its start and the table's
-optimum: the new best.
+optimum: the new best.  Every search here reads ``encoder.walk_memo``,
+so a table walked before, by any call, is not walked again.
 
 Each query's 2^n table is checked against DEFAULT_SUBSET_BITS before it
 is built; the searches check their lengths against the encoder's
@@ -239,9 +240,11 @@ def edge_deletion_bound(spec: ProblemSpec) -> tuple[int, bool]:
     set interferes, so G's rows there are independent).  That is the
     new best, so the maximum is the one a full search of every table
     gives.  A table whose optimum is at most best costs one walk, at
-    length best.  One cache of candidate rows serves all the walks.  The
-    budget of the first length is checked before the first table is
-    built, and each length walked is checked when it is walked.
+    length best.  One cache of candidate rows serves all the walks, and
+    a table's walk made by an earlier call is read from
+    ``encoder.walk_memo``.  The budget of the first length is checked
+    before the first table is built, and each length walked is checked
+    when it is walked, memo or not.
     """
     g, cap = spec.graph, spec.side_weight_cap()
     n = g.n

@@ -9,12 +9,13 @@ import random
 import pytest
 
 from icsie import Matrix, encoder, field_for
-from icsie.codeset import interference_masks, interference_supports
+from icsie.codeset import (_check_enum_budget, interference_masks,
+                           interference_supports)
 from icsie.decoder import DecodeTrace, build_context
 from icsie.encoder import _check_subspace_budget, _first_avoiding_basis
 from icsie.errors import (BudgetExceededError, DegenerateError,
                           InconsistentError, NoSolutionError)
-from icsie.linalg import dot, vec_sub, vector_space
+from icsie.linalg import dot, hamming_weight, subvector, vec_sub, vector_space
 from icsie.sigraph import ProblemSpec, SideInfoGraph
 
 FAMILY_SEED = 0xD5C0DE
@@ -53,6 +54,44 @@ def random_generator(rng: random.Random, q: int, n: int, N: int) -> Matrix:
 def small_family():
     return family_graphs()
 
+
+@pytest.fixture(autouse=True)
+def cold_walk_memo():
+    """Every test starts with an empty walk memo, so a test that counts
+    or records walks sees the same ones whatever ran before it."""
+    encoder.walk_memo.cache_clear()
+
+
+# -- the tuple-level interference rule the support tables are checked against
+
+def in_interference(spec: ProblemSpec, z, i: int) -> bool:
+    """Is z an interference vector for receiver i?"""
+    g = spec.graph
+    if z[g.f[i - 1] - 1] == 0:
+        return False
+    return hamming_weight(subvector(z, g.X[i - 1])) <= spec.side_weight_cap()
+
+
+def first_witness(spec: ProblemSpec, z) -> int | None:
+    for i in range(1, spec.graph.m + 1):
+        if in_interference(spec, z, i):
+            return i
+    return None
+
+
+def enum_interference(spec: ProblemSpec):
+    """Yield each interference vector exactly once as (z, witness receiver).
+
+    Order is lexicographic in the coordinate tuple; the witness is the
+    smallest receiver index that admits z.  F_q^n must fit in the
+    library's codeset.DEFAULT_ENUM_BITS bits.
+    """
+    _check_enum_budget(spec)
+    n = spec.graph.n
+    for z in itertools.product(range(spec.q), repeat=n):
+        i = first_witness(spec, z)
+        if i is not None:
+            yield z, i
 
 
 def _reference_shortest_length(spec: ProblemSpec) -> tuple[int, Matrix]:

@@ -21,6 +21,8 @@ from icsie.structure import (bounds_report, delta_s_mais,
                              edge_deletion_bound, find_cycles, gamma,
                              is_acyclic, max_disjoint_cycles)
 
+from conftest import enum_interference
+
 F2 = field_for(2)
 CLIQUE4 = ProblemSpec(graph=clique_graph(4), q=2, delta_s=1)
 G4 = Matrix(F2, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
@@ -44,7 +46,7 @@ def _l_q():
 BUDGETS = [
     (codeset, "DEFAULT_ENUM_BITS", 3,
      [lambda: codeset.is_valid_generator(CLIQUE4, G4),
-      lambda: list(codeset.enum_interference(CLIQUE4)),
+      lambda: list(enum_interference(CLIQUE4)),
       lambda: codeset.interference_masks(CLIQUE4)]),
     (codeset, "DEFAULT_PAIR_BITS", 7,
      [lambda: codeset.oracle_decodable(CLIQUE4, G4)]),

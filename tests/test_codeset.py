@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icsie import codeset, linalg
-from icsie.codeset import (_check_generator, _log2_q, enum_interference,
-                           first_witness, in_interference,
-                           interference_masks, interference_supports,
-                           is_valid_generator, oracle_decodable)
+from icsie.codeset import (_check_generator, _log2_q, interference_masks,
+                           interference_supports, is_valid_generator,
+                           oracle_decodable)
 from icsie.errors import (BudgetExceededError, DimensionError,
                           FieldMismatchError, IcsieError)
 from icsie.gfield import field_for
@@ -18,7 +17,8 @@ from icsie.linalg import Matrix, hamming_weight, mask_of, vec_add, vec_scale
 from icsie.sigraph import ProblemSpec, SideInfoGraph, clique_graph
 from icsie.simulation import SimulationConfig, run_simulation
 
-from conftest import all_unipartite_graphs, random_generator
+from conftest import (all_unipartite_graphs, enum_interference,
+                      first_witness, in_interference, random_generator)
 
 F2 = field_for(2)
 

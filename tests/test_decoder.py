@@ -135,6 +135,19 @@ def test_coset_table_past_its_budget_refuses_before_the_walk(monkeypatch):
     assert time.perf_counter() - start < 0.1
 
 
+def test_coset_budget_refuses_before_the_context_is_built(monkeypatch):
+    # a refusal is not cached, so each repeat checks the budget again;
+    # it must do so before building the receiver's context
+    monkeypatch.setattr(decoder, "build_context", lambda *args: 1 / 0)
+    G, graph = Matrix.identity(field_for(256), 5), clique_graph(5)
+    y = G.vec_mul((1, 2, 3, 4, 5))
+    for _ in range(3):
+        with pytest.raises(BudgetExceededError, match=(
+                r"^receiver 1: 391171 candidate corrections exceed the "
+                r"coset-table budget$")):
+            decode_receiver(G, graph, 1, y, (2, 3, 4, 5), 2)
+
+
 def test_decode_all():
     snapshots = {}
     for i in (1, 9):

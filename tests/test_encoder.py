@@ -8,8 +8,8 @@ from unittest import mock
 import pytest
 
 from icsie import codeset, encoder, kernels, linalg
-from icsie.codeset import (first_witness, interference_supports,
-                            is_valid_generator, oracle_decodable)
+from icsie.codeset import (interference_supports, is_valid_generator,
+                           oracle_decodable)
 from icsie.encoder import (_first_column_multiset, _SpanTracker,
                            clique_from_parity, complete_template, core_length,
                            cycle_code, fitting_template, gaussian_binomial,
@@ -26,7 +26,8 @@ from icsie.sigraph import ProblemSpec, SideInfoGraph, clique_graph
 from icsie.structure import edge_deletion_bound
 
 from conftest import (_reference_gecic_length, _reference_shortest_length,
-                      all_unipartite_graphs, sampled_unipartite_graphs)
+                      all_unipartite_graphs, first_witness,
+                      sampled_unipartite_graphs)
 
 F2 = field_for(2)
 CLIQUE4 = ProblemSpec(graph=clique_graph(4), q=2, delta_s=1)
