@@ -50,6 +50,9 @@ length.  The budget of a length is checked before the memo is read.
 All of these work over any F_q through one seam,
 ``linalg.vector_space``: how vectors are packed, added, scaled and
 multiplied is decided there, once, and nothing here tests q itself.
+minrank's incremental rank and ``independent_columns`` are
+``linalg.RowSpan``, the one row reduction, which also gives the
+witnesses' null spaces.
 
 ``optimum`` is the one place the two routes meet: it runs one of them
 or both, and with both it checks minrank's length against the direct
@@ -76,8 +79,8 @@ from .codeset import (_check_enum_budget, contains_compressible, gamma_mask,
 from .errors import (BudgetExceededError, CycleTooSmallError,
                      DistanceTooSmallError, IcsieError, MismatchError,
                      ParseError)
-from .gfield import Field, arithmetic, field_for
-from .linalg import Matrix, vector_space
+from .gfield import Field, field_for
+from .linalg import Matrix, RowSpan, vector_space
 from .sigraph import ProblemSpec, clique_graph, is_integer
 
 DEFAULT_FREE_BITS = 24          # minrank's free positions, in bits
@@ -142,8 +145,11 @@ def template_column_vector(field: Field, n: int, col: TemplateColumn,
 
 def complete_template(spec: ProblemSpec, assignment) -> Matrix:
     """Full fitting matrix for a flat tuple of free-position values."""
-    tmpl = fitting_template(spec)
-    field = spec.field
+    return _completed(spec.field, fitting_template(spec), assignment)
+
+
+def _completed(field: Field, tmpl: FittingTemplate, assignment) -> Matrix:
+    """complete_template on a template already built."""
     vecs = []
     k = 0
     for col in tmpl.columns:
@@ -153,63 +159,14 @@ def complete_template(spec: ProblemSpec, assignment) -> Matrix:
     return Matrix(field, zip(*vecs), ncols=len(vecs))
 
 
-# ---------------------------------------------------------------------------
-# incremental rank tracking for the minrank search
-
-class _SpanTracker:
-    """Incremental rank of a growing set of F_q^n vectors, with undo.
-
-    Vectors are reduced through the field's sub and mul tables from
-    ``gfield.arithmetic`` (views calling the Field above its table
-    limit); each accepted pivot costs one ``Field.inv``.
-    """
-
-    def __init__(self, field: Field):
-        self.field = field
-        _, self._sub, self._mul = arithmetic(field)
-        self.pivots: list[tuple[int, tuple[int, ...]]] = []  # (pivot position, reduced vector)
-
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    def _reduce(self, vec) -> list[int]:
-        """vec minus its projection on the pivots: zero iff vec is in the span."""
-        sub, mul = self._sub, self._mul
-        v = list(vec)
-        for pos, pv in self.pivots:
-            c = v[pos]
-            if c != 0:
-                mc = mul[c]
-                v = [sub[a][mc[b]] for a, b in zip(v, pv)]
-        return v
-
-    def contains(self, vec) -> bool:
-        """Is vec in the span?  Leaves the tracker unchanged."""
-        return not any(self._reduce(vec))
-
-    def push(self, vec) -> bool:
-        """Add a vector; True if it increased the rank (then pop() undoes it)."""
-        mul = self._mul
-        v = self._reduce(vec)
-        for pos, val in enumerate(v):
-            if val != 0:
-                m_inv = mul[self.field.inv(val)]
-                self.pivots.append((pos, tuple([m_inv[a] for a in v])))
-                return True
-        return False
-
-    def pop(self) -> None:
-        self.pivots.pop()
-
-
 def independent_columns(M: Matrix) -> Matrix:
     """A maximal independent subset of M's columns, first-come order.
 
     Removing dependent columns from a completed fitting matrix yields a
     generator of the same column space, hence still valid.
     """
-    tracker = _SpanTracker(M.field)
-    keep = [c for c in M.columns() if tracker.push(c)]
+    span = RowSpan(M.field)
+    keep = [c for c in M.columns() if span.push(c)]
     return Matrix(M.field, zip(*keep), ncols=len(keep))
 
 
@@ -258,7 +215,7 @@ def minrank(spec: ProblemSpec) -> tuple[int, Matrix]:
              for col in cols]
     best = n + 1
     best_assign: tuple[int, ...] | None = None
-    tracker = _SpanTracker(field)
+    span = RowSpan(field)
     assign: list[int] = []
 
     def completions(k: int):
@@ -279,31 +236,31 @@ def minrank(spec: ProblemSpec) -> tuple[int, Matrix]:
         tail: list[int] = []
         for j in range(k, len(cols)):
             vals = next((vals for vals, vec in completions(j)
-                         if tracker.contains(vec)), None)
+                         if span.contains(vec)), None)
             if vals is None:
                 return
             tail.extend(vals)
-        best = tracker.rank()
+        best = span.rank()
         best_assign = tuple(assign) + tuple(tail)
 
     def walk(k: int) -> None:
-        rank = tracker.rank()
+        rank = span.rank()
         if rank >= best:
             return
         if rank == best - 1 or k == len(cols):  # at a leaf settle records it
             settle(k)
             return
         for vals, vec in completions(k):
-            grew = tracker.push(vec)
+            grew = span.push(vec)
             assign.extend(vals)
             walk(k + 1)
             del assign[len(assign) - len(vals):]
             if grew:
-                tracker.pop()
+                span.pop()
 
     walk(0)
     assert best_assign is not None
-    return best, complete_template(spec, best_assign)
+    return best, _completed(field, tmpl, best_assign)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,17 @@ Elements are canonical integers in [0, q).  The base-p digits of an
 element are the coefficients of its polynomial residue, digit i being
 the coefficient of x^i.  For prime fields (e = 1) this is just the
 integer mod p.
+
+A field of at most TABLE_Q_LIMIT elements builds one add, sub, mul and
+inverse table when it is constructed; its methods read them, and
+``arithmetic`` hands the same tables to the table-driven code in
+``linalg``, ``decoder`` and ``simulation``.  A larger field computes
+each operation from the digits, and ``arithmetic`` hands out views
+that call it.
 """
 
 from __future__ import annotations
 
-import functools
 import operator
 
 from .errors import FieldTooLargeError, NotPrimePowerError
@@ -115,7 +121,10 @@ class Field:
 
     Immutable after construction; all operations are pure functions on
     canonical integer representatives, so a Field may be shared freely
-    across threads.
+    across threads.  Up to TABLE_Q_LIMIT the field holds one add, sub,
+    mul and inverse table, built once at construction, which its methods
+    and ``arithmetic`` read; above it every operation is computed from
+    the base-p digits.
     """
 
     __slots__ = ("p", "e", "q", "modulus", "_add_table", "_sub_table",
@@ -133,7 +142,7 @@ class Field:
         self.modulus: tuple[int, ...] = () if e == 1 else _smallest_irreducible(p, e)
         self._add_table = self._sub_table = None
         self._mul_table = self._inv_table = None
-        if q <= TABLE_Q_LIMIT and e > 1:
+        if q <= TABLE_Q_LIMIT:
             self._build_tables()
 
     # -- encoding helpers ------------------------------------------------
@@ -153,30 +162,45 @@ class Field:
 
     def _build_tables(self) -> None:
         q = self.q
-        table = [[0] * q for _ in range(q)]
-        for a in range(q):
+        add, mul = ([[0] * q for _ in range(q)] for _ in range(2))
+        for a in range(q):      # both commute: fill one half, mirror it
             for b in range(a, q):
-                v = self._mul_poly(a, b)
-                table[a][b] = v
-                table[b][a] = v
-        inv = [0] * q
-        for a in range(1, q):
-            row = table[a]
-            for b in range(1, q):
-                if row[b] == 1:
-                    inv[a] = b
-                    break
-        self._mul_table = table
-        self._inv_table = inv
-        if self.p != 2:     # characteristic 2 adds by XOR, without a table
-            self._add_table, self._sub_table = (
-                [[self._digitwise(op, a, b) for b in range(q)] for a in range(q)]
-                for op in (operator.add, operator.sub))
+                add[a][b] = add[b][a] = self._add(a, b)
+                mul[a][b] = mul[b][a] = self._mul(a, b)
+        self._add_table, self._mul_table = add, mul
+        self._sub_table = [[self._sub(a, b) for b in range(q)]
+                           for a in range(q)]
+        self._inv_table = [0] + [mul[a].index(1) for a in range(1, q)]
 
     def _digitwise(self, op, a: int, b: int) -> int:
         """op applied to a's and b's base-p digits, each mod p."""
         return self._undigits([op(x, y) % self.p for x, y
                                in zip(self._digits(a), self._digits(b))])
+
+    # -- untabulated arithmetic: the tables' source, and every field above
+    #    TABLE_Q_LIMIT
+
+    def _add(self, a: int, b: int) -> int:
+        if self.p == 2:                 # digit-wise mod 2 is XOR
+            return a ^ b
+        if self.e == 1:
+            return (a + b) % self.p
+        return self._digitwise(operator.add, a, b)
+
+    def _sub(self, a: int, b: int) -> int:
+        if self.p == 2:                 # in characteristic 2, sub is add
+            return a ^ b
+        if self.e == 1:
+            return (a - b) % self.p
+        return self._digitwise(operator.sub, a, b)
+
+    def _mul(self, a: int, b: int) -> int:
+        if self.e == 1:
+            return (a * b) % self.p
+        prod = _poly_mulmod(tuple(self._digits(a)), tuple(self._digits(b)), self.p)
+        rem = _poly_divmod(prod, list(self.modulus), self.p)
+        rem += [0] * (self.e - len(rem))
+        return self._undigits(rem)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -186,44 +210,26 @@ class Field:
         return a
 
     def add(self, a: int, b: int) -> int:
-        if self.p == 2:                 # digit-wise mod 2 is XOR
-            return a ^ b
-        if self.e == 1:
-            return (a + b) % self.p
         if self._add_table is not None:
             return self._add_table[a][b]
-        return self._digitwise(operator.add, a, b)
+        return self._add(a, b)
 
     def sub(self, a: int, b: int) -> int:
-        if self.p == 2:                 # in characteristic 2, sub is add
-            return a ^ b
-        if self.e == 1:
-            return (a - b) % self.p
         if self._sub_table is not None:
             return self._sub_table[a][b]
-        return self._digitwise(operator.sub, a, b)
+        return self._sub(a, b)
 
     def neg(self, a: int) -> int:
         return self.sub(0, a)
 
-    def _mul_poly(self, a: int, b: int) -> int:
-        prod = _poly_mulmod(tuple(self._digits(a)), tuple(self._digits(b)), self.p)
-        rem = _poly_divmod(prod, list(self.modulus), self.p)
-        rem += [0] * (self.e - len(rem))
-        return self._undigits(rem)
-
     def mul(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a * b) % self.p
         if self._mul_table is not None:
             return self._mul_table[a][b]
-        return self._mul_poly(a, b)
+        return self._mul(a, b)
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in a finite field")
-        if self.e == 1:
-            return pow(a, self.p - 2, self.p)
         if self._inv_table is not None:
             return self._inv_table[a]
         return self.pow(a, self.q - 2)
@@ -275,12 +281,9 @@ class _FieldOp:
         return self.op(self.a, b)
 
 
-@functools.lru_cache(maxsize=16)
 def arithmetic(field: Field):
-    """The field's (add, sub, mul), each indexed as op[a][b]: q x q
+    """The field's (add, sub, mul), each indexed as op[a][b]: its q x q
     tables, or views calling the Field when q is too large to tabulate."""
-    ops = (field.add, field.sub, field.mul)
-    if field.q > TABLE_Q_LIMIT:
-        return tuple(_FieldOp(op) for op in ops)
-    elements = range(field.q)
-    return tuple([[op(a, b) for b in elements] for a in elements] for op in ops)
+    if field._add_table is None:
+        return tuple(_FieldOp(op) for op in (field.add, field.sub, field.mul))
+    return field._add_table, field._sub_table, field._mul_table

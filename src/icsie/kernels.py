@@ -9,10 +9,11 @@ takes any number of columns.
 ``gf2_first_failing`` is the one weight test over F_2: validity and the
 minimum distance ask it through ``linalg.vector_space``; the
 column-multiset walk of ``encoder`` counts hits in bit-slices instead
-and asks it nothing.  ``gf2_rank`` ranks F_2
-matrices for ``linalg.Matrix``.  Callers look the kernels up as
-attributes of this module (``kernels.gf2_rank``), never by importing
-the functions, so the benchmark's tracer can wrap them here by name.
+and asks it nothing.  ``gf2_rank`` is ``linalg.Matrix.rank`` over F_2;
+every other elimination, over F_2 too, is ``linalg.RowSpan``.  Callers
+look the kernels up as attributes of this module (``kernels.gf2_rank``),
+never by importing the functions, so the benchmark's tracer can wrap
+them here by name.
 ``gf2_span_intersects`` has no caller in the library; it stays only
 because that tracer still wraps it by name.
 """

@@ -1,11 +1,16 @@
 """Dense vectors and matrices over F_q.
 
 Vectors are plain tuples of canonical integers; matrices are immutable
-value types.  Index sets passed to subvector/submatrix operations are
-1-based, matching the instance file format.
+value types.  Index sets passed to submatrix operations are 1-based,
+matching the instance file format.
 
-Elimination uses a fixed pivot order (leftmost column, topmost row) so
-ranks, echelon forms and null-space bases are reproducible.
+``RowSpan`` is the one row reduction over F_q: an incremental span with
+undo, read through the field's tables.  ``Matrix.rref``, and through it
+``null_space_basis``, ``Matrix.in_row_span``, ``Matrix.rank`` over
+q != 2, and encoder's ``independent_columns`` and ``minrank`` all reduce
+through it.  Over F_2, ``Matrix.rank`` is the kernel ``gf2_rank`` on
+packed rows.  The reduced row-echelon form depends only on the row
+space, so echelon forms and null-space bases are reproducible.
 """
 
 from __future__ import annotations
@@ -19,39 +24,9 @@ from .errors import FieldMismatchError
 from .gfield import TABLE_Q_LIMIT, Field, arithmetic
 
 
-def subvector(x: Sequence[int], indices: Iterable[int]) -> tuple[int, ...]:
-    """Entries of x at the given 1-based indices, in ascending index order."""
-    idx = sorted(set(indices))
-    if idx and (idx[0] < 1 or idx[-1] > len(x)):
-        raise IndexError(f"indices {idx} out of range for length {len(x)}")
-    return tuple(x[i - 1] for i in idx)
-
-
-def hamming_weight(x: Iterable[int]) -> int:
-    return sum(1 for v in x if v != 0)
-
-
-def vec_add(field: Field, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    return tuple(field.add(x, y) for x, y in zip(a, b, strict=True))
-
-
-def vec_sub(field: Field, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    return tuple(field.sub(x, y) for x, y in zip(a, b, strict=True))
-
-
-def vec_scale(field: Field, c: int, a: Sequence[int]) -> tuple[int, ...]:
-    return tuple(field.mul(c, v) for v in a)
-
-
-def dot(field: Field, a: Sequence[int], b: Sequence[int]) -> int:
-    acc = 0
-    for x, y in zip(a, b, strict=True):
-        acc = field.add(acc, field.mul(x, y))
-    return acc
-
-
 def table_dot(add, mul, a: Sequence[int], b: Sequence[int]) -> int:
-    """dot(field, a, b) through the field's tables from gfield.arithmetic."""
+    """The dot product of a and b through the field's add and mul tables
+    from gfield.arithmetic."""
     acc = 0
     for x, y in zip(a, b, strict=True):
         if x and y:
@@ -332,6 +307,79 @@ class _LaneMultiples:
         return self.lanes.pack([mul(c, a) for a in self.vec])
 
 
+class RowSpan:
+    """The span of a growing list of F_q^n vectors, with undo: the one
+    row reduction over F_q.
+
+    The span is kept as one row per vector that raised the rank: the
+    vector reduced against the rows kept before it, scaled so that its
+    first nonzero entry, its pivot, is 1.  So every kept row is zero
+    left of its pivot and at the pivots of the rows kept before it, and
+    a vector reduced against all of them is zero iff it lies in the
+    span.  Vectors are reduced through the field's sub and mul tables
+    from ``gfield.arithmetic`` (views calling the Field above its table
+    limit); each kept row costs one ``Field.inv``.
+    """
+
+    def __init__(self, field: Field):
+        self.field = field
+        _, self._sub, self._mul = arithmetic(field)
+        self.pivots: list[tuple[int, tuple[int, ...]]] = []  # (pivot position, kept row)
+
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def _reduce(self, vec) -> list[int]:
+        """vec minus its projection on the kept rows: zero iff vec is in
+        the span."""
+        sub, mul = self._sub, self._mul
+        v = list(vec)
+        for pos, pv in self.pivots:
+            c = v[pos]
+            if c != 0:
+                mc = mul[c]
+                v = [sub[a][mc[b]] for a, b in zip(v, pv)]
+        return v
+
+    def contains(self, vec) -> bool:
+        """Is vec in the span?  Leaves the span unchanged."""
+        return not any(self._reduce(vec))
+
+    def push(self, vec) -> bool:
+        """Add a vector; True if it increased the rank (then pop() undoes it)."""
+        mul = self._mul
+        v = self._reduce(vec)
+        for pos, val in enumerate(v):
+            if val != 0:
+                m_inv = mul[self.field.inv(val)]
+                self.pivots.append((pos, tuple([m_inv[a] for a in v])))
+                return True
+        return False
+
+    def pop(self) -> None:
+        self.pivots.pop()
+
+    def rref(self) -> tuple[list[list[int]], list[int]]:
+        """The span's reduced row-echelon form: (rows, pivot column
+        indices 0-based, ascending).
+
+        The kept rows, sorted by pivot, are an echelon basis.  Clearing
+        each pivot column from the other rows, leftmost pivot first,
+        keeps every column cleared before zero, since the row cleared
+        with is zero left of its pivot."""
+        sub, mul = self._sub, self._mul
+        kept = sorted(self.pivots, key=lambda pivot: pivot[0])
+        rows = [list(pv) for _, pv in kept]
+        for j, (pos, _) in enumerate(kept):
+            pj = rows[j]
+            for i, r in enumerate(rows):
+                c = r[pos]
+                if c != 0 and i != j:
+                    mc = mul[c]
+                    rows[i] = [sub[a][mc[b]] for a, b in zip(r, pj)]
+        return rows, [pos for pos, _ in kept]
+
+
 class Matrix:
     """An immutable r x c matrix over a finite field."""
 
@@ -386,9 +434,6 @@ class Matrix:
             return Matrix(self.field, [[] for _ in range(self.ncols)], ncols=0)
         return Matrix(self.field, zip(*self.rows), ncols=self.nrows)
 
-    def with_row(self, v: Sequence[int]) -> "Matrix":
-        return Matrix(self.field, list(self.rows) + [tuple(v)], ncols=self.ncols)
-
     def columns(self) -> list[tuple[int, ...]]:
         return [tuple(r[k] for r in self.rows) for k in range(self.ncols)]
 
@@ -424,37 +469,20 @@ class Matrix:
 
     # -- elimination -----------------------------------------------------
 
+    def _row_span(self) -> RowSpan:
+        span = RowSpan(self.field)
+        for r in self.rows:
+            span.push(r)
+        return span
+
     def rref(self) -> tuple[list[list[int]], list[int]]:
         """Reduced row-echelon form; returns (rows, pivot column indices 0-based)."""
-        f = self.field
-        rows = [list(r) for r in self.rows]
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.ncols):
-            sel = None
-            for i in range(r, len(rows)):
-                if rows[i][c] != 0:
-                    sel = i
-                    break
-            if sel is None:
-                continue
-            rows[r], rows[sel] = rows[sel], rows[r]
-            inv = f.inv(rows[r][c])
-            rows[r] = [f.mul(inv, v) for v in rows[r]]
-            for i in range(len(rows)):
-                if i != r and rows[i][c] != 0:
-                    coef = rows[i][c]
-                    rows[i] = [f.sub(v, f.mul(coef, w)) for v, w in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-            if r == len(rows):
-                break
-        return rows[:r], pivots
+        return self._row_span().rref()
 
     def rank(self) -> int:
         if self.field.q == 2:
             return kernels.gf2_rank([mask_of(r) for r in self.rows])
-        return len(self.rref()[1])
+        return self._row_span().rank()
 
     def null_space_basis(self) -> "Matrix":
         """Basis of the right kernel {v : A v^T = 0}, one row per basis vector.
@@ -478,7 +506,7 @@ class Matrix:
     def in_row_span(self, v: Sequence[int]) -> bool:
         if len(v) != self.ncols:
             raise ValueError("dimension mismatch")
-        return self.with_row(v).rank() == self.rank()
+        return self._row_span().contains(v)
 
     # -- identity and serialization --------------------------------------
 

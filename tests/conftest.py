@@ -15,7 +15,8 @@ from icsie.decoder import DecodeTrace, build_context
 from icsie.encoder import _check_subspace_budget, _first_avoiding_basis
 from icsie.errors import (BudgetExceededError, DegenerateError,
                           InconsistentError, NoSolutionError)
-from icsie.linalg import dot, hamming_weight, subvector, vec_sub, vector_space
+from icsie.gfield import Field
+from icsie.linalg import vector_space
 from icsie.sigraph import ProblemSpec, SideInfoGraph
 
 FAMILY_SEED = 0xD5C0DE
@@ -60,6 +61,72 @@ def cold_walk_memo():
     """Every test starts with an empty walk memo, so a test that counts
     or records walks sees the same ones whatever ran before it."""
     encoder.walk_memo.cache_clear()
+
+
+# -- vector helpers in Field arithmetic, for the tests only
+
+def subvector(x, indices) -> tuple[int, ...]:
+    """Entries of x at the given 1-based indices, in ascending index order."""
+    idx = sorted(set(indices))
+    if idx and (idx[0] < 1 or idx[-1] > len(x)):
+        raise IndexError(f"indices {idx} out of range for length {len(x)}")
+    return tuple(x[i - 1] for i in idx)
+
+
+def hamming_weight(x) -> int:
+    return sum(1 for v in x if v != 0)
+
+
+def vec_add(field: Field, a, b) -> tuple[int, ...]:
+    return tuple(field.add(x, y) for x, y in zip(a, b, strict=True))
+
+
+def vec_sub(field: Field, a, b) -> tuple[int, ...]:
+    return tuple(field.sub(x, y) for x, y in zip(a, b, strict=True))
+
+
+def vec_scale(field: Field, c: int, a) -> tuple[int, ...]:
+    return tuple(field.mul(c, v) for v in a)
+
+
+def dot(field: Field, a, b) -> int:
+    acc = 0
+    for x, y in zip(a, b, strict=True):
+        acc = field.add(acc, field.mul(x, y))
+    return acc
+
+
+# -- the elimination the library's row reduction is checked against
+
+def reference_rref(M: Matrix) -> tuple[list[list[int]], list[int]]:
+    """M's reduced row-echelon form by Gauss-Jordan elimination in Field
+    method calls, column by column: (rows, pivot column indices 0-based).
+    It shares nothing with linalg.RowSpan but the Field."""
+    f = M.field
+    rows = [list(r) for r in M.rows]
+    pivots: list[int] = []
+    r = 0
+    for c in range(M.ncols):
+        sel = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        inv = f.inv(rows[r][c])
+        rows[r] = [f.mul(inv, v) for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                coef = rows[i][c]
+                rows[i] = [f.sub(v, f.mul(coef, w))
+                           for v, w in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots
+
+
+def reference_rank(M: Matrix) -> int:
+    return len(reference_rref(M)[1])
 
 
 # -- the tuple-level interference rule the support tables are checked against

@@ -4,7 +4,7 @@ from unittest import mock
 
 import pytest
 from click.testing import CliRunner
-from conftest import _reference_decode, _reference_shortest_length
+from conftest import _reference_decode, _reference_shortest_length, dot
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +15,7 @@ from icsie.errors import BudgetExceededError
 from icsie.encoder import (optimal_length, parse_generator,
                            serialize_generator)
 from icsie.gfield import field_for
-from icsie.linalg import Matrix, dot
+from icsie.linalg import Matrix
 from icsie.sigraph import (ProblemSpec, SideInfoGraph, clique_graph,
                            parse_instance, serialize_instance)
 from icsie.simulation import SimulationConfig, run_simulation

@@ -13,12 +13,13 @@ from icsie.errors import (BudgetExceededError, DimensionError,
                           FieldMismatchError, IcsieError)
 from icsie.gfield import field_for
 from icsie.encoder import optimal_length
-from icsie.linalg import Matrix, hamming_weight, mask_of, vec_add, vec_scale
+from icsie.linalg import Matrix, mask_of
 from icsie.sigraph import ProblemSpec, SideInfoGraph, clique_graph
 from icsie.simulation import SimulationConfig, run_simulation
 
 from conftest import (all_unipartite_graphs, enum_interference,
-                      first_witness, in_interference, random_generator)
+                      first_witness, hamming_weight, in_interference,
+                      random_generator, vec_add, vec_scale)
 
 F2 = field_for(2)
 

@@ -3,7 +3,8 @@ import random
 import time
 
 import pytest
-from conftest import _reference_decode, _reference_search, random_generator
+from conftest import (_reference_decode, _reference_search, random_generator,
+                      vec_sub)
 
 from icsie import decoder
 from icsie.decoder import (DECODER_CACHE_SIZE, build_context,
@@ -13,7 +14,7 @@ from icsie.encoder import optimal_length
 from icsie.errors import (BudgetExceededError, DegenerateError,
                           InconsistentError, NoSolutionError)
 from icsie.gfield import field_for
-from icsie.linalg import Matrix, vec_sub
+from icsie.linalg import Matrix
 from icsie.sigraph import ProblemSpec, SideInfoGraph, clique_graph
 from icsie.simulation import (SimulationConfig, SimulationReport,
                               run_simulation)

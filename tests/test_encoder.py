@@ -10,10 +10,10 @@ import pytest
 from icsie import codeset, encoder, kernels, linalg
 from icsie.codeset import (interference_supports, is_valid_generator,
                            oracle_decodable)
-from icsie.encoder import (_first_column_multiset, _SpanTracker,
-                           clique_from_parity, complete_template, core_length,
-                           cycle_code, fitting_template, gaussian_binomial,
-                           ind_q, independent_columns, l_q,
+from icsie.encoder import (_first_column_multiset, clique_from_parity,
+                           complete_template, core_length, cycle_code,
+                           fitting_template, gaussian_binomial, ind_q,
+                           independent_columns, l_q,
                            min_distance_from_parity, minrank, optimal_length,
                            optimum, parse_generator, serialize_generator,
                            template_column_vector)
@@ -21,12 +21,13 @@ from icsie.errors import (BudgetExceededError, CycleTooSmallError,
                           DistanceTooSmallError, IcsieError, MismatchError,
                           ParseError)
 from icsie.gfield import _FieldOp, arithmetic, field_for
-from icsie.linalg import Matrix, dot, hamming_weight, mask_of, vector_space
+from icsie.linalg import Matrix, RowSpan, mask_of, vector_space
 from icsie.sigraph import ProblemSpec, SideInfoGraph, clique_graph
 from icsie.structure import edge_deletion_bound
 
 from conftest import (_reference_gecic_length, _reference_shortest_length,
-                      all_unipartite_graphs, first_witness,
+                      all_unipartite_graphs, dot, first_witness,
+                      hamming_weight, reference_rank,
                       sampled_unipartite_graphs)
 
 F2 = field_for(2)
@@ -343,7 +344,7 @@ def test_minrank_pinned(monkeypatch, graph, q, ds, bits, N, rows):
 
 
 def test_minrank_over_an_untabulated_field():
-    # F_257 is past the table limit: the rank tracker reads the field
+    # F_257 is past the table limit: the row reduction reads the field
     # through the views that call the Field
     f = field_for(257)
     assert all(isinstance(op, _FieldOp) for op in arithmetic(f))
@@ -372,15 +373,15 @@ def _reference_minrank(spec, budget_bits=24):
     cols = tmpl.columns
     best = n + 1
     best_assign = None
-    tracker = _SpanTracker(field)
+    span = RowSpan(field)
     assign = []
 
     def walk(k):
         nonlocal best, best_assign
-        if tracker.rank() >= best:
+        if span.rank() >= best:
             return
         if k == len(cols):
-            best = tracker.rank()
+            best = span.rank()
             best_assign = tuple(assign)
             return
         col = cols[k]
@@ -389,12 +390,12 @@ def _reference_minrank(spec, budget_bits=24):
         for vals in itertools.product(range(spec.q), repeat=len(at)):
             for pos, val in zip(at, vals):
                 vec[pos] = val
-            grew = tracker.push(vec)
+            grew = span.push(vec)
             assign.extend(vals)
             walk(k + 1)
             del assign[len(assign) - len(vals):]
             if grew:
-                tracker.pop()
+                span.pop()
 
     walk(0)
     assert best_assign is not None
@@ -441,9 +442,8 @@ def test_minrank_settles_the_last_rank_level_without_pushing(monkeypatch):
             return method(self, vec)
         return wrapper
 
-    monkeypatch.setattr(_SpanTracker, "push", counted(_SpanTracker.push))
-    monkeypatch.setattr(_SpanTracker, "contains",
-                        counted(_SpanTracker.contains))
+    monkeypatch.setattr(RowSpan, "push", counted(RowSpan.push))
+    monkeypatch.setattr(RowSpan, "contains", counted(RowSpan.contains))
     spec = ProblemSpec(graph=clique_graph(4), q=4, delta_s=1)
     assert minrank(spec)[0] == 3
     assert calls < 4000
@@ -451,7 +451,7 @@ def test_minrank_settles_the_last_rank_level_without_pushing(monkeypatch):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 257])
 def test_independent_columns_keeps_each_column_that_raises_the_rank(q):
-    # the rank tracker against Matrix.rank, first-come order
+    # the row reduction against the reference elimination, first-come order
     f = field_for(q)
     rng = random.Random(q)
     for _ in range(30):
@@ -460,7 +460,7 @@ def test_independent_columns_keeps_each_column_that_raises_the_rank(q):
         M = Matrix(f, [[rng.choice(pool) for _ in range(N)] for _ in range(n)], ncols=N)
         keep = []
         for c in M.columns():
-            if Matrix(f, keep + [c]).rank() > len(keep):
+            if reference_rank(Matrix(f, keep + [c])) > len(keep):
                 keep.append(c)
         assert independent_columns(M) == Matrix(f, zip(*keep), ncols=len(keep))
 

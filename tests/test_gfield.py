@@ -1,7 +1,8 @@
 import pytest
 
+from icsie import gfield
 from icsie.errors import FieldTooLargeError, NotPrimePowerError
-from icsie.gfield import TABLE_Q_LIMIT, Field, field_for
+from icsie.gfield import TABLE_Q_LIMIT, Field, _FieldOp, arithmetic, field_for
 
 SMALL_Q = [2, 3, 4, 5, 7, 8, 9, 16, 25]
 
@@ -78,6 +79,31 @@ def test_odd_extension_add_and_sub_are_digitwise(q):
             db = digits(b)
             assert f.add(a, b) == element([(x + y) % p for x, y in zip(da, db)])
             assert f.sub(a, b) == element([(x - y) % p for x, y in zip(da, db)])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 256])
+def test_tables_equal_the_untabulated_route(monkeypatch, q):
+    # the one table set a field holds, read by its methods and handed out
+    # by arithmetic, against the same field built past the table limit,
+    # which computes every operation from the digits
+    tabulated = Field(q)
+    monkeypatch.setattr(gfield, "TABLE_Q_LIMIT", 1)
+    raw = Field(q)
+    assert all(isinstance(op, _FieldOp) for op in arithmetic(raw))
+    add, sub, mul = arithmetic(tabulated)
+    assert all(len(t) == q and all(len(row) == q for row in t)
+               for t in (add, sub, mul))
+    for a in range(q):
+        for b in range(q):
+            want = raw.add(a, b), raw.sub(a, b), raw.mul(a, b)
+            assert (add[a][b], sub[a][b], mul[a][b]) == want
+            assert (tabulated.add(a, b), tabulated.sub(a, b),
+                    tabulated.mul(a, b)) == want
+        if a:
+            assert tabulated.inv(a) == raw.inv(a)
+    # handed out as held, never rebuilt
+    assert all(x is y for x, y in zip(arithmetic(tabulated),
+                                      arithmetic(tabulated)))
 
 
 @pytest.mark.parametrize("q", SMALL_Q)

@@ -5,12 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from icsie import encoder
 from icsie.errors import FieldMismatchError
 from icsie.gfield import field_for
-from icsie.linalg import (LaneVectors, Matrix, dot, hamming_weight,
-                          low_weight, low_weight_count, mask_of, subvector,
-                          vec_add, vec_of_mask, vec_scale, vec_sub,
+from icsie.linalg import (LaneVectors, Matrix, RowSpan, low_weight,
+                          low_weight_count, mask_of, vec_of_mask,
                           vector_space)
+from icsie.sigraph import ProblemSpec, clique_graph
+
+from conftest import (dot, hamming_weight, reference_rank, reference_rref,
+                      subvector, vec_add, vec_scale, vec_sub)
 
 F2 = field_for(2)
 F3 = field_for(3)
@@ -116,6 +120,8 @@ def test_field_mismatch():
 
 @pytest.mark.parametrize("field", [F2, F3, F4])
 def test_rank_and_null_space_random(field):
+    # rank-nullity and the kernel property, rank by the reference
+    # elimination
     rng = random.Random(field.q)
     for _ in range(40):
         r = rng.randrange(1, 5)
@@ -123,19 +129,20 @@ def test_rank_and_null_space_random(field):
         m = Matrix(field, [[rng.randrange(field.q) for _ in range(c)]
                            for _ in range(r)])
         ns = m.null_space_basis()
-        assert ns.nrows == c - m.rank()       # rank-nullity
+        assert ns.nrows == c - reference_rank(m)     # rank-nullity
         for v in ns.rows:
             assert m.mul_col(v) == tuple([0] * r)
-        assert ns.rank() == ns.nrows          # basis is independent
+        assert reference_rank(ns) == ns.nrows        # basis is independent
 
 
 def test_rank_exhaustive_gf2_3x3():
-    # every 3x3 over F_2: rank computed two ways must agree
+    # every 3x3 over F_2: the kernel's rank, the row reduction's echelon
+    # form and the reference elimination must agree
     for bits in range(512):
         rows = [[(bits >> (3 * i + j)) & 1 for j in range(3)] for i in range(3)]
         m = Matrix(F2, rows)
-        rref_rank = len(m.rref()[1])
-        assert m.rank() == rref_rank
+        assert m.rank() == reference_rank(m)
+        assert m.rref() == reference_rref(m)
 
 
 def test_null_space_deterministic_golden():
@@ -149,6 +156,122 @@ def test_in_row_span():
     m = Matrix(F2, [[1, 1, 0], [0, 1, 1]])
     assert m.in_row_span((1, 0, 1))
     assert not m.in_row_span((1, 0, 0))
+
+
+def _awkward_matrices(field, rng):
+    """Random matrices over the field, every awkward shape in turn: no
+    rows, the zero matrix, one row, one column, rank-deficient (rows
+    combined from fewer rows) and sparse."""
+    q = field.q
+
+    def entry():
+        return rng.choice((0, 0, 1, q - 1, rng.randrange(q)))
+
+    for kind in range(6):
+        r, c = rng.randint(1, 5), rng.randint(1, 6)
+        if kind == 0:
+            yield Matrix(field, [], ncols=c)
+        elif kind == 1:
+            yield Matrix.zero(field, r, c)
+        elif kind == 2:
+            yield Matrix(field, [[entry() for _ in range(c)]])
+        elif kind == 3:
+            yield Matrix(field, [[entry()] for _ in range(r)])
+        elif kind == 4:
+            base = [[entry() for _ in range(c)] for _ in range(rng.randint(1, 2))]
+            rows = []
+            for _ in range(r + 1):
+                row = (0,) * c
+                for b in base:
+                    row = vec_add(field, row, vec_scale(field, rng.randrange(q), b))
+                rows.append(row)
+            yield Matrix(field, rows)
+        else:
+            yield Matrix(field, [[entry() for _ in range(c)] for _ in range(r)])
+
+
+def _probes(M, rng):
+    """Vectors to test for membership: random ones, M's rows, a random
+    combination of them and the zero vector."""
+    f, c = M.field, M.ncols
+    combo = (0,) * c
+    for row in M.rows:
+        combo = vec_add(f, combo, vec_scale(f, rng.randrange(f.q), row))
+    return ([tuple(rng.randrange(f.q) for _ in range(c)) for _ in range(3)]
+            + list(M.rows) + [combo, (0,) * c])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 257])
+def test_row_reduction_matches_the_reference_elimination(q):
+    # rref, the null space and span membership against Gauss-Jordan in
+    # Field method calls; F_257 is past the table limit
+    field = field_for(q)
+    rng = random.Random(2000 + q)
+    for _ in range(15):
+        for M in _awkward_matrices(field, rng):
+            rows, pivots = reference_rref(M)
+            assert M.rref() == (rows, pivots)
+            want = []
+            for fc in (k for k in range(M.ncols) if k not in pivots):
+                v = [0] * M.ncols
+                v[fc] = 1
+                for row, pc in zip(rows, pivots):
+                    v[pc] = field.neg(row[fc])
+                want.append(tuple(v))
+            ns = M.null_space_basis()
+            assert ns.rows == tuple(want) and ns.ncols == M.ncols
+            assert all(not any(M.mul_col(v)) for v in ns.rows)
+            rank = len(pivots)
+            assert M.rank() == rank
+            for v in _probes(M, rng):
+                inside = reference_rank(
+                    Matrix(field, [*M.rows, v], ncols=M.ncols)) == rank
+                assert M.in_row_span(v) == inside
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 257])
+def test_row_span_pop_restores_the_span(q):
+    # after each push, pop undoes it: the rank, the echelon form and
+    # every membership answer are those of the span before
+    field = field_for(q)
+    rng = random.Random(3000 + q)
+    for _ in range(15):
+        for M in _awkward_matrices(field, rng):
+            span = RowSpan(field)
+            for row in M.rows:
+                span.push(row)
+            probes = _probes(M, rng)
+            before = (span.rank(), span.rref(),
+                      [span.contains(v) for v in probes])
+            for v in probes:
+                if span.push(v):
+                    assert span.rank() == before[0] + 1
+                    assert not before[2][probes.index(v)]
+                    span.pop()
+                assert (span.rank(), span.rref(),
+                        [span.contains(w) for w in probes]) == before
+
+
+def test_every_elimination_is_the_row_reduction(monkeypatch):
+    # with RowSpan unable to reduce, every elimination over F_q fails;
+    # only the F_2 rank kernel stays outside it
+    def broken(self, vec):
+        raise RuntimeError("no row reduction")
+
+    monkeypatch.setattr(RowSpan, "push", broken)
+    monkeypatch.setattr(RowSpan, "contains", broken)
+    M3 = Matrix(F3, [[1, 2, 0], [0, 1, 1]])
+    M2 = Matrix(F2, [[1, 1, 0], [0, 1, 1]])
+    calls = [M3.rref, M3.null_space_basis, M3.rank, M2.rref,
+             M2.null_space_basis, lambda: M2.in_row_span((1, 0, 1)),
+             lambda: Matrix(F3, [], ncols=3).in_row_span((1, 0, 1)),
+             lambda: encoder.independent_columns(M3),
+             lambda: encoder.minrank(
+                 ProblemSpec(graph=clique_graph(3), q=2, delta_s=0))]
+    for call in calls:
+        with pytest.raises(RuntimeError, match="no row reduction"):
+            call()
+    assert M2.rank() == 2
 
 
 def test_rref_idempotent_gf3():
