@@ -160,7 +160,8 @@ def _parse_xhat(spec: ProblemSpec, pairs: tuple[str, ...]) -> dict[int, tuple[in
             raise ParseError(f"bad receiver index {left!r}") from exc
         if not 1 <= i <= spec.graph.m:
             raise ParseError(f"receiver {i} out of range")
-        vec = _parse_vector(right, spec.q, f"--xhat {i}")
+        # an empty right side is the empty snapshot of an empty cache
+        vec = _parse_vector(right, spec.q, f"--xhat {i}") if right else ()
         if len(vec) != len(spec.graph.X[i - 1]):
             raise ParseError(
                 f"receiver {i} caches {len(spec.graph.X[i - 1])} packets, "

@@ -17,8 +17,9 @@ as a ReceiverDecoder:
   ``build_context``;
 * the linear map (y, x_hat) -> A (y - x_hat G_X), A stacking H over the
   one H_e row h that is kept: a column of A for each codeword symbol and
-  -A g_j for each cache row g_j, every scaling precomputed and packed
-  into integer lanes by ``linalg.LaneVectors``;
+  -A g_j for each cache row g_j, every scaling precomputed, packed into
+  integer lanes by ``linalg.LaneVectors`` and looked up by element, so
+  that an entry that is not an element of F_q fails in the lookup;
 * the syndrome -> (syndrome, correction, suspected packets, h . correction)
   table: the coset leaders of the syndrome decoding of Dau, Skachek &
   Chee, "Error correction for index coding with side information" (IEEE
@@ -37,9 +38,12 @@ as a ReceiverDecoder:
 ``decode_receiver`` takes its decoder from a bounded LRU cache keyed by
 the value of (G, graph, i, delta_s), and remembers the decoder of its
 last call: a call with the very objects of that call skips the cache's
-hashing.  So a repeated decode at a receiver costs, for every q, one
-C-level ``sum`` of the packed multiples the entries of y then x_hat
-pick, one lane reduction mod p, and one memo lookup.
+hashing.  A decoder keeps the sum of the last codeword y it was given
+as a tuple, which cannot change, and uses it while y is that very
+object.  So a repeated decode at a receiver with the same tuple y costs,
+for every q, one C-level ``sum`` of the packed multiples the entries of
+x_hat pick, one lane reduction mod p (one AND over F_2), and one memo
+lookup.
 """
 
 from __future__ import annotations
@@ -160,10 +164,11 @@ def find_correction(ctx: ReceiverContext, syndrome, delta_s: int
     return leader
 
 
-@functools.lru_cache(maxsize=8)
-def _elements(q: int) -> frozenset[int]:
-    """The elements of F_q, shared by the decoders of one field."""
-    return frozenset(range(q))
+def _not_elements(q: int) -> ValueError:
+    return ValueError(f"y and x_hat entries must be elements of F_{q}")
+
+
+_UNSEEN = object()   # a decoder's last y before its first decode
 
 
 class ReceiverDecoder:
@@ -196,8 +201,15 @@ class ReceiverDecoder:
     h . p is stored with p.  Every multiple of those columns is packed
     once into integer lanes wide enough for the N + |X| terms of a
     decode (``linalg.LaneVectors``), so a decode picks one multiple per
-    entry, adds them up in one ``sum`` and reduces each lane mod p: the
-    reduced int is the one packing of z.
+    entry, adds them up and reduces each lane mod p: the reduced int is
+    the one packing of z.  The sum splits into y's side and x_hat's.
+    y's side is kept with the last y that was a tuple, its entries and
+    length checked, and reused while y is that object; a list is summed
+    on every decode, since it may have changed.  Each column's multiples
+    are looked up by any value equal to an element; any other value
+    fails the lookup, and the decode raises the ValueError of a
+    non-element.  The checks run in the order x_hat's length, the
+    entries, y's length.
 
     The memo maps z to the (value, DecodeTrace) of a search decode.  The
     pair is a function of z alone: the table entry (syndrome, p,
@@ -227,16 +239,17 @@ class ReceiverDecoder:
                           if (a := table_dot(add, mul, h, ctx.demand_row)))
         self._a_inv = field.inv(a)
         # z = A (y - x_hat G_X), A = [H; h]: every scaling of A's columns,
-        # then of the -A g_j, packed, indexed by the entries of y then x_hat
+        # looked up by the entries of y, and of the -A g_j, by those of x_hat
         A = Matrix(field, [*ctx.H.rows, self._h], ncols=G.ncols)
         self._lanes = lanes = LaneVectors(field, A.nrows,
                                           G.ncols + len(ctx.cache))
         self._reduce = lanes.reduce
-        self._length = G.ncols
-        self._cols = [lanes.multiples(col) for col in A.columns()]
-        self._cols += [lanes.multiples([field.neg(e) for e in A.mul_col(g)])
-                       for g in ctx.G_cache.rows]
-        self._elements = _elements(field.q)
+        self._keep = lanes.keep if field.p == 2 else None
+        self._length, self._size = G.ncols, len(ctx.cache)
+        self._y_cols = [lanes.multiples(col) for col in A.columns()]
+        self._x_cols = [lanes.multiples([field.neg(e) for e in A.mul_col(g)])
+                        for g in ctx.G_cache.rows]
+        self._y, self._y_sum = _UNSEEN, 0   # the last tuple y and its sum
         self._table = {
             lanes.pack(s): (s, p, suspected, table_dot(add, mul, self._h, p))
             for s, (p, suspected) in _coset_leaders(ctx, delta_s).items()}
@@ -244,19 +257,19 @@ class ReceiverDecoder:
 
     def decode(self, y, x_hat, forced_correction=None) -> tuple[int, DecodeTrace]:
         """decode_receiver at this decoder's receiver."""
-        ctx = self.ctx
-        if len(x_hat) != len(ctx.cache):
+        if len(x_hat) != self._size:
             raise ValueError(
-                f"receiver {ctx.receiver} caches {len(ctx.cache)} packets, "
+                f"receiver {self.ctx.receiver} caches {self._size} packets, "
                 f"got {len(x_hat)}")
-        entries = (*y, *x_hat)
-        if not self._elements.issuperset(entries):
-            raise ValueError(f"y and x_hat entries must be elements of F_{self._q}")
-        if len(y) != self._length:
-            raise ValueError(
-                f"y must have {self._length} entries, got {len(y)}")
-        # z = A (y - x_hat G_X): syndrome on top, h . corrected last
-        z = self._reduce(sum(map(getitem, self._cols, entries)))
+        # z = A (y - x_hat G_X): syndrome on top, h . corrected last; an
+        # entry that is not an element misses its column's lookup
+        try:
+            s = sum(map(getitem, self._x_cols, x_hat))
+        except (KeyError, TypeError):
+            raise _not_elements(self._q) from None
+        s += self._y_sum if y is self._y else self._codeword_sum(y)
+        keep = self._keep
+        z = self._reduce(s) if keep is None else s & keep
         if forced_correction is not None:
             return self._forced(z, forced_correction)
         hit = self._memo.get(z)
@@ -264,15 +277,35 @@ class ReceiverDecoder:
             key, hc = self._lanes.split(z)
             entry = self._table.get(key)
             if entry is None:
-                raise _no_solution(ctx, self.delta_s)
+                raise _no_solution(self.ctx, self.delta_s)
             syndrome, p, suspected, hp = entry
             hit = self._memo[z] = self._result(hc, hp, syndrome, p, suspected)
         return hit
 
+    def _codeword_sum(self, y) -> int:
+        """y's side of z, its entries and then its length checked; kept
+        for the next decode when y is a tuple, which cannot change."""
+        cols = self._y_cols
+        try:
+            y_sum = sum(map(getitem, cols, y))
+            for e in y[self._length:]:      # entries past the columns
+                cols[0][e]
+        except (KeyError, TypeError):
+            raise _not_elements(self._q) from None
+        if len(y) != self._length:
+            raise ValueError(
+                f"y must have {self._length} entries, got {len(y)}")
+        if type(y) is tuple:
+            self._y, self._y_sum = y, y_sum
+        return y_sum
+
     def _forced(self, z, forced_correction) -> tuple[int, DecodeTrace]:
         """The decode of z with the given correction instead of the table's."""
-        p = tuple(forced_correction)
-        if len(p) != self._length or not self._elements.issuperset(p):
+        try:    # each entry as the element it equals
+            p = tuple(map(range(self._q).index, forced_correction))
+        except ValueError:
+            p = None
+        if p is None or len(p) != self._length:
             raise ValueError(
                 f"forced_correction must be {self._length} elements "
                 f"of F_{self._q}")

@@ -8,7 +8,10 @@ integer mod p.
 A field of at most TABLE_Q_LIMIT elements builds one add, sub, mul and
 inverse table when it is constructed; its methods read them, and
 ``arithmetic`` hands the same tables to the table-driven code in
-``linalg``, ``decoder`` and ``simulation``.  A larger field computes
+``linalg``, ``decoder`` and ``simulation``.  The add and sub tables are
+built digit by digit, the mul and inverse tables from the powers of a
+primitive element (log and antilog), so a build makes about q
+polynomial products instead of one per entry.  A larger field computes
 each operation from the digits, and ``arithmetic`` hands out views
 that call it.
 """
@@ -161,24 +164,51 @@ class Field:
         return a
 
     def _build_tables(self) -> None:
-        q = self.q
-        add, mul = ([[0] * q for _ in range(q)] for _ in range(2))
-        for a in range(q):      # both commute: fill one half, mirror it
-            for b in range(a, q):
-                add[a][b] = add[b][a] = self._add(a, b)
-                mul[a][b] = mul[b][a] = self._mul(a, b)
+        """add and sub digit by digit, mul and inv from the powers of a
+        primitive element: about q untabulated products, not q^2."""
+        p, q = self.p, self.q
+        # an element of F_{p^(k+1)} is a + p^k * t, a in F_{p^k} and t its
+        # top digit, and both parts add on their own
+        add = top = [[(a + b) % p for b in range(p)] for a in range(p)]
+        size = p
+        while size < q:
+            add = [[size * t + c for t in top[a // size] for c in add[a % size]]
+                   for a in range(size * p)]
+            size *= p
+        neg = [row.index(0) for row in add]
+        power = self._powers()          # power[k] = g^k, k < q - 1
+        log = [0] * q
+        for k, a in enumerate(power):
+            log[a] = k
+        # a * b = g^(log a + log b): row a reads the powers from g^(log a) on
+        mul = [[0] * q]
+        for a in range(1, q):
+            turn = power[log[a]:] + power[:log[a]]
+            mul.append([0] + [turn[k] for k in log[1:]])
         self._add_table, self._mul_table = add, mul
-        self._sub_table = [[self._sub(a, b) for b in range(q)]
-                           for a in range(q)]
-        self._inv_table = [0] + [mul[a].index(1) for a in range(1, q)]
+        self._sub_table = [[row[c] for c in neg] for row in add]
+        self._inv_table = [0] + [power[-log[a]] for a in range(1, q)]
+
+    def _powers(self) -> list[int]:
+        """g^0, ..., g^(q-2) for the least primitive element g, found by
+        walking the powers of 1, 2, ... until one reaches every nonzero
+        element."""
+        for g in range(1, self.q):
+            power, a = [1], g
+            while a != 1:
+                power.append(a)
+                a = self._mul(a, g)
+            if len(power) == self.q - 1:
+                return power
+        raise AssertionError(f"F_{self.q} has no primitive element")
 
     def _digitwise(self, op, a: int, b: int) -> int:
         """op applied to a's and b's base-p digits, each mod p."""
         return self._undigits([op(x, y) % self.p for x, y
                                in zip(self._digits(a), self._digits(b))])
 
-    # -- untabulated arithmetic: the tables' source, and every field above
-    #    TABLE_Q_LIMIT
+    # -- untabulated arithmetic: every field above TABLE_Q_LIMIT, and the
+    #    powers the mul table is built from
 
     def _add(self, a: int, b: int) -> int:
         if self.p == 2:                 # digit-wise mod 2 is XOR

@@ -211,9 +211,10 @@ class LaneVectors:
     each lane mod p, giving the packed sum in F_q^n: for p = 2 by keeping
     each lane's low bit; for odd p by subtracting p * 2^k, k descending,
     from each lane that holds at least that, the guard bit telling which
-    do.  The two differ only in their constants.  A reduced int is the
-    one packing of its vector, and v >> coordinate_bits packs v's first
-    n - 1 coordinates the way pack packs them.
+    do.  The two differ only in their constants: over F_2 reduce is one
+    AND with ``keep``, which a caller may apply itself.  A reduced int is
+    the one packing of its vector, and v >> coordinate_bits packs v's
+    first n - 1 coordinates the way pack packs them.
     """
 
     def __init__(self, field: Field, n: int, terms: int):
@@ -227,9 +228,9 @@ class LaneVectors:
         low = sum(1 << b for b in range(0, n * self.coordinate_bits, width))
         self._guards = low << top
         if p == 2:
-            self._keep, self._steps = low, ()
+            self.keep, self._steps = low, ()
         else:
-            self._keep = -1
+            self.keep = -1
             self._steps = tuple((p << k, (p << k) * low)
                                 for k in range(top, -1, -1) if p << k <= most)
 
@@ -267,20 +268,21 @@ class LaneVectors:
             v >>= bits
         return tuple(reversed(out))
 
-    def multiples(self, vec: Sequence[int]) -> Sequence[int]:
-        """The packed c * vec, indexed by c in F_q: listed, or packed when
+    def multiples(self, vec: Sequence[int]):
+        """The packed c * vec, looked up by any c equal to an element of
+        F_q, and a KeyError for anything else: a dict, or packed when
         read in a field too large to tabulate, which has too many
         multiples to list."""
         if self.field.q > TABLE_Q_LIMIT:
             return _LaneMultiples(self, vec)
         mul = arithmetic(self.field)[2]
-        return [self.pack([mul[c][a] for a in vec])
-                for c in range(self.field.q)]
+        return {c: self.pack([mul[c][a] for a in vec])
+                for c in range(self.field.q)}
 
     def reduce(self, s: int) -> int:
         """The packed vector whose digits are s's lanes mod p, for s a
         sum of at most `terms` packed vectors."""
-        s &= self._keep
+        s &= self.keep
         guards, top = self._guards, self._top
         for c, lanes in self._steps:
             s -= ((((s | guards) - lanes) & guards) >> top) * c
@@ -302,9 +304,13 @@ class _LaneMultiples:
         self.lanes = lanes
         self.vec = tuple(vec)
 
-    def __getitem__(self, c: int) -> int:
-        mul = self.lanes.field.mul
-        return self.lanes.pack([mul(c, a) for a in self.vec])
+    def __getitem__(self, c) -> int:
+        field = self.lanes.field
+        try:    # the element equal to c: index() compares, never hashes
+            c = range(field.q).index(c)
+        except ValueError:
+            raise KeyError(c) from None
+        return self.lanes.pack([field.mul(c, a) for a in self.vec])
 
 
 class RowSpan:
@@ -403,6 +409,14 @@ class Matrix:
 
     # -- construction ----------------------------------------------------
 
+    @classmethod
+    def _of(cls, field: Field, rows: tuple, ncols: int) -> "Matrix":
+        """The matrix of rows already checked: tuples of ncols elements,
+        such as another matrix's rows."""
+        m = object.__new__(cls)
+        m.field, m.rows, m.nrows, m.ncols = field, rows, len(rows), ncols
+        return m
+
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
         return Matrix(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
@@ -427,7 +441,8 @@ class Matrix:
         idx = sorted(set(indices))
         if idx and (idx[0] < 1 or idx[-1] > self.nrows):
             raise IndexError(f"row indices {idx} out of range")
-        return Matrix(self.field, [self.rows[i - 1] for i in idx], ncols=self.ncols)
+        return Matrix._of(self.field, tuple([self.rows[i - 1] for i in idx]),
+                          self.ncols)
 
     def transpose(self) -> "Matrix":
         if not self.rows:
@@ -500,8 +515,8 @@ class Matrix:
             v[fc] = 1
             for r, pc in enumerate(pivots):
                 v[pc] = f.neg(rows[r][fc])
-            basis.append(v)
-        return Matrix(f, basis, ncols=self.ncols)
+            basis.append(tuple(v))
+        return Matrix._of(f, tuple(basis), self.ncols)
 
     def in_row_span(self, v: Sequence[int]) -> bool:
         if len(v) != self.ncols:

@@ -25,8 +25,8 @@ per trial but its one ``decode_receiver`` call.  Each receiver's
 constants -- its ascending cache and its variants as (position, delta)
 pairs -- are set up once, and the decoder it reaches is built once:
 consecutive trials at a receiver pass decode_receiver the same objects,
-so a repeated trial costs one accumulate and one memo lookup there (see
-``decoder``).
+the codeword tuple y included, so a repeated trial costs one sum over
+the cache entries and one memo lookup there (see ``decoder``).
 """
 
 from __future__ import annotations

@@ -205,6 +205,34 @@ def _no_traceback(res):
     return res.exception is None or isinstance(res.exception, SystemExit)
 
 
+def _empty_cache_files(tmp_path):
+    # receiver 1 caches nothing, receiver 2 caches packet 1; G = I
+    g = SideInfoGraph.make(2, [1, 2], [set(), {1}])
+    inst, gen = tmp_path / "empty.json", tmp_path / "I2.json"
+    inst.write_text(serialize_instance(ProblemSpec(graph=g, q=2, delta_s=1)))
+    gen.write_text(serialize_generator(Matrix.identity(field_for(2), 2)))
+    return str(inst), str(gen)
+
+
+def test_decode_receiver_with_an_empty_cache(runner, tmp_path):
+    inst, gen = _empty_cache_files(tmp_path)
+    res = runner.invoke(main, ["decode", inst, gen, "--y", "1,0",
+                               "--xhat", "1=", "--truth", "1,0", "--json"])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["receivers"]["1"] == {
+        "value": 1, "syndrome": [], "correction": [0, 0], "suspected": [],
+        "correct": True}
+
+
+def test_empty_xhat_on_a_nonempty_cache_exits_2(runner, tmp_path):
+    inst, gen = _empty_cache_files(tmp_path)
+    res = runner.invoke(main, ["decode", inst, gen, "--y", "1,0",
+                               "--xhat", "2="])
+    assert res.exit_code == 2, res.output
+    assert _no_traceback(res)
+    assert "receiver 2 caches 1 packets, --xhat gave 0" in res.output
+
+
 @pytest.mark.parametrize("truth", ["1,0", "1,0,1,1,0"])
 def test_decode_truth_must_have_n_entries(runner, clique4_files, truth):
     inst, gen, spec, G = clique4_files

@@ -426,6 +426,104 @@ def test_non_field_entries_rejected():
 
 
 
+ENTRY_FIELDS = (2, 3, 4, 5, 257)
+
+
+def _clique3(q):
+    """F_q clique-3 at delta_s = 1 and a generator that decodes it."""
+    spec = ProblemSpec(graph=clique_graph(3), q=q, delta_s=1)
+    G = optimal_length(spec)[1] if q <= 5 else Matrix.identity(field_for(q), 3)
+    return spec.graph, G
+
+
+def _put(vec, k, value):
+    return (*vec[:k], value, *vec[k + 1:])
+
+
+@pytest.mark.parametrize("q", ENTRY_FIELDS)
+def test_an_entry_decodes_as_the_element_it_equals(q):
+    # the frozenset rule: 0.0 and True are elements, -1, q, None, "1" and
+    # an unhashable list are not, in y and in x_hat alike
+    graph, G = _clique3(q)
+    x = (1, 0, 1)
+    y, x_hat = G.vec_mul(x), (0, 1)     # receiver 1 caches packets 2, 3
+    for bad in (-1, q, None, "1", [1]):
+        for args in [(_put(y, k, bad), x_hat) for k in range(len(y))] + [
+                (y, _put(x_hat, k, bad)) for k in range(2)]:
+            with pytest.raises(ValueError,
+                               match=f"entries must be elements of F_{q}$"):
+                decode_receiver(G, graph, 1, *args, 1)
+    for equal, element in ((0.0, 0), (True, 1)):
+        for k in range(len(y)):
+            assert (_outcome(decode_receiver, G, graph, 1,
+                             _put(y, k, equal), x_hat, 1)
+                    == _outcome(decode_receiver, G, graph, 1,
+                                _put(y, k, element), x_hat, 1))
+        for k in range(2):
+            assert (decode_receiver(G, graph, 1, y, _put(x_hat, k, equal), 1)
+                    == decode_receiver(G, graph, 1, y,
+                                       _put(x_hat, k, element), 1))
+
+
+# -- the codeword side's sum, kept while y is the same tuple --------------------
+
+def test_a_list_y_changed_between_decodes_gives_the_new_answer():
+    dec = decoder.ReceiverDecoder(G9, GRAPH9, 9, 1)
+    xhat = (1, 1, 0, 0, 0, 1)
+    y = list(Y9)
+    for k in range(len(y)):
+        assert (_outcome(dec.decode, y, xhat)
+                == _outcome(_reference_decode, G9, GRAPH9, 9, y, xhat, 1))
+        y[k] ^= 1
+    y.append(0)
+    with pytest.raises(ValueError, match="y must have 6 entries, got 7"):
+        dec.decode(y, xhat)
+
+
+@pytest.mark.parametrize("q", ENTRY_FIELDS)
+def test_one_tuple_y_serves_every_snapshot_at_alternating_receivers(q):
+    graph, G = _clique3(q)
+    rng = random.Random(q)
+    for _ in range(4):
+        x = [rng.randrange(q) for _ in range(3)]
+        y = G.vec_mul(x)        # one object for every decode below
+        for i in itertools.islice(itertools.cycle((1, 2, 3)), 15):
+            x_hat = [x[j - 1] for j in sorted(graph.X[i - 1])]
+            for pos in rng.sample(range(2), rng.randint(0, 2)):
+                x_hat[pos] = rng.randrange(q)
+            assert (_outcome(decode_receiver, G, graph, i, y, x_hat, 1)
+                    == _outcome(_reference_decode, G, graph, i, y, x_hat, 1))
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["y-first", "x_hat-first"])
+def test_bad_y_and_bad_x_hat_keep_their_messages_in_either_order(order):
+    # x_hat's length, then the entries of both, then y's length: whether
+    # or not the decoder holds the sum of the y it is given
+    xhat, bad_xhat = (1, 1, 0, 0, 0, 1), (1, 1, 0, 0, 0, 2)
+    entries = "y and x_hat entries must be elements of F_2"
+    y_length, x_length = "y must have 6 entries, got 5", "caches 6 packets, got 5"
+    calls = [((Y9[:-1], xhat), y_length),
+             ((Y9[:-1], xhat), y_length),
+             ((Y9 + (2,), xhat), entries),      # past the columns
+             ((Y9[:-1] + (2,), xhat), entries),
+             ((Y9, bad_xhat), entries),
+             ((Y9, xhat), None),
+             ((Y9, bad_xhat), entries),
+             ((Y9, xhat[:-1]), x_length),
+             ((Y9, xhat), None),
+             ((Y9[:-1], bad_xhat), entries),
+             ((Y9[:-1], xhat[:-1]), x_length),
+             ((Y9[:-1], xhat), y_length)]
+    dec = decoder.ReceiverDecoder(G9, GRAPH9, 9, 1)
+    for (y, x_hat), message in calls[::order]:
+        if message is None:
+            assert dec.decode(y, x_hat) == _reference_decode(
+                G9, GRAPH9, 9, y, x_hat, 1)
+        else:
+            with pytest.raises(ValueError, match=message):
+                dec.decode(y, x_hat)
+
+
 @pytest.mark.parametrize("q,n,forced", [(2, 4, (7, 0, 0)), (4, 3, (-1, 0, 0))])
 def test_forced_correction_entries_rejected(q, n, forced):
     # F_2 clique-4 (N = 3) and F_4 clique-3 (uncoded, N = 3)
@@ -438,6 +536,18 @@ def test_forced_correction_entries_rejected(q, n, forced):
     with pytest.raises(ValueError, match="forced_correction"):
         decode_receiver(G, spec.graph, 1, y, (0,) * (n - 1), 1,
                         forced_correction=(0, 0))
+    for bad in (None, "1", [1], q):
+        with pytest.raises(ValueError, match="forced_correction"):
+            decode_receiver(G, spec.graph, 1, y, (0,) * (n - 1), 1,
+                            forced_correction=(bad, 0, 0))
+
+
+def test_forced_correction_entries_decode_as_the_elements_they_equal():
+    xhat = (1, 1, 0, 0, 0, 1)
+    want = _reference_decode(G9, GRAPH9, 9, Y9, xhat, 1,
+                             forced_correction=(0, 0, 1, 1, 1, 0))
+    assert decode_receiver(G9, GRAPH9, 9, Y9, xhat, 1,
+                           forced_correction=(0.0, 0, 1.0, True, 1, 0)) == want
 
 
 # -- the per-decoder memo ------------------------------------------------------

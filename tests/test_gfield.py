@@ -81,7 +81,7 @@ def test_odd_extension_add_and_sub_are_digitwise(q):
             assert f.sub(a, b) == element([(x - y) % p for x, y in zip(da, db)])
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 256])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 243, 256])
 def test_tables_equal_the_untabulated_route(monkeypatch, q):
     # the one table set a field holds, read by its methods and handed out
     # by arithmetic, against the same field built past the table limit,
@@ -104,6 +104,21 @@ def test_tables_equal_the_untabulated_route(monkeypatch, q):
     # handed out as held, never rebuilt
     assert all(x is y for x, y in zip(arithmetic(tabulated),
                                       arithmetic(tabulated)))
+
+
+@pytest.mark.parametrize("q", [81, 125, 243, 256])
+def test_tables_take_about_q_untabulated_products(monkeypatch, q):
+    # the powers of a primitive element, not one product per table entry
+    calls = []
+    untabulated = Field._mul
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return untabulated(self, a, b)
+
+    monkeypatch.setattr(Field, "_mul", counted)
+    Field(q)
+    assert q - 2 <= len(calls) <= 4 * q
 
 
 @pytest.mark.parametrize("q", SMALL_Q)
