@@ -14,10 +14,15 @@ otherwise.  The oracle packs its own ints the same way for every q:
 codewords as ``linalg.LaneVectors`` sums, messages as bit-planes.
 
 Interference depends only on the support of z, so one table over the
-2^n support masks holds it.  From that table ``contains_compressible``
-marks every packet set that contains a compressible one (a nonempty set
-that is no support) and ``gamma_mask`` reads gamma's set off it: the
-structure queries and the error-free search both read gamma there.
+2^n support masks holds it, a ``SupportTable``, which keeps what is
+read off it when first read: ``contains_compressible`` (the packet sets
+containing a compressible one, a nonempty set that is no support) and
+gamma's set, ``gamma_mask``.  The table depends on the graph and
+2*delta_s alone, and ``interference_supports`` keeps the last
+instance's: the validity test, the structure queries and the error-free
+search on one instance build it once between them.  Each caller checks
+its own budget before it reads the table, so a refusal never depends on
+what ran earlier.
 
 ``oracle_decodable`` deliberately does NOT reuse that criterion: it
 materializes explicit Hamming spheres around every codeword and tests
@@ -34,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import cached_property, lru_cache
 
 from .errors import BudgetExceededError, DimensionError, FieldMismatchError
 from .linalg import LaneVectors, Matrix, vector_space
@@ -43,13 +49,9 @@ DEFAULT_ENUM_BITS = 24
 DEFAULT_PAIR_BITS = 24
 
 
-def _log2_q(q: int) -> float:
-    return q.bit_length() - 1 if q & (q - 1) == 0 else math.log2(q)
-
-
 def _check_enum_budget(spec: ProblemSpec) -> None:
     n = spec.graph.n
-    if n * _log2_q(spec.q) > DEFAULT_ENUM_BITS:
+    if n * math.log2(spec.q) > DEFAULT_ENUM_BITS:
         raise BudgetExceededError(
             f"enumerating F_{spec.q}^{n} exceeds the {DEFAULT_ENUM_BITS}-bit "
             f"budget")
@@ -68,56 +70,71 @@ def receiver_masks(graph: SideInfoGraph) -> list[tuple[int, int]]:
     return [(1 << (n - f), packet_mask(X, n)) for f, X in zip(graph.f, graph.X)]
 
 
-def support_table(n: int, receivers, cap: int) -> bytearray:
-    """Entry s is 1 iff the vectors whose support mask is s interfere:
-    they hit some receiver's demand while meeting at most cap of its
-    cached packets.  receivers holds (demand mask, cache mask) pairs, as
-    ``receiver_masks`` gives them; pass each distinct pair once."""
+class SupportTable(bytes):
+    """Entry s is 1 iff the vectors whose support mask is s interfere,
+    with what is read off the table, each computed when first read."""
+
+    @cached_property
+    def contains_compressible(self) -> bytes:
+        """Entry s is 1 iff packet mask s contains a compressible set: a
+        nonempty set that is not an interference support.
+
+        A nonempty mask holds when it is not a support itself or when one
+        of its one-packet-smaller subsets holds; ascending masks meet
+        every subset first.
+        """
+        bits = [1 << k for k in range((len(self) - 1).bit_length())]
+        holds = bytearray(len(self))
+        for s in range(1, len(self)):
+            holds[s] = not self[s] or any(holds[s ^ b] for b in bits if s & b)
+        return bytes(holds)      # every reader gets this one, so it is frozen
+
+    @cached_property
+    def gamma_mask(self) -> int:
+        """The largest mask containing no compressible set; among masks
+        of one size, the largest.  Its packets' size is gamma: every
+        nonzero z supported inside it interferes, so a valid G has
+        independent rows there and at least gamma columns.  At least 1,
+        since a demanded packet alone is a support."""
+        holds = self.contains_compressible
+        return max((s for s in range(len(holds)) if not holds[s]),
+                   key=lambda s: (s.bit_count(), s))
+
+    def __sizeof__(self) -> int:
+        # the walk memo charges a table by its size: count the
+        # compressibility table, as large, that it may keep
+        return 2 * super().__sizeof__()
+
+
+def support_table(n: int, receivers, cap: int) -> SupportTable:
+    """The support table of the vectors that hit some receiver's demand
+    while meeting at most cap of its cached packets.  receivers holds
+    (demand mask, cache mask) pairs, as ``receiver_masks`` gives them;
+    pass each distinct pair once."""
     table = bytearray(1 << n)
     for z in range(1, 1 << n):
         for fm, xm in receivers:
             if z & fm and (z & xm).bit_count() <= cap:
                 table[z] = 1
                 break
-    return table
+    return SupportTable(table)
 
 
-def interference_supports(spec: ProblemSpec) -> bytearray:
+def interference_supports(spec: ProblemSpec) -> SupportTable:
     """Interference as a lookup over support masks.
 
     Interference depends only on which coordinates are nonzero, so one
     table of 2^n entries (``support_table``) serves every q; over F_2 a
     vector is its own support mask.  Receivers with the same demand and
-    cache are tested once.
+    cache are tested once.  The table of the last (graph, 2*delta_s) is
+    kept, so asking again, at any q or delta_c, builds nothing.
     """
-    return support_table(spec.graph.n, set(receiver_masks(spec.graph)),
-                         spec.side_weight_cap())
+    return _instance_table(spec.graph, spec.side_weight_cap())
 
 
-def contains_compressible(supports) -> bytearray:
-    """Entry s is 1 iff packet mask s contains a compressible set: a
-    nonempty set that is not an interference support.
-
-    A nonempty mask holds when it is not a support itself or when one of
-    its one-packet-smaller subsets holds; ascending masks meet every
-    subset first.
-    """
-    n = (len(supports) - 1).bit_length()
-    bits = [1 << k for k in range(n)]
-    holds = bytearray(len(supports))
-    for s in range(1, len(supports)):
-        holds[s] = not supports[s] or any(holds[s ^ b] for b in bits if s & b)
-    return holds
-
-
-def gamma_mask(holds) -> int:
-    """The largest mask containing no compressible set, as
-    ``contains_compressible`` marks them; among masks of one size, the
-    largest.  Its packets' size is gamma: every nonzero z supported
-    inside it interferes, so a valid G has independent rows there and at
-    least gamma columns."""
-    return max((s for s in range(len(holds)) if not holds[s]),
-               key=lambda s: (s.bit_count(), s))
+@lru_cache(maxsize=1)
+def _instance_table(graph: SideInfoGraph, cap: int) -> SupportTable:
+    return support_table(graph.n, set(receiver_masks(graph)), cap)
 
 
 def interference_masks(spec: ProblemSpec) -> list:
@@ -189,7 +206,7 @@ def oracle_decodable(spec: ProblemSpec, G: Matrix) -> bool:
     """
     g = spec.graph
     n, q = g.n, spec.q
-    if 2 * n * _log2_q(q) > DEFAULT_PAIR_BITS:
+    if 2 * n * math.log2(q) > DEFAULT_PAIR_BITS:
         raise BudgetExceededError(
             f"pair enumeration over F_{q}^{n} x F_{q}^{n} exceeds "
             f"the {DEFAULT_PAIR_BITS}-bit budget")

@@ -15,17 +15,18 @@ Two exact routes to the optimal length are implemented and must agree:
   interference set (G's null space).  It walks RREF bases depth first,
   one row at a time, keeping the span of the rows chosen so far and
   cutting a partial basis, with all its completions, as soon as its
-  span meets the interference set; membership is one lookup in a table
-  over support masks, built once per search.  The lengths walked are
-  gamma, gamma + 1, ..., with gamma read from the same table: every
-  nonzero z supported inside the gamma set interferes, so G's rows on
-  that set are independent and no length below gamma is feasible.  One
-  length's walk alone decides whether the optimum is at most that
-  length, so a search started at a length no higher than gamma still
-  returns the optimum, and one started higher returns the larger of the
-  two; ``structure.edge_deletion_bound`` starts each table's search at
-  its best length so far that way.  With channel errors,
-  codeword weights matter and the search runs over multisets of
+  span meets the interference set; membership is one lookup in the
+  instance's support table, ``codeset.interference_supports``, which
+  the validity test and the structure queries read too.  The lengths
+  walked are gamma, gamma + 1, ..., with gamma kept on the same table:
+  every nonzero z supported inside the gamma set interferes, so G's
+  rows on that set are independent and no length below gamma is
+  feasible.  One length's walk alone decides whether the optimum is at
+  most that length, so a search started at a length no higher than
+  gamma still returns the optimum, and one started higher returns the
+  larger of the two; ``structure.edge_deletion_bound`` starts each
+  table's search at its best length so far that way.  With channel
+  errors, codeword weights matter and the search runs over multisets of
   projective columns instead.  Its lengths start at the larger of two
   lower bounds, n0 + 2*delta_c over the delta_c = 0 optimum n0 and the
   gamma bound l_q(gamma, 2*delta_c + 1), and stop at the upper bound
@@ -74,8 +75,8 @@ import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
-from .codeset import (_check_enum_budget, contains_compressible, gamma_mask,
-                      interference_supports, is_valid_generator)
+from .codeset import (_check_enum_budget, interference_supports,
+                      is_valid_generator)
 from .errors import (BudgetExceededError, CycleTooSmallError,
                      DistanceTooSmallError, IcsieError, MismatchError,
                      ParseError)
@@ -274,10 +275,11 @@ class _WalkMemo:
 
     Each walk reads q, n, one table and one length and nothing else, so
     an entry is keyed by (walk, q, n, table) and holds a dict from length
-    to result.  Each entry is charged the size of its table plus 1 KiB
-    for the key, the dict and the results around it; while the charges
-    exceed WALK_MEMO_BYTES the oldest entry is dropped, so a table past
-    the bound alone is not kept.  Callers check a length's budget before
+    to result.  Each entry is charged the size of its table (twice its
+    bytes for a ``codeset.SupportTable``, which may keep a compressibility
+    table as large) plus 1 KiB for the key, the dict and the results
+    around it; while the charges exceed WALK_MEMO_BYTES the oldest entry
+    is dropped, so a table past the bound alone is not kept.  Callers check a length's budget before
     they read the memo, so a refusal and its message never depend on
     what ran earlier in the process."""
 
@@ -317,10 +319,10 @@ def gaussian_binomial(n: int, d: int, q: int) -> int:
     return num // den
 
 
-def _first_avoiding_basis(vectors, table: bytearray, N: int, rows_of: dict):
+def _first_avoiding_basis(vectors, table, N: int, rows_of: dict):
     """RREF rows of the first subspace of F_q^n of dimension n - N whose
-    span avoids the interference set, or None; the subspaces of that
-    dimension are counted against DEFAULT_SUBSPACE_BUDGET first.
+    span avoids the interference set, or None; the caller counts the
+    subspaces of that dimension against DEFAULT_SUBSPACE_BUDGET first.
 
     Subspaces are taken in the order of their RREF bases: pivot sets in
     lexicographic order, then each row's free values lexicographically,
@@ -332,7 +334,6 @@ def _first_avoiding_basis(vectors, table: bytearray, N: int, rows_of: dict):
     """
     q, n = vectors.q, vectors.n
     d = n - N
-    _check_subspace_budget(n, d, q)
 
     def candidates(p: int, later: tuple[int, ...]):
         key = (p, later)
@@ -381,13 +382,6 @@ def _check_subspace_budget(n: int, d: int, q: int) -> None:
             f"{count} subspaces of dimension {d} exceed the search budget")
 
 
-def _table_gamma(table) -> int:
-    """Gamma of a support table: the size of the largest packet set all
-    of whose nonempty subsets are supports.  At least 1, since a
-    demanded packet alone is a support."""
-    return gamma_mask(contains_compressible(table)).bit_count()
-
-
 def _shortest_length(vectors, table, start: int,
                      rows_of: dict) -> tuple[int, list]:
     """Shortest length over an error-free channel, read from a support
@@ -407,17 +401,18 @@ def _shortest_length(vectors, table, start: int,
     the optimum, the basis is the one a walk from length 1 finds.  The
     table's gamma always is.  Proof: every nonzero z supported inside the
     gamma set interferes, so G's rows on that set are independent and
-    N >= gamma.  Only the lengths walked are checked against the budget.
-    ``structure.edge_deletion_bound`` starts at the larger of a table's
-    gamma and its best length so far, and so learns a table's optimum
-    only where it exceeds that best.
+    N >= gamma.  Only the lengths walked are checked against the budget,
+    each once, here.  ``structure.edge_deletion_bound`` starts at the
+    larger of a table's gamma and its best length so far, and so learns
+    a table's optimum only where it exceeds that best.
 
     Each length's walk reads q, n, the table and N alone, so its basis,
-    or None, is kept in ``walk_memo`` and a later walk of the same table
-    at that length is read from there, once its budget is checked.
+    or None, is kept in ``walk_memo`` under the table itself, a bytes
+    object, and a later walk of the same table at that length is read
+    from there, once its budget is checked.
     """
     q, n = vectors.q, vectors.n
-    walked = walk_memo.results("subspace", q, n, bytes(table))
+    walked = walk_memo.results("subspace", q, n, table)
     for N in range(start, n + 1):
         _check_subspace_budget(n, n - N, q)
         if N not in walked:
@@ -428,17 +423,15 @@ def _shortest_length(vectors, table, start: int,
     raise AssertionError("the identity generator is always valid")
 
 
-def _core_search(spec: ProblemSpec) -> tuple[int, list, bytearray, int]:
+def _core_search(spec: ProblemSpec) -> tuple[int, list]:
     """``_shortest_length`` of the delta_c = 0 core, whose support table
-    is the instance's, from the table's gamma; the table is built after
-    the first length is in budget, and returned after N and the basis,
-    followed by its gamma."""
+    is the instance's, from the table's gamma; the table is read after
+    the first length is in budget."""
     n = spec.graph.n
     _check_subspace_budget(n, n - 1, spec.q)
     table = interference_supports(spec)
-    gam = _table_gamma(table)
-    return (*_shortest_length(vector_space(spec.field, n), table, gam, {}),
-            table, gam)
+    return _shortest_length(vector_space(spec.field, n), table,
+                            table.gamma_mask.bit_count(), {})
 
 
 def core_length(spec: ProblemSpec) -> int:
@@ -589,13 +582,15 @@ def _optimal_length_gecic(spec: ProblemSpec) -> tuple[int, Matrix]:
     not depend on where the walk began, so the first feasible length
     and its witness are those of a walk from n0 + 2 delta_c; the tests
     compare against such a walk.  Only the lengths walked are checked
-    against DEFAULT_COMBO_BUDGET.  gamma is read from the core search's support
-    table, the table the interference representatives come from.
+    against DEFAULT_COMBO_BUDGET.  gamma and the interference
+    representatives are both read from the instance's support table.
     """
     n, q = spec.graph.n, spec.q
     field = spec.field
-    n0, _, table, gam = _core_search(spec)
-    lowers, cap = _gecic_bounds(q, n0, gam, spec.delta_c)
+    n0 = core_length(spec)
+    table = interference_supports(spec)
+    lowers, cap = _gecic_bounds(q, n0, table.gamma_mask.bit_count(),
+                                spec.delta_c)
     need = 2 * spec.delta_c + 1
     _check_enum_budget(spec)
     vectors = vector_space(field, n)
@@ -616,7 +611,7 @@ def optimal_length(spec: ProblemSpec) -> tuple[int, Matrix]:
     subspaces, or with channel errors DEFAULT_COMBO_BUDGET column
     multisets, before it is walked."""
     if spec.delta_c == 0:
-        N, basis, _, _ = _core_search(spec)
+        N, basis = _core_search(spec)
         W = Matrix(spec.field, basis, ncols=spec.graph.n)
         G = W.null_space_basis().transpose()  # n x N, rank N
         assert G.ncols == N

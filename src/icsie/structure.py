@@ -9,28 +9,30 @@ happens exactly when the code cannot beat the uncoded length n.
 Compressible is the complement of support: a nonempty B is
 compressible exactly when no interference vector has support B, i.e.
 when ``codeset.interference_supports`` reads 0 at B's mask.  So one
-table decides everything here: from that table, one pass over the 2^n
-masks records which masks contain a compressible set, and the minimal
-cycles, acyclicity, gamma, the delta_s-MAIS and the n - beta removal
-witness are all read from it.  Each public query builds that table
-once; ``bounds_report`` builds it once for all of them.
+table decides everything here: the table keeps which masks contain a
+compressible set and gamma's mask, and the minimal cycles, acyclicity,
+gamma, the delta_s-MAIS and the n - beta removal witness are all read
+from there.  ``codeset`` keeps the last instance's table, so the
+queries here, the error-free search and the validity test on one
+instance build it once between them.
 
 The bounds report gathers every bound the library knows how to compute
 for one instance, each tagged with its provenance and whether it was
 certified exhaustively or only sampled, and carries the cycles, gamma
 witness and packing it read them from; its exact optimum and
-channel-error entries search the same table from its gamma.  The
-channel-error entries are ``encoder._gecic_bounds``, the bounds the
-channel-error search walks between, gamma's own among them.  The
-edge-deletion bound reads support tables too: one per deletion choice,
-built at delta_s = 0 by ``codeset.support_table``.  Each distinct table
-is searched from the larger of its gamma and the best length so far,
-and the search returns the larger of its start and the table's
+channel-error entries read ``encoder.core_length``, which searches the
+same table from its gamma.  The channel-error entries are
+``encoder._gecic_bounds``, the bounds the channel-error search walks
+between, gamma's own among them.  The edge-deletion bound reads support
+tables too: one per deletion choice, built at delta_s = 0 by
+``codeset.support_table``, each keeping its own gamma.  Each distinct
+table is searched from the larger of its gamma and the best length so
+far, and the search returns the larger of its start and the table's
 optimum: the new best.  Every search here reads ``encoder.walk_memo``,
 so a table walked before, by any call, is not walked again.
 
-Each query's 2^n table is checked against DEFAULT_SUBSET_BITS before it
-is built; the searches check their lengths against the encoder's
+Each query checks the 2^n table against DEFAULT_SUBSET_BITS before it
+reads it; the searches check their lengths against the encoder's
 subspace budget.
 """
 
@@ -42,14 +44,13 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .codeset import (contains_compressible, gamma_mask,
-                      interference_supports, packet_mask, receiver_masks,
-                      support_table)
+from .codeset import (SupportTable, interference_supports, packet_mask,
+                      receiver_masks, support_table)
 from .encoder import (_check_subspace_budget, _gecic_bounds, _shortest_length,
-                      _table_gamma, cycle_code)
+                      core_length, cycle_code)
 from .errors import BudgetExceededError, NotUnipartiteError
 from .linalg import Matrix, vector_space
-from .sigraph import ProblemSpec, SideInfoGraph
+from .sigraph import ProblemSpec
 
 DEFAULT_SUBSET_BITS = 22
 EDGE_DELETION_EXHAUSTIVE_CAP = 10_000
@@ -67,26 +68,26 @@ def _packets(mask: int, n: int) -> frozenset[int]:
     return frozenset(j for j in range(1, n + 1) if mask >> (n - j) & 1)
 
 
-def _holds(spec: ProblemSpec) -> tuple[bytearray, bytearray]:
-    """The instance's support table and, read from it, the table whose
-    entry s is 1 iff packet mask s contains a compressible set
-    (``codeset.contains_compressible``).  The subset budget is checked
-    before either is built."""
+def _supports(spec: ProblemSpec) -> SupportTable:
+    """The instance's support table, once its 2^n masks are checked
+    against the subset budget."""
     n = spec.graph.n
     if n > DEFAULT_SUBSET_BITS:
         raise BudgetExceededError(f"2^{n} subsets exceed the budget")
-    supports = interference_supports(spec)
-    return supports, contains_compressible(supports)
+    return interference_supports(spec)
 
 
-def _cycles(g: SideInfoGraph, holds: bytearray) -> list[CycleSet]:
-    """The minimal compressible sets of graph g, read from its table.
+def find_cycles(spec: ProblemSpec) -> list[CycleSet]:
+    """All minimal compressible packet sets, by size then lexicographically.
 
-    A mask is a minimal compressible set when it holds and none of its
-    one-packet-smaller subsets does.  Among masks of one size, the
-    lexicographic order of packet sets is descending mask order.
+    A mask is a minimal compressible set when it contains a compressible
+    set and none of its one-packet-smaller subsets does.  Among masks of
+    one size, the lexicographic order of packet sets is descending mask
+    order.
     """
+    g = spec.graph
     n = g.n
+    holds = _supports(spec).contains_compressible
     bits = [1 << k for k in range(n)]
     minimal = [s for s in range(1, 1 << n)
                if holds[s] and not any(holds[s ^ b] for b in bits if s & b)]
@@ -98,13 +99,8 @@ def _cycles(g: SideInfoGraph, holds: bytearray) -> list[CycleSet]:
             for B in cycles]
 
 
-def find_cycles(spec: ProblemSpec) -> list[CycleSet]:
-    """All minimal compressible packet sets, by size then lexicographically."""
-    return _cycles(spec.graph, _holds(spec)[1])
-
-
 def is_acyclic(spec: ProblemSpec) -> bool:
-    return not _holds(spec)[1][-1]
+    return not _supports(spec).contains_compressible[-1]
 
 
 def _packing(cycles: list[frozenset[int]]) -> tuple[int, list[frozenset[int]]]:
@@ -134,21 +130,16 @@ def max_disjoint_cycles(spec: ProblemSpec) -> tuple[int, list[frozenset[int]]]:
     return _packing([c.packets for c in find_cycles(spec)])
 
 
-def _gamma(holds: bytearray, n: int) -> tuple[int, frozenset[int]]:
-    """Gamma and its lexicographically first witness, read from the
-    compressibility table by ``codeset.gamma_mask``."""
-    best = gamma_mask(holds)
-    return best.bit_count(), _packets(best, n)
-
-
 def gamma(spec: ProblemSpec) -> tuple[int, frozenset[int]]:
     """Largest packet set all of whose nonempty subsets are supports of
     interference vectors, with the lexicographically first witness; its
     size lower-bounds the optimal codelength.
 
-    Those are the masks that contain no compressible set.
+    Those are the masks that contain no compressible set; the support
+    table keeps the one it reads.
     """
-    return _gamma(_holds(spec)[1], spec.graph.n)
+    best = _supports(spec).gamma_mask
+    return best.bit_count(), _packets(best, spec.graph.n)
 
 
 def delta_s_mais(spec: ProblemSpec) -> int:
@@ -264,17 +255,18 @@ def edge_deletion_bound(spec: ProblemSpec) -> tuple[int, bool]:
     receivers = receiver_masks(g)
     vectors = vector_space(spec.field, n)
     rows_of: dict = {}
-    searched: set[bytes] = set()
+    searched: set[SupportTable] = set()
     best = 0
     for choices in choice_iter:
         kept = {(fm, xm & ~packet_mask(drop, n))
                 for (fm, xm), drop in zip(receivers, choices)}
-        table = bytes(support_table(n, kept, 0))
+        table = support_table(n, kept, 0)
         if table in searched:
             continue
         searched.add(table)
-        best = _shortest_length(vectors, table,
-                                max(best, _table_gamma(table)), rows_of)[0]
+        best = _shortest_length(
+            vectors, table, max(best, table.gamma_mask.bit_count()),
+            rows_of)[0]
     return best, certified
 
 
@@ -311,8 +303,9 @@ def bounds_report(spec: ProblemSpec,
     The structure entries (gamma, n, n_minus_beta) and the cycles, gamma
     witness and packing the report carries all come from one support
     table, whose subset budget is fatal: BudgetExceededError propagates.
-    The searched entries (edge deletion, the exact optimum, the
-    channel-error bounds) record a budget failure as a note instead.
+    The searched entries (edge deletion, the exact optimum, which is
+    ``encoder.core_length``, and the channel-error bounds) record a
+    budget failure as a note instead.
     With delta_c > 0 the channel-error entries are those of
     ``encoder._gecic_bounds`` over the error-free optimum n0 and the
     report's gamma: gecic_lower = n0 + 2 delta_c, gecic_gamma =
@@ -326,9 +319,9 @@ def bounds_report(spec: ProblemSpec,
     entries: dict[str, BoundEntry] = {}
     notes: list[str] = []
 
-    supports, holds = _holds(spec)
-    cycles = _cycles(g, holds)
-    gam, gamma_witness = _gamma(holds, g.n)
+    holds = _supports(spec).contains_compressible
+    cycles = find_cycles(spec)
+    gam, gamma_witness = gamma(spec)
     entries["gamma"] = BoundEntry(
         "lower", gam, "icsie", "independence-number lower bound")
 
@@ -371,24 +364,16 @@ def bounds_report(spec: ProblemSpec,
     except BudgetExceededError as exc:
         notes.append(f"edge_deletion_lower skipped: {exc}")
 
-    def base_length() -> int:
-        """The error-free optimum, as optimal_length finds it with its
-        delta_c set to 0 (budget message included), searched on the
-        report's table from its gamma."""
-        _check_subspace_budget(g.n, g.n - 1, spec.q)
-        return _shortest_length(vector_space(spec.field, g.n), supports, gam,
-                                {})[0]
-
     n_opt = None
     if compute_exact:
         try:
-            n_opt = base_length()
+            n_opt = core_length(spec)
         except BudgetExceededError as exc:
             notes.append(f"exact error-free optimum skipped: {exc}")
 
     if spec.delta_c > 0:
         try:
-            base_n = n_opt if n_opt is not None else base_length()
+            base_n = n_opt if n_opt is not None else core_length(spec)
             (sphere, alpha), upper = _gecic_bounds(spec.q, base_n, gam,
                                                    spec.delta_c)
             entries["gecic_lower"] = BoundEntry(

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from icsie import Matrix, encoder, field_for
+from icsie import Matrix, codeset, encoder, field_for
 from icsie.codeset import (_check_enum_budget, interference_masks,
                            interference_supports)
 from icsie.decoder import DecodeTrace, build_context
@@ -58,9 +58,11 @@ def small_family():
 
 @pytest.fixture(autouse=True)
 def cold_walk_memo():
-    """Every test starts with an empty walk memo, so a test that counts
-    or records walks sees the same ones whatever ran before it."""
+    """Every test starts with an empty walk memo and no kept support
+    table, so a test that counts or records walks or table builds sees
+    the same ones whatever ran before it."""
     encoder.walk_memo.cache_clear()
+    codeset._instance_table.cache_clear()
 
 
 # -- vector helpers in Field arithmetic, for the tests only
@@ -165,7 +167,7 @@ def _reference_shortest_length(spec: ProblemSpec) -> tuple[int, Matrix]:
     """The delta_c = 0 optimum walked from length 1, every length checked
     against the library's subspace budget, without the gamma start: (N, G) as
     optimal_length builds them from the first avoiding basis.  The
-    length-1 budget is checked before the 2^n support table is built,
+    length-1 budget is checked before the 2^n support table is read,
     as the library's search does."""
     n = spec.graph.n
     _check_subspace_budget(n, n - 1, spec.q)
@@ -173,6 +175,7 @@ def _reference_shortest_length(spec: ProblemSpec) -> tuple[int, Matrix]:
     table = interference_supports(spec)
     rows_of: dict = {}
     for N in range(1, n + 1):
+        _check_subspace_budget(n, n - N, spec.q)
         basis = _first_avoiding_basis(vectors, table, N, rows_of)
         if basis is not None:
             W = Matrix(spec.field, basis, ncols=n)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icsie import codeset, linalg
-from icsie.codeset import (_check_generator, _log2_q, interference_masks,
+from icsie.codeset import (_check_generator, interference_masks,
                            interference_supports, is_valid_generator,
                            oracle_decodable)
 from icsie.errors import (BudgetExceededError, DimensionError,
@@ -256,7 +257,7 @@ def _all_pairs_oracle(spec, G, budget_bits=24):
     the pair's difference against each distinct receiver."""
     g = spec.graph
     n, q = g.n, spec.q
-    if 2 * n * _log2_q(q) > budget_bits:
+    if 2 * n * math.log2(q) > budget_bits:
         raise BudgetExceededError(
             f"pair enumeration over F_{q}^{n} x F_{q}^{n} exceeds "
             f"the {budget_bits}-bit budget")

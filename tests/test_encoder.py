@@ -243,20 +243,20 @@ def test_reference_walk_checks_its_budget_before_the_table(monkeypatch):
 
 @pytest.mark.parametrize("q, n, ds", [(2, 4, 1), (3, 3, 1), (2, 3, 0)])
 def test_gecic_builds_one_support_table(monkeypatch, q, n, ds):
-    # the core search's table also lists the interference representatives
+    # the core search's table also lists the interference representatives,
+    # and the validity test reads it again
     built = []
-    real = codeset.interference_supports
+    real = codeset.support_table
 
-    def counting(spec):
-        built.append(spec)
-        return real(spec)
+    def counting(n, receivers, cap):
+        built.append((n, cap))
+        return real(n, receivers, cap)
 
-    monkeypatch.setattr(codeset, "interference_supports", counting)
-    monkeypatch.setattr(encoder, "interference_supports", counting)
+    monkeypatch.setattr(codeset, "support_table", counting)
     spec = ProblemSpec(graph=clique_graph(n), q=q, delta_s=ds, delta_c=1)
     N, G = optimal_length(spec)
-    assert built == [spec]
     assert is_valid_generator(spec, G)[0]
+    assert built == [(n, 2 * ds)]
 
 
 def test_witness_rank_equals_length_on_random_instances():

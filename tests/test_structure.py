@@ -9,8 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from icsie import structure
-from icsie.codeset import is_valid_generator
-from icsie.codeset import interference_supports
+from icsie.codeset import is_valid_generator, support_table
 from icsie.encoder import (_first_avoiding_basis, _shortest_length,
                            optimal_length)
 from icsie.errors import BudgetExceededError, NotUnipartiteError
@@ -387,18 +386,15 @@ def test_bounds_report_builds_one_table():
              ProblemSpec(graph=SideInfoGraph.make(3, [1, 2, 1], [{2}, {1, 3}, {3}]),
                          q=2, delta_s=0, delta_c=1)]
     for spec in specs:
-        # the exact optimum and the channel-error entries search the
-        # report's own table; no search builds another
-        with mock.patch("icsie.structure._holds",
-                        wraps=structure._holds) as holds, \
-                mock.patch("icsie.structure.interference_supports",
-                           wraps=interference_supports) as in_structure, \
-                mock.patch("icsie.encoder.interference_supports",
-                           wraps=interference_supports) as in_encoder:
+        # the structure entries, the exact optimum and the channel-error
+        # entries all read the instance's kept table; the edge-deletion
+        # tables are built elsewhere, by structure's own reference
+        with mock.patch("icsie.codeset.support_table",
+                        wraps=support_table) as built:
             report = bounds_report(spec)
         assert report.n_opt is not None
-        assert holds.call_count == 1
-        assert in_structure.call_count + in_encoder.call_count == 1
+        assert [c.args[2] for c in built.call_args_list] \
+            == [spec.side_weight_cap()]
 
 
 def test_bounds_report_subset_budget_is_fatal():

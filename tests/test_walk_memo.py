@@ -127,6 +127,7 @@ def test_one_table_over_two_fields_keeps_both_answers():
     table = bytearray(8)
     for s in (0b100, 0b010, 0b001, 0b111):
         table[s] = 1
+    table = bytes(table)
     cold = {}
     for q in (2, 3):
         encoder.walk_memo.cache_clear()
