@@ -258,9 +258,8 @@ def analyze(instance: str, as_json: bool) -> None:
         lines.append(f"gamma = {gam}  (witness {sorted(witness)})")
         lines.append(f"beta = {beta}")
         for name, e in sorted(report.entries.items()):
-            flag = "" if e.certified else "  [sampled]"
             lines.append(f"bound {name}: {e.kind} {e.value} ({e.target}) "
-                         f"- {e.provenance}{flag}")
+                         f"- {e.provenance}")
         if report.n_opt is not None:
             lines.append(f"N_opt = {report.n_opt}")
         for note in report.notes:

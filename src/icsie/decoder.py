@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from operator import getitem
 from typing import NamedTuple
 
 from .errors import (BudgetExceededError, DegenerateError, DimensionError,
@@ -61,6 +60,9 @@ from .sigraph import SideInfoGraph
 
 DECODER_CACHE_SIZE = 128     # receivers whose decoders stay built
 COSET_CANDIDATE_BUDGET = 1 << 16   # candidate corrections per coset table
+# a lookup in a column's multiples, a dict subclass: dict's own method
+# reads a hit at plain dict speed and still calls __missing__ on a miss
+_lookup = dict.__getitem__
 
 
 @dataclass(frozen=True)
@@ -206,10 +208,10 @@ class ReceiverDecoder:
     y's side is kept with the last y that was a tuple, its entries and
     length checked, and reused while y is that object; a list is summed
     on every decode, since it may have changed.  Each column's multiples
-    are looked up by any value equal to an element; any other value
-    fails the lookup, and the decode raises the ValueError of a
-    non-element.  The checks run in the order x_hat's length, the
-    entries, y's length.
+    are looked up by any value equal to an element, each packed the
+    first time it is read; any other value fails the lookup, and the
+    decode raises the ValueError of a non-element.  The checks run in
+    the order x_hat's length, the entries, y's length.
 
     The memo maps z to the (value, DecodeTrace) of a search decode.  The
     pair is a function of z alone: the table entry (syndrome, p,
@@ -264,7 +266,7 @@ class ReceiverDecoder:
         # z = A (y - x_hat G_X): syndrome on top, h . corrected last; an
         # entry that is not an element misses its column's lookup
         try:
-            s = sum(map(getitem, self._x_cols, x_hat))
+            s = sum(map(_lookup, self._x_cols, x_hat))
         except (KeyError, TypeError):
             raise _not_elements(self._q) from None
         s += self._y_sum if y is self._y else self._codeword_sum(y)
@@ -287,7 +289,7 @@ class ReceiverDecoder:
         for the next decode when y is a tuple, which cannot change."""
         cols = self._y_cols
         try:
-            y_sum = sum(map(getitem, cols, y))
+            y_sum = sum(map(_lookup, cols, y))
             for e in y[self._length:]:      # entries past the columns
                 cols[0][e]
         except (KeyError, TypeError):

@@ -21,7 +21,7 @@ from collections.abc import Iterable, Sequence
 
 from . import kernels
 from .errors import FieldMismatchError
-from .gfield import TABLE_Q_LIMIT, Field, arithmetic
+from .gfield import Field, arithmetic
 
 
 def table_dot(add, mul, a: Sequence[int], b: Sequence[int]) -> int:
@@ -268,16 +268,10 @@ class LaneVectors:
             v >>= bits
         return tuple(reversed(out))
 
-    def multiples(self, vec: Sequence[int]):
+    def multiples(self, vec: Sequence[int]) -> _Multiples:
         """The packed c * vec, looked up by any c equal to an element of
-        F_q, and a KeyError for anything else: a dict, or packed when
-        read in a field too large to tabulate, which has too many
-        multiples to list."""
-        if self.field.q > TABLE_Q_LIMIT:
-            return _LaneMultiples(self, vec)
-        mul = arithmetic(self.field)[2]
-        return {c: self.pack([mul[c][a] for a in vec])
-                for c in range(self.field.q)}
+        F_q, and a KeyError for anything else."""
+        return _Multiples(self, vec)
 
     def reduce(self, s: int) -> int:
         """The packed vector whose digits are s's lanes mod p, for s a
@@ -295,8 +289,12 @@ class LaneVectors:
         return z >> bits, self._element(z & ((1 << bits) - 1))
 
 
-class _LaneMultiples:
-    """LaneVectors.multiples of vec, each packed as it is read."""
+class _Multiples(dict):
+    """LaneVectors.multiples of vec: a dict from each element c read so
+    far to the packed c * vec.  A key missing from it is looked up in
+    F_q, and its multiple is packed once and kept under the element it
+    equals; so a hit is one dict lookup, and the dict holds at most q
+    keys."""
 
     __slots__ = ("lanes", "vec")
 
@@ -304,13 +302,15 @@ class _LaneMultiples:
         self.lanes = lanes
         self.vec = tuple(vec)
 
-    def __getitem__(self, c) -> int:
-        field = self.lanes.field
+    def __missing__(self, c) -> int:
+        lanes = self.lanes
         try:    # the element equal to c: index() compares, never hashes
-            c = range(field.q).index(c)
+            c = range(lanes.field.q).index(c)
         except ValueError:
             raise KeyError(c) from None
-        return self.lanes.pack([field.mul(c, a) for a in self.vec])
+        row = arithmetic(lanes.field)[2][c]
+        packed = self[c] = lanes.pack([row[a] for a in self.vec])
+        return packed
 
 
 class RowSpan:

@@ -17,11 +17,10 @@ queries here, the error-free search and the validity test on one
 instance build it once between them.
 
 The bounds report gathers every bound the library knows how to compute
-for one instance, each tagged with its provenance and whether it was
-certified exhaustively or only sampled, and carries the cycles, gamma
-witness and packing it read them from; its exact optimum and
-channel-error entries read ``encoder.core_length``, which searches the
-same table from its gamma.  The channel-error entries are
+for one instance, each tagged with its provenance, and carries the
+cycles, gamma witness and packing it read them from; its exact optimum
+and channel-error entries read ``encoder.core_length``, which searches
+the same table from its gamma.  The channel-error entries are
 ``encoder._gecic_bounds``, the bounds the channel-error search walks
 between, gamma's own among them.  The edge-deletion bound reads support
 tables too: one per deletion choice, built at delta_s = 0 by
@@ -33,7 +32,9 @@ so a table walked before, by any call, is not walked again.
 
 Each query checks the 2^n table against DEFAULT_SUBSET_BITS before it
 reads it; the searches check their lengths against the encoder's
-subspace budget.
+subspace budget, and the edge-deletion bound checks its number of
+deletion choices against DEFAULT_DELETION_CHOICES before it builds a
+table.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import random
 from dataclasses import dataclass, field
 
 from .codeset import (SupportTable, interference_supports, packet_mask,
@@ -53,9 +53,7 @@ from .linalg import Matrix, vector_space
 from .sigraph import ProblemSpec
 
 DEFAULT_SUBSET_BITS = 22
-EDGE_DELETION_EXHAUSTIVE_CAP = 10_000
-EDGE_DELETION_SAMPLES = 64
-EDGE_DELETION_SEED = 0x1C51E
+DEFAULT_DELETION_CHOICES = 10_000
 
 
 @dataclass(frozen=True)
@@ -164,7 +162,6 @@ class BoundEntry:
     value: int
     target: str        # "icsie" | "gecic"
     provenance: str
-    certified: bool = True
 
 
 @dataclass(frozen=True)
@@ -202,7 +199,7 @@ class BoundsReport:
             "n_opt": self.n_opt,
             "entries": {
                 name: {"kind": e.kind, "value": e.value, "target": e.target,
-                       "provenance": e.provenance, "certified": e.certified}
+                       "provenance": e.provenance}
                 for name, e in sorted(self.entries.items())
             },
             "notes": list(self.notes),
@@ -210,16 +207,14 @@ class BoundsReport:
         return json.dumps(doc, indent=1)
 
 
-def edge_deletion_bound(spec: ProblemSpec) -> tuple[int, bool]:
+def edge_deletion_bound(spec: ProblemSpec) -> int:
     """Best error-free-conventional lower bound over cache-edge deletions.
 
     Every way of deleting min(side_weight_cap(), |X_i|) cache edges per
     receiver yields a conventional instance (delta_s = 0) whose optimum
-    lower-bounds ours, so the maximum over deletions is wanted.  Exhaustive
-    when the choices number at most EDGE_DELETION_EXHAUSTIVE_CAP;
-    otherwise EDGE_DELETION_SAMPLES choices drawn with the fixed seed
-    EDGE_DELETION_SEED, still a valid lower bound but flagged
-    uncertified.
+    lower-bounds ours, so the maximum over all deletions is the bound.
+    More than DEFAULT_DELETION_CHOICES choices raise BudgetExceededError
+    before any table is built.
 
     A reduced instance's optimum depends only on q and its support table,
     so each choice's table is built from the shrunken cache masks, and
@@ -242,22 +237,16 @@ def edge_deletion_bound(spec: ProblemSpec) -> tuple[int, bool]:
     per_receiver = [list(itertools.combinations(sorted(X), min(cap, len(X))))
                     for X in g.X]
     total = math.prod(len(c) for c in per_receiver)
-    if total <= EDGE_DELETION_EXHAUSTIVE_CAP:
-        choice_iter = itertools.product(*per_receiver)
-        certified = True
-    else:
-        rng = random.Random(EDGE_DELETION_SEED)
-        choice_iter = ([choices[rng.randrange(len(choices))]
-                        for choices in per_receiver]
-                       for _ in range(EDGE_DELETION_SAMPLES))
-        certified = False
     _check_subspace_budget(n, n - 1, spec.q)
+    if total > DEFAULT_DELETION_CHOICES:
+        raise BudgetExceededError(
+            f"{total} edge-deletion choices exceed the budget")
     receivers = receiver_masks(g)
     vectors = vector_space(spec.field, n)
     rows_of: dict = {}
     searched: set[SupportTable] = set()
     best = 0
-    for choices in choice_iter:
+    for choices in itertools.product(*per_receiver):
         kept = {(fm, xm & ~packet_mask(drop, n))
                 for (fm, xm), drop in zip(receivers, choices)}
         table = support_table(n, kept, 0)
@@ -267,7 +256,7 @@ def edge_deletion_bound(spec: ProblemSpec) -> tuple[int, bool]:
         best = _shortest_length(
             vectors, table, max(best, table.gamma_mask.bit_count()),
             rows_of)[0]
-    return best, certified
+    return best
 
 
 def packing_generator(spec: ProblemSpec) -> Matrix:
@@ -305,7 +294,7 @@ def bounds_report(spec: ProblemSpec,
     table, whose subset budget is fatal: BudgetExceededError propagates.
     The searched entries (edge deletion, the exact optimum, which is
     ``encoder.core_length``, and the channel-error bounds) record a
-    budget failure as a note instead.
+    budget failure as a note instead, so every entry recorded is proved.
     With delta_c > 0 the channel-error entries are those of
     ``encoder._gecic_bounds`` over the error-free optimum n0 and the
     report's gamma: gecic_lower = n0 + 2 delta_c, gecic_gamma =
@@ -356,11 +345,9 @@ def bounds_report(spec: ProblemSpec,
             + (", removal witness leaves no cycle: tight" if cor1_exact else ""))
 
     try:
-        edge_val, certified = edge_deletion_bound(spec)
         entries["edge_deletion_lower"] = BoundEntry(
-            "lower", edge_val, "icsie",
-            "worst conventional instance after cache-edge deletion",
-            certified=certified)
+            "lower", edge_deletion_bound(spec), "icsie",
+            "worst conventional instance after cache-edge deletion")
     except BudgetExceededError as exc:
         notes.append(f"edge_deletion_lower skipped: {exc}")
 

@@ -2,14 +2,17 @@
 
 perfbench/spans.py wraps the functions listed in its SPANNED table by
 module and attribute, perfbench/worker.py records icsie.KERNEL_BACKEND,
-and perfbench/workloads.py writes instance documents for the program to
-parse.  Renaming or deleting one of those names, or changing the
-instance format under them, breaks the benchmark; these tests make it
-break the test suite first.  perfbench is only imported, never changed.
+perfbench/workloads.py writes instance documents for the program to
+parse, and perfbench/check.py reads the documents the program answers
+with.  Renaming or deleting one of those names, or changing the
+instance format or a report's shape under them, breaks the benchmark;
+these tests make it break the test suite first.  perfbench is only
+imported, never changed.
 """
 
 import functools
 import importlib
+import json
 from pathlib import Path
 
 import pytest
@@ -84,3 +87,38 @@ def test_benchmark_instances_parse(monkeypatch, tmp_path):
         "clique3", workloads.clique_caches(3), q=3, delta_s=1, delta_c=1)
     assert parse_instance(Path(path).read_text()) == ProblemSpec(
         graph=clique_graph(3), q=3, delta_s=1, delta_c=1)
+
+
+def _perfbench(monkeypatch, *names):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return [importlib.import_module(name) for name in names]
+
+
+def test_the_checker_accepts_an_analyze_document(monkeypatch, tmp_path):
+    # the cli workload's analyze operation: clique-6 at delta_s = 1, whose
+    # edge-deletion bound is past its budget and noted, not entered
+    check, workloads = _perfbench(monkeypatch, "check", "workloads")
+    plan = workloads.build("cli", 1, tmp_path)
+    op, = [op for op in plan.ops if op["label"] == "analyze-F2-clique6"]
+    res = CliRunner().invoke(main, op["argv"])
+    doc = json.loads(res.stdout)
+    assert doc["bounds"]["notes"] == [
+        "edge_deletion_lower skipped: 1000000 edge-deletion choices "
+        "exceed the budget"]
+    assert all(set(e) == {"kind", "value", "target", "provenance"}
+               for e in doc["bounds"]["entries"].values())
+    verdict = check.Checker(icsie, plan).verdict(
+        op, {"exit": res.exit_code, "stdout": res.stdout,
+             "stderr": res.stderr, "error": None})
+    assert verdict == ("ok", "n_opt = 4")
+
+
+def test_the_checker_accepts_a_family_result(monkeypatch, tmp_path):
+    check, worker, workloads = _perfbench(monkeypatch, "check", "worker",
+                                          "workloads")
+    plan = workloads.build("family", 1, tmp_path)
+    op = plan.ops[-1]              # an n = 4 instance at delta_s = 1
+    spec = parse_instance(Path(op["args"]["inst"]).read_text())
+    res = {"value": worker.family(icsie, spec), "error": None}
+    assert check.Checker(icsie, plan).verdict(op, res) \
+        == ("ok", "valid by both routes")

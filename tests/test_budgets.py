@@ -65,6 +65,9 @@ BUDGETS = [
      [lambda: find_cycles(CLIQUE4), lambda: is_acyclic(CLIQUE4),
       lambda: max_disjoint_cycles(CLIQUE4), lambda: gamma(CLIQUE4),
       lambda: delta_s_mais(CLIQUE4), lambda: bounds_report(CLIQUE4)]),
+    # clique-4 at delta_s = 1 has 3^4 = 81 deletion choices
+    (structure, "DEFAULT_DELETION_CHOICES", 10,
+     [lambda: edge_deletion_bound(CLIQUE4)]),
     (simulation, "DEFAULT_TRIAL_BITS", 7,
      [lambda: run_simulation(CLIQUE4, G4,
                              SimulationConfig(trials="exhaustive"))]),
@@ -82,12 +85,6 @@ def test_each_budget_constant_is_read_when_its_routine_runs(
     for call in calls:
         with pytest.raises(BudgetExceededError):
             call()
-
-
-def test_the_edge_deletion_cap_switches_to_samples(monkeypatch):
-    assert edge_deletion_bound(CLIQUE4) == (3, True)
-    monkeypatch.setattr(structure, "EDGE_DELETION_EXHAUSTIVE_CAP", 10)
-    assert edge_deletion_bound(CLIQUE4) == (3, False)
 
 
 def test_l_q_keeps_answers_across_a_budget_change(monkeypatch):

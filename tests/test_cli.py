@@ -357,8 +357,8 @@ def _analyze_doc(s_plus_1: int, value: int, cycles, witness, packing):
     """A pinned `analyze --json` document over F_q at delta_c = 0 where gamma,
     edge deletion, n - beta (tight) and N_opt all read value."""
     def entry(kind, val, provenance):
-        return {"certified": True, "kind": kind, "provenance": provenance,
-                "target": "icsie", "value": val}
+        return {"kind": kind, "provenance": provenance, "target": "icsie",
+                "value": val}
     return {
         "beta": len(packing),
         "bounds": {"entries": {
@@ -414,6 +414,27 @@ def test_analyze_reads_one_bounds_report(runner, clique4_files):
         res = runner.invoke(main, ["analyze", inst, "--json"])
     assert res.exit_code == 0
     assert built.call_count == 1
+
+
+def test_analyze_notes_the_edge_deletion_bound_past_its_budget(runner,
+                                                               tmp_path):
+    # clique-6 at delta_s = 1 has C(5, 2)^6 = 10^6 deletion choices
+    inst = tmp_path / "c6.json"
+    inst.write_text(serialize_instance(
+        ProblemSpec(graph=clique_graph(6), q=2, delta_s=1)))
+    note = ("edge_deletion_lower skipped: 1000000 edge-deletion choices "
+            "exceed the budget")
+    res = runner.invoke(main, ["analyze", str(inst)])
+    assert res.exit_code == 0
+    lines = res.output.splitlines()
+    assert f"note: {note}" in lines and "N_opt = 4" in lines
+    assert not any(line.startswith("bound edge_deletion_lower")
+                   for line in lines)
+    res = runner.invoke(main, ["analyze", "--json", str(inst)])
+    assert res.exit_code == 0
+    bounds = json.loads(res.output)["bounds"]
+    assert bounds["notes"] == [note]
+    assert "edge_deletion_lower" not in bounds["entries"]
 
 
 def test_analyze(runner, clique4_files):

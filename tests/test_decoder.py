@@ -14,7 +14,7 @@ from icsie.encoder import optimal_length
 from icsie.errors import (BudgetExceededError, DegenerateError,
                           InconsistentError, NoSolutionError)
 from icsie.gfield import field_for
-from icsie.linalg import Matrix
+from icsie.linalg import LaneVectors, Matrix
 from icsie.sigraph import ProblemSpec, SideInfoGraph, clique_graph
 from icsie.simulation import (SimulationConfig, SimulationReport,
                               run_simulation)
@@ -376,6 +376,25 @@ def test_large_field_decodes_without_tables():
             got = decode_receiver(G, g, i, y, x_hat, 1)
             assert got == _reference_decode(G, g, i, y, x_hat, 1)
             assert got[0] == x[i - 1]
+
+
+def test_a_repeated_large_field_decode_packs_nothing(monkeypatch):
+    # a column packs each multiple the first time it is read and keeps
+    # it, so a decode repeated with an equal y and x_hat only looks up
+    f = field_for(257)
+    G = Matrix.identity(f, 4)
+    dec = decoder.ReceiverDecoder(G, clique_graph(4), 1, 1)
+    y = G.vec_mul((5, 256, 17, 99))
+    x_hat = (256, 17, 100)          # the last cached entry is wrong
+    first = dec.decode(y, x_hat)
+    assert first[0] == 5
+    packed = []
+    pack = LaneVectors.pack
+    monkeypatch.setattr(LaneVectors, "pack",
+                        lambda self, vec: packed.append(vec) or pack(self, vec))
+    for again in (y, tuple(y), list(y)):
+        assert dec.decode(again, list(x_hat)) == first
+    assert packed == []
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 257])

@@ -14,9 +14,8 @@ from icsie.encoder import (_first_avoiding_basis, _shortest_length,
                            optimal_length)
 from icsie.errors import BudgetExceededError, NotUnipartiteError
 from icsie.sigraph import ProblemSpec, SideInfoGraph, clique_graph
-from icsie.structure import (EDGE_DELETION_EXHAUSTIVE_CAP,
-                             EDGE_DELETION_SAMPLES, EDGE_DELETION_SEED,
-                             BoundEntry, BoundsReport, bounds_report,
+from icsie.structure import (DEFAULT_DELETION_CHOICES, BoundEntry,
+                             BoundsReport, bounds_report,
                              delta_s_mais, edge_deletion_bound, find_cycles,
                              gamma, is_acyclic, max_disjoint_cycles,
                              packing_generator)
@@ -241,31 +240,41 @@ def test_structure_matches_subset_enumeration(spec):
 # -- bounds ------------------------------------------------------------------
 
 def test_edge_deletion_clique4():
-    value, certified = edge_deletion_bound(CLIQUE4)
-    assert value == 3 and certified
+    assert edge_deletion_bound(CLIQUE4) == 3
 
 
-def ref_edge_deletion_bound(spec: ProblemSpec,
-                            exhaustive_cap: int) -> tuple[int, bool]:
+def deletion_choices(spec: ProblemSpec) -> int:
+    cap = spec.side_weight_cap()
+    return math.prod(math.comb(len(X), min(cap, len(X)))
+                     for X in spec.graph.X)
+
+
+def ref_edge_deletion_bound(spec: ProblemSpec) -> int:
     """The bound as one search per deletion choice: rebuild each reduced
     graph and walk its lengths from 1 at delta_s = 0."""
     g, cap = spec.graph, spec.side_weight_cap()
     per_receiver = [list(itertools.combinations(sorted(X), min(cap, len(X))))
                     for X in g.X]
-    if math.prod(len(c) for c in per_receiver) <= exhaustive_cap:
-        choice_iter, certified = itertools.product(*per_receiver), True
-    else:
-        rng = random.Random(EDGE_DELETION_SEED)
-        choice_iter = ([c[rng.randrange(len(c))] for c in per_receiver]
-                       for _ in range(EDGE_DELETION_SAMPLES))
-        certified = False
     best = 0
-    for choices in choice_iter:
+    for choices in itertools.product(*per_receiver):
         reduced = SideInfoGraph.make(
             g.n, g.f, [X - set(c) for X, c in zip(g.X, choices)])
         best = max(best, _reference_shortest_length(
             ProblemSpec(graph=reduced, q=spec.q, delta_s=0))[0])
-    return best, certified
+    return best
+
+
+def answers_like_the_reference(spec: ProblemSpec, budget: int) -> bool:
+    """edge_deletion_bound under a budget of that many choices: refused
+    past it, the reference's value within it.  True if it answered."""
+    if deletion_choices(spec) > budget:
+        with pytest.raises(BudgetExceededError,
+                           match=f"^{deletion_choices(spec)} edge-deletion "
+                                 "choices exceed the budget$"):
+            edge_deletion_bound(spec)
+        return False
+    assert edge_deletion_bound(spec) == ref_edge_deletion_bound(spec), spec
+    return True
 
 
 def edge_deletion_cases(count: int, seed: int = 0xED6E):
@@ -287,18 +296,16 @@ def edge_deletion_cases(count: int, seed: int = 0xED6E):
 
 
 def test_edge_deletion_matches_a_search_per_choice(monkeypatch):
-    # a cap of 200 samples the larger choice spaces, and clique-5 at
-    # delta_s = 1 (7,776 choices) is sampled under a cap of 16
+    # a budget of 200 refuses the larger choice spaces, and clique-5 at
+    # delta_s = 1 (7,776 choices) is refused under a budget of 16
     cases = [(spec, 200) for spec in edge_deletion_cases(60)]
-    cases.append((CLIQUE4, EDGE_DELETION_EXHAUSTIVE_CAP))
+    cases.append((CLIQUE4, DEFAULT_DELETION_CHOICES))
     cases.append((ProblemSpec(graph=clique_graph(5), q=2, delta_s=1), 16))
-    certified = set()
-    for spec, cap in cases:
-        monkeypatch.setattr(structure, "EDGE_DELETION_EXHAUSTIVE_CAP", cap)
-        got = edge_deletion_bound(spec)
-        assert got == ref_edge_deletion_bound(spec, cap), spec
-        certified.add(got[1])
-    assert certified == {True, False}
+    answered = set()
+    for spec, budget in cases:
+        monkeypatch.setattr(structure, "DEFAULT_DELETION_CHOICES", budget)
+        answered.add(answers_like_the_reference(spec, budget))
+    assert answered == {True, False}
 
 
 def gamma_start_cases(count: int, seed: int = 0x6A33A):
@@ -323,32 +330,33 @@ def gamma_start_cases(count: int, seed: int = 0x6A33A):
 def test_gamma_start_matches_the_walk_from_length_one(monkeypatch):
     # the search from gamma against the walk from length 1: the same
     # (N, G), and the same edge-deletion bound as one walk per choice
-    # (a cap of 40 samples the larger choice spaces)
-    monkeypatch.setattr(structure, "EDGE_DELETION_EXHAUSTIVE_CAP", 40)
-    seen = set()
+    # (a budget of 40 refuses the larger choice spaces)
+    monkeypatch.setattr(structure, "DEFAULT_DELETION_CHOICES", 40)
+    seen, answered = set(), set()
     for spec in gamma_start_cases(700):
         g = spec.graph
         assert optimal_length(spec) == _reference_shortest_length(spec), spec
-        assert edge_deletion_bound(spec) \
-            == ref_edge_deletion_bound(spec, 40), spec
+        answered.add(answers_like_the_reference(spec, 40))
         seen.add(spec.q)
         if len(set(g.f)) < g.m:
             seen.add("repeated demand")
         if len(set(g.f)) < g.n:
             seen.add("undemanded packet")
     assert seen == {2, 3, 4, 5, "repeated demand", "undemanded packet"}
+    assert answered == {True, False}
 
 
 def test_edge_deletion_searches_past_the_best_length():
-    # among this instance's 64 sampled deletion choices, the first table
-    # gives 3; the next has gamma <= 3 but no avoiding subspace at
-    # length 3, so its search from 3 goes on to 4, and every later table
-    # is settled by one walk at 4
+    # among this instance's 972 deletion choices, the first table's gamma
+    # and optimum are 4; the next two tables are settled by one walk at
+    # that best length, and the fourth has gamma 5, past the best, so its
+    # search starts there; each of the 26 later tables is settled by one
+    # walk at 5
     graph = SideInfoGraph.make(
-        6, [6, 4, 1, 3, 2, 3, 3],
-        [{1, 2, 3, 4, 5}, {1, 2, 3, 5, 6}, {2, 3, 5, 6}, {1, 2, 4, 5, 6},
-         {1, 3, 4, 5, 6}, {1, 2, 4, 5, 6}, {2, 4, 5, 6}])
+        5, [1, 2, 3, 4, 5, 4],
+        [{3, 4, 5}, {1, 3, 4, 5}, {1, 5}, {1, 2, 3, 5}, {1, 3, 4}, {1, 2, 5}])
     spec = ProblemSpec(graph=graph, q=2, delta_s=1)
+    assert deletion_choices(spec) == 972
     walks, starts = [], []
 
     def walk(vectors, table, N, rows_of):
@@ -365,19 +373,37 @@ def test_edge_deletion_searches_past_the_best_length():
             mock.patch("icsie.structure._shortest_length",
                        side_effect=search):
         got = edge_deletion_bound(spec)
-    assert got == ref_edge_deletion_bound(spec, EDGE_DELETION_EXHAUSTIVE_CAP) \
-        == (4, False)
-    later = len(starts) - 2
-    assert later > 0
-    assert starts == [3, 3] + [4] * later
-    assert walks == [(3, True), (3, False)] + [(4, True)] * (later + 1)
+    assert got == ref_edge_deletion_bound(spec) == 5
+    # 30 distinct tables
+    assert starts == [4, 4, 4] + [5] * 27
+    assert walks == [(4, True)] * 3 + [(5, True)] * 27
+
+
+def test_a_refused_edge_deletion_bound_builds_no_table():
+    # clique-6 at delta_s = 1 has C(5, 2)^6 = 10^6 deletion choices: the
+    # bound refuses before it builds a reduced table, and the report
+    # notes the refusal and builds only the instance's own table
+    spec = ProblemSpec(graph=clique_graph(6), q=2, delta_s=1)
+    refusal = "1000000 edge-deletion choices exceed the budget"
+    with mock.patch("icsie.codeset.support_table",
+                    wraps=support_table) as built, \
+            mock.patch("icsie.structure.support_table",
+                       wraps=support_table) as reduced:
+        with pytest.raises(BudgetExceededError, match=f"^{refusal}$"):
+            edge_deletion_bound(spec)
+        assert built.call_count == reduced.call_count == 0
+        report = bounds_report(spec)
+    assert reduced.call_count == 0 and built.call_count == 1
+    assert "edge_deletion_lower" not in report.entries
+    assert report.notes == (f"edge_deletion_lower skipped: {refusal}",)
+    assert report.n_opt == 4 and report.consistent()
 
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_edge_deletion_clique5_pinned(q):
     # all 7,776 deletion choices, 4,144 distinct reduced tables
     spec = ProblemSpec(graph=clique_graph(5), q=q, delta_s=1)
-    assert edge_deletion_bound(spec) == (3, True)
+    assert edge_deletion_bound(spec) == 3
 
 
 def test_bounds_report_builds_one_table():
