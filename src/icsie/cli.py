@@ -160,6 +160,8 @@ def _parse_xhat(spec: ProblemSpec, pairs: tuple[str, ...]) -> dict[int, tuple[in
             raise ParseError(f"bad receiver index {left!r}") from exc
         if not 1 <= i <= spec.graph.m:
             raise ParseError(f"receiver {i} out of range")
+        if i in out:
+            raise ParseError(f"receiver {i} given twice")
         # an empty right side is the empty snapshot of an empty cache
         vec = _parse_vector(right, spec.q, f"--xhat {i}") if right else ()
         if len(vec) != len(spec.graph.X[i - 1]):
@@ -298,6 +300,8 @@ def simulate(instance: str, generator: str, trials: str, seed: int,
         elif trials != "exhaustive":
             raise ParseError("--mode adversarial-exhaustive runs every "
                              "trial; a trial count needs --mode random")
+        if seed < 0:
+            raise ParseError(f"--seed must be an integer >= 0, got {seed}")
         if spec.delta_c > 0:
             ok = oracle_decodable(spec, G)
             _emit(as_json, {"feasible": ok},

@@ -22,16 +22,28 @@ Both modes feed one inline trial body: each mode yields groups of
 (receiver, message, codeword, clean cache, variants), and the body
 corrupts the cache by each variant and decodes it, with no Python call
 per trial but its one ``decode_receiver`` call.  Each receiver's
-constants -- its ascending cache and its variants as (position, delta)
-pairs -- are set up once, and the decoder it reaches is built once:
-consecutive trials at a receiver pass decode_receiver the same objects,
-the codeword tuple y included, so a repeated trial costs one sum over
-the cache entries and one memo lookup there (see ``decoder``).
+constants -- its ascending cache, its variants as (position, delta)
+pairs, their count and its bit length -- are set up once, before the
+first trial, and the decoder it reaches is built once: consecutive
+trials at a receiver pass decode_receiver the same objects, the
+codeword tuple y included, so a repeated trial costs one sum over the
+cache entries and one memo lookup there (see ``decoder``).
+
+Both modes encode in blocks of ``_BLOCK``, so memory stays bounded:
+exhaustive mode encodes each message once, random mode each distinct
+message once per block of trials, and a message repeated within a
+block passes the decoder the same tuple y.  A random trial draws, from
+``random.Random(seed)``, the receiver (1 + a draw below m), then the n
+message symbols (each below q), then the variant's index (below |V_i|).
+Each draw below w follows ``randrange``'s rule -- getrandbits(k) for
+k = w.bit_length(), drawn again while it is >= w -- so a seed gives the
+trials that earlier versions drew with ``randrange``.  The seed must be
+an integer >= 0: ``random.Random`` would seed None from the operating
+system and a negative seed by its absolute value.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -46,7 +58,7 @@ from .sigraph import ProblemSpec, is_integer
 
 DEFAULT_TRIAL_BITS = 24
 MAX_WITNESSES = 10
-_BLOCK = 1 << 12   # exhaustive mode encodes this many messages at a time
+_BLOCK = 1 << 12   # each mode encodes a message once per this many trials
 
 
 @dataclass(frozen=True)
@@ -60,6 +72,9 @@ class SimulationConfig:
             raise IcsieError(
                 f'trials must be a positive count or "exhaustive", '
                 f'got {self.trials!r}')
+        if not (is_integer(self.seed) and self.seed >= 0):
+            raise IcsieError(
+                f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -83,7 +98,9 @@ def run_simulation(spec: ProblemSpec, G: Matrix,
     Exhaustive/adversarial mode walks every (receiver, message,
     side-error) triple and encodes each message once; its witnesses come
     receiver by receiver, each receiver's in message order.  Random mode
-    samples the triples and keeps witnesses in trial order.
+    samples the triples and keeps witnesses in trial order; its trials
+    are the ones ``randrange`` draws from ``random.Random(seed)``, and
+    it encodes each distinct message once per block of trials.
     Raises BudgetExceededError, before any trial, when the run would
     make more than 2^DEFAULT_TRIAL_BITS trials or some receiver's
     decoder would list more candidate corrections than its budget, and
@@ -107,14 +124,14 @@ def run_simulation(spec: ProblemSpec, G: Matrix,
     for i, count in enumerate(counts, start=1):
         _check_coset_budget(i, count)
     per: dict[int, list[int]] = {i: [0, 0] for i in range(1, g.m + 1)}
-
-    @functools.cache
-    def setup(i: int):
-        """Receiver i's ascending cache and its side-error variants as
-        (position, delta) pairs, in ``low_weight``'s order."""
+    # receiver i's ascending cache, its side-error variants as (position,
+    # delta) pairs in low_weight's order, their count and its bit length
+    plan = {}
+    for i in per:
         cache = sorted(g.X[i - 1])
-        return cache, [tuple(zip(at, deltas)) for at, deltas
-                       in low_weight(len(cache), q, spec.delta_s)]
+        variants = [tuple(zip(at, deltas)) for at, deltas
+                    in low_weight(len(cache), q, spec.delta_s)]
+        plan[i] = cache, variants, len(variants), len(variants).bit_length()
 
     def every_trial():
         """Each message encoded once, in blocks so memory stays bounded
@@ -124,20 +141,40 @@ def run_simulation(spec: ProblemSpec, G: Matrix,
         while block := list(itertools.islice(messages, _BLOCK)):
             coded = [(x, G.vec_mul(x)) for x in block]
             for i in per:
-                cache, variants = setup(i)
+                cache, variants, _, _ = plan[i]
                 mine = found[i]
                 for x, y in coded:
                     yield i, x, y, [x[j - 1] for j in cache], variants, mine
 
     def sampled_trials():
-        rng = random.Random(config.seed)
-        for _ in range(trials):
-            i = rng.randrange(1, g.m + 1)
-            x = tuple(rng.randrange(q) for _ in range(n))
-            cache, variants = setup(i)
-            offsets = variants[rng.randrange(len(variants))]
-            yield (i, x, G.vec_mul(x), [x[j - 1] for j in cache], (offsets,),
-                   witnesses)
+        """randrange's draws, inline (see the module docstring), and
+        each distinct message of a block encoded once."""
+        getrandbits = random.Random(config.seed).getrandbits
+        m, m_bits, q_bits = g.m, g.m.bit_length(), q.bit_length()
+        symbols = range(n)
+        for start in range(0, trials, _BLOCK):
+            coded = {}
+            for _ in range(min(_BLOCK, trials - start)):
+                r = getrandbits(m_bits)
+                while r >= m:
+                    r = getrandbits(m_bits)
+                i = r + 1
+                x = []
+                for _ in symbols:
+                    r = getrandbits(q_bits)
+                    while r >= q:
+                        r = getrandbits(q_bits)
+                    x.append(r)
+                x = tuple(x)
+                y = coded.get(x)
+                if y is None:
+                    y = coded[x] = G.vec_mul(x)
+                cache, variants, count, bits = plan[i]
+                r = getrandbits(bits)
+                while r >= count:
+                    r = getrandbits(bits)
+                yield (i, x, y, [x[j - 1] for j in cache], (variants[r],),
+                       witnesses)
 
     found: dict[int, list[tuple]] = {i: [] for i in per}
     witnesses: list[tuple] = []

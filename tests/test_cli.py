@@ -200,6 +200,18 @@ def test_decode_wrong_truth_flags_failure(runner, clique4_files):
     assert "receiver 2" in res.output
 
 
+def test_decode_rejects_a_receiver_given_twice(runner, clique4_files):
+    # one snapshot per receiver: a second is refused, never decoded in
+    # place of the first
+    inst, gen, spec, G = clique4_files
+    y = ",".join(str(v) for v in G.vec_mul((1, 0, 1, 1)))
+    res = runner.invoke(main, ["decode", inst, gen, "--y", y,
+                               "--xhat", "1=0,1,1", "--xhat", "1=1,1,1"])
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith("parse error: receiver 1 given twice")
+    assert "x_1" not in res.output
+
+
 
 def _no_traceback(res):
     return res.exception is None or isinstance(res.exception, SystemExit)
@@ -496,6 +508,19 @@ def test_simulate_rejects_non_positive_trials(runner, clique4_files, trials):
     assert res.exit_code == 2
     assert "positive integer" in res.output
     assert "PASS" not in res.output
+
+
+@pytest.mark.parametrize("seed", ["-1", "-3"])
+@pytest.mark.parametrize("mode", [["--mode", "random", "--trials", "50"], []],
+                         ids=["random", "exhaustive"])
+def test_simulate_rejects_a_negative_seed(runner, clique4_files, seed, mode):
+    # random.Random would seed -3 as 3, so --seed -3 would rerun --seed 3
+    inst, gen, _, _ = clique4_files
+    res = runner.invoke(main, ["simulate", inst, gen, "--seed", seed] + mode)
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith(
+        f"parse error: --seed must be an integer >= 0, got {seed}")
+    assert "recovered" not in res.output
 
 
 def test_simulate_count_needs_random_mode(runner, clique4_files):

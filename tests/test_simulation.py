@@ -84,6 +84,13 @@ def test_trial_count_must_be_positive(trials):
         SimulationConfig(trials=trials)
 
 
+@pytest.mark.parametrize("seed", [None, -3, -1, 1.5, "abc", True])
+def test_seed_must_be_a_non_negative_integer(seed):
+    # None would seed from the OS and -3 would draw the trials of 3
+    with pytest.raises(IcsieError, match="seed must be an integer >= 0"):
+        SimulationConfig(trials=5, seed=seed)
+
+
 def test_a_count_of_one_runs_one_trial():
     spec = ProblemSpec(graph=clique_graph(4), q=2, delta_s=1)
     report = run_simulation(spec, Matrix.identity(field_for(2), 4),
@@ -212,6 +219,18 @@ def _reference_variants(spec, i):
             for vals in itertools.product(range(1, spec.q), repeat=t)]
 
 
+def _reference_draws(spec, config):
+    """Random mode's (receiver, message, offsets) in trial order, drawn
+    through randrange."""
+    g = spec.graph
+    rng = random.Random(config.seed)
+    for _ in range(config.trials):
+        i = rng.randrange(1, g.m + 1)
+        x = tuple(rng.randrange(spec.q) for _ in range(g.n))
+        variants = _reference_variants(spec, i)
+        yield i, x, variants[rng.randrange(len(variants))]
+
+
 def _reference_report(spec, G, config):
     """(per_receiver, witnesses) from one reference trial at a time."""
     g = spec.graph
@@ -230,26 +249,27 @@ def _reference_report(spec, G, config):
                 for offsets in _reference_variants(spec, i):
                     count(*_reference_trial(spec, G, i, x, offsets))
     else:
-        rng = random.Random(config.seed)
-        for _ in range(config.trials):
-            i = rng.randrange(1, g.m + 1)
-            x = tuple(rng.randrange(spec.q) for _ in range(g.n))
-            variants = _reference_variants(spec, i)
-            offsets = variants[rng.randrange(len(variants))]
+        for i, x, offsets in _reference_draws(spec, config):
             count(*_reference_trial(spec, G, i, x, offsets))
     return {i: tuple(c) for i, c in per.items()}, tuple(witnesses)
 
 
 @pytest.mark.parametrize("delta_s", [0, 1, 2])
-@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_simulation_matches_reference_trials(monkeypatch, q, delta_s):
+    # random mode draws inline what randrange draws; the bounds it draws
+    # below cover w = 1 (the empty cache, and every receiver at
+    # delta_s = 0), powers of two (q = 8; m = 4 when q is 4 or 5) and
+    # neither (m = 5 or 3, q = 7 or 9)
     monkeypatch.setattr(simulation, "MAX_WITNESSES", 10 ** 6)
     rng = random.Random(1000 * q + delta_s)
-    n = 3 if q > 3 else 4
+    n = 4 if q <= 3 else 3 if q <= 5 else 2
     caches = [sorted(rng.sample([j for j in range(1, n + 1) if j != i],
                                 rng.randint(1, n - 1)))
               for i in range(1, n + 1)]
-    spec = ProblemSpec(graph=SideInfoGraph.make(n, range(1, n + 1), caches),
+    # one receiver more, demanding packet 1 with an empty cache
+    spec = ProblemSpec(graph=SideInfoGraph.make(n, [*range(1, n + 1), 1],
+                                                caches + [[]]),
                        q=q, delta_s=delta_s)
     valid = optimal_length(spec)[1]
     invalid = valid
@@ -267,6 +287,30 @@ def test_simulation_matches_reference_trials(monkeypatch, q, delta_s):
             outcomes.add((G is valid, report.ok))
     # the valid generator decodes every trial, the invalid one does not
     assert outcomes == {(True, True), (False, False)}
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_random_encodes_each_message_once_per_block(monkeypatch, q):
+    # a block's dict starts empty, so it never holds more than _BLOCK
+    # messages; over F_2 the 16 messages repeat across blocks
+    monkeypatch.setattr(simulation, "_BLOCK", 16)
+    spec = ProblemSpec(graph=clique_graph(4), q=q, delta_s=1)
+    G = Matrix.identity(spec.field, 4)
+    config = SimulationConfig(trials=300, seed=5)
+    encoded = []
+    real = Matrix.vec_mul
+
+    def counting(self, z):
+        encoded.append(tuple(z))
+        return real(self, z)
+
+    monkeypatch.setattr(Matrix, "vec_mul", counting)
+    run_simulation(spec, G, config)
+    drawn = [x for _, x, _ in _reference_draws(spec, config)]
+    want = [x for start in range(0, len(drawn), 16)
+            for x in dict.fromkeys(drawn[start:start + 16])]
+    assert encoded == want
+    assert len(set(drawn)) < len(want) < len(drawn)
 
 
 def test_huge_delta_s_counts_no_more_errors_than_cached_symbols():
