@@ -20,8 +20,9 @@ import click
 from .codeset import oracle_decodable
 from .decoder import decode_receiver
 from .encoder import optimum, parse_generator, serialize_generator
-from .errors import (BudgetExceededError, IcsieError, InconsistentError,
-                     MismatchError, NoSolutionError, ParseError)
+from .errors import (BudgetExceededError, DegenerateError, IcsieError,
+                     InconsistentError, MismatchError, NoSolutionError,
+                     ParseError)
 from .linalg import Matrix
 from .sigraph import ProblemSpec, parse_instance
 from .simulation import SimulationConfig, run_simulation
@@ -203,7 +204,8 @@ def decode(instance: str, generator: str, y_text: str,
             try:
                 value, trace = decode_receiver(
                     G, spec.graph, i, y, x_hat, spec.delta_s)
-            except (NoSolutionError, InconsistentError) as exc:
+            except (NoSolutionError, InconsistentError,
+                    DegenerateError) as exc:
                 doc[str(i)] = {"error": str(exc)}
                 lines.append(f"receiver {i}: FAILED ({exc})")
                 failed = True

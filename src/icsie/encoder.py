@@ -6,9 +6,15 @@ Two exact routes to the optimal length are implemented and must agree:
   column template derived from the side-information graph (one column
   per receiver per choice of 2*delta_s cache positions forced to zero).
   It walks the completions depth first, column by column, cutting a
-  branch whose span already reaches the best rank; at rank best - 1 it
-  stops branching and settles the rest column by column, each taking
-  its first completion inside the current span.
+  branch whose span already reaches the best rank and skipping a
+  completion that reaches a (span, column) state an earlier sibling
+  reached: a kept row, reduced with its pivot scaled to 1, names the
+  span it grows to, and the first subtree of a state leaves best at
+  most every rank reachable from it, so a repeat records nothing.  At
+  rank best - 1 it stops branching and settles the rest column by
+  column, each taking its lexicographically first completion inside
+  the current span, found by elimination (``RowSpan.first_completion``)
+  instead of by trying completions in order.
 * ``optimal_length`` -- direct search for the shortest valid generator.
   With no channel errors, validity of G depends only on its column
   space, so the search looks for the largest subspace avoiding the
@@ -197,6 +203,26 @@ def minrank(spec: ProblemSpec) -> tuple[int, Matrix]:
       rank >= best test cuts every later sibling, so no later leaf of the
       full walk is recorded either.
 
+    Each column's first in-span completion is ``RowSpan.first_completion``:
+    elimination fixes one free value at a time, each the one value (or
+    the least, 0, when every value works) that leaves the rest solvable,
+    so it is the lexicographically first solution, found with O(f)
+    reductions instead of up to q^f membership tests.
+
+    Below rank best - 1 the walk skips a sibling that repeats a state.
+    A node's state is (span, k), and everything below it depends on
+    nothing else.  A completion that grows the span keeps its reduced
+    vector, pivot scaled to 1, as its new row, so two siblings keeping
+    equal rows reach the same span; every in-span completion reaches
+    the node's own span.  After the first subtree of a state returns,
+    best is at most every rank reachable from that state: a cut branch
+    already reached best, and a settled one either recorded its rank or
+    has no leaf below best.  Leaves are recorded only below best, and
+    best never rises, so a repeated state records nothing and is
+    skipped.  For the same reason, once best <= rank + 1 and an in-span
+    sibling has been walked, every later sibling is cut or repeats a
+    state, and the node returns.
+
     The returned (N, G) is therefore the full walk's.
     """
     tmpl = fitting_template(spec)
@@ -214,6 +240,7 @@ def minrank(spec: ProblemSpec) -> tuple[int, Matrix]:
     cols = tmpl.columns
     bases = [template_column_vector(field, n, col, [0] * len(col.free_pos))
              for col in cols]
+    free_at = [[pos - 1 for pos in col.free_pos] for col in cols]
     best = n + 1
     best_assign: tuple[int, ...] | None = None
     span = RowSpan(field)
@@ -222,8 +249,7 @@ def minrank(spec: ProblemSpec) -> tuple[int, Matrix]:
     def completions(k: int):
         """Column k's completions in lexicographic order, as (values,
         vector); the one vector is refilled in place for each."""
-        vec = list(bases[k])
-        at = [pos - 1 for pos in cols[k].free_pos]
+        vec, at = list(bases[k]), free_at[k]
         # values come from range(q), so they need no Field.check
         for vals in itertools.product(range(spec.q), repeat=len(at)):
             for pos, val in zip(at, vals):
@@ -236,8 +262,7 @@ def minrank(spec: ProblemSpec) -> tuple[int, Matrix]:
         nonlocal best, best_assign
         tail: list[int] = []
         for j in range(k, len(cols)):
-            vals = next((vals for vals, vec in completions(j)
-                         if span.contains(vec)), None)
+            vals = span.first_completion(bases[j], free_at[j])
             if vals is None:
                 return
             tail.extend(vals)
@@ -251,13 +276,19 @@ def minrank(spec: ProblemSpec) -> tuple[int, Matrix]:
         if rank == best - 1 or k == len(cols):  # at a leaf settle records it
             settle(k)
             return
+        kept = set()    # rows kept by earlier siblings, None once one stayed in
         for vals, vec in completions(k):
             grew = span.push(vec)
-            assign.extend(vals)
-            walk(k + 1)
-            del assign[len(assign) - len(vals):]
+            state = span.pivots[-1][1] if grew else None
+            if state not in kept:
+                kept.add(state)
+                assign.extend(vals)
+                walk(k + 1)
+                del assign[len(assign) - len(vals):]
             if grew:
                 span.pop()
+            if rank + 1 >= best and None in kept:
+                return  # every later sibling is cut or repeats a state
 
     walk(0)
     assert best_assign is not None

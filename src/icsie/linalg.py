@@ -8,7 +8,8 @@ matching the instance file format.
 undo, read through the field's tables.  ``Matrix.rref``, and through it
 ``null_space_basis``, ``Matrix.in_row_span``, ``Matrix.rank`` over
 q != 2, and encoder's ``independent_columns`` and ``minrank`` all reduce
-through it.  Over F_2, ``Matrix.rank`` is the kernel ``gf2_rank`` on
+through it; ``RowSpan.first_completion`` settles a minrank column by
+elimination, with no trial completions.  Over F_2, ``Matrix.rank`` is the kernel ``gf2_rank`` on
 packed rows.  The reduced row-echelon form depends only on the row
 space, so echelon forms and null-space bases are reproducible.
 """
@@ -364,6 +365,58 @@ class RowSpan:
 
     def pop(self) -> None:
         self.pivots.pop()
+
+    def first_completion(self, vec, positions: Sequence[int]
+                         ) -> tuple[int, ...] | None:
+        """The lexicographically first values (v_1, ..., v_f) that put
+        vec + sum of v_k e_{p_k} in the span, for the 0-based positions
+        (p_1, ..., p_f), or None when none do.  Leaves the span exactly
+        as it found it.
+
+        By elimination, one position at a time: v_1 can start a solution
+        iff vec + v_1 e_{p_1} lies in the span grown by e_{p_2}, ...,
+        e_{p_f}.  With a and b the reductions of vec and e_{p_1} against
+        that grown span, a + c b = 0 has at most one solution c when
+        b != 0, every c when b = 0 and a = 0 (the least is 0), and none
+        otherwise.  Fix v_1 = c, add c e_{p_1} to vec, drop e_{p_2} from
+        the span and go on with p_2.  The unit vectors are pushed last
+        first, so each is popped in turn, and the last step reduces
+        against the span itself.  At most 3f - 1 reductions replace
+        trying up to q^f completions."""
+        if not positions:
+            return () if self.contains(vec) else None
+        sub, mul = self._sub, self._mul
+        n, depth = len(vec), len(self.pivots)
+
+        def unit(p):
+            e = [0] * n
+            e[p] = 1
+            return e
+
+        grew = [self.push(unit(p)) for p in reversed(positions[1:])]
+        a, values = list(vec), []
+        for p in positions:
+            ra = self._reduce(a)
+            c = 0
+            for pos, x in enumerate(ra):
+                if x:           # vec + 0 e_p is out: solve a + c b = 0
+                    rb = self._reduce(unit(p))
+                    y = rb[pos]
+                    if not y:   # b is zero where a is not
+                        del self.pivots[depth:]
+                        return None
+                    m = x if y == 1 else mul[x][self.field.inv(y)]
+                    mm = mul[m]
+                    if any(sub[s][mm[t]] for s, t in zip(ra, rb)):
+                        del self.pivots[depth:]
+                        return None
+                    c = sub[0][m]
+                    a[p] = sub[a[p]][m]
+                    break
+            values.append(c)
+            if grew and grew.pop():
+                self.pop()
+        return tuple(values)
 
     def rref(self) -> tuple[list[list[int]], list[int]]:
         """The span's reduced row-echelon form: (rows, pivot column

@@ -212,6 +212,31 @@ def test_decode_rejects_a_receiver_given_twice(runner, clique4_files):
     assert "x_1" not in res.output
 
 
+@pytest.mark.parametrize("as_json", [False, True])
+def test_decode_reports_a_degenerate_receiver_beside_the_others(
+        runner, tmp_path, as_json):
+    # receiver 1's demand row (1,0) is the row of packet 3, which it does
+    # not cache: it fails alone, and receiver 2 still decodes
+    g = SideInfoGraph.make(3, [1, 2, 3], [{2}, {1}, set()])
+    inst, gen = tmp_path / "deg.json", tmp_path / "degG.json"
+    inst.write_text(serialize_instance(ProblemSpec(graph=g, q=2, delta_s=0)))
+    gen.write_text(serialize_generator(Matrix(F2, [(1, 0), (0, 1), (1, 0)])))
+    argv = ["decode", str(inst), str(gen), "--y", "1,0",
+            "--xhat", "1=0", "--xhat", "2=1"]
+    res = runner.invoke(main, argv + (["--json"] if as_json else []))
+    assert res.exit_code == EXIT_DOMAIN, res.output
+    assert _no_traceback(res)
+    degenerate = ("demand row of receiver 1 lies in the interference row "
+                  "span; G is not a valid generator for this instance")
+    if as_json:
+        doc = json.loads(res.output)["receivers"]
+        assert doc["1"] == {"error": degenerate}
+        assert doc["2"]["value"] == 0
+    else:
+        assert res.output.splitlines() == [
+            f"receiver 1: FAILED ({degenerate})",
+            "receiver 2: x_2 = 0  syndrome=  suspected=[]"]
+
 
 def _no_traceback(res):
     return res.exception is None or isinstance(res.exception, SystemExit)

@@ -449,6 +449,31 @@ def test_minrank_settles_the_last_rank_level_without_pushing(monkeypatch):
     assert calls < 4000
 
 
+# reductions of the walk that tries every completion of every column,
+# less the settled last rank level: 4,081 and 970.  Settling by
+# elimination alone leaves 733 and 688; skipping repeated states too,
+# 654 and 227.
+@pytest.mark.parametrize("spec, N, most", [
+    (ProblemSpec(graph=SideInfoGraph.make(
+        4, [1, 2, 3, 4], [{2, 4}, {1, 3}, {1, 4}, {2, 3}]), q=5, delta_s=0),
+     2, 1500),
+    (ProblemSpec(graph=clique_graph(4), q=4, delta_s=1), 3, 400),
+])
+def test_minrank_walks_each_state_once_and_settles_by_elimination(
+        monkeypatch, spec, N, most):
+    calls = 0
+    reduce = RowSpan._reduce
+
+    def counted(self, vec):
+        nonlocal calls
+        calls += 1
+        return reduce(self, vec)
+
+    monkeypatch.setattr(RowSpan, "_reduce", counted)
+    assert minrank(spec)[0] == N
+    assert calls < most
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 257])
 def test_independent_columns_keeps_each_column_that_raises_the_rank(q):
     # the row reduction against the reference elimination, first-come order

@@ -252,6 +252,90 @@ def test_row_span_pop_restores_the_span(q):
                         [span.contains(w) for w in probes]) == before
 
 
+def _span_elements(field, M):
+    """Every vector of M's row space, listed from the reference echelon
+    rows."""
+    elements = {(0,) * M.ncols}
+    for row in reference_rref(M)[0]:
+        elements = {vec_add(field, s, vec_scale(field, a, row))
+                    for s in elements for a in range(field.q)}
+    return elements
+
+
+def _first_in_span(field, elements, vec, positions):
+    """The first completion in lexicographic order, by trying all q^f."""
+    for vals in itertools.product(range(field.q), repeat=len(positions)):
+        v = list(vec)
+        for p, c in zip(positions, vals):
+            v[p] = field.add(v[p], c)
+        if tuple(v) in elements:
+            return vals
+    return None
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9, 257])
+def test_first_completion_is_the_first_in_span_completion(q):
+    # elimination against trying every completion in order, with the
+    # free positions in any order, over awkward spans; F_257 is past the
+    # table limit, so its vectors stay within two coordinates
+    field = field_for(q)
+    rng = random.Random(2800 + q)
+    most_cols, most_free = (2, 2) if q == 257 else (4, 4 if q < 9 else 3)
+    checked = 0
+    for _ in range(4 if q == 257 else 15):
+        for M in _awkward_matrices(field, rng):
+            if M.ncols > most_cols:
+                continue
+            span = RowSpan(field)
+            for row in M.rows:
+                span.push(row)
+            elements = _span_elements(field, M)
+            for vec in _probes(M, rng):
+                f = rng.randint(0, min(M.ncols, most_free))
+                positions = rng.sample(range(M.ncols), f)
+                before = list(span.pivots)
+                assert span.first_completion(vec, positions) == (
+                    _first_in_span(field, elements, vec, positions))
+                assert span.pivots == before
+                checked += 1
+    assert checked >= 30
+
+
+@pytest.mark.parametrize("q", [3, 257])
+def test_first_completion_edge_cases(q):
+    field = field_for(q)
+    m = q - 1
+    one = RowSpan(field)
+    one.push((1, 2, 0))
+    full = RowSpan(field)
+    for row in ((1, 2, 0), (0, 1, 1), (0, 0, 2)):
+        full.push(row)
+    both = RowSpan(field)       # holds e_1, and e_2 + e_3
+    for row in ((1, 0, 0), (0, 1, 1)):
+        both.push(row)
+    cases = [
+        # no free positions: membership alone
+        (one, (2, 4 % q, 0), (), ()),
+        (one, (1, 0, 0), (), None),
+        # a full-rank span holds every completion: the first is all zeros
+        (full, (2, 1, 1), (0, 2), (0, 0)),
+        (full, (0, 0, 0), (2, 1, 0), (0, 0, 0)),
+        # no value clears the third coordinate
+        (one, (0, 0, 1), (0, 1), None),
+        # e_1 is already in the span, so v_1 = 0; v_3 must make the
+        # last two coordinates equal
+        (both, (1, 1, 0), (0, 2), (0, 1)),
+        (both, (1, 1, 0), (2, 0), (1, 0)),
+        (both, (0, 2, 0), (0, 2), (0, 2)),
+        (both, (1, 0, 1), (2,), (m,)),
+        (both, (1, 0, 1), (1, 0), (1, 0)),
+    ]
+    for span, vec, positions, want in cases:
+        before = list(span.pivots)
+        assert span.first_completion(vec, positions) == want
+        assert span.pivots == before
+
+
 def test_every_elimination_is_the_row_reduction(monkeypatch):
     # with RowSpan unable to reduce, every elimination over F_q fails;
     # only the F_2 rank kernel stays outside it
