@@ -9,7 +9,7 @@ scale.
 
 from .codeset import is_valid_generator, oracle_decodable
 from .decoder import decode_all, decode_receiver
-from .encoder import (cycle_code, ind_q, l_q, minrank, optimal_length,
+from .encoder import (cycle_code, l_q, minrank, optimal_length,
                       parse_generator, serialize_generator)
 from .gfield import Field, field_for
 from .linalg import Matrix
@@ -28,7 +28,7 @@ __all__ = [
     "Field", "field_for", "Matrix", "SideInfoGraph", "ProblemSpec",
     "clique_graph", "parse_instance", "serialize_instance",
     "is_valid_generator", "oracle_decodable",
-    "minrank", "optimal_length", "cycle_code", "ind_q", "l_q",
+    "minrank", "optimal_length", "cycle_code", "l_q",
     "serialize_generator", "parse_generator",
     "decode_receiver", "decode_all",
     "SimulationConfig", "SimulationReport", "run_simulation",

@@ -16,11 +16,13 @@ codewords as ``linalg.LaneVectors`` sums, messages as bit-planes.
 Interference depends only on the support of z, so one table over the
 2^n support masks holds it, a ``SupportTable``, which keeps what is
 read off it when first read: ``contains_compressible`` (the packet sets
-containing a compressible one, a nonempty set that is no support) and
-gamma's set, ``gamma_mask``.  The table depends on the graph and
-2*delta_s alone, and ``interference_supports`` keeps the last
-instance's: the validity test, the structure queries and the error-free
-search on one instance build it once between them.  Each caller checks
+containing a compressible one, a nonempty set that is no support),
+gamma's set, ``gamma_mask``, ``kwise_profile`` and, per q, the k-wise
+independence bound ``encoder._kwise_length`` reads off that profile.
+The table depends on the graph and 2*delta_s alone, and
+``interference_supports`` keeps the last instance's: the validity
+test, the structure queries and the error-free search on one instance
+build it once between them.  Each caller checks
 its own budget before it reads the table, so a refusal never depends on
 what ran earlier.
 
@@ -100,10 +102,70 @@ class SupportTable(bytes):
         return max((s for s in range(len(holds)) if not holds[s]),
                    key=lambda s: (s.bit_count(), s))
 
+    @cached_property
+    def kwise_profile(self) -> tuple[tuple[int, int], ...]:
+        """(s, k) for each packet-set size s >= gamma + 2, k the largest
+        k(B) over the sets B of size s, where k(B) + 1 is the size of B's
+        smallest nonempty non-support subset; smaller sets cannot beat
+        gamma (``encoder._kwise_length``).
+
+        With mask s at bit s of one int, the masks holding a non-support
+        set of at most t packets are those sets' upward closure, n
+        shifts; size s settles, k = t - 1, at the first t that covers all
+        its masks, and every size past gamma settles by t = gamma + 1."""
+        n = (len(self) - 1).bit_length()
+        nonsupport = int(self.translate(_NONSUPPORT)[::-1], 2) & ~1
+        sizes, lacking = _mask_bitsets(n)
+        pending = list(range(self.gamma_mask.bit_count() + 2, n + 1))
+        profile, covered, t = [], 0, 0
+        while pending:
+            t += 1
+            grown = nonsupport & sizes[t]
+            for b, without in enumerate(lacking):
+                grown |= (grown & without) << (1 << b)
+            covered |= grown
+            # a size settles no later than a larger one
+            while pending and not sizes[pending[-1]] & ~covered:
+                profile.append((pending.pop(), t - 1))
+        return tuple(reversed(profile))
+
+    @cached_property
+    def kwise(self) -> dict[int, int]:
+        """The k-wise independence bound per q, as
+        ``encoder._kwise_length`` computes it from ``kwise_profile``."""
+        return {}
+
     def __sizeof__(self) -> int:
         # the walk memo charges a table by its size: count the
         # compressibility table, as large, that it may keep
         return 2 * super().__sizeof__()
+
+
+# a table's bytes read as binary digits, 1 where the mask is no support
+_NONSUPPORT = bytes.maketrans(b"\x00\x01", b"10")
+
+
+@lru_cache(maxsize=1)
+def _mask_bitsets(n: int) -> tuple[list[int], list[int]]:
+    """Sets of masks below 2^n as ints, mask s at bit s: by size (entry
+    k holds the masks of k packets) and by bit (entry b holds the masks
+    without bit b).  Those of the last n are kept: 2n + 1 ints of 2^n
+    bits, 23 MB at n = 22."""
+    sizes = [1]                 # below 2^0 only the empty mask
+    for m in range(n):
+        # the masks with bit m are those below 2^m, shifted up by 2^m
+        sizes = [(sizes[k] if k < len(sizes) else 0)
+                 | (sizes[k - 1] << (1 << m) if k else 0)
+                 for k in range(m + 2)]
+    lacking = []
+    for b in range(n):
+        # a run of 2^b masks without bit b, then 2^b with it, repeated
+        run, width = (1 << (1 << b)) - 1, 2 << b
+        while width < 1 << n:
+            run |= run << width
+            width <<= 1
+        lacking.append(run)
+    return sizes, lacking
 
 
 def support_table(n: int, receivers, cap: int) -> SupportTable:

@@ -24,21 +24,23 @@ Two exact routes to the optimal length are implemented and must agree:
   span meets the interference set; membership is one lookup in the
   instance's support table, ``codeset.interference_supports``, which
   the validity test and the structure queries read too.  The lengths
-  walked are gamma, gamma + 1, ..., with gamma kept on the same table:
-  every nonzero z supported inside the gamma set interferes, so G's
-  rows on that set are independent and no length below gamma is
-  feasible.  One length's walk alone decides whether the optimum is at
-  most that length, so a search started at a length no higher than
-  gamma still returns the optimum, and one started higher returns the
-  larger of the two; ``structure.edge_deletion_bound`` starts each
-  table's search at its best length so far that way.  With channel
-  errors, codeword weights matter and the search runs over multisets of
-  projective columns instead.  Its lengths start at the larger of two
-  lower bounds, n0 + 2*delta_c over the delta_c = 0 optimum n0 and the
-  gamma bound l_q(gamma, 2*delta_c + 1), and stop at the upper bound
-  l_q(n0, 2*delta_c + 1); ``_gecic_bounds`` is the one definition of all
-  three, and ``structure.bounds_report`` reads its channel-error entries
-  from it too.
+  walked start at kwise, the k-wise independence bound kept on the
+  same table (``_kwise_length``, at least gamma): on every packet set
+  B, each nonzero z supported in B with at most k(B) nonzero entries
+  interferes, so G's rows on B are k(B)-wise independent and no length
+  below kwise is feasible.  One length's walk alone decides whether the
+  optimum is at most that length, so a search started at a length no
+  higher than the optimum still returns it, and one started higher
+  returns the larger of the two; ``structure.edge_deletion_bound``
+  starts each table's search at the larger of its gamma and its best
+  length so far that way.  With channel errors, codeword weights
+  matter and the search runs over multisets of projective columns
+  instead.  Its lengths start at the larger of two lower bounds,
+  n0 + 2*delta_c over the delta_c = 0 optimum n0 and the gamma bound
+  l_q(gamma, 2*delta_c + 1), and stop at the upper bound
+  l_q(n0, 2*delta_c + 1); ``_gecic_bounds`` is the one definition of
+  all three, and ``structure.bounds_report`` reads its channel-error
+  entries from it too.
 
 The channel-error search and l_q share one multiset walk,
 ``_first_column_multiset``: an interference representative needs
@@ -69,7 +71,7 @@ delta_c > 0.  A disagreement raises ``MismatchError``.
 
 Also here: the bidiagonal cycle code, the parity-check-transpose
 construction for cliques, and the classical-code quantities l_q and
-the maximal k-wise-independent set size.
+r_q, the least redundancy, which kwise reads.
 """
 
 from __future__ import annotations
@@ -94,7 +96,7 @@ DEFAULT_FREE_BITS = 24          # minrank's free positions, in bits
 DEFAULT_MULTISET_BITS = 24      # l_q's parity multisets per length, in bits
 DEFAULT_SUBSPACE_BUDGET = 1 << 22
 DEFAULT_COMBO_BUDGET = 1 << 22
-DEFAULT_IND_BITS = 20
+DEFAULT_CODEBOOK_BITS = 20     # min_distance_from_parity's codewords, in bits
 DEFAULT_LEN_CAP = 15
 WALK_MEMO_BYTES = 1 << 24       # bytes charged to the walk memo's tables
 
@@ -365,6 +367,7 @@ def _first_avoiding_basis(vectors, table, N: int, rows_of: dict):
     """
     q, n = vectors.q, vectors.n
     d = n - N
+    lookup = table.__getitem__
 
     def candidates(p: int, later: tuple[int, ...]):
         key = (p, later)
@@ -384,7 +387,7 @@ def _first_avoiding_basis(vectors, table, N: int, rows_of: dict):
         if k == d:
             return []
         for row, vec in candidates(pivots[k], pivots[k + 1:]):
-            grown = vectors.extend(span, vec, table)
+            grown = vectors.extend(span, vec, lookup)
             if grown is not None:
                 rest = walk(pivots, k + 1, grown)
                 if rest is not None:
@@ -430,10 +433,10 @@ def _shortest_length(vectors, table, start: int,
     of an avoiding subspace avoids too.  So the length returned is the
     larger of start and the table's optimum, and when start is at most
     the optimum, the basis is the one a walk from length 1 finds.  The
-    table's gamma always is.  Proof: every nonzero z supported inside the
-    gamma set interferes, so G's rows on that set are independent and
-    N >= gamma.  Only the lengths walked are checked against the budget,
-    each once, here.  ``structure.edge_deletion_bound`` starts at the
+    table's kwise (``_kwise_length``), never below its gamma, always is,
+    so the delta_c = 0 search starts there.  Only the lengths walked are
+    checked against the budget, each once, here.
+    ``structure.edge_deletion_bound`` starts at the
     larger of a table's gamma and its best length so far, and so learns
     a table's optimum only where it exceeds that best.
 
@@ -456,13 +459,13 @@ def _shortest_length(vectors, table, start: int,
 
 def _core_search(spec: ProblemSpec) -> tuple[int, list]:
     """``_shortest_length`` of the delta_c = 0 core, whose support table
-    is the instance's, from the table's gamma; the table is read after
-    the first length is in budget."""
+    is the instance's, from the table's ``_kwise_length``; the table is
+    read after the first length is in budget."""
     n = spec.graph.n
     _check_subspace_budget(n, n - 1, spec.q)
     table = interference_supports(spec)
     return _shortest_length(vector_space(spec.field, n), table,
-                            table.gamma_mask.bit_count(), {})
+                            _kwise_length(table, spec.q), {})
 
 
 def core_length(spec: ProblemSpec) -> int:
@@ -702,13 +705,13 @@ def cycle_code(field: Field, size: int, delta_s: int) -> Matrix:
 
 def min_distance_from_parity(H: Matrix) -> int:
     """Exhaustive minimum distance of the code with parity-check matrix H,
-    whose q^k codewords must fit in DEFAULT_IND_BITS bits."""
+    whose q^k codewords must fit in DEFAULT_CODEBOOK_BITS bits."""
     field = H.field
     basis = H.null_space_basis()
     k = basis.nrows
     if k == 0:
         raise ValueError("trivial code: H has full column rank")
-    if k * math.log2(field.q) > DEFAULT_IND_BITS:
+    if k * math.log2(field.q) > DEFAULT_CODEBOOK_BITS:
         raise BudgetExceededError(f"codebook of size {field.q}^{k} too large")
     # weights are invariant under scaling: projective messages suffice;
     # the rows are independent, so every codeword has weight >= 1
@@ -741,55 +744,7 @@ def clique_from_parity(H: Matrix, delta_s: int) -> tuple[Matrix, ProblemSpec]:
 
 
 # ---------------------------------------------------------------------------
-# k-wise independent sets and shortest classical codes
-
-def _max_kindep_containing_basis(field: Field, r: int, k: int) -> int:
-    """Largest k-wise independent set in F_q^r containing the standard basis.
-
-    Any k-wise independent set of rank r can be mapped onto one through
-    an invertible change of basis, so maximizing over r <= N with the
-    basis pinned loses nothing and prunes enormously.
-    """
-    q = field.q
-    basis = [tuple(1 if i == j else 0 for j in range(r)) for i in range(r)]
-
-    def ok_with(S, v):
-        take = min(k, len(S) + 1) - 1
-        for sub in itertools.combinations(S, take):
-            if Matrix(field, list(sub) + [v]).rank() < take + 1:
-                return False
-        return True
-
-    candidates = [v for v in itertools.product(range(q), repeat=r)
-                  if any(v) and v not in set(basis) and ok_with(basis, v)]
-    best = r
-
-    def walk(S, cands):
-        nonlocal best
-        if len(S) > best:
-            best = len(S)
-        for idx, v in enumerate(cands):
-            if len(S) + len(cands) - idx <= best:
-                break
-            if ok_with(S, v):
-                walk(S + [v], cands[idx + 1:])
-
-    walk(list(basis), candidates)
-    return best
-
-
-def ind_q(q: int, N: int, k: int) -> int:
-    """Maximum size of a subset of F_q^N with every k members
-    independent; F_q^N must fit in DEFAULT_IND_BITS bits."""
-    if k < 1 or N < 1:
-        raise ValueError("need k >= 1 and N >= 1")
-    field = field_for(q)
-    if N * math.log2(q) > DEFAULT_IND_BITS:
-        raise BudgetExceededError(f"F_{q}^{N} too large to enumerate")
-    if k == 1:
-        return q ** N - 1  # independence of single vectors = nonzero
-    return max(_max_kindep_containing_basis(field, r, k) for r in range(1, N + 1))
-
+# shortest classical codes and the k-wise independence bound
 
 @lru_cache(maxsize=None)
 def l_q(q: int, a: int, d: int) -> int:
@@ -813,15 +768,77 @@ def l_q(q: int, a: int, d: int) -> int:
         raise ValueError("need a >= 1 and d >= 1")
     if d == 1:
         return a
-    griesmer = sum(-(-d // q ** i) for i in range(a))
     hit = _first_column_multiset(vector_space(field_for(q), a),
                                  lambda s: d - s.bit_count(),
-                                 range(griesmer, DEFAULT_LEN_CAP + 1), a,
-                                 1 << DEFAULT_MULTISET_BITS)
+                                 range(_griesmer(q, a, d), DEFAULT_LEN_CAP + 1),
+                                 a, 1 << DEFAULT_MULTISET_BITS)
     if hit is None:
         raise BudgetExceededError(
             f"no [n, {a}, {d}] code found up to length {DEFAULT_LEN_CAP}")
     return hit[0]
+
+
+def _griesmer(q: int, a: int, d: int) -> int:
+    """The Griesmer bound: no [l, a, d] code over F_q is shorter."""
+    return sum(-(-d // q ** i) for i in range(a))
+
+
+@lru_cache(maxsize=None)
+def _redundancy(q: int, s: int, d: int) -> int:
+    """r_q(s, d), the least redundancy s - a of a linear [s, a, >= d]
+    code over F_q (a = 0 allowed, 1 <= d <= s + 1): s minus the largest
+    a with l_q(q, a, d) <= s.  It never raises.
+
+    With s <= q + 1 or d <= 2 it is d - 1, the Singleton bound, met by
+    shortened extended Reed-Solomon codes, the parity check and the
+    whole space, so nothing is walked.  Otherwise a grows while a + 1
+    fits: l_q grows with a, a dimension whose Griesmer bound exceeds s
+    does not fit, and one where l_q refuses fits unless the Hamming
+    bound excludes it, so r errs low there and stays a lower bound.
+    Like l_q's, the cache keeps its answers when a budget changes."""
+    if s <= q + 1 or d <= 2:
+        return d - 1
+    a = 0
+    while _griesmer(q, a + 1, d) <= s and _fits(q, a + 1, d, s):
+        a += 1
+    return s - a
+
+
+def _fits(q: int, a: int, d: int, s: int) -> bool:
+    """Is l_q(q, a, d) <= s, or, where l_q refuses, does the Hamming
+    bound allow an [s, a, d] code?"""
+    try:
+        return l_q(q, a, d) <= s
+    except BudgetExceededError:
+        ball = sum(math.comb(s, i) * (q - 1) ** i for i in range((d + 1) // 2))
+        return q ** (s - a) >= ball
+
+
+def _kwise_length(table, q: int) -> int:
+    """The k-wise independence bound of a support table over F_q, kept
+    on the table per q: the largest r_q(|B|, k(B) + 1) over packet sets
+    B, and at least gamma.  It never raises.
+
+    G's rows on B, as the columns of a parity check, give an
+    [|B|, |B| - rank, >= k(B) + 1] code, so N >= r_q(|B|, k(B) + 1): the
+    code-distance argument of Dau, Skachek and Chee (IEEE Trans. IT
+    59(3), 2013) on every packet set, which on a clique is the least N
+    with ind_q(N, 2 delta_s + 1) >= n.  gamma is the case k(B) = |B|;
+    any other B gives at most |B| - 1 (a repetition code), so only sizes
+    from gamma + 2 count, and a size s with s - 1 at most the best so
+    far is passed over.  r_q(s, d) grows with d, so each size's largest
+    k (``SupportTable.kwise_profile``) is enough."""
+    gam = table.gamma_mask.bit_count()
+    if len(table) < 4 << gam:           # n < gamma + 2
+        return gam
+    kept = table.kwise
+    if q not in kept:
+        best = gam
+        for s, k in table.kwise_profile:
+            if s - 1 > best:
+                best = max(best, _redundancy(q, s, k + 1))
+        kept[q] = best
+    return kept[q]
 
 
 # ---------------------------------------------------------------------------

@@ -82,9 +82,10 @@ def vector_space(field: Field, n: int):
     hit_masks(zs, cs), for each c of cs in turn, computed as it is
     read, the bitset of the z in zs with z . c != 0, bit k for zs[k],
     which the column-multiset walk counts in bit-slices.
-    extend(span, v, table) serves the subspace walk:
+    extend(span, v, lookup) serves the subspace walk:
     the span of span + {v}, or None when the coset v + span meets the
-    interference table (indexed by support mask); interference is
+    interference set, lookup(support mask) being true on it (the
+    walk binds its table's lookup once); interference is
     closed under scaling, so only that coset is tested.  Sums of many
     vectors, as a decode and the decodability oracle make, are
     LaneVectors' work: one packing and one int addition for every q.
@@ -110,9 +111,9 @@ class _F2Vectors:
     def projective(self) -> range:
         return range(1, 1 << self.n)
 
-    def extend(self, span: list[int], v: int, table) -> list[int] | None:
+    def extend(self, span: list[int], v: int, lookup) -> list[int] | None:
         coset = [v ^ s for s in span]
-        if any(map(table.__getitem__, coset)):
+        if any(map(lookup, coset)):
             return None
         return span + coset
 
@@ -163,10 +164,10 @@ class _FqVectors:
         add = self._add
         return [tuple([add[a][b] for a, b in zip(v, s)]) for s in vs]
 
-    def extend(self, span: list, v, table) -> list | None:
+    def extend(self, span: list, v, lookup) -> list | None:
         coset, bits = self.translate(v, span), self._bits
         for z in coset:
-            if table[sum(bit for a, bit in zip(z, bits) if a)]:
+            if lookup(sum(bit for a, bit in zip(z, bits) if a)):
                 return None
         return span + coset + [tuple([m[a] for a in z])
                                for m in self._scales for z in coset]

@@ -18,9 +18,10 @@ instance build it once between them.
 
 The bounds report gathers every bound the library knows how to compute
 for one instance, each tagged with its provenance, and carries the
-cycles, gamma witness and packing it read them from; its exact optimum
+cycles, gamma witness and packing it read them from; its kwise entry
+is ``encoder._kwise_length`` of the same table, and its exact optimum
 and channel-error entries read ``encoder.core_length``, which searches
-the same table from its gamma.  The channel-error entries are
+that table from its kwise.  The channel-error entries are
 ``encoder._gecic_bounds``, the bounds the channel-error search walks
 between, gamma's own among them.  The edge-deletion bound reads support
 tables too: one per deletion choice, built at delta_s = 0 by
@@ -46,8 +47,8 @@ from dataclasses import dataclass, field
 
 from .codeset import (SupportTable, interference_supports, packet_mask,
                       receiver_masks, support_table)
-from .encoder import (_check_subspace_budget, _gecic_bounds, _shortest_length,
-                      core_length, cycle_code)
+from .encoder import (_check_subspace_budget, _gecic_bounds, _kwise_length,
+                      _shortest_length, core_length, cycle_code)
 from .errors import BudgetExceededError, NotUnipartiteError
 from .linalg import Matrix, vector_space
 from .sigraph import ProblemSpec
@@ -289,9 +290,10 @@ def bounds_report(spec: ProblemSpec,
                   compute_exact: bool = True) -> BoundsReport:
     """Assemble every known lower/upper bound for the instance.
 
-    The structure entries (gamma, n, n_minus_beta) and the cycles, gamma
-    witness and packing the report carries all come from one support
-    table, whose subset budget is fatal: BudgetExceededError propagates.
+    The structure entries (gamma, kwise, n, n_minus_beta) and the
+    cycles, gamma witness and packing the report carries all come from
+    one support table, whose subset budget is fatal: BudgetExceededError
+    propagates; kwise itself never raises (``encoder._kwise_length``).
     The searched entries (edge deletion, the exact optimum, which is
     ``encoder.core_length``, and the channel-error bounds) record a
     budget failure as a note instead, so every entry recorded is proved.
@@ -308,11 +310,15 @@ def bounds_report(spec: ProblemSpec,
     entries: dict[str, BoundEntry] = {}
     notes: list[str] = []
 
-    holds = _supports(spec).contains_compressible
+    table = _supports(spec)
+    holds = table.contains_compressible
     cycles = find_cycles(spec)
     gam, gamma_witness = gamma(spec)
     entries["gamma"] = BoundEntry(
         "lower", gam, "icsie", "independence-number lower bound")
+    entries["kwise"] = BoundEntry(
+        "lower", _kwise_length(table, spec.q), "icsie",
+        "each packet set's rows are k-wise independent")
 
     cap = spec.side_weight_cap()
     S = {g.f[i - 1] for i in range(1, g.m + 1) if len(g.X[i - 1]) <= cap}

@@ -211,6 +211,63 @@ def _reference_gecic_length(spec: ProblemSpec) -> tuple[int, Matrix]:
                                  zip(*map(vectors.unpack, cols)), ncols=N)
 
 
+# -- k-wise independent sets: the independent check of r_q and kwise
+
+DEFAULT_IND_BITS = 20
+
+
+def _max_kindep_containing_basis(field: Field, r: int, k: int) -> int:
+    """Largest k-wise independent set in F_q^r containing the standard basis.
+
+    Any k-wise independent set of rank r can be mapped onto one through
+    an invertible change of basis, so maximizing over r <= N with the
+    basis pinned loses nothing and prunes enormously.
+    """
+    q = field.q
+    basis = [tuple(1 if i == j else 0 for j in range(r)) for i in range(r)]
+
+    def ok_with(S, v):
+        take = min(k, len(S) + 1) - 1
+        for sub in itertools.combinations(S, take):
+            if Matrix(field, list(sub) + [v]).rank() < take + 1:
+                return False
+        return True
+
+    candidates = [v for v in itertools.product(range(q), repeat=r)
+                  if any(v) and v not in set(basis) and ok_with(basis, v)]
+    best = r
+
+    def walk(S, cands):
+        nonlocal best
+        if len(S) > best:
+            best = len(S)
+        for idx, v in enumerate(cands):
+            if len(S) + len(cands) - idx <= best:
+                break
+            if ok_with(S, v):
+                walk(S + [v], cands[idx + 1:])
+
+    walk(list(basis), candidates)
+    return best
+
+
+def ind_q(q: int, N: int, k: int) -> int:
+    """Maximum size of a subset of F_q^N with every k members
+    independent; F_q^N must fit in DEFAULT_IND_BITS bits.  It reads no
+    code of the library's r_q: a k-wise independent set of size s in
+    F_q^N holds the columns of a parity check of an [s, s - N, k + 1]
+    code, so r_q(s, k + 1) is the least N with ind_q(N, k) >= s."""
+    if k < 1 or N < 1:
+        raise ValueError("need k >= 1 and N >= 1")
+    field = field_for(q)
+    if N * math.log2(q) > DEFAULT_IND_BITS:
+        raise BudgetExceededError(f"F_{q}^{N} too large to enumerate")
+    if k == 1:
+        return q ** N - 1  # independence of single vectors = nonzero
+    return max(_max_kindep_containing_basis(field, r, k)
+               for r in range(1, N + 1))
+
+
 # -- the uncached decode route the decoder and simulation are checked against
 
 def _reference_search(ctx, syndrome, delta_s):

@@ -13,7 +13,7 @@ import pytest
 
 from icsie.codeset import is_valid_generator, oracle_decodable
 from icsie.decoder import build_context, decode_receiver
-from icsie.encoder import (clique_from_parity, ind_q, l_q,
+from icsie.encoder import (clique_from_parity, l_q,
                           min_distance_from_parity, minrank, optimal_length)
 from icsie.errors import DistanceTooSmallError
 from icsie.gfield import field_for
@@ -21,7 +21,8 @@ from icsie.linalg import Matrix
 from icsie.sigraph import ProblemSpec, SideInfoGraph, clique_graph
 from icsie.structure import bounds_report, is_acyclic, max_disjoint_cycles
 
-from conftest import _reference_shortest_length, family_graphs, random_generator
+from conftest import (_reference_shortest_length, family_graphs, ind_q,
+                      random_generator)
 
 F2 = field_for(2)
 

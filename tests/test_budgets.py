@@ -7,10 +7,11 @@ import pkgutil
 
 import pytest
 
+import conftest
 import icsie
 from icsie import codeset, decoder, encoder, simulation, structure
 from icsie.decoder import decode_receiver, receiver_decoder
-from icsie.encoder import (core_length, ind_q, l_q, min_distance_from_parity,
+from icsie.encoder import (core_length, l_q, min_distance_from_parity,
                            minrank, optimal_length)
 from icsie.errors import BudgetExceededError
 from icsie.gfield import field_for
@@ -21,7 +22,7 @@ from icsie.structure import (bounds_report, delta_s_mais,
                              edge_deletion_bound, find_cycles, gamma,
                              is_acyclic, max_disjoint_cycles)
 
-from conftest import enum_interference
+from conftest import enum_interference, ind_q
 
 F2 = field_for(2)
 CLIQUE4 = ProblemSpec(graph=clique_graph(4), q=2, delta_s=1)
@@ -59,8 +60,10 @@ BUDGETS = [
     (encoder, "DEFAULT_COMBO_BUDGET", 10,
      [lambda: optimal_length(ProblemSpec(graph=clique_graph(3), q=2,
                                          delta_s=0, delta_c=1))]),
-    (encoder, "DEFAULT_IND_BITS", 3,
-     [lambda: ind_q(2, 4, 2), lambda: min_distance_from_parity(HAMMING)]),
+    (encoder, "DEFAULT_CODEBOOK_BITS", 3,
+     [lambda: min_distance_from_parity(HAMMING)]),
+    # the test side's ind_q, the independent check of r_q, keeps its own
+    (conftest, "DEFAULT_IND_BITS", 3, [lambda: ind_q(2, 4, 2)]),
     (structure, "DEFAULT_SUBSET_BITS", 3,
      [lambda: find_cycles(CLIQUE4), lambda: is_acyclic(CLIQUE4),
       lambda: max_disjoint_cycles(CLIQUE4), lambda: gamma(CLIQUE4),

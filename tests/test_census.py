@@ -62,6 +62,7 @@ def test_every_small_unipartite_instance():
                 report = bounds_report(spec)
                 assert report.consistent(), spec
                 assert report.n_opt == opt["icsie"], spec
+                assert report.entries["kwise"].value <= opt["icsie"], spec
                 for target, value in opt.items():
                     assert sandwiches(report, target, value), spec
                 if delta_c == 0:

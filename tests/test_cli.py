@@ -392,7 +392,7 @@ def test_generator_entries_must_be_integers(runner, clique4_files, tmp_path,
 
 def _analyze_doc(s_plus_1: int, value: int, cycles, witness, packing):
     """A pinned `analyze --json` document over F_q at delta_c = 0 where gamma,
-    edge deletion, n - beta (tight) and N_opt all read value."""
+    kwise, edge deletion, n - beta (tight) and N_opt all read value."""
     def entry(kind, val, provenance):
         return {"kind": kind, "provenance": provenance, "target": "icsie",
                 "value": val}
@@ -406,6 +406,8 @@ def _analyze_doc(s_plus_1: int, value: int, cycles, witness, packing):
                 "lower", value,
                 "worst conventional instance after cache-edge deletion"),
             "gamma": entry("lower", value, "independence-number lower bound"),
+            "kwise": entry("lower", value,
+                           "each packet set's rows are k-wise independent"),
             "n": entry("upper", 4, "uncoded upper bound"),
             "n_minus_beta": entry("exact", value,
                                   "disjoint compressible sets, removal "

@@ -12,7 +12,7 @@ from icsie.codeset import (interference_supports, is_valid_generator,
                            oracle_decodable)
 from icsie.encoder import (_first_column_multiset, clique_from_parity,
                            complete_template, core_length, cycle_code,
-                           fitting_template, gaussian_binomial, ind_q,
+                           fitting_template, gaussian_binomial,
                            independent_columns, l_q,
                            min_distance_from_parity, minrank, optimal_length,
                            optimum, parse_generator, serialize_generator,
@@ -27,7 +27,7 @@ from icsie.structure import edge_deletion_bound
 
 from conftest import (_reference_gecic_length, _reference_shortest_length,
                       all_unipartite_graphs, dot, first_witness,
-                      hamming_weight, reference_rank,
+                      hamming_weight, ind_q, reference_rank,
                       sampled_unipartite_graphs)
 
 F2 = field_for(2)
