@@ -19,6 +19,9 @@ read off it when first read: ``contains_compressible`` (the packet sets
 containing a compressible one, a nonempty set that is no support),
 gamma's set, ``gamma_mask``, ``kwise_profile`` and, per q, the k-wise
 independence bound ``encoder._kwise_length`` reads off that profile.
+``contains_compressible`` and ``gamma_mask`` read one upward closure
+of the non-support sets, and ``kwise_profile`` one per threshold, each
+n shifts over the masks as the bits of one int.
 The table depends on the graph and 2*delta_s alone, and
 ``interference_supports`` keeps the last instance's: the validity
 test, the structure queries and the error-free search on one instance
@@ -77,19 +80,27 @@ class SupportTable(bytes):
     with what is read off the table, each computed when first read."""
 
     @cached_property
-    def contains_compressible(self) -> bytes:
-        """Entry s is 1 iff packet mask s contains a compressible set: a
-        nonempty set that is not an interference support.
+    def _compressible(self) -> int:
+        """The masks containing a compressible set (a nonempty set that
+        is not an interference support), as the bits of one int, mask s
+        at bit s: the non-support sets' upward closure, n shifts over
+        the sets of ``_mask_bitsets``."""
+        return _upward_closure(self._nonsupport(), _mask_bitsets(self._n)[1])
 
-        A nonempty mask holds when it is not a support itself or when one
-        of its one-packet-smaller subsets holds; ascending masks meet
-        every subset first.
-        """
-        bits = [1 << k for k in range((len(self) - 1).bit_length())]
-        holds = bytearray(len(self))
-        for s in range(1, len(self)):
-            holds[s] = not self[s] or any(holds[s ^ b] for b in bits if s & b)
-        return bytes(holds)      # every reader gets this one, so it is frozen
+    @property
+    def _n(self) -> int:
+        return (len(self) - 1).bit_length()
+
+    def _nonsupport(self) -> int:
+        """The nonempty masks that are no support, mask s at bit s."""
+        return int(self.translate(_NONSUPPORT)[::-1], 2) & ~1
+
+    @cached_property
+    def contains_compressible(self) -> bytes:
+        """Entry s is 1 iff packet mask s contains a compressible set:
+        ``_compressible`` as one byte per mask."""
+        bits = format(self._compressible, f"0{len(self)}b")[::-1]
+        return bits.encode().translate(_BYTES)  # every reader gets this one
 
     @cached_property
     def gamma_mask(self) -> int:
@@ -98,9 +109,10 @@ class SupportTable(bytes):
         nonzero z supported inside it interferes, so a valid G has
         independent rows there and at least gamma columns.  At least 1,
         since a demanded packet alone is a support."""
-        holds = self.contains_compressible
-        return max((s for s in range(len(holds)) if not holds[s]),
-                   key=lambda s: (s.bit_count(), s))
+        compressible = self._compressible
+        for masks in reversed(_mask_bitsets(self._n)[0]):
+            if free := masks & ~compressible:
+                return free.bit_length() - 1
 
     @cached_property
     def kwise_profile(self) -> tuple[tuple[int, int], ...]:
@@ -113,17 +125,14 @@ class SupportTable(bytes):
         set of at most t packets are those sets' upward closure, n
         shifts; size s settles, k = t - 1, at the first t that covers all
         its masks, and every size past gamma settles by t = gamma + 1."""
-        n = (len(self) - 1).bit_length()
-        nonsupport = int(self.translate(_NONSUPPORT)[::-1], 2) & ~1
+        n = self._n
+        nonsupport = self._nonsupport()
         sizes, lacking = _mask_bitsets(n)
         pending = list(range(self.gamma_mask.bit_count() + 2, n + 1))
         profile, covered, t = [], 0, 0
         while pending:
             t += 1
-            grown = nonsupport & sizes[t]
-            for b, without in enumerate(lacking):
-                grown |= (grown & without) << (1 << b)
-            covered |= grown
+            covered |= _upward_closure(nonsupport & sizes[t], lacking)
             # a size settles no later than a larger one
             while pending and not sizes[pending[-1]] & ~covered:
                 profile.append((pending.pop(), t - 1))
@@ -137,12 +146,15 @@ class SupportTable(bytes):
 
     def __sizeof__(self) -> int:
         # the walk memo charges a table by its size: count the
-        # compressibility table, as large, that it may keep
-        return 2 * super().__sizeof__()
+        # compressibility table, as large, and its closure's 2^n bits,
+        # that it may keep
+        return 2 * super().__sizeof__() + len(self) // 8
 
 
-# a table's bytes read as binary digits, 1 where the mask is no support
+# a table's bytes read as binary digits, 1 where the mask is no support,
+# and binary digits read back as bytes
 _NONSUPPORT = bytes.maketrans(b"\x00\x01", b"10")
+_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @lru_cache(maxsize=1)
@@ -166,6 +178,15 @@ def _mask_bitsets(n: int) -> tuple[list[int], list[int]]:
             width <<= 1
         lacking.append(run)
     return sizes, lacking
+
+
+def _upward_closure(masks: int, lacking: list[int]) -> int:
+    """The masks containing one of the masks given, both as the bits of
+    one int, mask s at bit s: one shift per packet, over the sets of
+    masks without each bit that ``_mask_bitsets`` gives."""
+    for b, without in enumerate(lacking):
+        masks |= (masks & without) << (1 << b)
+    return masks
 
 
 def support_table(n: int, receivers, cap: int) -> SupportTable:

@@ -36,14 +36,15 @@ as a ReceiverDecoder:
   ``ReceiverDecoder`` for its bound).
 
 ``decode_receiver`` takes its decoder from a bounded LRU cache keyed by
-the value of (G, graph, i, delta_s), and remembers the decoder of its
-last call: a call with the very objects of that call skips the cache's
-hashing.  A decoder keeps the sum of the last codeword y it was given
-as a tuple, which cannot change, and uses it while y is that very
-object.  So a repeated decode at a receiver with the same tuple y costs,
-for every q, one C-level ``sum`` of the packed multiples the entries of
-x_hat pick, one lane reduction mod p (one AND over F_2), and one memo
-lookup.
+the value of (G, graph, i, delta_s), and remembers the decoders of the
+last (G, graph, delta_s) by receiver: a call with the very objects of
+that triple skips the cache's hashing, whichever receiver it asks for.
+z splits into y's side and x_hat's, and a decoder keeps each side's
+packed sum by value, in one bounded table per side keyed by the tuple
+y or x_hat (a tuple cannot change; a list is summed on every decode).
+So a repeated decode at a receiver with tuples it has seen costs, for
+every q, two dict lookups, one add, one lane reduction mod p (one AND
+over F_2), and one memo lookup.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ from .sigraph import SideInfoGraph
 
 DECODER_CACHE_SIZE = 128     # receivers whose decoders stay built
 COSET_CANDIDATE_BUDGET = 1 << 16   # candidate corrections per coset table
+_SUM_TABLE_SIZE = 1 << 10    # tuples whose packed sum a decoder keeps, per side
 # a lookup in a column's multiples, a dict subclass: dict's own method
 # reads a hit at plain dict speed and still calls __missing__ on a miss
 _lookup = dict.__getitem__
@@ -170,9 +172,6 @@ def _not_elements(q: int) -> ValueError:
     return ValueError(f"y and x_hat entries must be elements of F_{q}")
 
 
-_UNSEEN = object()   # a decoder's last y before its first decode
-
-
 class ReceiverDecoder:
     """Receiver i's decoder under G with at most delta_s cache errors,
     built once and then applied to any number of received words.
@@ -204,14 +203,23 @@ class ReceiverDecoder:
     once into integer lanes wide enough for the N + |X| terms of a
     decode (``linalg.LaneVectors``), so a decode picks one multiple per
     entry, adds them up and reduces each lane mod p: the reduced int is
-    the one packing of z.  The sum splits into y's side and x_hat's.
-    y's side is kept with the last y that was a tuple, its entries and
-    length checked, and reused while y is that object; a list is summed
-    on every decode, since it may have changed.  Each column's multiples
-    are looked up by any value equal to an element, each packed the
-    first time it is read; any other value fails the lookup, and the
-    decode raises the ValueError of a non-element.  The checks run in
-    the order x_hat's length, the entries, y's length.
+    the one packing of z.  Each column's multiples are looked up by any
+    value equal to an element, each packed the first time it is read;
+    any other value fails the lookup, and the decode raises the
+    ValueError of a non-element.  The checks run in the order x_hat's
+    length, the entries of x_hat, those of y (past its columns too), y's
+    length.
+
+    The sum splits into y's side and x_hat's, and each side's sum is
+    kept by value: a table from each tuple y to its sum, and one from
+    each tuple x_hat to its.  A tuple cannot change, and an equal tuple
+    has equal entries, each equal to the element it decodes as, so a
+    kept sum is the one a fresh sum would give.  Only a sum whose
+    entries (and, for y, length) passed the checks is kept, so a hit
+    needs no check; a lookup that misses, or fails because the tuple
+    holds an unhashable entry or is a list, sums the entries instead,
+    with every check.  A list is summed on every decode, since it may
+    have changed.
 
     The memo maps z to the (value, DecodeTrace) of a search decode.  The
     pair is a function of z alone: the table entry (syndrome, p,
@@ -222,7 +230,19 @@ class ReceiverDecoder:
     again each time, and a forced_correction decode neither reads nor
     writes it, so its own syndrome check always runs.  Its keys are
     distinct z with a syndrome in the table, so it holds at most
-    q * len(table) entries, and at most one per decode made.
+    q * len(table) entries, and at most one per decode made.  Each sum
+    table is emptied when it holds _SUM_TABLE_SIZE tuples, so it holds
+    at most that many, each sum with the caller's tuple as its key.
+    receiver_decoder's cache and decode_receiver's kept decoders hold at
+    most DECODER_CACHE_SIZE decoders each, and a direct receiver_decoder
+    call can evict from the cache one that decode_receiver still keeps,
+    so at most 2 * DECODER_CACHE_SIZE decoders are alive, and at most
+    4 * DECODER_CACHE_SIZE * _SUM_TABLE_SIZE (524,288) kept sums.
+    _SUM_TABLE_SIZE (1,024) holds every snapshot of a cache of up to 10
+    packets over F_2.  Past that a table is emptied over and over and
+    finds fewer sums, and a decode whose tuples miss costs a little more
+    than summing alone (hashing, storing): a larger table trades memory
+    for the larger caches (CHANGES.md has the measurements).
     """
 
     def __init__(self, G: Matrix, graph: SideInfoGraph, i: int, delta_s: int):
@@ -251,7 +271,8 @@ class ReceiverDecoder:
         self._y_cols = [lanes.multiples(col) for col in A.columns()]
         self._x_cols = [lanes.multiples([field.neg(e) for e in A.mul_col(g)])
                         for g in ctx.G_cache.rows]
-        self._y, self._y_sum = _UNSEEN, 0   # the last tuple y and its sum
+        self._y_sums: dict = {}     # tuple y -> y's side of z
+        self._x_sums: dict = {}     # tuple x_hat -> x_hat's side of z
         self._table = {
             lanes.pack(s): (s, p, suspected, table_dot(add, mul, self._h, p))
             for s, (p, suspected) in _coset_leaders(ctx, delta_s).items()}
@@ -259,17 +280,21 @@ class ReceiverDecoder:
 
     def decode(self, y, x_hat, forced_correction=None) -> tuple[int, DecodeTrace]:
         """decode_receiver at this decoder's receiver."""
-        if len(x_hat) != self._size:
-            raise ValueError(
-                f"receiver {self.ctx.receiver} caches {self._size} packets, "
-                f"got {len(x_hat)}")
-        # z = A (y - x_hat G_X): syndrome on top, h . corrected last; an
-        # entry that is not an element misses its column's lookup
+        # z = A (y - x_hat G_X): syndrome on top, h . corrected last;
+        # each side's sum kept by value, else summed with its checks.  A
+        # miss raises nothing; a list or an unhashable entry raises
+        # TypeError in the lookup, and is summed too
         try:
-            s = sum(map(_lookup, self._x_cols, x_hat))
-        except (KeyError, TypeError):
-            raise _not_elements(self._q) from None
-        s += self._y_sum if y is self._y else self._codeword_sum(y)
+            s = self._x_sums.get(x_hat)
+        except TypeError:
+            s = None
+        if s is None:
+            s = self._cache_sum(x_hat)
+        try:
+            y_sum = self._y_sums.get(y)
+        except TypeError:
+            y_sum = None
+        s += self._codeword_sum(y) if y_sum is None else y_sum
         keep = self._keep
         z = self._reduce(s) if keep is None else s & keep
         if forced_correction is not None:
@@ -284,9 +309,29 @@ class ReceiverDecoder:
             hit = self._memo[z] = self._result(hc, hp, syndrome, p, suspected)
         return hit
 
+    def _cache_sum(self, x_hat) -> int:
+        """x_hat's side of z, its length and then its entries checked
+        (an entry that is not an element misses its column's lookup);
+        kept when x_hat is a tuple.  A kept tuple has the right length,
+        so a hit needs no check."""
+        if len(x_hat) != self._size:
+            raise ValueError(
+                f"receiver {self.ctx.receiver} caches {self._size} packets, "
+                f"got {len(x_hat)}")
+        try:
+            x_sum = sum(map(_lookup, self._x_cols, x_hat))
+        except (KeyError, TypeError):
+            raise _not_elements(self._q) from None
+        if type(x_hat) is tuple:
+            sums = self._x_sums
+            if len(sums) >= _SUM_TABLE_SIZE:    # full: start again
+                sums.clear()
+            sums[x_hat] = x_sum
+        return x_sum
+
     def _codeword_sum(self, y) -> int:
         """y's side of z, its entries and then its length checked; kept
-        for the next decode when y is a tuple, which cannot change."""
+        when y is a tuple."""
         cols = self._y_cols
         try:
             y_sum = sum(map(_lookup, cols, y))
@@ -298,7 +343,10 @@ class ReceiverDecoder:
             raise ValueError(
                 f"y must have {self._length} entries, got {len(y)}")
         if type(y) is tuple:
-            self._y, self._y_sum = y, y_sum
+            sums = self._y_sums
+            if len(sums) >= _SUM_TABLE_SIZE:    # full: start again
+                sums.clear()
+            sums[y] = y_sum
         return y_sum
 
     def _forced(self, z, forced_correction) -> tuple[int, DecodeTrace]:
@@ -353,16 +401,16 @@ def receiver_decoder(G: Matrix, graph: SideInfoGraph, i: int,
         return _FailedDecoder(exc)
 
 
-# (G, graph, i, delta_s, decoder) of decode_receiver's last call
-_NO_DECODER = (None,) * 5
-_last = _NO_DECODER
+# (G, graph, delta_s) of decode_receiver's last call, and its decoders
+# by receiver
+_last = (None, None, None, {})
 
 
 def _cache_clear(clear=receiver_decoder.cache_clear) -> None:
-    """Empty receiver_decoder's cache, and forget decode_receiver's last
-    decoder with it."""
+    """Empty receiver_decoder's cache, and forget the decoders
+    decode_receiver keeps with it."""
     global _last
-    _last = _NO_DECODER
+    _last = (None, None, None, {})
     clear()
 
 
@@ -379,18 +427,24 @@ def decode_receiver(G: Matrix, graph: SideInfoGraph, i: int, y, x_hat,
     wrong cache entries.  forced_correction bypasses the search, for
     exercising alternative admissible corrections.  The receiver's
     decoder is built on the first call for this (G, graph, i, delta_s)
-    and reused while it stays in receiver_decoder's cache.  A call with
-    the very objects of the last call takes the last decoder without
-    hashing them for the cache: they are immutable, so their value is
-    the one that decoder was built for.
+    and reused while it stays in receiver_decoder's cache.  The decoders
+    of the last call's (G, graph, delta_s) are kept by receiver, at most
+    DECODER_CACHE_SIZE of them, apart from that cache: a call with the
+    very objects of that triple takes its receiver's decoder without
+    hashing them for the cache.  They are immutable, so their value is
+    the one that decoder was built for.  A refusal is never kept.
     """
     global _last
-    last = _last
-    if last[0] is G and last[1] is graph and last[2] is i and last[3] is delta_s:
-        decoder = last[4]
-    else:
+    last_G, last_graph, last_delta_s, decoders = _last
+    if not (last_G is G and last_graph is graph and last_delta_s is delta_s):
+        decoders = {}
+        _last = (G, graph, delta_s, decoders)
+    decoder = decoders.get(i)
+    if decoder is None:
         decoder = receiver_decoder(G, graph, i, delta_s)
-        _last = (G, graph, i, delta_s, decoder)
+        if len(decoders) >= DECODER_CACHE_SIZE:
+            decoders.clear()
+        decoders[i] = decoder
     return decoder.decode(y, x_hat, forced_correction)
 
 

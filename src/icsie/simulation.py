@@ -24,15 +24,18 @@ corrupts the cache by each variant and decodes it, with no Python call
 per trial but its one ``decode_receiver`` call.  Each receiver's
 constants -- its ascending cache, its variants as (position, delta)
 pairs, their count and its bit length -- are set up once, before the
-first trial, and the decoder it reaches is built once: consecutive
-trials at a receiver pass decode_receiver the same objects, the
-codeword tuple y included, so a repeated trial costs one sum over the
-cache entries and one memo lookup there (see ``decoder``).
+first trial, and the decoder it reaches is built once: every trial
+passes decode_receiver the same G, graph and delta_s, whose decoders it
+keeps by receiver.  The codeword y and the corrupted snapshot x_hat go
+in as tuples, and the decoder keeps each side's packed sum by value, so
+a trial whose y and x_hat that receiver has seen costs two dict
+lookups, an add, a lane reduction and one memo lookup there (see
+``decoder``).  Every trial still makes its own decode: the simulation
+is the decoder's independent check.
 
 Both modes encode in blocks of ``_BLOCK``, so memory stays bounded:
 exhaustive mode encodes each message once, random mode each distinct
-message once per block of trials, and a message repeated within a
-block passes the decoder the same tuple y.  A random trial draws, from
+message once per block of trials.  A random trial draws, from
 ``random.Random(seed)``, the receiver (1 + a draw below m), then the n
 message symbols (each below q), then the variant's index (below |V_i|).
 Each draw below w follows ``randrange``'s rule -- getrandbits(k) for
@@ -192,7 +195,8 @@ def run_simulation(spec: ProblemSpec, G: Matrix,
             for pos, delta in offsets:
                 x_hat[pos] = add[x_hat[pos]][delta]
             try:
-                ok = decode_receiver(G, g, i, y, x_hat, delta_s)[0] == want
+                ok = decode_receiver(G, g, i, y, tuple(x_hat),
+                                     delta_s)[0] == want
             except (NoSolutionError, InconsistentError, DegenerateError):
                 ok = False
             if ok:

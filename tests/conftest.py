@@ -327,3 +327,15 @@ def _reference_decode(G, graph, i, y, x_hat, delta_s, forced_correction=None):
             f"receiver {i}: no projection row sees the demand row")
     return value, DecodeTrace(syndrome=syndrome, correction=p,
                               suspected=suspected, value=value)
+
+
+def _reference_contains_compressible(table) -> bytes:
+    """Entry s is 1 iff packet mask s contains a nonempty set that is no
+    support: a nonempty mask holds when it is not a support itself or
+    when one of its one-packet-smaller subsets holds, and ascending
+    masks meet every subset first."""
+    bits = [1 << k for k in range((len(table) - 1).bit_length())]
+    holds = bytearray(len(table))
+    for s in range(1, len(table)):
+        holds[s] = not table[s] or any(holds[s ^ b] for b in bits if s & b)
+    return bytes(holds)

@@ -18,9 +18,9 @@ from icsie.linalg import Matrix, mask_of
 from icsie.sigraph import ProblemSpec, SideInfoGraph, clique_graph
 from icsie.simulation import SimulationConfig, run_simulation
 
-from conftest import (all_unipartite_graphs, enum_interference,
-                      first_witness, hamming_weight, in_interference,
-                      random_generator, vec_add, vec_scale)
+from conftest import (_reference_contains_compressible, all_unipartite_graphs,
+                      enum_interference, first_witness, hamming_weight,
+                      in_interference, random_generator, vec_add, vec_scale)
 
 F2 = field_for(2)
 
@@ -98,6 +98,37 @@ def test_support_family_equals_interference_supports(q):
             for r in range(g.n + 1):
                 for K in itertools.combinations(range(1, g.n + 1), r):
                     assert table[support_mask(K, g.n)] == (frozenset(K) in supports)
+
+
+def _reference_gamma_mask(holds) -> int:
+    """The largest mask holding no compressible set, by size then mask."""
+    return max((s for s in range(len(holds)) if not holds[s]),
+               key=lambda s: (s.bit_count(), s))
+
+
+def test_compressible_sets_by_closure_match_the_subset_loop():
+    # random tables, supports or not at any density, entry 0 either way
+    rng = random.Random(3001)
+    for _ in range(400):
+        n = rng.randrange(0, 11)
+        p = rng.random()
+        table = codeset.SupportTable(rng.random() < p for _ in range(1 << n))
+        want = _reference_contains_compressible(table)
+        assert table.contains_compressible == want
+        assert type(table.contains_compressible) is bytes
+        assert table.gamma_mask == _reference_gamma_mask(want)
+
+
+def test_compressible_sets_by_closure_on_instance_tables():
+    for g in list(all_unipartite_graphs(3)) + [clique_graph(7)]:
+        for delta_s in (0, 1, 2):
+            codeset._instance_table.cache_clear()
+            table = interference_supports(
+                ProblemSpec(graph=g, q=2, delta_s=delta_s))
+            want = _reference_contains_compressible(table)
+            # gamma first: it must not depend on the bytes being built
+            assert table.gamma_mask == _reference_gamma_mask(want)
+            assert table.contains_compressible == want
 
 
 def test_monotone_in_delta_s():

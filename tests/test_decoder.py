@@ -1,6 +1,9 @@
+import functools
+import gc
 import itertools
 import random
 import time
+import weakref
 
 import pytest
 from conftest import (_reference_decode, _reference_search, random_generator,
@@ -484,7 +487,7 @@ def test_an_entry_decodes_as_the_element_it_equals(q):
                                        _put(x_hat, k, element), 1))
 
 
-# -- the codeword side's sum, kept while y is the same tuple --------------------
+# -- each side's sum, kept by value -------------------------------------------
 
 def test_a_list_y_changed_between_decodes_gives_the_new_answer():
     dec = decoder.ReceiverDecoder(G9, GRAPH9, 9, 1)
@@ -497,6 +500,109 @@ def test_a_list_y_changed_between_decodes_gives_the_new_answer():
     y.append(0)
     with pytest.raises(ValueError, match="y must have 6 entries, got 7"):
         dec.decode(y, xhat)
+
+
+SUM_FIELDS = (2, 3, 4, 257)
+
+
+def _as_elements(vec):
+    return [int(e) for e in vec]
+
+
+def _sum_table_calls(q, G, rng, count):
+    """Decodes at receiver 1 (caching packets 2 and 3): codewords and
+    snapshots with up to one cache error, some entries given as an
+    equal non-int (0.0, True), some as a non-element on one side, each
+    as every tuple/list pairing, and every call made twice."""
+    equal = {0: 0.0, 1: True}
+    calls = []
+    for _ in range(count):
+        x = [rng.randrange(q) for _ in range(3)]
+        y, x_hat = list(G.vec_mul(x)), [x[1], x[2]]
+        if rng.random() < 0.5:
+            x_hat[rng.randrange(2)] = rng.randrange(q)
+        for vec in (y, x_hat):
+            for k, e in enumerate(vec):
+                if e in equal and rng.random() < 0.3:
+                    vec[k] = equal[e]
+        bad = rng.choice((q, -1, 1.5, None, [1]))
+        side = rng.randrange(4)     # y, x_hat, or neither
+        if side < 2:
+            vec = (y, x_hat)[side]
+            vec[rng.randrange(len(vec))] = bad
+        for y_form, x_form in itertools.product((tuple, list), repeat=2):
+            calls += [(y_form(y), x_form(x_hat))] * 2
+    return calls
+
+
+@pytest.mark.parametrize("q", SUM_FIELDS)
+@pytest.mark.parametrize("order", [1, -1], ids=["forward", "backward"])
+def test_kept_sums_decode_as_a_fresh_decoder_and_the_reference(q, order):
+    graph, G = _clique3(q)
+    kept = decoder.ReceiverDecoder(G, graph, 1, 1)
+    calls = _sum_table_calls(q, G, random.Random(q), 12)
+    for y, x_hat in calls[::order]:
+        got = _outcome(kept.decode, y, x_hat)
+        fresh = decoder.ReceiverDecoder(G, graph, 1, 1)
+        assert got == _outcome(fresh.decode, y, x_hat)
+        try:
+            y_ints, x_ints = _as_elements(y), _as_elements(x_hat)
+        except TypeError:
+            y_ints = None
+        if (y_ints is not None and y_ints == list(y)
+                and x_ints == list(x_hat)
+                and all(0 <= e < q for e in y_ints + x_ints)):
+            assert got == _outcome(_reference_decode, G, graph, 1, y_ints,
+                                   x_ints, 1)
+        else:
+            assert got[0] is ValueError
+    # only checked tuples were kept
+    for y in kept._y_sums:
+        assert type(y) is tuple and len(y) == G.ncols
+    for x_hat in kept._x_sums:
+        assert type(x_hat) is tuple and len(x_hat) == 2
+
+
+def test_the_sum_tables_never_pass_their_bound(monkeypatch):
+    monkeypatch.setattr(decoder, "_SUM_TABLE_SIZE", 5)
+    graph, G = _clique3(3)
+    dec = decoder.ReceiverDecoder(G, graph, 1, 1)
+    rng = random.Random(5)
+    most = 0
+    for _ in range(300):
+        x = [rng.randrange(3) for _ in range(3)]
+        x_hat = [x[1], x[2]]
+        x_hat[rng.randrange(2)] = rng.randrange(3)
+        y, x_hat = G.vec_mul(x), tuple(x_hat)
+        assert (_outcome(dec.decode, y, x_hat)
+                == _outcome(_reference_decode, G, graph, 1, y, x_hat, 1))
+        assert len(dec._y_sums) <= 5 and len(dec._x_sums) <= 5
+        most = max(most, len(dec._y_sums), len(dec._x_sums))
+    assert most == 5
+
+
+def test_a_simulation_sums_each_cache_side_once_per_snapshot(monkeypatch):
+    # F_2 clique-4 at delta_s = 1, exhaustive: 16 messages times 4
+    # snapshots per receiver, but only 2^3 distinct snapshots of its 3
+    # cached packets; each is summed once, then looked up by value
+    spec = ProblemSpec(graph=clique_graph(4), q=2, delta_s=1)
+    _, G = optimal_length(spec)
+    looked_up = {}
+    real = decoder._lookup
+
+    def counting(multiples, e):
+        looked_up[id(multiples)] = looked_up.get(id(multiples), 0) + 1
+        return real(multiples, e)
+
+    receiver_decoder.cache_clear()
+    monkeypatch.setattr(decoder, "_lookup", counting)
+    report = run_simulation(spec, G, SimulationConfig(trials="exhaustive"))
+    assert report.ok
+    for i in range(1, 5):
+        dec = receiver_decoder(G, spec.graph, i, 1)
+        sums = looked_up[id(dec._x_cols[0])]
+        assert 0 < sums <= 2 ** len(spec.graph.X[i - 1])
+        assert report.per_receiver[i][1] == 64
 
 
 @pytest.mark.parametrize("q", ENTRY_FIELDS)
@@ -517,7 +623,7 @@ def test_one_tuple_y_serves_every_snapshot_at_alternating_receivers(q):
 @pytest.mark.parametrize("order", [1, -1], ids=["y-first", "x_hat-first"])
 def test_bad_y_and_bad_x_hat_keep_their_messages_in_either_order(order):
     # x_hat's length, then the entries of both, then y's length: whether
-    # or not the decoder holds the sum of the y it is given
+    # or not the decoder keeps either side's sum
     xhat, bad_xhat = (1, 1, 0, 0, 0, 1), (1, 1, 0, 0, 0, 2)
     entries = "y and x_hat entries must be elements of F_2"
     y_length, x_length = "y must have 6 entries, got 5", "caches 6 packets, got 5"
@@ -532,7 +638,18 @@ def test_bad_y_and_bad_x_hat_keep_their_messages_in_either_order(order):
              ((Y9, xhat), None),
              ((Y9[:-1], bad_xhat), entries),
              ((Y9[:-1], xhat[:-1]), x_length),
-             ((Y9[:-1], xhat), y_length)]
+             ((Y9[:-1], xhat), y_length),
+             # with both sums kept: unhashable and other non-elements
+             ((Y9, xhat), None),
+             ((Y9[:-1] + (1.5,), xhat), entries),
+             ((Y9, xhat[:-1] + (None,)), entries),
+             ((Y9[:-1] + ([1],), xhat), entries),
+             ((Y9, xhat[:-1] + ([1],)), entries),
+             ((Y9 + (0,), xhat), "y must have 6 entries, got 7"),
+             ((Y9, xhat + (0,)), "caches 6 packets, got 7"),
+             ((Y9 + (0,), xhat[:-1]), x_length),
+             ((Y9 + (-1,), bad_xhat), entries),
+             ((Y9, xhat), None)]
     dec = decoder.ReceiverDecoder(G9, GRAPH9, 9, 1)
     for (y, x_hat), message in calls[::order]:
         if message is None:
@@ -702,7 +819,7 @@ def test_cache_keyed_by_value():
 
 
 def test_cache_clear_builds_the_decoder_again(monkeypatch):
-    # decode_receiver skips the cache for the objects of its last call,
+    # decode_receiver skips the cache for the objects of its last triple,
     # but not past a cache_clear
     built = []
     real = decoder.build_context
@@ -722,6 +839,117 @@ def test_cache_clear_builds_the_decoder_again(monkeypatch):
     assert decode_receiver(G9, GRAPH9, 9, Y9, xhat, 1) == first
     assert built == [9, 9]
     assert receiver_decoder.cache_info().currsize == 1
+
+
+def test_each_receivers_decoder_is_kept_while_decodes_alternate(monkeypatch):
+    # decodes alternating over all nine receivers reach receiver_decoder
+    # once per receiver, and once more per receiver past a cache_clear
+    reached = []
+    real = decoder.receiver_decoder
+
+    def counting(G, graph, i, delta_s):
+        reached.append(i)
+        return real(G, graph, i, delta_s)
+
+    receiver_decoder.cache_clear()
+    monkeypatch.setattr(decoder, "receiver_decoder", counting)
+    snapshots = {i: tuple(X9_TRUE[j - 1] for j in sorted(GRAPH9.X[i - 1]))
+                 for i in range(1, 10)}
+
+    def sweep(delta_s=1):
+        for _ in range(3):
+            for i in range(1, 10):
+                got = decode_receiver(G9, GRAPH9, i, Y9, snapshots[i], delta_s)
+                assert got[0] == X9_TRUE[i - 1]
+
+    sweep()
+    assert reached == list(range(1, 10))
+    sweep()
+    assert reached == list(range(1, 10))
+    receiver_decoder.cache_clear()
+    sweep()
+    assert reached == list(range(1, 10)) * 2
+    # another delta_s is another triple; coming back finds the LRU's
+    sweep(0)
+    sweep()
+    assert reached == list(range(1, 10)) * 4
+    assert real.cache_info().currsize == 18
+
+
+def test_kept_decoders_are_bounded_and_refusals_not_kept(monkeypatch):
+    reached = []
+    real = decoder.receiver_decoder
+
+    def counting(G, graph, i, delta_s):
+        reached.append(i)
+        return real(G, graph, i, delta_s)
+
+    receiver_decoder.cache_clear()
+    monkeypatch.setattr(decoder, "receiver_decoder", counting)
+    monkeypatch.setattr(decoder, "DECODER_CACHE_SIZE", 4)
+    x_hat = {i: tuple(X9_TRUE[j - 1] for j in sorted(GRAPH9.X[i - 1]))
+             for i in range(1, 10)}
+    for _ in range(2):
+        for i in range(1, 10):
+            decode_receiver(G9, GRAPH9, i, Y9, x_hat[i], 1)
+    # emptied when four are kept: every receiver reached again
+    assert reached == list(range(1, 10)) * 2
+    reached.clear()
+    monkeypatch.setattr(decoder, "COSET_CANDIDATE_BUDGET", 3)
+    for _ in range(2):
+        with pytest.raises(BudgetExceededError):
+            decode_receiver(G9, GRAPH9, 9, Y9, x_hat[9], 2)
+    assert reached == [9, 9]
+
+
+def test_direct_receiver_decoder_calls_leave_at_most_twice_the_cache_alive(
+        monkeypatch):
+    # receiver_decoder's LRU and decode_receiver's kept decoders hold at
+    # most DECODER_CACHE_SIZE each; a direct receiver_decoder call can
+    # evict from the LRU what decode_receiver still keeps, so up to twice
+    # that many decoders, and their sum tables, stay alive
+    size, table = 4, 3
+    alive = weakref.WeakSet()
+
+    def build(G, graph, i, delta_s):
+        dec = decoder.ReceiverDecoder(G, graph, i, delta_s)
+        alive.add(dec)
+        return dec
+
+    receiver_decoder.cache_clear()
+    small = functools.lru_cache(maxsize=size)(build)
+    monkeypatch.setattr(decoder, "receiver_decoder", small)
+    monkeypatch.setattr(decoder, "DECODER_CACHE_SIZE", size)
+    monkeypatch.setattr(decoder, "_SUM_TABLE_SIZE", table)
+    x_hat = {i: tuple(X9_TRUE[j - 1] for j in sorted(GRAPH9.X[i - 1]))
+             for i in range(1, 10)}
+
+    def counted():
+        if len(alive) > 2 * size:
+            gc.collect()
+        return len(alive)
+
+    try:
+        for i in range(1, 5):
+            decode_receiver(G9, GRAPH9, i, Y9, x_hat[i], 1)
+        for i in range(5, 9):
+            small(G9, GRAPH9, i, 0)
+        assert counted() == 2 * size
+        rng = random.Random(9)
+        for _ in range(300):
+            i, delta_s = rng.randint(1, 9), rng.randint(0, 1)
+            if rng.random() < 0.5:
+                small(G9, GRAPH9, i, delta_s)
+            else:
+                snapshot = list(x_hat[i])
+                snapshot[rng.randrange(len(snapshot))] ^= 1
+                _outcome(decode_receiver, G9, GRAPH9, i, Y9, tuple(snapshot),
+                         delta_s)
+            assert counted() <= 2 * size
+            kept = sum(len(dec._x_sums) + len(dec._y_sums) for dec in alive)
+            assert kept <= 2 * 2 * size * table
+    finally:
+        receiver_decoder.cache_clear()
 
 
 def test_cache_is_bounded():
