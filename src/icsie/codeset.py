@@ -17,17 +17,17 @@ Interference depends only on the support of z, so one table over the
 2^n support masks holds it, a ``SupportTable``, which keeps what is
 read off it when first read: ``contains_compressible`` (the packet sets
 containing a compressible one, a nonempty set that is no support),
-gamma's set, ``gamma_mask``, ``kwise_profile`` and, per q, the k-wise
-independence bound ``encoder._kwise_length`` reads off that profile.
+gamma's set, ``gamma_mask``, and ``kwise_profile``, from which
+``encoder._kwise_length`` reads the k-wise independence bound.
 ``contains_compressible`` and ``gamma_mask`` read one upward closure
 of the non-support sets, and ``kwise_profile`` one per threshold, each
 n shifts over the masks as the bits of one int.
 The table depends on the graph and 2*delta_s alone, and
 ``interference_supports`` keeps the last instance's: the validity
 test, the structure queries and the error-free search on one instance
-build it once between them.  Each caller checks
-its own budget before it reads the table, so a refusal never depends on
-what ran earlier.
+build it once between them.  Each caller checks its own budget before
+it reads the table, so a refusal never depends on what ran earlier.
+``kept`` lists this table and ``_mask_bitsets`` with their bounds.
 
 ``oracle_decodable`` deliberately does NOT reuse that criterion: it
 materializes explicit Hamming spheres around every codeword and tests
@@ -137,12 +137,6 @@ class SupportTable(bytes):
             while pending and not sizes[pending[-1]] & ~covered:
                 profile.append((pending.pop(), t - 1))
         return tuple(reversed(profile))
-
-    @cached_property
-    def kwise(self) -> dict[int, int]:
-        """The k-wise independence bound per q, as
-        ``encoder._kwise_length`` computes it from ``kwise_profile``."""
-        return {}
 
     def __sizeof__(self) -> int:
         # the walk memo charges a table by its size: count the

@@ -32,36 +32,32 @@ as a ReceiverDecoder:
   looks a syndrome up there; the decoder re-keys the same table by the
   packed syndrome, so both return the same correction;
 * a memo from the packed z = A (y - x_hat G_X) to the (value, trace) a
-  search decode returned for it, filled as decodes come (see
-  ``ReceiverDecoder`` for its bound).
+  search decode returned for it, filled as decodes come.
 
-``decode_receiver`` takes its decoder from a bounded LRU cache keyed by
-the value of (G, graph, i, delta_s), and remembers the decoders of the
-last (G, graph, delta_s) by receiver: a call with the very objects of
-that triple skips the cache's hashing, whichever receiver it asks for.
-z splits into y's side and x_hat's, and a decoder keeps each side's
-packed sum by value, in one bounded table per side keyed by the tuple
-y or x_hat (a tuple cannot change; a list is summed on every decode).
-So a repeated decode at a receiver with tuples it has seen costs, for
-every q, two dict lookups, one add, one lane reduction mod p (one AND
-over F_2), and one memo lookup.
+``receiver_decoder`` keeps the decoders of the last (G, graph,
+delta_s).  z splits into y's side and x_hat's, and a decoder keeps each
+side's packed sum by value, keyed by the tuple y or x_hat (a tuple
+cannot change; a list is summed on every decode).  So a repeated decode
+at a receiver with tuples it has seen costs, for every q, two dict
+lookups, one add, one lane reduction mod p (one AND over F_2), and one
+memo lookup.  ``kept`` states the bound of each table kept here.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import (BudgetExceededError, DegenerateError, DimensionError,
                      InconsistentError, NoSolutionError)
 from .gfield import arithmetic
+from .kept import store
 from .linalg import LaneVectors, Matrix, low_weight, low_weight_count, table_dot
 from .sigraph import SideInfoGraph
 
 DECODER_CACHE_SIZE = 128     # receivers whose decoders stay built
 COSET_CANDIDATE_BUDGET = 1 << 16   # candidate corrections per coset table
-_SUM_TABLE_SIZE = 1 << 10    # tuples whose packed sum a decoder keeps, per side
+_TABLE_SIZE = 1 << 10        # entries in each sum table and in the z-memo
 # a lookup in a column's multiples, a dict subclass: dict's own method
 # reads a hit at plain dict speed and still calls __missing__ on a miss
 _lookup = dict.__getitem__
@@ -228,21 +224,12 @@ class ReceiverDecoder:
     So a memo hit returns exactly what the lookup would compute.  Only
     successful search decodes fill it: a NoSolutionError is raised
     again each time, and a forced_correction decode neither reads nor
-    writes it, so its own syndrome check always runs.  Its keys are
-    distinct z with a syndrome in the table, so it holds at most
-    q * len(table) entries, and at most one per decode made.  Each sum
-    table is emptied when it holds _SUM_TABLE_SIZE tuples, so it holds
-    at most that many, each sum with the caller's tuple as its key.
-    receiver_decoder's cache and decode_receiver's kept decoders hold at
-    most DECODER_CACHE_SIZE decoders each, and a direct receiver_decoder
-    call can evict from the cache one that decode_receiver still keeps,
-    so at most 2 * DECODER_CACHE_SIZE decoders are alive, and at most
-    4 * DECODER_CACHE_SIZE * _SUM_TABLE_SIZE (524,288) kept sums.
-    _SUM_TABLE_SIZE (1,024) holds every snapshot of a cache of up to 10
-    packets over F_2.  Past that a table is emptied over and over and
-    finds fewer sums, and a decode whose tuples miss costs a little more
-    than summing alone (hashing, storing): a larger table trades memory
-    for the larger caches (CHANGES.md has the measurements).
+    writes it, so its own syndrome check always runs.
+
+    _TABLE_SIZE, each table's bound, holds every snapshot of a cache of
+    up to 10 packets over F_2; past that a table is emptied over and
+    over, and a larger one trades memory for the larger caches
+    (CHANGES.md has the measurements).
     """
 
     def __init__(self, G: Matrix, graph: SideInfoGraph, i: int, delta_s: int):
@@ -306,7 +293,9 @@ class ReceiverDecoder:
             if entry is None:
                 raise _no_solution(self.ctx, self.delta_s)
             syndrome, p, suspected, hp = entry
-            hit = self._memo[z] = self._result(hc, hp, syndrome, p, suspected)
+            hit = store(self._memo, z,
+                        self._result(hc, hp, syndrome, p, suspected),
+                        _TABLE_SIZE)
         return hit
 
     def _cache_sum(self, x_hat) -> int:
@@ -323,10 +312,7 @@ class ReceiverDecoder:
         except (KeyError, TypeError):
             raise _not_elements(self._q) from None
         if type(x_hat) is tuple:
-            sums = self._x_sums
-            if len(sums) >= _SUM_TABLE_SIZE:    # full: start again
-                sums.clear()
-            sums[x_hat] = x_sum
+            store(self._x_sums, x_hat, x_sum, _TABLE_SIZE)
         return x_sum
 
     def _codeword_sum(self, y) -> int:
@@ -343,10 +329,7 @@ class ReceiverDecoder:
             raise ValueError(
                 f"y must have {self._length} entries, got {len(y)}")
         if type(y) is tuple:
-            sums = self._y_sums
-            if len(sums) >= _SUM_TABLE_SIZE:    # full: start again
-                sums.clear()
-            sums[y] = y_sum
+            store(self._y_sums, y, y_sum, _TABLE_SIZE)
         return y_sum
 
     def _forced(self, z, forced_correction) -> tuple[int, DecodeTrace]:
@@ -386,35 +369,35 @@ class _FailedDecoder:
         raise kind(*message)
 
 
-@functools.lru_cache(maxsize=DECODER_CACHE_SIZE)
+# the decoders of the last (G, graph, delta_s) asked for, by receiver
+_triple = (None, None, None)
+_decoders: dict = {}
+
+
 def receiver_decoder(G: Matrix, graph: SideInfoGraph, i: int,
                      delta_s: int) -> ReceiverDecoder | _FailedDecoder:
-    """The decoder of receiver i, built once per value of (G, graph, i,
-    delta_s) while it stays among the DECODER_CACHE_SIZE most recent.
-    A failed build is kept too, as a decoder that raises its
-    DegenerateError on every decode; a BudgetExceededError is not kept,
-    and each call checks the budget again, before the receiver's context
-    is built."""
-    try:
-        return ReceiverDecoder(G, graph, i, delta_s)
-    except DegenerateError as exc:
-        return _FailedDecoder(exc)
-
-
-# (G, graph, delta_s) of decode_receiver's last call, and its decoders
-# by receiver
-_last = (None, None, None, {})
-
-
-def _cache_clear(clear=receiver_decoder.cache_clear) -> None:
-    """Empty receiver_decoder's cache, and forget the decoders
-    decode_receiver keeps with it."""
-    global _last
-    _last = (None, None, None, {})
-    clear()
-
-
-receiver_decoder.cache_clear = _cache_clear
+    """The decoder of receiver i, kept with the decoders of the last
+    (G, graph, delta_s), which a triple matched by identity or else by
+    value finds; any other triple empties them.  At most
+    DECODER_CACHE_SIZE are kept (``kept`` has the rule).  A failed build
+    is kept too, as a decoder that raises its DegenerateError again; a
+    BudgetExceededError is not, and each build checks the budget before
+    the receiver's context is built."""
+    global _triple
+    last_G, last_graph, last_delta_s = _triple
+    if not (last_G is G and last_graph is graph and last_delta_s is delta_s):
+        if not (last_delta_s == delta_s and last_graph == graph
+                and last_G == G):
+            _decoders.clear()
+        _triple = (G, graph, delta_s)
+    decoder = _decoders.get(i)
+    if decoder is None:
+        try:
+            decoder = ReceiverDecoder(G, graph, i, delta_s)
+        except DegenerateError as exc:
+            decoder = _FailedDecoder(exc)
+        store(_decoders, i, decoder, DECODER_CACHE_SIZE)
+    return decoder
 
 
 def decode_receiver(G: Matrix, graph: SideInfoGraph, i: int, y, x_hat,
@@ -425,26 +408,15 @@ def decode_receiver(G: Matrix, graph: SideInfoGraph, i: int, y, x_hat,
 
     Requires an error-free channel (y = xG exactly) and at most delta_s
     wrong cache entries.  forced_correction bypasses the search, for
-    exercising alternative admissible corrections.  The receiver's
-    decoder is built on the first call for this (G, graph, i, delta_s)
-    and reused while it stays in receiver_decoder's cache.  The decoders
-    of the last call's (G, graph, delta_s) are kept by receiver, at most
-    DECODER_CACHE_SIZE of them, apart from that cache: a call with the
-    very objects of that triple takes its receiver's decoder without
-    hashing them for the cache.  They are immutable, so their value is
-    the one that decoder was built for.  A refusal is never kept.
+    exercising alternative admissible corrections.  The decoder comes
+    from ``receiver_decoder``; a call with the very objects of its last
+    triple takes the kept decoder with no other test.
     """
-    global _last
-    last_G, last_graph, last_delta_s, decoders = _last
-    if not (last_G is G and last_graph is graph and last_delta_s is delta_s):
-        decoders = {}
-        _last = (G, graph, delta_s, decoders)
-    decoder = decoders.get(i)
+    last_G, last_graph, last_delta_s = _triple
+    decoder = (_decoders.get(i) if last_G is G and last_graph is graph
+               and last_delta_s is delta_s else None)
     if decoder is None:
         decoder = receiver_decoder(G, graph, i, delta_s)
-        if len(decoders) >= DECODER_CACHE_SIZE:
-            decoders.clear()
-        decoders[i] = decoder
     return decoder.decode(y, x_hat, forced_correction)
 
 

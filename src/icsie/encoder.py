@@ -24,7 +24,7 @@ Two exact routes to the optimal length are implemented and must agree:
   span meets the interference set; membership is one lookup in the
   instance's support table, ``codeset.interference_supports``, which
   the validity test and the structure queries read too.  The lengths
-  walked start at kwise, the k-wise independence bound kept on the
+  walked start at kwise, the k-wise independence bound read off the
   same table (``_kwise_length``, at least gamma): on every packet set
   B, each nonzero z supported in B with at most k(B) nonzero entries
   interferes, so G's rows on B are k(B)-wise independent and no length
@@ -52,9 +52,10 @@ longer reach its need with the columns left; it asks no weight test.
 
 Both walks read nothing of the instance but one table (the support
 table, or the needs of the projective points) and a length, so each
-result is kept in one bounded memo, ``walk_memo``, keyed by exactly
-that: a sweep whose instances share tables walks each table once per
-length.  The budget of a length is checked before the memo is read.
+result is kept in one memo, ``walk_memo``, keyed by exactly that and
+bounded by ``kept``'s rule: a sweep whose instances share tables walks
+each table once per length.  The budget of a length is checked before
+the memo is read.
 
 All of these work over any F_q through one seam,
 ``linalg.vector_space``: how vectors are packed, added, scaled and
@@ -310,29 +311,31 @@ class _WalkMemo:
     an entry is keyed by (walk, q, n, table) and holds a dict from length
     to result.  Each entry is charged the size of its table (twice its
     bytes for a ``codeset.SupportTable``, which may keep a compressibility
-    table as large) plus 1 KiB for the key, the dict and the results
-    around it; while the charges exceed WALK_MEMO_BYTES the oldest entry
-    is dropped, so a table past the bound alone is not kept.  Callers check a length's budget before
-    they read the memo, so a refusal and its message never depend on
-    what ran earlier in the process."""
+    table as large) plus 1 KiB, under ``kept``'s rule and its bound,
+    WALK_MEMO_BYTES.  Callers check a length's budget before they read
+    the memo, so a refusal and its message never depend on what ran
+    earlier in the process."""
 
     def __init__(self) -> None:
-        self._entries: dict = {}     # key -> (charge, {length: result})
+        self._entries: dict = {}     # key -> {length: result}
         self._charged = 0
 
     def results(self, walk: str, q: int, n: int, table) -> dict:
         """The dict from length to result of the walks over table,
         empty the first time; results put in it are kept."""
         key = (walk, q, n, table)
-        entry = self._entries.get(key)
-        if entry is None:
-            entry = self._entries[key] = (sys.getsizeof(table) + 1024, {})
-            self._charged += entry[0]
-            while self._charged > WALK_MEMO_BYTES:
-                self._charged -= self._entries.pop(next(iter(self._entries)))[0]
-        return entry[1]
+        walked = self._entries.get(key)
+        if walked is None:
+            walked = {}
+            charge = sys.getsizeof(table) + 1024
+            if charge <= WALK_MEMO_BYTES:
+                if self._charged + charge > WALK_MEMO_BYTES:    # full
+                    self.clear()
+                self._entries[key] = walked
+                self._charged += charge
+        return walked
 
-    def cache_clear(self) -> None:
+    def clear(self) -> None:
         self._entries.clear()
         self._charged = 0
 
@@ -438,12 +441,8 @@ def _shortest_length(vectors, table, start: int,
     checked against the budget, each once, here.
     ``structure.edge_deletion_bound`` starts at the
     larger of a table's gamma and its best length so far, and so learns
-    a table's optimum only where it exceeds that best.
-
-    Each length's walk reads q, n, the table and N alone, so its basis,
-    or None, is kept in ``walk_memo`` under the table itself, a bytes
-    object, and a later walk of the same table at that length is read
-    from there, once its budget is checked.
+    a table's optimum only where it exceeds that best.  Each length's
+    basis, or None, is kept in ``walk_memo`` under the table itself.
     """
     q, n = vectors.q, vectors.n
     walked = walk_memo.results("subspace", q, n, table)
@@ -507,12 +506,8 @@ def _first_column_multiset(vectors, need_of, lengths, prefix: int,
     the rest in the order ``combinations_with_replacement`` lists them,
     so the first multiset it completes is the first that order passes.
     A node updates only the slices above the last full one, at most
-    top of them.
-
-    A walk reads q, n, every projective point's need and the number of
-    columns it places, N - prefix, and nothing else, so its result, the
-    columns or None, is kept in ``walk_memo`` under those and read from
-    there by a later walk, once that length's count is checked."""
+    top of them.  Its result, the columns or None, is kept in
+    ``walk_memo`` under the needs and the N - prefix columns placed."""
     q = vectors.q
     npoints = (q ** vectors.n - 1) // (q - 1)
     points = None
@@ -760,10 +755,7 @@ def l_q(q: int, a: int, d: int) -> int:
     are checked, each needing wt(mP) >= d - wt(m).  A length is searched
     only if its multisets of n - a parity columns number at most
     2^DEFAULT_MULTISET_BITS, and no length past DEFAULT_LEN_CAP is.
-
-    The cache keeps its answers when either constant changes: only a
-    refusal depends on them, and a refusal raises, so it is never
-    cached."""
+    Its answers are kept (``kept``)."""
     if a < 1 or d < 1:
         raise ValueError("need a >= 1 and d >= 1")
     if d == 1:
@@ -794,8 +786,7 @@ def _redundancy(q: int, s: int, d: int) -> int:
     whole space, so nothing is walked.  Otherwise a grows while a + 1
     fits: l_q grows with a, a dimension whose Griesmer bound exceeds s
     does not fit, and one where l_q refuses fits unless the Hamming
-    bound excludes it, so r errs low there and stays a lower bound.
-    Like l_q's, the cache keeps its answers when a budget changes."""
+    bound excludes it, so r errs low there and stays a lower bound."""
     if s <= q + 1 or d <= 2:
         return d - 1
     a = 0
@@ -815,9 +806,10 @@ def _fits(q: int, a: int, d: int, s: int) -> bool:
 
 
 def _kwise_length(table, q: int) -> int:
-    """The k-wise independence bound of a support table over F_q, kept
-    on the table per q: the largest r_q(|B|, k(B) + 1) over packet sets
-    B, and at least gamma.  It never raises.
+    """The k-wise independence bound of a support table over F_q: the
+    largest r_q(|B|, k(B) + 1) over packet sets B, and at least gamma,
+    read off the table's kept ``kwise_profile`` and the kept r_q.  It
+    never raises.
 
     G's rows on B, as the columns of a parity check, give an
     [|B|, |B| - rank, >= k(B) + 1] code, so N >= r_q(|B|, k(B) + 1): the
@@ -831,14 +823,11 @@ def _kwise_length(table, q: int) -> int:
     gam = table.gamma_mask.bit_count()
     if len(table) < 4 << gam:           # n < gamma + 2
         return gam
-    kept = table.kwise
-    if q not in kept:
-        best = gam
-        for s, k in table.kwise_profile:
-            if s - 1 > best:
-                best = max(best, _redundancy(q, s, k + 1))
-        kept[q] = best
-    return kept[q]
+    best = gam
+    for s, k in table.kwise_profile:
+        if s - 1 > best:
+            best = max(best, _redundancy(q, s, k + 1))
+    return best
 
 
 # ---------------------------------------------------------------------------

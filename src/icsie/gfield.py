@@ -19,6 +19,7 @@ that call it.
 from __future__ import annotations
 
 import operator
+from functools import lru_cache
 
 from .errors import FieldTooLargeError, NotPrimePowerError
 
@@ -27,8 +28,6 @@ MAX_Q = 1 << 16
 # Lookup tables are built for fields up to this size; larger fields fall
 # back to on-the-fly arithmetic (a 2^16 x 2^16 table would not fit).
 TABLE_Q_LIMIT = 256
-
-_field_cache: dict[int, "Field"] = {}
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
@@ -286,13 +285,10 @@ class Field:
         return f"Field({self.q})"
 
 
+@lru_cache(maxsize=None)
 def field_for(q: int) -> Field:
     """Cached Field constructor; fields are immutable so sharing is safe."""
-    f = _field_cache.get(q)
-    if f is None:
-        f = Field(q)
-        _field_cache[q] = f
-    return f
+    return Field(q)
 
 
 class _FieldOp:

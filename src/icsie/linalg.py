@@ -443,7 +443,7 @@ class RowSpan:
 class Matrix:
     """An immutable r x c matrix over a finite field."""
 
-    __slots__ = ("field", "rows", "nrows", "ncols", "_hash")
+    __slots__ = ("field", "rows", "nrows", "ncols")
 
     def __init__(self, field: Field, rows: Iterable[Iterable[int]], ncols: int | None = None):
         rows = tuple(tuple(field.check(v) for v in r) for r in rows)
@@ -584,13 +584,7 @@ class Matrix:
                 and self.ncols == other.ncols and self.rows == other.rows)
 
     def __hash__(self) -> int:
-        # computed once: a Matrix is immutable, and the decoder cache
-        # hashes its G on every decode
-        try:
-            return self._hash
-        except AttributeError:
-            self._hash = hash((self.field, self.ncols, self.rows))
-            return self._hash
+        return hash((self.field, self.ncols, self.rows))
 
     def __repr__(self) -> str:
         body = "; ".join("".join(str(v) for v in r) for r in self.rows)

@@ -42,15 +42,6 @@ class SideInfoGraph:
             if bad:
                 raise IndexError(f"X_{i + 1} contains out-of-range packets {bad}")
 
-    def __hash__(self) -> int:
-        # computed once: the graph is immutable, and the decoder cache
-        # hashes it on every decode
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.n, self.m, self.f, self.X))
-            object.__setattr__(self, "_hash", h)
-        return h
-
     @staticmethod
     def make(n: int, f, X) -> "SideInfoGraph":
         return SideInfoGraph(n=n, m=len(f), f=tuple(f),

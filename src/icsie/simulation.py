@@ -25,13 +25,14 @@ per trial but its one ``decode_receiver`` call.  Each receiver's
 constants -- its ascending cache, its variants as (position, delta)
 pairs, their count and its bit length -- are set up once, before the
 first trial, and the decoder it reaches is built once: every trial
-passes decode_receiver the same G, graph and delta_s, whose decoders it
-keeps by receiver.  The codeword y and the corrupted snapshot x_hat go
-in as tuples, and the decoder keeps each side's packed sum by value, so
-a trial whose y and x_hat that receiver has seen costs two dict
-lookups, an add, a lane reduction and one memo lookup there (see
-``decoder``).  Every trial still makes its own decode: the simulation
-is the decoder's independent check.
+passes decode_receiver the same G, graph and delta_s objects, whose
+decoders ``decoder.receiver_decoder`` keeps by receiver.  The codeword
+y and the corrupted snapshot x_hat go in as tuples, and the decoder
+keeps each side's packed sum by value, so a trial whose y and x_hat
+that receiver has seen costs two dict lookups, an add, a lane reduction
+and one memo lookup there (see ``decoder``; ``kept`` bounds them).
+Every trial still makes its own decode: the simulation is the decoder's
+independent check.
 
 Both modes encode in blocks of ``_BLOCK``, so memory stays bounded:
 exhaustive mode encodes each message once, random mode each distinct

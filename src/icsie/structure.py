@@ -29,7 +29,7 @@ tables too: one per deletion choice, built at delta_s = 0 by
 table is searched from the larger of its gamma and the best length so
 far, and the search returns the larger of its start and the table's
 optimum: the new best.  Every search here reads ``encoder.walk_memo``,
-so a table walked before, by any call, is not walked again.
+so a table walked before and still kept there is not walked again.
 
 Each query checks the 2^n table against DEFAULT_SUBSET_BITS before it
 reads it; the searches check their lengths against the encoder's

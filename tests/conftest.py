@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from icsie import Matrix, codeset, encoder, field_for
+from icsie import Matrix, encoder, field_for, kept
 from icsie.codeset import (_check_enum_budget, interference_masks,
                            interference_supports)
 from icsie.decoder import DecodeTrace, build_context
@@ -57,12 +57,11 @@ def small_family():
 
 
 @pytest.fixture(autouse=True)
-def cold_walk_memo():
-    """Every test starts with an empty walk memo and no kept support
-    table, so a test that counts or records walks or table builds sees
-    the same ones whatever ran before it."""
-    encoder.walk_memo.cache_clear()
-    codeset._instance_table.cache_clear()
+def cold_kept():
+    """Every test starts with every kept table empty (``kept.clear``), so
+    a test that counts or records walks, builds or decodes sees the same
+    ones whatever ran before it."""
+    kept.clear()
 
 
 # -- vector helpers in Field arithmetic, for the tests only

@@ -9,8 +9,8 @@ import pytest
 
 import conftest
 import icsie
-from icsie import codeset, decoder, encoder, simulation, structure
-from icsie.decoder import decode_receiver, receiver_decoder
+from icsie import codeset, decoder, encoder, kept, simulation, structure
+from icsie.decoder import decode_receiver
 from icsie.encoder import (core_length, l_q, min_distance_from_parity,
                            minrank, optimal_length)
 from icsie.errors import BudgetExceededError
@@ -33,13 +33,13 @@ HAMMING = Matrix(F2, [[1, 0, 1, 0, 1, 0, 1], [0, 1, 1, 0, 0, 1, 1],
 
 
 def _decode():
-    receiver_decoder.cache_clear()     # a built decoder would be reused
+    kept.clear()                       # a built decoder would be reused
     return decode_receiver(G4, CLIQUE4.graph, 1, G4.vec_mul((1, 0, 1, 1)),
                            (0, 1, 1), 1)
 
 
 def _l_q():
-    l_q.cache_clear()                  # a cached answer would be returned
+    kept.clear()                       # a cached answer would be returned
     return l_q(2, 4, 5)
 
 
@@ -92,7 +92,6 @@ def test_each_budget_constant_is_read_when_its_routine_runs(
 
 def test_l_q_keeps_answers_across_a_budget_change(monkeypatch):
     # only refusals depend on the budget, and they are never cached
-    l_q.cache_clear()
     assert l_q(2, 4, 5) == 11
     monkeypatch.setattr(encoder, "DEFAULT_MULTISET_BITS", 10)
     assert l_q(2, 4, 5) == 11

@@ -8,7 +8,7 @@ from conftest import _reference_decode, _reference_shortest_length, dot
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icsie import cli, codeset, encoder, simulation, structure
+from icsie import cli, codeset, encoder, kept, simulation, structure
 from icsie.cli import EXIT_DOMAIN, EXIT_OK, main
 from icsie.codeset import oracle_decodable
 from icsie.errors import BudgetExceededError
@@ -447,7 +447,7 @@ def test_analyze_reads_one_bounds_report(runner, clique4_files):
     bound = {name for name, obj in vars(cli).items()
              if getattr(obj, "__module__", None) == "icsie.structure"}
     assert bound == {"bounds_report"}
-    codeset._instance_table.cache_clear()     # the fixture kept the table
+    kept.clear()                              # the fixture kept the table
     with mock.patch("icsie.codeset.support_table",
                     wraps=codeset.support_table) as built:
         res = runner.invoke(main, ["analyze", inst, "--json"])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icsie import codeset, linalg
+from icsie import codeset, kept, linalg
 from icsie.codeset import (_check_generator, interference_masks,
                            interference_supports, is_valid_generator,
                            oracle_decodable)
@@ -122,7 +122,7 @@ def test_compressible_sets_by_closure_match_the_subset_loop():
 def test_compressible_sets_by_closure_on_instance_tables():
     for g in list(all_unipartite_graphs(3)) + [clique_graph(7)]:
         for delta_s in (0, 1, 2):
-            codeset._instance_table.cache_clear()
+            kept.clear()
             table = interference_supports(
                 ProblemSpec(graph=g, q=2, delta_s=delta_s))
             want = _reference_contains_compressible(table)

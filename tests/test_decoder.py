@@ -1,4 +1,3 @@
-import functools
 import gc
 import itertools
 import random
@@ -9,7 +8,7 @@ import pytest
 from conftest import (_reference_decode, _reference_search, random_generator,
                       vec_sub)
 
-from icsie import decoder
+from icsie import decoder, kept
 from icsie.decoder import (DECODER_CACHE_SIZE, build_context,
                            decode_all, decode_receiver, find_correction,
                            receiver_decoder)
@@ -564,7 +563,7 @@ def test_kept_sums_decode_as_a_fresh_decoder_and_the_reference(q, order):
 
 
 def test_the_sum_tables_never_pass_their_bound(monkeypatch):
-    monkeypatch.setattr(decoder, "_SUM_TABLE_SIZE", 5)
+    monkeypatch.setattr(decoder, "_TABLE_SIZE", 5)
     graph, G = _clique3(3)
     dec = decoder.ReceiverDecoder(G, graph, 1, 1)
     rng = random.Random(5)
@@ -576,7 +575,7 @@ def test_the_sum_tables_never_pass_their_bound(monkeypatch):
         y, x_hat = G.vec_mul(x), tuple(x_hat)
         assert (_outcome(dec.decode, y, x_hat)
                 == _outcome(_reference_decode, G, graph, 1, y, x_hat, 1))
-        assert len(dec._y_sums) <= 5 and len(dec._x_sums) <= 5
+        assert max(map(len, (dec._y_sums, dec._x_sums, dec._memo))) <= 5
         most = max(most, len(dec._y_sums), len(dec._x_sums))
     assert most == 5
 
@@ -594,7 +593,6 @@ def test_a_simulation_sums_each_cache_side_once_per_snapshot(monkeypatch):
         looked_up[id(multiples)] = looked_up.get(id(multiples), 0) + 1
         return real(multiples, e)
 
-    receiver_decoder.cache_clear()
     monkeypatch.setattr(decoder, "_lookup", counting)
     report = run_simulation(spec, G, SimulationConfig(trials="exhaustive"))
     assert report.ok
@@ -775,7 +773,7 @@ def test_equal_values_hash_equal_before_and_after_use():
     g_b = SideInfoGraph.make(9, GRAPH9.f, caches)
     assert G_a is not G_b and g_a is not g_b
     assert hash(G_a) == hash(G_b) and hash(g_a) == hash(g_b)
-    # decode with the first pair only: it is hashed as the cache key
+    # decode with the first pair only: the decoder table keeps it
     decode_receiver(G_a, g_a, 9, Y9, (1, 1, 0, 0, 0, 1), 1)
     G_c, g_c = Matrix(F2, rows), SideInfoGraph.make(9, GRAPH9.f, caches)
     assert hash(G_a) == hash(G_b) == hash(G_c)
@@ -808,19 +806,18 @@ def test_cache_keeps_generators_and_graphs_apart():
 
 
 def test_cache_keyed_by_value():
+    # the last triple is matched by value when its objects are new
     rows = [list(r) for r in G9.rows]
     first = receiver_decoder(Matrix(F2, rows), GRAPH9, 9, 1)
-    before = receiver_decoder.cache_info().hits
     again = receiver_decoder(Matrix(F2, rows), SideInfoGraph.make(
         9, GRAPH9.f, [set(s) for s in GRAPH9.X]), 9, 1)
     assert again is first
-    assert receiver_decoder.cache_info().hits == before + 1
     assert receiver_decoder(Matrix(F2, rows), GRAPH9, 9, 2) is not first
 
 
 def test_cache_clear_builds_the_decoder_again(monkeypatch):
-    # decode_receiver skips the cache for the objects of its last triple,
-    # but not past a cache_clear
+    # decode_receiver keeps the decoder of its last triple, but not past
+    # kept.clear()
     built = []
     real = decoder.build_context
 
@@ -830,29 +827,27 @@ def test_cache_clear_builds_the_decoder_again(monkeypatch):
 
     monkeypatch.setattr(decoder, "build_context", counting)
     xhat = (1, 1, 0, 0, 0, 1)
-    receiver_decoder.cache_clear()
     first = decode_receiver(G9, GRAPH9, 9, Y9, xhat, 1)
     assert decode_receiver(G9, GRAPH9, 9, Y9, xhat, 1) == first
     assert built == [9]
-    receiver_decoder.cache_clear()
-    assert receiver_decoder.cache_info().currsize == 0
+    kept.clear()
+    assert decoder._decoders == {}
     assert decode_receiver(G9, GRAPH9, 9, Y9, xhat, 1) == first
     assert built == [9, 9]
-    assert receiver_decoder.cache_info().currsize == 1
+    assert list(decoder._decoders) == [9]
 
 
 def test_each_receivers_decoder_is_kept_while_decodes_alternate(monkeypatch):
-    # decodes alternating over all nine receivers reach receiver_decoder
-    # once per receiver, and once more per receiver past a cache_clear
-    reached = []
-    real = decoder.receiver_decoder
+    # decodes alternating over all nine receivers build each receiver's
+    # decoder once, and once more past kept.clear() or another triple
+    built = []
+    real = decoder.build_context
 
-    def counting(G, graph, i, delta_s):
-        reached.append(i)
-        return real(G, graph, i, delta_s)
+    def counting(G, graph, i):
+        built.append(i)
+        return real(G, graph, i)
 
-    receiver_decoder.cache_clear()
-    monkeypatch.setattr(decoder, "receiver_decoder", counting)
+    monkeypatch.setattr(decoder, "build_context", counting)
     snapshots = {i: tuple(X9_TRUE[j - 1] for j in sorted(GRAPH9.X[i - 1]))
                  for i in range(1, 10)}
 
@@ -863,17 +858,17 @@ def test_each_receivers_decoder_is_kept_while_decodes_alternate(monkeypatch):
                 assert got[0] == X9_TRUE[i - 1]
 
     sweep()
-    assert reached == list(range(1, 10))
+    assert built == list(range(1, 10))
     sweep()
-    assert reached == list(range(1, 10))
-    receiver_decoder.cache_clear()
+    assert built == list(range(1, 10))
+    kept.clear()
     sweep()
-    assert reached == list(range(1, 10)) * 2
-    # another delta_s is another triple; coming back finds the LRU's
+    assert built == list(range(1, 10)) * 2
+    # another delta_s is another triple; only the last triple's are kept
     sweep(0)
     sweep()
-    assert reached == list(range(1, 10)) * 4
-    assert real.cache_info().currsize == 18
+    assert built == list(range(1, 10)) * 4
+    assert sorted(decoder._decoders) == list(range(1, 10))
 
 
 def test_kept_decoders_are_bounded_and_refusals_not_kept(monkeypatch):
@@ -884,7 +879,6 @@ def test_kept_decoders_are_bounded_and_refusals_not_kept(monkeypatch):
         reached.append(i)
         return real(G, graph, i, delta_s)
 
-    receiver_decoder.cache_clear()
     monkeypatch.setattr(decoder, "receiver_decoder", counting)
     monkeypatch.setattr(decoder, "DECODER_CACHE_SIZE", 4)
     x_hat = {i: tuple(X9_TRUE[j - 1] for j in sorted(GRAPH9.X[i - 1]))
@@ -892,6 +886,7 @@ def test_kept_decoders_are_bounded_and_refusals_not_kept(monkeypatch):
     for _ in range(2):
         for i in range(1, 10):
             decode_receiver(G9, GRAPH9, i, Y9, x_hat[i], 1)
+            assert len(decoder._decoders) <= 4
     # emptied when four are kept: every receiver reached again
     assert reached == list(range(1, 10)) * 2
     reached.clear()
@@ -900,68 +895,71 @@ def test_kept_decoders_are_bounded_and_refusals_not_kept(monkeypatch):
         with pytest.raises(BudgetExceededError):
             decode_receiver(G9, GRAPH9, 9, Y9, x_hat[9], 2)
     assert reached == [9, 9]
+    assert decoder._decoders == {}
 
 
-def test_direct_receiver_decoder_calls_leave_at_most_twice_the_cache_alive(
-        monkeypatch):
-    # receiver_decoder's LRU and decode_receiver's kept decoders hold at
-    # most DECODER_CACHE_SIZE each; a direct receiver_decoder call can
-    # evict from the LRU what decode_receiver still keeps, so up to twice
-    # that many decoders, and their sum tables, stay alive
+def test_at_most_the_cache_size_of_decoders_are_alive(monkeypatch):
+    # decodes and direct receiver_decoder calls, over two delta_s: only
+    # the decoders of the one table are alive, with their bounded tables
     size, table = 4, 3
     alive = weakref.WeakSet()
+    real = decoder.ReceiverDecoder
 
     def build(G, graph, i, delta_s):
-        dec = decoder.ReceiverDecoder(G, graph, i, delta_s)
+        dec = real(G, graph, i, delta_s)
         alive.add(dec)
         return dec
 
-    receiver_decoder.cache_clear()
-    small = functools.lru_cache(maxsize=size)(build)
-    monkeypatch.setattr(decoder, "receiver_decoder", small)
+    monkeypatch.setattr(decoder, "ReceiverDecoder", build)
     monkeypatch.setattr(decoder, "DECODER_CACHE_SIZE", size)
-    monkeypatch.setattr(decoder, "_SUM_TABLE_SIZE", table)
+    monkeypatch.setattr(decoder, "_TABLE_SIZE", table)
     x_hat = {i: tuple(X9_TRUE[j - 1] for j in sorted(GRAPH9.X[i - 1]))
              for i in range(1, 10)}
 
     def counted():
-        if len(alive) > 2 * size:
+        if len(alive) > size:
             gc.collect()
         return len(alive)
 
-    try:
-        for i in range(1, 5):
-            decode_receiver(G9, GRAPH9, i, Y9, x_hat[i], 1)
-        for i in range(5, 9):
-            small(G9, GRAPH9, i, 0)
-        assert counted() == 2 * size
-        rng = random.Random(9)
-        for _ in range(300):
-            i, delta_s = rng.randint(1, 9), rng.randint(0, 1)
-            if rng.random() < 0.5:
-                small(G9, GRAPH9, i, delta_s)
-            else:
-                snapshot = list(x_hat[i])
-                snapshot[rng.randrange(len(snapshot))] ^= 1
-                _outcome(decode_receiver, G9, GRAPH9, i, Y9, tuple(snapshot),
-                         delta_s)
-            assert counted() <= 2 * size
-            kept = sum(len(dec._x_sums) + len(dec._y_sums) for dec in alive)
-            assert kept <= 2 * 2 * size * table
-    finally:
-        receiver_decoder.cache_clear()
+    rng = random.Random(9)
+    most = 0
+    for _ in range(300):
+        i, delta_s = rng.randint(1, 9), rng.randint(0, 1)
+        if rng.random() < 0.5:
+            receiver_decoder(G9, GRAPH9, i, delta_s)
+        else:
+            snapshot = list(x_hat[i])
+            snapshot[rng.randrange(len(snapshot))] ^= 1
+            _outcome(decode_receiver, G9, GRAPH9, i, Y9, tuple(snapshot),
+                     delta_s)
+        most = max(most, counted())
+        assert most <= size
+        assert all(len(t) <= table for dec in alive
+                   for t in (dec._x_sums, dec._y_sums, dec._memo))
+    assert most == size
 
 
 def test_cache_is_bounded():
+    # one triple with more receivers than the table holds
+    m = DECODER_CACHE_SIZE + 20
+    g = SideInfoGraph.make(2, [1 + k % 2 for k in range(m)],
+                           [{2 - k % 2} for k in range(m)])
+    G = Matrix.identity(F2, 2)
+    x = (1, 0)
+    most = 0
+    for i in range(1, m + 1):
+        other = 2 - (i - 1) % 2
+        got = decode_receiver(G, g, i, G.vec_mul(x), (x[other - 1],), 0)
+        assert got[0] == x[g.f[i - 1] - 1]
+        most = max(most, len(decoder._decoders))
+    assert most == DECODER_CACHE_SIZE
+    # a new generator each call starts a new table each time
     g = SideInfoGraph.make(2, [1, 2], [{2}, {1}])
-    for k in range(1, DECODER_CACHE_SIZE + 20):
+    for k in range(1, 20):
         row = tuple((k >> b) & 1 for b in range(8))
         G = Matrix(F2, [row, row])
-        x = (1, 0)
         assert decode_receiver(G, g, 1, G.vec_mul(x), (0,), 0)[0] == 1
-    info = receiver_decoder.cache_info()
-    assert info.maxsize == DECODER_CACHE_SIZE
-    assert info.currsize == DECODER_CACHE_SIZE
+        assert len(decoder._decoders) == 1
 
 
 # -- simulation reports pinned from the per-trial decoder ----------------------
@@ -995,7 +993,6 @@ def test_failed_build_is_kept(monkeypatch):
         return real(G, graph, i)
 
     monkeypatch.setattr(decoder, "build_context", counting)
-    receiver_decoder.cache_clear()
     spec = ProblemSpec(graph=clique_graph(4), q=2, delta_s=1)
     report = run_simulation(spec, CLIQUE4_BROKEN,
                             SimulationConfig(trials="exhaustive"))

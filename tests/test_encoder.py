@@ -7,7 +7,7 @@ from unittest import mock
 
 import pytest
 
-from icsie import codeset, encoder, kernels, linalg
+from icsie import codeset, encoder, kept, kernels, linalg
 from icsie.codeset import (interference_supports, is_valid_generator,
                            oracle_decodable)
 from icsie.encoder import (_first_column_multiset, clique_from_parity,
@@ -922,7 +922,7 @@ def test_column_multiset_walk_asks_no_weight_test(monkeypatch):
     monkeypatch.setattr(kernels, "gf2_first_failing", refuse)
     for cls in (linalg._F2Vectors, linalg._FqVectors):
         monkeypatch.setattr(cls, "first_failing", refuse)
-    l_q.cache_clear()
+    kept.clear()
     assert {key: l_q(*key) for key in PINNED_L_Q} == PINNED_L_Q
     assert [_gecic_outcome(optimal_length, spec) for spec in specs] == want
 

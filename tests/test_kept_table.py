@@ -8,7 +8,7 @@ from unittest import mock
 
 import pytest
 
-from icsie import codeset, encoder, structure
+from icsie import codeset, encoder, kept, structure
 from icsie.codeset import (interference_masks, is_valid_generator,
                            oracle_decodable, receiver_masks, support_table)
 from icsie.encoder import core_length, l_q, minrank, optimal_length
@@ -28,11 +28,6 @@ def _outcome(call, spec):
         return call(spec)
     except BudgetExceededError as exc:
         return "refused", str(exc)
-
-
-def _cold():
-    encoder.walk_memo.cache_clear()
-    codeset._instance_table.cache_clear()
 
 
 def _valid_identity(spec):
@@ -70,11 +65,11 @@ def test_warm_and_cold_tables_give_the_same_answers_and_refusals():
     cold = []
     for spec in specs:
         for call in calls:
-            _cold()
+            kept.clear()
             cold.append(_outcome(call, spec))
     # the channel-error search over F_3 refuses on some instances
     assert any(isinstance(o, tuple) and o[0] == "refused" for o in cold)
-    _cold()
+    kept.clear()
     assert [_outcome(call, spec) for spec in specs for call in calls] == cold
 
 
@@ -93,7 +88,7 @@ def test_a_kept_table_refuses_as_a_cold_one(monkeypatch, module, name, small,
     warm = [_outcome(call, CLIQUE4) for call in calls]
     cold = []
     for call in calls:
-        _cold()
+        kept.clear()
         cold.append(_outcome(call, CLIQUE4))
     assert warm == cold
     assert all(o[0] == "refused" for o in warm)

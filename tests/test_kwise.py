@@ -16,7 +16,7 @@ from unittest import mock
 
 import pytest
 
-from icsie import codeset, encoder
+from icsie import codeset, encoder, kept
 from icsie.codeset import SupportTable, interference_supports
 from icsie.encoder import (_kwise_length, _redundancy, core_length, l_q,
                            optimal_length)
@@ -40,17 +40,6 @@ def kwise(spec: ProblemSpec) -> int:
 
 def gamma_of(spec: ProblemSpec) -> int:
     return interference_supports(spec).gamma_mask.bit_count()
-
-
-@pytest.fixture
-def cold_code_caches():
-    """l_q and r_q keep their answers across budget changes; a test that
-    shrinks a budget starts and leaves both empty."""
-    l_q.cache_clear()
-    _redundancy.cache_clear()
-    yield
-    l_q.cache_clear()
-    _redundancy.cache_clear()
 
 
 def _profile_reference(table, n: int) -> tuple:
@@ -204,23 +193,27 @@ def test_the_bounds_report_carries_kwise():
     assert report.lower("icsie") == 4
 
 
-def test_kwise_is_computed_once_per_table_and_field():
+def test_kwise_is_read_off_the_kept_profile_and_r_q():
+    # each read sums kwise again, from the table's profile, computed
+    # once, and r_q's kept answers: one r_q walk per size 5 to 7
     spec = ProblemSpec(graph=clique_graph(7), q=2, delta_s=1)
-    with mock.patch("icsie.encoder._redundancy",
-                    wraps=encoder._redundancy) as r_q:
+    with mock.patch("icsie.codeset._upward_closure",
+                    wraps=codeset._upward_closure) as closures:
         optimal_length(spec)
+        once = closures.call_count
         bounds_report(spec)
         core_length(ProblemSpec(graph=clique_graph(7), q=2, delta_s=1,
                                 delta_c=1))
-    assert r_q.call_count == 3          # one per size 5 to 7, once
-    assert interference_supports(spec).kwise == {2: 4}
+    assert closures.call_count == once
+    info = _redundancy.cache_info()
+    assert (info.misses, info.hits) == (3, 9)   # four reads, three sizes
+    assert kwise(spec) == 4
 
 
-def test_kwise_errs_low_where_l_q_refuses(monkeypatch, cold_code_caches):
+def test_kwise_errs_low_where_l_q_refuses(monkeypatch):
     exact = {(q, s, d): _redundancy(q, s, d)
              for q in (2, 3) for s in range(5, 11) for d in range(3, 7)}
-    _redundancy.cache_clear()
-    l_q.cache_clear()
+    kept.clear()      # l_q and r_q keep answers across a budget change
     monkeypatch.setattr(encoder, "DEFAULT_MULTISET_BITS", 4)
     low = {case: _redundancy(*case) for case in exact}
     assert all(low[case] <= r for case, r in exact.items())
@@ -239,18 +232,14 @@ def _outcome(call, spec):
         return "refused", str(exc)
 
 
-def test_a_warm_and_a_cold_run_refuse_identically(monkeypatch,
-                                                  cold_code_caches):
+def test_a_warm_and_a_cold_run_refuse_identically(monkeypatch):
     calls = (optimal_length, core_length, bounds_report, edge_deletion_bound)
     spec = ProblemSpec(graph=clique_graph(8), q=2, delta_s=1)
     # 255 hyperplanes fit, but the walk from kwise = 4 meets dimension 4
     monkeypatch.setattr(encoder, "DEFAULT_SUBSPACE_BUDGET", 1000)
     cold = []
     for call in calls:
-        encoder.walk_memo.cache_clear()
-        codeset._instance_table.cache_clear()
-        l_q.cache_clear()
-        _redundancy.cache_clear()
+        kept.clear()
         cold.append(_outcome(call, spec))
     warm = [_outcome(call, spec) for call in calls]
     assert warm == cold

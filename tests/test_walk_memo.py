@@ -7,7 +7,7 @@ from unittest import mock
 
 import pytest
 
-from icsie import encoder
+from icsie import encoder, kept
 from icsie.codeset import interference_supports, is_valid_generator
 from icsie.encoder import (_first_column_multiset, _shortest_length,
                            core_length, optimal_length)
@@ -39,11 +39,11 @@ def test_a_warm_memo_gives_the_cold_answers():
     cold = []
     for spec in specs:
         for call in CALLS:
-            encoder.walk_memo.cache_clear()
+            kept.clear()
             cold.append(_outcome(call, spec))
     # the channel-error search over F_3 refuses on some instances
     assert any(isinstance(o, tuple) and o[0] == "refused" for o in cold)
-    encoder.walk_memo.cache_clear()
+    kept.clear()
     forward = [_outcome(call, spec) for spec in specs for call in CALLS]
     assert forward == cold
     backward = [_outcome(call, spec) for spec in reversed(specs)
@@ -86,7 +86,7 @@ def test_a_refusal_reads_the_same_after_the_memo_holds_the_answer(
     warm = [_outcome(call, spec) for call in CALLS]
     cold = []
     for call in CALLS:
-        encoder.walk_memo.cache_clear()
+        kept.clear()
         cold.append(_outcome(call, spec))
     assert warm == cold
     assert warm[0][0] == "refused"
@@ -130,11 +130,11 @@ def test_one_table_over_two_fields_keeps_both_answers():
     table = bytes(table)
     cold = {}
     for q in (2, 3):
-        encoder.walk_memo.cache_clear()
+        kept.clear()
         cold[q] = _shortest_length(vector_space(field_for(q), 3), table, 1,
                                    {})
     assert cold[2][0] == 1 and cold[3][0] == 2
-    encoder.walk_memo.cache_clear()
+    kept.clear()
     for q in (2, 3, 2, 3):
         assert _shortest_length(vector_space(field_for(q), 3), table, 1,
                                 {}) == cold[q]
@@ -152,7 +152,7 @@ def test_a_planted_memo_entry_misleads_the_library_but_not_the_certificates():
     assert optimal_length(spec)[0] == 4
     assert _reference_shortest_length(spec) == want
 
-    encoder.walk_memo.cache_clear()
+    kept.clear()
     spec = ProblemSpec(graph=TWO_PAIRS, q=2, delta_s=0, delta_c=1)
     want = _reference_gecic_length(spec)
     assert optimal_length(spec) == want
@@ -167,22 +167,25 @@ def test_a_planted_memo_entry_misleads_the_library_but_not_the_certificates():
     assert _reference_gecic_length(spec) == want
 
 
-def test_the_memo_drops_its_oldest_tables_past_its_byte_bound(monkeypatch):
+def test_the_memo_empties_when_a_table_would_pass_its_byte_bound(monkeypatch):
     memo = encoder._WalkMemo()
     tables = [bytes([k]) * 16 for k in range(4)]
     charge = sys.getsizeof(tables[0]) + 1024
     monkeypatch.setattr(encoder, "WALK_MEMO_BYTES", 3 * charge)
     for k, table in enumerate(tables):
         memo.results("subspace", 2, 4, table)[1] = k
-    # four tables charged 4 * charge: the first one went
-    assert memo.results("subspace", 2, 4, tables[1]) == {1: 1}
+        assert memo._charged <= encoder.WALK_MEMO_BYTES
+    # the fourth table would have charged 4 * charge: the memo started
+    # again with it alone
     assert memo.results("subspace", 2, 4, tables[3]) == {1: 3}
+    assert memo._charged == charge
     assert memo.results("subspace", 2, 4, tables[0]) == {}
-    # and taking it back in dropped the next oldest
-    assert memo.results("subspace", 2, 4, tables[1]) == {}
-    memo.cache_clear()
+    assert memo._charged == 2 * charge
+    memo.clear()
     assert memo.results("subspace", 2, 4, tables[3]) == {}
-    # a table past the bound by itself is not kept
+    # a table past the bound by itself is not kept, and empties nothing
     big = bytes(3 * charge)
     memo.results("subspace", 2, 4, big)[1] = None
     assert memo.results("subspace", 2, 4, big) == {}
+    assert memo.results("subspace", 2, 4, tables[3]) == {}
+    assert memo._charged == charge
