@@ -34,20 +34,22 @@ EXIT_PARSE = 2
 EXIT_BUDGET = 3
 
 
-def _load_instance(path: str) -> ProblemSpec:
+def _read(path: str) -> str:
+    """The text of a UTF-8 file; a file that cannot be read, or is not
+    UTF-8, is a ParseError."""
     try:
-        with open(path) as fh:
-            return parse_instance(fh.read())
-    except OSError as exc:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
+def _load_instance(path: str) -> ProblemSpec:
+    return parse_instance(_read(path))
 
 
 def _load_generator(path: str, spec: ProblemSpec) -> Matrix:
-    try:
-        with open(path) as fh:
-            G = parse_generator(fh.read())
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+    G = parse_generator(_read(path))
     if G.field.q != spec.q or G.nrows != spec.graph.n:
         raise ParseError(
             f"generator is {G.nrows} rows over F_{G.field.q}, "

@@ -99,6 +99,7 @@ DEFAULT_SUBSPACE_BUDGET = 1 << 22
 DEFAULT_COMBO_BUDGET = 1 << 22
 DEFAULT_CODEBOOK_BITS = 20     # min_distance_from_parity's codewords, in bits
 DEFAULT_LEN_CAP = 15
+_ANSWER_CACHE_SIZE = 1 << 10   # answers l_q and _redundancy each keep
 WALK_MEMO_BYTES = 1 << 24       # bytes charged to the walk memo's tables
 
 
@@ -741,7 +742,7 @@ def clique_from_parity(H: Matrix, delta_s: int) -> tuple[Matrix, ProblemSpec]:
 # ---------------------------------------------------------------------------
 # shortest classical codes and the k-wise independence bound
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_ANSWER_CACHE_SIZE)
 def l_q(q: int, a: int, d: int) -> int:
     """Shortest length of a linear code over F_q with dimension a and
     minimum distance at least d; exhaustive from the Griesmer bound up.
@@ -775,7 +776,7 @@ def _griesmer(q: int, a: int, d: int) -> int:
     return sum(-(-d // q ** i) for i in range(a))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_ANSWER_CACHE_SIZE)
 def _redundancy(q: int, s: int, d: int) -> int:
     """r_q(s, d), the least redundancy s - a of a linear [s, a, >= d]
     code over F_q (a = 0 allowed, 1 <= d <= s + 1): s minus the largest
@@ -841,7 +842,8 @@ def serialize_generator(G: Matrix) -> str:
 def parse_generator(text: str) -> Matrix:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # a RecursionError: arrays or objects nested past the stack
         raise ParseError(f"invalid JSON: {exc}") from exc
     try:
         rows = doc["rows"]

@@ -33,8 +33,11 @@ kept.
 n = 24).  ``codeset._mask_bitsets``: the last n -> 2n + 1 ints of 2^n
 bits (24 MB at n = 22, 103 MB at n = 24).
 
-``encoder.l_q`` and ``encoder._redundancy``: arguments -> answer,
-unbounded, ~130 B per distinct call answered.
+``encoder.l_q`` and ``encoder._redundancy``: arguments -> answer, at
+most ``encoder._ANSWER_CACHE_SIZE`` (1,024) each, ~180 B an entry
+(~230 kB each when full).  These two stay ``functools.lru_cache``s,
+which evict the least recently used answer instead of emptying, because
+the benchmark reads ``l_q.cache_info()``.
 
 ``gfield.field_for``: q -> ``Field``, one per prime power q <= ``MAX_Q``
 asked for: 1.7 MB at q = 256 and 32 MB for all 70 tabulated q (at most

@@ -120,7 +120,8 @@ def parse_instance(text: str) -> ProblemSpec:
     "error", the one cache-error model."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # a RecursionError: arrays or objects nested past the stack
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("top level must be a JSON object")

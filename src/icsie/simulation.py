@@ -18,21 +18,44 @@ listed, and a random run makes ``trials``; either must be at most
 candidate corrections, so its coset-table budget is checked for every
 receiver before the first trial too.
 
-Both modes feed one inline trial body: each mode yields groups of
-(receiver, message, codeword, clean cache, variants), and the body
-corrupts the cache by each variant and decodes it, with no Python call
-per trial but its one ``decode_receiver`` call.  Each receiver's
-constants -- its ascending cache, its variants as (position, delta)
-pairs, their count and its bit length -- are set up once, before the
-first trial, and the decoder it reaches is built once: every trial
-passes decode_receiver the same G, graph and delta_s objects, whose
-decoders ``decoder.receiver_decoder`` keeps by receiver.  The codeword
-y and the corrupted snapshot x_hat go in as tuples, and the decoder
-keeps each side's packed sum by value, so a trial whose y and x_hat
-that receiver has seen costs two dict lookups, an add, a lane reduction
-and one memo lookup there (see ``decoder``; ``kept`` bounds them).
-Every trial still makes its own decode: the simulation is the decoder's
-independent check.
+A trial is its one ``decode_receiver`` call and its tally.  A
+receiver's corrupted snapshots depend only on its clean cache -- x's
+entries at its ascending cache positions, taken as a tuple by one
+``operator.itemgetter`` call -- and on (|X_i|, q, delta_s).  So the
+receivers of one cache size share one variant list, and a run keeps one
+snapshot table, keyed by the clean tuple, whose length is that size:
+every receiver of the size reads the same entries, and each snapshot is
+built once while it is kept.  All 8 receivers of clique-8 cache 7
+packets, so an exhaustive F_2 run at delta_s = 1 builds 1,024 snapshots
+for its 16,384 trials.
+
+* Exhaustive mode walks each encoded block receiver by receiver.  Its
+  table maps a clean tuple to its |V_i| snapshots in variant order, and
+  it adds the tallies once per (receiver, block).
+* Random mode draws one variant r per trial, so its table maps (clean
+  tuple, r) to that one snapshot, built the first time it is drawn; a
+  whole entry would build |V_i| snapshots for one draw (769 over F_257
+  at |X_i| = 3, delta_s = 1).
+
+The table lives for one call and holds at most ``_SNAPSHOT_TUPLES``
+(16,384) snapshots: exhaustive mode keeps _SNAPSHOT_TUPLES // max |V_i|
+entries, and none when one entry alone would pass the bound (each
+receiver's snapshots are then built again per message, one per trial,
+as a table that never hits would).  A store into a full table empties
+it first (``kept.store``).  A snapshot of k entries takes 40 + 8k B,
+and with its key and slot ~150 B at k = 8 and ~250 B at k = 23 in
+exhaustive mode, ~320 B and ~560 B in random mode (tracemalloc, CPython
+3.11): at most ~2.4 and ~4 MB, or ~5.3 and ~9.3 MB, when full.
+
+Every trial passes decode_receiver the same G, graph and delta_s
+objects, whose decoders ``decoder.receiver_decoder`` keeps by receiver,
+and the codeword y and the snapshot x_hat as tuples.  The decoder keeps
+each side's packed sum by value, so a trial whose y and x_hat that
+receiver has seen costs two dict lookups, an add, a lane reduction and
+one memo lookup there (see ``decoder``; ``kept`` bounds them); a kept
+snapshot is the very key the decoder holds, which its lookup finds by
+identity.  Every trial still makes its own decode: the simulation is the
+decoder's independent check.
 
 Both modes encode in blocks of ``_BLOCK``, so memory stays bounded:
 exhaustive mode encodes each message once, random mode each distinct
@@ -51,18 +74,21 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .codeset import _check_generator
 from .decoder import _check_coset_budget, decode_receiver
 from .errors import (BudgetExceededError, DegenerateError, IcsieError,
                      InconsistentError, NoSolutionError)
 from .gfield import arithmetic
+from .kept import store
 from .linalg import Matrix, low_weight, low_weight_count
 from .sigraph import ProblemSpec, is_integer
 
 DEFAULT_TRIAL_BITS = 24
 MAX_WITNESSES = 10
 _BLOCK = 1 << 12   # each mode encodes a message once per this many trials
+_SNAPSHOT_TUPLES = 1 << 14   # corrupted snapshots one run's table holds
 
 
 @dataclass(frozen=True)
@@ -104,7 +130,11 @@ def run_simulation(spec: ProblemSpec, G: Matrix,
     receiver by receiver, each receiver's in message order.  Random mode
     samples the triples and keeps witnesses in trial order; its trials
     are the ones ``randrange`` draws from ``random.Random(seed)``, and
-    it encodes each distinct message once per block of trials.
+    it encodes each distinct message once per block of trials.  Each
+    corrupted snapshot comes from the run's snapshot table (see the
+    module docstring), built once per clean cache and shared by the
+    receivers of its cache size, so a trial is its one
+    ``decode_receiver`` call and its tally.
     Raises BudgetExceededError, before any trial, when the run would
     make more than 2^DEFAULT_TRIAL_BITS trials or some receiver's
     decoder would list more candidate corrections than its budget, and
@@ -116,10 +146,10 @@ def run_simulation(spec: ProblemSpec, G: Matrix,
             "use oracle_decodable for channel errors")
     _check_generator(spec, G)
     g = spec.graph
-    n, q = g.n, spec.q
+    n, q, delta_s = g.n, spec.q, spec.delta_s
     add = arithmetic(spec.field)[0]
     exhaustive = config.trials == "exhaustive"
-    counts = [low_weight_count(len(X), q, spec.delta_s) for X in g.X]
+    counts = [low_weight_count(len(X), q, delta_s) for X in g.X]
     trials = q ** n * sum(counts) if exhaustive else config.trials
     if trials > 1 << DEFAULT_TRIAL_BITS:
         raise BudgetExceededError(
@@ -128,31 +158,66 @@ def run_simulation(spec: ProblemSpec, G: Matrix,
     for i, count in enumerate(counts, start=1):
         _check_coset_budget(i, count)
     per: dict[int, list[int]] = {i: [0, 0] for i in range(1, g.m + 1)}
-    # receiver i's ascending cache, its side-error variants as (position,
-    # delta) pairs in low_weight's order, their count and its bit length
+    # receiver i's clean-cache picker, its demand's position in x, its
+    # side-error variants as (position, delta) pairs in low_weight's
+    # order (one list per cache size) and their count's bit length
+    by_size: dict[int, list] = {}
     plan = {}
     for i in per:
         cache = sorted(g.X[i - 1])
-        variants = [tuple(zip(at, deltas)) for at, deltas
-                    in low_weight(len(cache), q, spec.delta_s)]
-        plan[i] = cache, variants, len(variants), len(variants).bit_length()
+        variants = by_size.get(len(cache))
+        if variants is None:
+            variants = by_size[len(cache)] = [
+                tuple(zip(at, deltas))
+                for at, deltas in low_weight(len(cache), q, delta_s)]
+        plan[i] = (_picker([j - 1 for j in cache]), g.f[i - 1] - 1,
+                   variants, len(variants).bit_length())
 
-    def every_trial():
-        """Each message encoded once, in blocks so memory stays bounded
-        and each receiver's decoder serves a whole block; receivers keep
-        their own witnesses, joined receiver by receiver."""
+    def corrupt(clean, offsets):
+        x_hat = list(clean)
+        for pos, delta in offsets:
+            x_hat[pos] = add[x_hat[pos]][delta]
+        return tuple(x_hat)
+
+    table: dict = {}            # the snapshot table (module docstring)
+    decode = decode_receiver    # read once: a patched binding is seen
+    failures = (NoSolutionError, InconsistentError, DegenerateError)
+    if exhaustive:
+        # whole entries the table holds; none when one would pass the bound
+        entries = _SNAPSHOT_TUPLES // max(counts)
+        found: dict[int, list[tuple]] = {i: [] for i in per}
         messages = itertools.product(range(q), repeat=n)
         while block := list(itertools.islice(messages, _BLOCK)):
             coded = [(x, G.vec_mul(x)) for x in block]
-            for i in per:
-                cache, variants, _, _ = plan[i]
-                mine = found[i]
+            for i, (pick, demand, variants, _) in plan.items():
+                mine, good = found[i], 0
                 for x, y in coded:
-                    yield i, x, y, [x[j - 1] for j in cache], variants, mine
-
-    def sampled_trials():
-        """randrange's draws, inline (see the module docstring), and
-        each distinct message of a block encoded once."""
+                    clean = pick(x)
+                    snapshots = table.get(clean)
+                    if snapshots is None:
+                        snapshots = tuple(corrupt(clean, offsets)
+                                          for offsets in variants)
+                        if entries:
+                            store(table, clean, snapshots, entries)
+                    want = x[demand]
+                    for x_hat in snapshots:
+                        try:
+                            if decode(G, g, i, y, x_hat, delta_s)[0] == want:
+                                good += 1
+                                continue
+                        except failures:
+                            pass
+                        if len(mine) < MAX_WITNESSES:
+                            # distinct variants give distinct snapshots
+                            r = snapshots.index(x_hat)
+                            mine.append((i, x, dict(variants[r])))
+                tally = per[i]
+                tally[0] += good
+                tally[1] += len(coded) * len(variants)
+        witnesses = [w for i in per for w in found[i]][:MAX_WITNESSES]
+    else:
+        # randrange's draws, inline (see the module docstring)
+        witnesses = []
         getrandbits = random.Random(config.seed).getrandbits
         m, m_bits, q_bits = g.m, g.m.bit_length(), q.bit_length()
         symbols = range(n)
@@ -173,39 +238,33 @@ def run_simulation(spec: ProblemSpec, G: Matrix,
                 y = coded.get(x)
                 if y is None:
                     y = coded[x] = G.vec_mul(x)
-                cache, variants, count, bits = plan[i]
+                pick, demand, variants, bits = plan[i]
                 r = getrandbits(bits)
-                while r >= count:
+                while r >= len(variants):
                     r = getrandbits(bits)
-                yield (i, x, y, [x[j - 1] for j in cache], (variants[r],),
-                       witnesses)
-
-    found: dict[int, list[tuple]] = {i: [] for i in per}
-    witnesses: list[tuple] = []
-    f, delta_s = g.f, spec.delta_s
-    # one trial body for both modes: receiver i decodes its clean cache
-    # corrupted by each variant's offsets; a failure becomes a witness
-    # while room is left
-    for i, x, y, clean, variants, mine in (
-            every_trial() if exhaustive else sampled_trials()):
-        want = x[f[i - 1] - 1]
-        tally = per[i]
-        tally[1] += len(variants)
-        for offsets in variants:
-            x_hat = clean.copy()
-            for pos, delta in offsets:
-                x_hat[pos] = add[x_hat[pos]][delta]
-            try:
-                ok = decode_receiver(G, g, i, y, tuple(x_hat),
-                                     delta_s)[0] == want
-            except (NoSolutionError, InconsistentError, DegenerateError):
-                ok = False
-            if ok:
-                tally[0] += 1
-            elif len(mine) < MAX_WITNESSES:
-                mine.append((i, x, dict(offsets)))
-    if exhaustive:
-        witnesses = [w for i in per for w in found[i]][:MAX_WITNESSES]
+                key = pick(x), r
+                x_hat = table.get(key)
+                if x_hat is None:
+                    x_hat = store(table, key, corrupt(key[0], variants[r]),
+                                  _SNAPSHOT_TUPLES)
+                tally = per[i]
+                tally[1] += 1
+                try:
+                    ok = decode(G, g, i, y, x_hat, delta_s)[0] == x[demand]
+                except failures:
+                    ok = False
+                if ok:
+                    tally[0] += 1
+                elif len(witnesses) < MAX_WITNESSES:
+                    witnesses.append((i, x, dict(variants[r])))
     return SimulationReport(
         per_receiver={i: (ok, tot) for i, (ok, tot) in per.items()},
         witnesses=tuple(witnesses))
+
+
+def _picker(positions: list[int]):
+    """x -> the tuple of x's entries at the 0-based positions, one C call
+    (``operator.itemgetter``) for two or more."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    return lambda x: tuple(x[j] for j in positions)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from icsie import cli, codeset, encoder, kept, simulation, structure
 from icsie.cli import EXIT_DOMAIN, EXIT_OK, main
 from icsie.codeset import oracle_decodable
-from icsie.errors import BudgetExceededError
+from icsie.errors import BudgetExceededError, ParseError
 from icsie.encoder import (optimal_length, parse_generator,
                            serialize_generator)
 from icsie.gfield import field_for
@@ -66,6 +66,38 @@ def test_validate_parse_error(runner, tmp_path):
 def test_validate_missing_file(runner):
     res = runner.invoke(main, ["validate", "/nonexistent/x.json"])
     assert res.exit_code == 2
+
+
+def test_validate_a_file_that_is_not_utf8(runner, tmp_path):
+    # a Latin-1 byte used to end in a UnicodeDecodeError traceback, exit 1
+    p = tmp_path / "latin1.json"
+    p.write_bytes(b'{"n": 1, "note": "caf\xe9"}')
+    res = runner.invoke(main, ["validate", str(p)])
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith(f"parse error: cannot read {p}: ")
+    assert "codec can't decode" in res.output
+
+
+def test_simulate_a_generator_that_is_not_utf8(runner, clique4_files, tmp_path):
+    inst, _, _, _ = clique4_files
+    gen = tmp_path / "G.json"
+    gen.write_bytes(b"\xff\xfe{}")
+    res = runner.invoke(main, ["simulate", inst, str(gen)])
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith(f"parse error: cannot read {gen}: ")
+
+
+def test_a_deeply_nested_generator_is_a_parse_error(runner, clique4_files,
+                                                    tmp_path):
+    # json.loads raises RecursionError past the stack, not JSONDecodeError
+    inst, _, _, _ = clique4_files
+    gen = tmp_path / "G.json"
+    gen.write_text("[" * 100_000)
+    with pytest.raises(ParseError, match="^invalid JSON: "):
+        parse_generator(gen.read_text())
+    res = runner.invoke(main, ["simulate", inst, str(gen)])
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith("parse error: invalid JSON: ")
 
 
 def test_search_both_agree(runner, clique4_files):

@@ -239,8 +239,8 @@ def test_the_last_instance_tables_are_kept_alone(monkeypatch):
 
 
 def test_the_unbounded_tables_keep_one_entry_per_answer(monkeypatch):
-    # l_q, r_q and the fields are bounded by their arguments alone, and
-    # keep no refusal
+    # below their bounds, l_q, r_q and the fields keep one entry per
+    # answer and no refusal
     for steps, cached in ((_l_q, l_q.cache_info),
                           (_r_q, _redundancy.cache_info),
                           (_fields, gfield.field_for.cache_info)):
@@ -265,6 +265,26 @@ def test_clear_empties_every_table():
     for cached in (codeset._instance_table, codeset._mask_bitsets, l_q,
                    _redundancy, gfield.field_for):
         assert cached.cache_info().currsize == 0
+
+
+def test_l_q_and_r_q_keep_at_most_their_bound():
+    # 2,000 distinct l_q calls keep the last 1,024; an evicted answer is
+    # computed again, and equals the first
+    first, r_first = l_q(2, 4, 3), _redundancy(2, 7, 3)
+    assert (first, r_first) == (7, 3)
+    for cached in (l_q, _redundancy):
+        assert cached.cache_info().maxsize == encoder._ANSWER_CACHE_SIZE
+    for a in range(1, 2001):
+        assert l_q(2, a, 1) == a
+        assert l_q.cache_info().currsize <= encoder._ANSWER_CACHE_SIZE
+    assert l_q.cache_info().currsize == encoder._ANSWER_CACHE_SIZE
+    misses = l_q.cache_info().misses
+    assert l_q(2, 4, 3) == first
+    assert l_q.cache_info().misses == misses + 1
+    for s in range(1, 2001):
+        _redundancy(2, s, 1)
+    assert _redundancy.cache_info().currsize == encoder._ANSWER_CACHE_SIZE
+    assert _redundancy(2, 7, 3) == r_first
 
 
 def _f257_report(trials):

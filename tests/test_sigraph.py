@@ -120,3 +120,10 @@ def test_parse_rejects_non_json():
         parse_instance("not json {")
     with pytest.raises(ParseError):
         parse_instance("[1, 2]")
+
+
+def test_parse_rejects_json_nested_past_the_stack():
+    # json.loads raises RecursionError here, not JSONDecodeError
+    for text in ("[" * 100_000, '{"X": ' + "[" * 100_000):
+        with pytest.raises(ParseError, match="^invalid JSON: "):
+            parse_instance(text)

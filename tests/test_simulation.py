@@ -322,3 +322,97 @@ def test_huge_delta_s_counts_no_more_errors_than_cached_symbols():
                for ds in (3, 10 ** 9)]
     assert reports[0] == reports[1]
     assert sum(t for _, t in reports[1].per_receiver.values()) == 16 * 4 * 8
+
+
+# -- the snapshot table: shared by cache size, bounded in snapshots ------------
+
+def _unequal_caches_spec(q):
+    """Receivers of unequal cache sizes, two of them equal, and one more
+    demanding packet 1 with an empty cache."""
+    caches = ([[2, 3, 4], [1, 3], [1, 2, 4], [2]] if q <= 3
+              else [[2, 3], [1], [1, 2]])
+    n = len(caches)
+    return ProblemSpec(graph=SideInfoGraph.make(n, [*range(1, n + 1), 1],
+                                                caches + [[]]),
+                       q=q, delta_s=1)
+
+
+@pytest.mark.parametrize("bound", [3, 8])
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_multi_block_runs_match_reference_trials(monkeypatch, q, bound):
+    # blocks of 16 messages or trials, and a table of 3 snapshots (no
+    # exhaustive entry fits: each receiver's snapshots are built again
+    # per message) or 8 (one or two entries, emptied over and over)
+    monkeypatch.setattr(simulation, "MAX_WITNESSES", 10 ** 6)
+    monkeypatch.setattr(simulation, "_BLOCK", 16)
+    monkeypatch.setattr(simulation, "_SNAPSHOT_TUPLES", bound)
+    spec = _unequal_caches_spec(q)
+    rng = random.Random(q)
+    valid = optimal_length(spec)[1]
+    invalid = valid
+    while is_valid_generator(spec, invalid)[0]:
+        invalid = Matrix(spec.field,
+                         [[rng.randrange(q) for _ in range(valid.ncols)]
+                          for _ in range(spec.graph.n)], ncols=valid.ncols)
+    outcomes = set()
+    for G in (valid, invalid):
+        for config in (EXHAUSTIVE, SimulationConfig(trials=300, seed=q)):
+            report = run_simulation(spec, G, config)
+            assert (report.per_receiver, report.witnesses) == \
+                _reference_report(spec, G, config)
+            outcomes.add((G is valid, report.ok))
+    assert outcomes == {(True, True), (False, False)}
+
+
+@pytest.mark.parametrize("config", [EXHAUSTIVE, SimulationConfig(trials=2000, seed=3)],
+                         ids=["exhaustive", "random"])
+def test_what_the_decoder_receives(monkeypatch, config):
+    # under the identity G the codeword is the message, so each call's
+    # clean cache is read off y.  Every y and x_hat is a tuple, and
+    # receivers 1 and 3 (equal cache sizes) get the very object for the
+    # same clean cache and snapshot
+    spec = _unequal_caches_spec(3)
+    g = spec.graph
+    calls = []
+    real = simulation.decode_receiver
+
+    def recording(G, graph, i, y, x_hat, delta_s):
+        calls.append((i, y, x_hat))     # kept alive, so each id is unique
+        return real(G, graph, i, y, x_hat, delta_s)
+
+    monkeypatch.setattr(simulation, "decode_receiver", recording)
+    report = run_simulation(spec, Matrix.identity(spec.field, g.n), config)
+    assert len(calls) == sum(t for _, t in report.per_receiver.values())
+    seen: dict = {}
+    for i, y, x_hat in calls:
+        assert type(y) is tuple and type(x_hat) is tuple
+        clean = tuple(y[j - 1] for j in sorted(g.X[i - 1]))
+        seen.setdefault((clean, x_hat), []).append((i, x_hat))
+    shared = [got for got in seen.values() if {i for i, _ in got} == {1, 3}]
+    assert len(shared) > 20
+    for got in shared:
+        assert len({id(x_hat) for _, x_hat in got}) == 1
+
+
+@pytest.mark.parametrize("config", [EXHAUSTIVE, SimulationConfig(trials=2000, seed=3)],
+                         ids=["exhaustive", "random"])
+def test_the_snapshot_table_never_passes_its_bound(monkeypatch, config):
+    # exhaustive entries hold |V_i| snapshots each (7 at most here), a
+    # random one holds one; the table is emptied when a store finds it full
+    held = []
+    real = simulation.store
+
+    def checked(table, key, value, size):
+        real(table, key, value, size)
+        held.append(sum(map(len, table.values())) if config is EXHAUSTIVE
+                    else len(table))
+        return value
+
+    spec = _unequal_caches_spec(3)
+    G = Matrix.identity(spec.field, spec.graph.n)
+    want = run_simulation(spec, G, config)
+    monkeypatch.setattr(simulation, "store", checked)
+    monkeypatch.setattr(simulation, "_SNAPSHOT_TUPLES", 50)
+    assert run_simulation(spec, G, config) == want
+    assert 43 <= max(held) <= 50                # reached, never passed
+    assert held.count(max(held)) < len(held)    # and emptied
