@@ -22,40 +22,40 @@ A trial is its one ``decode_receiver`` call and its tally.  A
 receiver's corrupted snapshots depend only on its clean cache -- x's
 entries at its ascending cache positions, taken as a tuple by one
 ``operator.itemgetter`` call -- and on (|X_i|, q, delta_s).  So the
-receivers of one cache size share one variant list, and a run keeps one
-snapshot table, keyed by the clean tuple, whose length is that size:
-every receiver of the size reads the same entries, and each snapshot is
-built once while it is kept.  All 8 receivers of clique-8 cache 7
-packets, so an exhaustive F_2 run at delta_s = 1 builds 1,024 snapshots
-for its 16,384 trials.
-
-* Exhaustive mode walks each encoded block receiver by receiver.  Its
-  table maps a clean tuple to its |V_i| snapshots in variant order, and
-  it adds the tallies once per (receiver, block).
-* Random mode draws one variant r per trial, so its table maps (clean
-  tuple, r) to that one snapshot, built the first time it is drawn; a
-  whole entry would build |V_i| snapshots for one draw (769 over F_257
-  at |X_i| = 3, delta_s = 1).
+receivers of one cache size share one variant list.  Exhaustive mode
+walks each encoded block receiver by receiver, keeps one snapshot table
+per run that maps a clean tuple to its |V_i| snapshots in variant
+order, and adds the tallies once per (receiver, block).  Every receiver
+of a cache size reads the same entries, and each snapshot is built once
+while it is kept: all 8 receivers of clique-8 cache 7 packets, so an
+F_2 run at delta_s = 1 builds 1,024 snapshots for its 16,384 trials.
+Random mode corrupts each trial's clean tuple for its one drawn
+variant and keeps no table: a (clean tuple, variant) table hit on none
+of 30,000 trials over F_257 at |X_i| = 3, delta_s = 1, where it made
+the run slower.
 
 The table lives for one call and holds at most ``_SNAPSHOT_TUPLES``
-(16,384) snapshots: exhaustive mode keeps _SNAPSHOT_TUPLES // max |V_i|
-entries, and none when one entry alone would pass the bound (each
-receiver's snapshots are then built again per message, one per trial,
-as a table that never hits would).  A store into a full table empties
-it first (``kept.store``).  A snapshot of k entries takes 40 + 8k B,
-and with its key and slot ~150 B at k = 8 and ~250 B at k = 23 in
-exhaustive mode, ~320 B and ~560 B in random mode (tracemalloc, CPython
-3.11): at most ~2.4 and ~4 MB, or ~5.3 and ~9.3 MB, when full.
+(65,536) snapshots, as _SNAPSHOT_TUPLES // max |V_i| entries; a store
+into a full table empties it first (``kept.store``).  The trial budget
+keeps max |V_i| <= 4,096 (every |V_i| <= q^n, so max |V_i|^2 <= the
+trials), so at least 16 entries fit.  Past the bound, a receiver whose
+clean tuples recur further apart than the table holds builds its
+snapshots again per message, as the walk did before the table.  A full
+table takes ~11 MB at caches of 13 packets and delta_s = 1 (14
+snapshots an entry, ~170 B each), and ~35 MB at its most: caches of 23
+packets at delta_s = 0 (one snapshot an entry, ~540 B each), which the
+budget admits only for n = 24 and one receiver (``sys.getsizeof`` of
+the table, its keys, entries and snapshots; CPython 3.11).
 
 Every trial passes decode_receiver the same G, graph and delta_s
 objects, whose decoders ``decoder.receiver_decoder`` keeps by receiver,
 and the codeword y and the snapshot x_hat as tuples.  The decoder keeps
 each side's packed sum by value, so a trial whose y and x_hat that
 receiver has seen costs two dict lookups, an add, a lane reduction and
-one memo lookup there (see ``decoder``; ``kept`` bounds them); a kept
-snapshot is the very key the decoder holds, which its lookup finds by
-identity.  Every trial still makes its own decode: the simulation is the
-decoder's independent check.
+one memo lookup there (see ``decoder``; ``kept`` bounds them); in
+exhaustive mode a kept snapshot is the very key the decoder holds,
+which its lookup finds by identity.  Every trial still makes its own
+decode: the simulation is the decoder's independent check.
 
 Both modes encode in blocks of ``_BLOCK``, so memory stays bounded:
 exhaustive mode encodes each message once, random mode each distinct
@@ -88,7 +88,7 @@ from .sigraph import ProblemSpec, is_integer
 DEFAULT_TRIAL_BITS = 24
 MAX_WITNESSES = 10
 _BLOCK = 1 << 12   # each mode encodes a message once per this many trials
-_SNAPSHOT_TUPLES = 1 << 14   # corrupted snapshots one run's table holds
+_SNAPSHOT_TUPLES = 1 << 16   # corrupted snapshots one run's table holds
 
 
 @dataclass(frozen=True)
@@ -130,10 +130,10 @@ def run_simulation(spec: ProblemSpec, G: Matrix,
     receiver by receiver, each receiver's in message order.  Random mode
     samples the triples and keeps witnesses in trial order; its trials
     are the ones ``randrange`` draws from ``random.Random(seed)``, and
-    it encodes each distinct message once per block of trials.  Each
-    corrupted snapshot comes from the run's snapshot table (see the
-    module docstring), built once per clean cache and shared by the
-    receivers of its cache size, so a trial is its one
+    it encodes each distinct message once per block of trials.  An
+    exhaustive run's corrupted snapshots come from its snapshot table
+    (see the module docstring), built once per clean cache and shared
+    by the receivers of its cache size, so a trial is its one
     ``decode_receiver`` call and its tally.
     Raises BudgetExceededError, before any trial, when the run would
     make more than 2^DEFAULT_TRIAL_BITS trials or some receiver's
@@ -179,11 +179,10 @@ def run_simulation(spec: ProblemSpec, G: Matrix,
             x_hat[pos] = add[x_hat[pos]][delta]
         return tuple(x_hat)
 
-    table: dict = {}            # the snapshot table (module docstring)
     decode = decode_receiver    # read once: a patched binding is seen
     failures = (NoSolutionError, InconsistentError, DegenerateError)
     if exhaustive:
-        # whole entries the table holds; none when one would pass the bound
+        table: dict = {}        # the snapshot table (module docstring)
         entries = _SNAPSHOT_TUPLES // max(counts)
         found: dict[int, list[tuple]] = {i: [] for i in per}
         messages = itertools.product(range(q), repeat=n)
@@ -197,8 +196,7 @@ def run_simulation(spec: ProblemSpec, G: Matrix,
                     if snapshots is None:
                         snapshots = tuple(corrupt(clean, offsets)
                                           for offsets in variants)
-                        if entries:
-                            store(table, clean, snapshots, entries)
+                        store(table, clean, snapshots, entries)
                     want = x[demand]
                     for x_hat in snapshots:
                         try:
@@ -242,11 +240,7 @@ def run_simulation(spec: ProblemSpec, G: Matrix,
                 r = getrandbits(bits)
                 while r >= len(variants):
                     r = getrandbits(bits)
-                key = pick(x), r
-                x_hat = table.get(key)
-                if x_hat is None:
-                    x_hat = store(table, key, corrupt(key[0], variants[r]),
-                                  _SNAPSHOT_TUPLES)
+                x_hat = corrupt(pick(x), variants[r])
                 tally = per[i]
                 tally[1] += 1
                 try:
