@@ -19,7 +19,7 @@ import click
 
 from .codeset import oracle_decodable
 from .decoder import decode_receiver
-from .encoder import optimum, parse_generator, serialize_generator
+from .encoder import generator_doc, optimum, parse_generator
 from .errors import (BudgetExceededError, DegenerateError, IcsieError,
                      InconsistentError, MismatchError, NoSolutionError,
                      ParseError)
@@ -125,7 +125,7 @@ def search(instance: str, method: str, as_json: bool) -> None:
         N, G = optimum(_load_instance(instance), method)
         _emit(as_json,
               {"N": N, "method": method,
-               "G": json.loads(serialize_generator(G))},
+               "G": generator_doc(G)},
               [f"N = {N}",
                "G ="] + ["  " + " ".join(str(v) for v in row) for row in G.rows])
     _run(go)
@@ -252,7 +252,7 @@ def analyze(instance: str, as_json: bool) -> None:
             "gamma_witness": sorted(witness),
             "beta": beta,
             "packing": [sorted(B) for B in packing],
-            "bounds": json.loads(report.to_json()),
+            "bounds": report.to_doc(),
         }
         lines = []
         if cycles:

@@ -365,44 +365,39 @@ def _first_avoiding_basis(vectors, table, N: int, rows_of: dict):
     lexicographic order, then each row's free values lexicographically,
     row 0 most significant.  The walk chooses rows depth first and keeps
     the span of the rows chosen so far; a prefix whose span meets the
-    interference set is cut with all its completions.  rows_of caches
-    each row's candidates, which depend only on q, n, its pivot and the
-    later pivots, so one cache serves every table over the same space.
+    interference set is cut with all its completions.  Candidates stay
+    packed (``vectors.rows``) and only the basis returned is unpacked.
+    rows_of caches each row's candidates, which depend only on q, n, its
+    pivot and the later pivots; it is shared by the lengths of one
+    search and by the tables of one ``structure.edge_deletion_bound``.
     """
-    q, n = vectors.q, vectors.n
+    n = vectors.n
     d = n - N
     lookup = table.__getitem__
 
     def candidates(p: int, later: tuple[int, ...]):
         key = (p, later)
         if key not in rows_of:
-            free = [c for c in range(p + 1, n) if c not in later]
-            rows = []
-            for vals in itertools.product(range(q), repeat=len(free)):
-                row = [0] * n
-                row[p] = 1
-                for c, v in zip(free, vals):
-                    row[c] = v
-                rows.append((tuple(row), vectors.pack(tuple(row))))
-            rows_of[key] = rows
+            rows_of[key] = vectors.rows(
+                p, [c for c in range(p + 1, n) if c not in later])
         return rows_of[key]
 
     def walk(pivots, k, span):
         if k == d:
             return []
-        for row, vec in candidates(pivots[k], pivots[k + 1:]):
+        for vec in candidates(pivots[k], pivots[k + 1:]):
             grown = vectors.extend(span, vec, lookup)
             if grown is not None:
                 rest = walk(pivots, k + 1, grown)
                 if rest is not None:
-                    return [row] + rest
+                    return [vec] + rest
         return None
 
     zero = vectors.pack([0] * n)
     for pivots in itertools.combinations(range(n), d):
         basis = walk(pivots, 0, [zero])
         if basis is not None:
-            return basis
+            return [vectors.unpack(vec) for vec in basis]
     return None
 
 
@@ -834,9 +829,13 @@ def _kwise_length(table, q: int) -> int:
 # ---------------------------------------------------------------------------
 # generator matrix wire format
 
+def generator_doc(G: Matrix) -> dict:
+    """G's wire document: the dict serialize_generator dumps."""
+    return {"q": G.field.q, "n": G.nrows, "N": G.ncols, "rows": G.to_lists()}
+
+
 def serialize_generator(G: Matrix) -> str:
-    doc = {"q": G.field.q, "n": G.nrows, "N": G.ncols, "rows": G.to_lists()}
-    return json.dumps(doc, indent=1)
+    return json.dumps(generator_doc(G), indent=1)
 
 
 def parse_generator(text: str) -> Matrix:

@@ -82,9 +82,12 @@ def vector_space(field: Field, n: int):
     hit_masks(zs, cs), for each c of cs in turn, computed as it is
     read, the bitset of the z in zs with z . c != 0, bit k for zs[k],
     which the column-multiset walk counts in bit-slices.
-    extend(span, v, lookup) serves the subspace walk:
-    the span of span + {v}, or None when the coset v + span meets the
-    interference set, lookup(support mask) being true on it (the
+    rows(p, free) and extend(span, v, lookup) serve the subspace walk.
+    rows lists, packed and in one pass, the vectors with a 1 at position
+    p, every value at the free positions and 0 elsewhere, the first free
+    position most significant (``itertools.product`` order).  extend
+    gives the span of span + {v}, or None when the coset v + span meets
+    the interference set, lookup(support mask) being true on it (the
     walk binds its table's lookup once); interference is
     closed under scaling, so only that coset is tested.  Sums of many
     vectors, as a decode and the decodability oracle make, are
@@ -110,6 +113,13 @@ class _F2Vectors:
 
     def projective(self) -> range:
         return range(1, 1 << self.n)
+
+    def rows(self, p: int, free: Sequence[int]) -> list[int]:
+        rows = [1 << (self.n - 1 - p)]
+        for c in free:
+            bit = 1 << (self.n - 1 - c)
+            rows = [r | b for r in rows for b in (0, bit)]
+        return rows
 
     def extend(self, span: list[int], v: int, lookup) -> list[int] | None:
         coset = [v ^ s for s in span]
@@ -159,6 +169,13 @@ class _FqVectors:
         n, q = self.n, self.q
         return [(0,) * j + (1,) + tail for j in range(n - 1, -1, -1)
                 for tail in itertools.product(range(q), repeat=n - 1 - j)]
+
+    def rows(self, p: int, free: Sequence[int]) -> list[tuple[int, ...]]:
+        units = [(a,) for a in range(self.q)]
+        rows = [(0,) * p + (1,) + (0,) * (self.n - 1 - p)]
+        for c in free:
+            rows = [r[:c] + u + r[c + 1:] for r in rows for u in units]
+        return rows
 
     def translate(self, v, vs) -> list[tuple[int, ...]]:
         add = self._add

@@ -170,7 +170,7 @@ class BoundsReport:
     entries: dict[str, BoundEntry] = field(default_factory=dict)
     n_opt: int | None = None           # exact error-free optimum when computed
     notes: tuple[str, ...] = ()
-    # the structure the entries were read from; not part of to_json
+    # the structure the entries were read from; not part of to_doc
     cycles: tuple[CycleSet, ...] = ()              # minimal compressible sets
     gamma_witness: frozenset[int] = frozenset()
     packing: tuple[frozenset[int], ...] = ()       # beta = len(packing)
@@ -195,8 +195,9 @@ class BoundsReport:
                 return False
         return True
 
-    def to_json(self) -> str:
-        doc = {
+    def to_doc(self) -> dict:
+        """The report's JSON document: the dict to_json dumps."""
+        return {
             "n_opt": self.n_opt,
             "entries": {
                 name: {"kind": e.kind, "value": e.value, "target": e.target,
@@ -205,7 +206,9 @@ class BoundsReport:
             },
             "notes": list(self.notes),
         }
-        return json.dumps(doc, indent=1)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_doc(), indent=1)
 
 
 def edge_deletion_bound(spec: ProblemSpec) -> int:

@@ -12,7 +12,7 @@ from icsie import Matrix, encoder, field_for, kept
 from icsie.codeset import (_check_enum_budget, interference_masks,
                            interference_supports)
 from icsie.decoder import DecodeTrace, build_context
-from icsie.encoder import _check_subspace_budget, _first_avoiding_basis
+from icsie.encoder import _check_subspace_budget
 from icsie.errors import (BudgetExceededError, DegenerateError,
                           InconsistentError, NoSolutionError)
 from icsie.gfield import Field
@@ -162,20 +162,68 @@ def enum_interference(spec: ProblemSpec):
             yield z, i
 
 
+def _reference_rows(vectors, p: int, free) -> list:
+    """Each RREF row with its pivot at p and free values at the positions
+    free, built one tuple at a time from ``itertools.product`` (the first
+    free position most significant) and packed: (row, packed row)."""
+    out = []
+    for vals in itertools.product(range(vectors.q), repeat=len(free)):
+        row = [0] * vectors.n
+        row[p] = 1
+        for c, v in zip(free, vals):
+            row[c] = v
+        out.append((tuple(row), vectors.pack(tuple(row))))
+    return out
+
+
+def _reference_avoiding_basis(vectors, table, N: int):
+    """The RREF rows of the first subspace of dimension n - N avoiding the
+    table's interference set, or None: pivot sets in lexicographic order,
+    each row's candidates from ``_reference_rows``, spans grown with
+    ``vectors.extend``.  It shares no enumeration with the library's
+    walk, so a change to the order ``vectors.rows`` lists shows here."""
+    n, d = vectors.n, vectors.n - N
+    lookup = table.__getitem__
+    listed: dict = {}
+
+    def candidates(p, later):
+        if (p, later) not in listed:
+            listed[p, later] = _reference_rows(
+                vectors, p, [c for c in range(p + 1, n) if c not in later])
+        return listed[p, later]
+
+    def walk(pivots, k, span):
+        if k == d:
+            return []
+        for row, vec in candidates(pivots[k], pivots[k + 1:]):
+            grown = vectors.extend(span, vec, lookup)
+            if grown is not None:
+                rest = walk(pivots, k + 1, grown)
+                if rest is not None:
+                    return [row] + rest
+        return None
+
+    zero = vectors.pack([0] * n)
+    for pivots in itertools.combinations(range(n), d):
+        basis = walk(pivots, 0, [zero])
+        if basis is not None:
+            return basis
+    return None
+
+
 def _reference_shortest_length(spec: ProblemSpec) -> tuple[int, Matrix]:
     """The delta_c = 0 optimum walked from length 1, every length checked
     against the library's subspace budget, without the gamma start: (N, G) as
-    optimal_length builds them from the first avoiding basis.  The
-    length-1 budget is checked before the 2^n support table is read,
-    as the library's search does."""
+    optimal_length builds them from the first avoiding basis, found by
+    ``_reference_avoiding_basis``.  The length-1 budget is checked before
+    the 2^n support table is read, as the library's search does."""
     n = spec.graph.n
     _check_subspace_budget(n, n - 1, spec.q)
     vectors = vector_space(spec.field, n)
     table = interference_supports(spec)
-    rows_of: dict = {}
     for N in range(1, n + 1):
         _check_subspace_budget(n, n - N, spec.q)
-        basis = _first_avoiding_basis(vectors, table, N, rows_of)
+        basis = _reference_avoiding_basis(vectors, table, N)
         if basis is not None:
             W = Matrix(spec.field, basis, ncols=n)
             return N, W.null_space_basis().transpose()

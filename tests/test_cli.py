@@ -12,8 +12,8 @@ from icsie import cli, codeset, encoder, kept, simulation, structure
 from icsie.cli import EXIT_DOMAIN, EXIT_OK, main
 from icsie.codeset import oracle_decodable
 from icsie.errors import BudgetExceededError, ParseError
-from icsie.encoder import (optimal_length, parse_generator,
-                           serialize_generator)
+from icsie.encoder import (generator_doc, optimal_length, optimum,
+                           parse_generator, serialize_generator)
 from icsie.gfield import field_for
 from icsie.linalg import Matrix
 from icsie.sigraph import (ProblemSpec, SideInfoGraph, clique_graph,
@@ -471,6 +471,44 @@ def test_analyze_json_pinned(runner, tmp_path, spec, doc):
     inst.write_text(serialize_instance(spec))
     res = runner.invoke(main, ["analyze", "--json", str(inst)])
     assert res.exit_code == 0
+    assert res.output == json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("spec", [
+    ProblemSpec(graph=clique_graph(4), q=2, delta_s=1),
+    ProblemSpec(graph=SideInfoGraph.make(
+        4, [1, 2, 3, 1, 2], [{2, 3}, {1, 3}, {1, 2, 4}, {3, 4}, {1, 3, 4}]),
+        q=3, delta_s=1),
+    ProblemSpec(graph=clique_graph(4), q=5, delta_s=1),
+], ids=["F2", "F3", "F5"])
+def test_search_json_embeds_the_generator_document(runner, tmp_path, spec):
+    # the document embedded directly prints what the round trip through
+    # serialize_generator and json.loads printed
+    inst = tmp_path / "inst.json"
+    inst.write_text(serialize_instance(spec))
+    N, G = optimum(spec, "brute")
+    assert generator_doc(G) == json.loads(serialize_generator(G))
+    want = {"N": N, "method": "brute",
+            "G": json.loads(serialize_generator(G))}
+    res = runner.invoke(main, ["search", "--method", "brute", "--json",
+                               str(inst)])
+    assert res.exit_code == 0
+    assert res.output == json.dumps(want, indent=1, sort_keys=True) + "\n"
+
+
+def test_analyze_json_embeds_the_report_document(runner, tmp_path):
+    # F_5 clique-7 at delta_s = 1 skips its edge-deletion bound and its
+    # exact optimum: two notes and a null n_opt
+    spec = ProblemSpec(graph=clique_graph(7), q=5, delta_s=1)
+    inst = tmp_path / "c7.json"
+    inst.write_text(serialize_instance(spec))
+    report = structure.bounds_report(spec)
+    assert report.n_opt is None and len(report.notes) == 2
+    assert report.to_doc() == json.loads(report.to_json())
+    res = runner.invoke(main, ["analyze", "--json", str(inst)])
+    assert res.exit_code == 0
+    doc = json.loads(res.output)
+    doc["bounds"] = json.loads(report.to_json())
     assert res.output == json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 

@@ -13,8 +13,8 @@ from icsie.linalg import (LaneVectors, Matrix, RowSpan, low_weight,
                           vector_space)
 from icsie.sigraph import ProblemSpec, clique_graph
 
-from conftest import (dot, hamming_weight, reference_rank, reference_rref,
-                      subvector, vec_add, vec_scale, vec_sub)
+from conftest import (_reference_rows, dot, hamming_weight, reference_rank,
+                      reference_rref, subvector, vec_add, vec_scale, vec_sub)
 
 F2 = field_for(2)
 F3 = field_for(3)
@@ -442,6 +442,22 @@ def test_projective_points_are_the_filtered_product(q):
         want = [t for t in itertools.product(range(q), repeat=n)
                 if any(t) and next(a for a in t if a) == 1]
         assert vector_space(field_for(q), n).projective() == want
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_rows_match_the_product_order(q):
+    # the subspace walk's candidates: for every pivot p and every set of
+    # later pivots, the packed rows in itertools.product order over the
+    # free positions, the first most significant
+    for n in range(1, (5 if q < 7 else 3) + 1):
+        vs = vector_space(field_for(q), n)
+        for p in range(n):
+            after = range(p + 1, n)
+            for k in range(len(after) + 1):
+                for later in itertools.combinations(after, k):
+                    free = [c for c in after if c not in later]
+                    want = [vec for _, vec in _reference_rows(vs, p, free)]
+                    assert vs.rows(p, free) == want, (n, p, later)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 257])
